@@ -2,7 +2,8 @@
 tweets and per-unit activation distributions over a corpus, split by class.
 
 Traces reuse the model's forward pass directly, so exported values are
-bit-identical to what the classifier computed.
+bit-identical to what the classifier computed; the corpus distributions come
+from one batched forward pass, bit-identical to ``predict_proba``'s batch.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 from .data import Label, TweetRecord, encode_tweet_metadata
 from .embedding import EmbeddingTable, embed
 from .errors import SingleClass
-from .nnet.model import ContextualLstmModel
+from .nnet.lstm import lstm_forward
+from .nnet.model import ContextualLstmModel, stack_sequences
 from .tokenizer import tokenize
 
 DEFAULT_BINS = 50
@@ -104,21 +106,25 @@ def unit_distributions(
     value distributions.
     """
     hidden_dim = model.config.hidden_dim
-    finals = {Label.HUMAN: [], Label.BOT: []}
-    for tweet in tweets:
-        _, sequence = _embed_tweet(model, table, tweet, max_len, truncation, repeat_tag)
-        # Single shared code path: reuse forward() for the final state.
-        meta = encode_tweet_metadata(tweet.metadata) if model.config.use_metadata else None
-        _, _, hidden = model.forward(sequence, meta)
-        final = hidden[-1] if hidden.shape[0] else np.zeros(hidden_dim)
-        finals[tweet.label].append(final)
-    if not finals[Label.HUMAN] or not finals[Label.BOT]:
+    labels = np.array([tweet.label for tweet in tweets])
+    if not np.any(labels == Label.HUMAN) or not np.any(labels == Label.BOT):
         raise SingleClass("unit distributions need tweets from both classes")
+    x, lengths = stack_sequences(
+        [_embed_tweet(model, table, t, max_len, truncation, repeat_tag)[1] for t in tweets]
+    )
+    meta = None
+    if model.config.use_metadata:
+        meta = model.standardize_metadata(
+            np.vstack([encode_tweet_metadata(t.metadata) for t in tweets])
+        )
+    # all_h repeats each tweet's last state to the end; an empty tweet's stays 0.
+    _, _, all_h, _ = model.forward_batch(x, lengths, meta)
+    finals = all_h[:, -1, :]
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
     distributions = []
     ks = np.zeros(hidden_dim)
-    stacked = {lab: np.vstack(vals) for lab, vals in finals.items()}
+    stacked = {lab: finals[labels == lab] for lab in (Label.HUMAN, Label.BOT)}
     for unit in range(hidden_dim):
         for label in (Label.HUMAN, Label.BOT):
             values = stacked[label][:, unit]
@@ -145,18 +151,9 @@ def unit_distributions(
 
 def cell_states(model: ContextualLstmModel, sequence) -> np.ndarray:
     """Cell-state values c_t per real timestep (unbounded, unlike outputs)."""
-    from .nnet.lstm import lstm_forward
-
-    _, _, cache = lstm_forward(
-        model.params, sequence.matrix[None, :, :], np.array([sequence.true_length])
-    )
-    states = []
-    for _, _, c_prev, gate_i, gate_f, _, cand, _, mask in cache:
-        c_raw = gate_f * c_prev + gate_i * cand
-        states.append((mask * c_raw + (1.0 - mask) * c_prev)[0])
-    if not states:
-        return np.zeros((0, model.config.hidden_dim))
-    return np.vstack(states)
+    lengths = np.array([sequence.true_length])
+    cache = lstm_forward(model.params, sequence.matrix[None], lengths, keep_cache=True)[2]
+    return np.stack(cache["c"])[1:, 0, :]
 
 
 def _heatmap_lines(matrix: np.ndarray, tokens: tuple[str, ...]) -> list[str]:

@@ -1,7 +1,7 @@
 """From-scratch dense and LSTM layers, the contextual tweet classifier, and
 gradient-checking utilities."""
 
-from .lstm import init_lstm_params, lstm_forward, lstm_forward_sequence
+from .lstm import init_lstm_params, lstm_forward
 from .model import (
     ContextualLstmModel,
     NetConfig,
@@ -17,6 +17,5 @@ __all__ = [
     "blended_loss",
     "init_lstm_params",
     "lstm_forward",
-    "lstm_forward_sequence",
     "train",
 ]

@@ -9,12 +9,8 @@ CLAMP = 1e-7
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function in tanh form: exact at 0, symmetric, never overflows."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def relu(z: np.ndarray) -> np.ndarray:

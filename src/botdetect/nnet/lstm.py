@@ -1,15 +1,23 @@
 """LSTM cell: batched forward recurrence and full backpropagation through time.
 
-State starts at zero for every sequence and is never carried across inputs.
-Padded timesteps leave a sample's state untouched (equivalent to skipping
-them, expressed as a per-sample mask so a whole batch advances together).
+Parameters stay in the dict as 12 per-gate tensors (``W_g``, ``U_g``, ``b_g``
+for g in i, f, o, c), the layout checkpoints, Adam and the gradient check see.
+Each call joins them into fused W (4h x d), U (4h x h) and b (4h), held
+gate-major as (4, h, ...) so every gate block is contiguous; the backward pass
+hands back per-gate gradients by indexing that gate axis. Forward (Appleyard,
+Kočiský & Blunsom 2016): one matmul projects the inputs of all timesteps before
+the recurrence; each step runs one h·Uᵀ matmul for all gates, one sigmoid over
+the i, f, o blocks and one tanh over the candidate block. Padded steps keep a
+sample's state (``np.where``); state never carries across inputs. Only
+training and the cell-state trace keep a per-step cache. Backward mirrors
+this: one (4, B, h) block dA per step, dh from one dA·U, and dW, dU, db each
+from one matmul or sum over the stacked blocks after the loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..embedding import EmbeddedSequence
 from ..errors import DimensionMismatch
 from .layers import glorot_uniform, sigmoid
 
@@ -31,87 +39,86 @@ def init_lstm_params(
     return params
 
 
-def lstm_forward(params: dict[str, np.ndarray], x: np.ndarray, lengths: np.ndarray):
+def _joined(params: dict[str, np.ndarray], kind: str) -> np.ndarray:
+    """Fused W (4, h, d), U (4, h, h) or b (4, h), in gate order."""
+    return np.stack([params[f"{kind}_{gate}"] for gate in GATES])
+
+
+def lstm_forward(params: dict[str, np.ndarray], x: np.ndarray, lengths: np.ndarray,
+                 keep_cache: bool = False):
     """Run the recurrence over a batch.
 
     x: (B, T, d); lengths: (B,) true lengths. Returns (final_h (B, h),
     all_h (B, T, h), cache). all_h[b, t] is the hidden state after step t;
-    rows at t >= lengths[b] repeat the last valid state.
+    rows at t >= lengths[b] repeat the last valid state. The cache is None
+    unless ``keep_cache``; it holds the time-major inputs ``x`` of the
+    S = max(lengths) steps, ``h`` = all_h, and per-step lists of activations
+    ``ifo`` (3, B, h) and ``cand`` and of masked cell states ``c``, which
+    start with the zero initial state (entry t enters step t).
     """
-    hidden_dim = params["W_i"].shape[0]
+    w, u, b = _joined(params, "W"), _joined(params, "U"), _joined(params, "b")
+    hidden_dim = u.shape[1]
     batch, total_steps, input_dim = x.shape
-    if params["W_i"].shape[1] != input_dim:
-        raise DimensionMismatch(
-            f"sequence dimension {input_dim} != cell input dim {params['W_i'].shape[1]}"
-        )
+    if w.shape[2] != input_dim:
+        raise DimensionMismatch(f"sequence dimension {input_dim} != cell input dim {w.shape[2]}")
     steps = int(lengths.max()) if batch else 0
-    h = np.zeros((batch, hidden_dim))
-    c = np.zeros((batch, hidden_dim))
-    all_h = np.zeros((batch, total_steps, hidden_dim))
-    cache = []
+    live = (np.arange(steps)[:, None] < lengths)[:, :, None]
+    inputs = x[:, :steps, :].transpose(1, 0, 2).reshape(-1, input_dim)
+    projected = inputs @ w.transpose(0, 2, 1)
+    projected += b[:, None, :]
+    projected = projected.reshape(4, steps, batch, hidden_dim)
+    u_t = u.transpose(0, 2, 1)
+    h = c = np.zeros((batch, hidden_dim))
+    all_h = np.empty((batch, total_steps, hidden_dim))
+    cache = dict(x=inputs, lengths=lengths, h=all_h, ifo=[], cand=[], c=[c]) if keep_cache else None
     for t in range(steps):
-        x_t = x[:, t, :]
-        h_prev, c_prev = h, c
-        a_i = x_t @ params["W_i"].T + h_prev @ params["U_i"].T + params["b_i"]
-        a_f = x_t @ params["W_f"].T + h_prev @ params["U_f"].T + params["b_f"]
-        a_o = x_t @ params["W_o"].T + h_prev @ params["U_o"].T + params["b_o"]
-        a_c = x_t @ params["W_c"].T + h_prev @ params["U_c"].T + params["b_c"]
-        gate_i = sigmoid(a_i)
-        gate_f = sigmoid(a_f)
-        gate_o = sigmoid(a_o)
-        cand = np.tanh(a_c)
-        c_raw = gate_f * c_prev + gate_i * cand
+        a = h @ u_t
+        a += projected[:, t]
+        ifo = sigmoid(a[:3])
+        cand = np.tanh(a[3])
+        c_raw = ifo[1] * c + ifo[0] * cand
         c_tanh = np.tanh(c_raw)
-        h_raw = gate_o * c_tanh
-        mask = (t < lengths).astype(np.float64)[:, None]
-        h = mask * h_raw + (1.0 - mask) * h_prev
-        c = mask * c_raw + (1.0 - mask) * c_prev
+        h = np.where(live[t], ifo[2] * c_tanh, h)
+        c = np.where(live[t], c_raw, c)
         all_h[:, t, :] = h
-        cache.append((x_t, h_prev, c_prev, gate_i, gate_f, gate_o, cand, c_tanh, mask))
-    if steps:
-        all_h[:, steps:, :] = h[:, None, :]
+        if keep_cache:
+            for key, value in zip(("ifo", "cand", "c"), (ifo, cand, c)):
+                cache[key].append(value)
+    all_h[:, steps:, :] = h[:, None, :]
     return h, all_h, cache
 
 
 def lstm_backward(params: dict[str, np.ndarray], cache, d_final_h: np.ndarray):
-    """BPTT given the loss gradient at the final hidden state."""
-    grads = {
-        f"{kind}_{gate}": np.zeros_like(params[f"{kind}_{gate}"])
-        for kind in ("W", "U", "b")
-        for gate in GATES
-    }
-    dh = d_final_h
-    dc = np.zeros_like(d_final_h)
-    for x_t, h_prev, c_prev, gate_i, gate_f, gate_o, cand, c_tanh, mask in reversed(cache):
-        dh_raw = mask * dh
-        dh_skip = (1.0 - mask) * dh
-        dc_raw = mask * dc
-        dc_skip = (1.0 - mask) * dc
-        d_gate_o = dh_raw * c_tanh
-        dc_raw = dc_raw + dh_raw * gate_o * (1.0 - c_tanh * c_tanh)
-        d_gate_f = dc_raw * c_prev
-        d_gate_i = dc_raw * cand
-        d_cand = dc_raw * gate_i
-        dc = dc_raw * gate_f + dc_skip
-        da_i = d_gate_i * gate_i * (1.0 - gate_i)
-        da_f = d_gate_f * gate_f * (1.0 - gate_f)
-        da_o = d_gate_o * gate_o * (1.0 - gate_o)
-        da_c = d_cand * (1.0 - cand * cand)
-        dh = dh_skip
-        for gate, da in zip(GATES, (da_i, da_f, da_o, da_c)):
-            grads[f"W_{gate}"] += da.T @ x_t
-            grads[f"U_{gate}"] += da.T @ h_prev
-            grads[f"b_{gate}"] += da.sum(axis=0)
-            dh = dh + da @ params[f"U_{gate}"]
-    return grads
+    """BPTT given the loss gradient at the final hidden state.
 
-
-def lstm_forward_sequence(
-    params: dict[str, np.ndarray], sequence: EmbeddedSequence
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sequence forward: (final 32-vector, per-step states up to the
-    true length). A zero-length sequence yields a zero final state."""
-    x = sequence.matrix[None, :, :]
-    lengths = np.array([sequence.true_length])
-    final_h, all_h, _ = lstm_forward(params, x, lengths)
-    return final_h[0], all_h[0, : sequence.true_length, :].copy()
+    A sample's gradient enters at its last real step. At the padded steps
+    after it (visited first, in reverse) its dh and dc are still zero, so
+    they add nothing, which mirrors the forward pass leaving its state as is.
+    """
+    u = _joined(params, "U")
+    lengths, cells, steps = cache["lengths"], cache["c"], len(cache["ifo"])
+    batch, hidden_dim = d_final_h.shape
+    d_gates = np.empty((4, steps, batch, hidden_dim))
+    dh, dc = np.zeros_like(d_final_h), np.zeros_like(d_final_h)
+    ending = (np.arange(1, steps + 1)[:, None] == lengths)[:, :, None]
+    for t in reversed(range(steps)):
+        np.copyto(dh, d_final_h, where=ending[t])
+        # tanh of the masked c_t is the forward's at live rows; padded rows carry no gradient.
+        ifo, cand, c_tanh = cache["ifo"][t], cache["cand"][t], np.tanh(cells[t + 1])
+        dc += dh * ifo[2] * (1.0 - c_tanh * c_tanh)
+        da = d_gates[:, t]
+        np.multiply(dc, cand, out=da[0])
+        np.multiply(dc, cells[t], out=da[1])
+        np.multiply(dh, c_tanh, out=da[2])
+        da[:3] *= ifo * (1.0 - ifo)
+        np.multiply(dc * ifo[0], 1.0 - cand * cand, out=da[3])
+        dc = dc * ifo[1]
+        dh = (da @ u).sum(axis=0)
+    zero = np.zeros((1, batch, hidden_dim))  # h_prev, time-major like the dA blocks
+    h_prev = np.concatenate([zero, cache["h"][:, :steps].transpose(1, 0, 2)])[:steps]
+    d_a = d_gates.reshape(4, steps * batch, hidden_dim)
+    d_a_t = d_a.transpose(0, 2, 1)
+    fused = {"W": d_a_t @ cache["x"], "b": np.ones(steps * batch) @ d_a,
+             "U": d_a_t @ h_prev.reshape(-1, hidden_dim)}
+    return {f"{kind}_{gate}": grad[k] for kind, grad in fused.items()
+            for k, gate in enumerate(GATES)}

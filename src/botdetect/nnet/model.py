@@ -93,7 +93,7 @@ class ContextualLstmModel:
 
     # -- forward ---------------------------------------------------------
 
-    def _standardize_meta(self, metadata: np.ndarray) -> np.ndarray:
+    def standardize_metadata(self, metadata: np.ndarray) -> np.ndarray:
         if self.metadata_standardizer is None:
             return metadata
         return self.metadata_standardizer.transform(metadata)
@@ -106,7 +106,7 @@ class ContextualLstmModel:
         """
         p = self.params
         cfg = self.config
-        final_h, all_h, lstm_cache = lstm_forward(p, x, lengths)
+        final_h, all_h, lstm_cache = lstm_forward(p, x, lengths, keep_cache)
         if cfg.use_metadata:
             if metadata is None or metadata.shape[1] != METADATA_DIM:
                 raise DimensionMismatch("metadata must be a (B, 6) array")
@@ -148,7 +148,7 @@ class ContextualLstmModel:
         meta = None
         if self.config.use_metadata:
             meta = np.asarray(metadata, dtype=np.float64).reshape(1, METADATA_DIM)
-            meta = self._standardize_meta(meta)
+            meta = self.standardize_metadata(meta)
         main, aux, all_h, _ = self.forward_batch(x, lengths, meta)
         trace = all_h[0, : sequence.true_length, :].copy()
         return float(main[0]), (float(aux[0]) if aux is not None else None), trace
@@ -159,7 +159,7 @@ class ContextualLstmModel:
         x, lengths = stack_sequences(sequences)
         meta = None
         if self.config.use_metadata:
-            meta = self._standardize_meta(np.asarray(metadata, dtype=np.float64))
+            meta = self.standardize_metadata(np.asarray(metadata, dtype=np.float64))
         main, _, _, _ = self.forward_batch(x, lengths, meta)
         return main
 

@@ -145,3 +145,30 @@ def scalar_contextual_forward(model, sequence, metadata) -> tuple[float, float]:
     main = sig(float(p["main.W"][0] @ r2) + p["main.b"][0])
     aux = sig(float(p["aux.W"][0] @ final_h) + p["aux.b"][0]) if model.config.use_aux else None
     return float(main), (float(aux) if aux is not None else None)
+
+
+def scalar_lstm_cells(params: dict[str, np.ndarray], matrix: np.ndarray,
+                      true_length: int) -> np.ndarray:
+    """Naive per-step, per-unit LSTM recurrence; returns the cell states c_t
+    (true_length x hidden)."""
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    hidden = params["W_i"].shape[0]
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    cells = np.zeros((true_length, hidden))
+    for t in range(true_length):
+        x_t = matrix[t]
+        h_new = np.zeros(hidden)
+        for unit in range(hidden):
+            pre = {
+                gate: params[f"b_{gate}"][unit] + float(params[f"W_{gate}"][unit] @ x_t)
+                + float(params[f"U_{gate}"][unit] @ h)
+                for gate in ("i", "f", "o", "c")
+            }
+            cells[t, unit] = sig(pre["f"]) * c[unit] + sig(pre["i"]) * np.tanh(pre["c"])
+            h_new[unit] = sig(pre["o"]) * np.tanh(cells[t, unit])
+        h, c = h_new, cells[t].copy()
+    return cells

@@ -18,7 +18,7 @@ from botdetect.introspect import (
 from botdetect.nnet import ContextualLstmModel, NetConfig, train
 from botdetect.tokenizer import tokenize
 
-from oracles import scalar_lstm_final
+from oracles import scalar_lstm_cells, scalar_lstm_final
 
 META = TweetMetadata(1, 0, 2, 0, 0, 0)
 
@@ -175,3 +175,29 @@ def test_cell_state_export(model, table):
 def test_activation_trace_validation():
     with pytest.raises(ValueError):
         ActivationTrace(matrix=np.zeros((2, 4)), tokens=("a",), empty=False)
+
+
+def test_cell_states_match_scalar_oracle(model, table):
+    for text in ("alpha beta gamma delta echo", "beta", ""):
+        seq = embed(tokenize(text), table, max_len=30)
+        states = cell_states(model, seq)
+        ref = scalar_lstm_cells(model.params, seq.matrix, seq.true_length)
+        assert states.shape == ref.shape == (seq.true_length, 8)
+        assert np.allclose(states, ref, rtol=0.0, atol=1e-12)
+
+
+def test_distributions_use_batched_final_states(model, table):
+    # An empty tweet keeps a zero final state; every other final state equals
+    # the single-tweet forward pass's last row.
+    tweets = [_tweet("alpha beta"), _tweet(""), _tweet("echo delta gamma", Label.BOT),
+              _tweet("beta 42", Label.BOT)]
+    report = unit_distributions(model, table, tweets)
+    finals = {Label.HUMAN: [], Label.BOT: []}
+    for tweet in tweets:
+        seq = embed(tokenize(tweet.text), table, max_len=30)
+        _, _, hidden = model.forward(seq, encode_tweet_metadata(tweet.metadata))
+        finals[tweet.label].append(hidden[-1] if hidden.shape[0] else np.zeros(8))
+    for dist in report.distributions:
+        values = np.array(finals[dist.label])[:, dist.unit_index]
+        assert dist.counts.sum() == 2
+        assert dist.mean == pytest.approx(values.mean(), abs=1e-12)

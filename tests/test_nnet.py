@@ -9,12 +9,11 @@ from botdetect.nnet import (
     NetConfig,
     blended_loss,
     init_lstm_params,
-    lstm_forward_sequence,
     train,
 )
 from botdetect.nnet.gradcheck import check_gradients
-from botdetect.nnet.layers import bce
-from botdetect.nnet.lstm import lstm_forward
+from botdetect.nnet.layers import bce, sigmoid
+from botdetect.nnet.lstm import lstm_backward, lstm_forward
 
 from oracles import scalar_bce, scalar_contextual_forward, scalar_lstm_final
 
@@ -39,15 +38,18 @@ def _zero_cell(dim, hidden=4):
 def test_lstm_zero_length_gives_zero_state():
     rng = np.random.Generator(np.random.PCG64(0))
     params = init_lstm_params(rng, 5, 32)
-    final_h, all_h = lstm_forward_sequence(params, _sequence(rng, 0, 5, max_len=4))
-    assert np.all(final_h == 0.0)
-    assert all_h.shape == (0, 32)
+    seq = _sequence(rng, 0, 5, max_len=4)
+    final_h, all_h, _ = lstm_forward(params, seq.matrix[None], np.array([seq.true_length]))
+    assert np.all(final_h[0] == 0.0)
+    assert all_h[0, : seq.true_length].shape == (0, 32)
+    assert np.all(all_h == 0.0)
 
 
 def test_lstm_zero_weights_give_zero_output():
     rng = np.random.Generator(np.random.PCG64(1))
     params = _zero_cell(3)
-    final_h, all_h = lstm_forward_sequence(params, _sequence(rng, 6, 3))
+    seq = _sequence(rng, 6, 3)
+    final_h, all_h, _ = lstm_forward(params, seq.matrix[None], np.array([6]))
     assert np.all(final_h == 0.0)
     assert np.all(all_h == 0.0)
 
@@ -56,10 +58,10 @@ def test_lstm_matches_scalar_reference():
     rng = np.random.Generator(np.random.PCG64(2))
     params = init_lstm_params(rng, 4, 8)
     seq = _sequence(rng, 5, 4, max_len=7)
-    final_h, all_h = lstm_forward_sequence(params, seq)
+    final_h, all_h, _ = lstm_forward(params, seq.matrix[None], np.array([seq.true_length]))
     ref_final, ref_all = scalar_lstm_final(params, seq.matrix, seq.true_length)
-    assert np.allclose(final_h, ref_final, atol=1e-12)
-    assert np.allclose(all_h, ref_all, atol=1e-12)
+    assert np.allclose(final_h[0], ref_final, atol=1e-12)
+    assert np.allclose(all_h[0, : seq.true_length], ref_all, atol=1e-12)
 
 
 def test_lstm_batch_masking_equals_per_sequence_runs():
@@ -70,15 +72,59 @@ def test_lstm_batch_masking_equals_per_sequence_runs():
     lengths = np.array([s.true_length for s in sequences])
     batch_final, _, _ = lstm_forward(params, x, lengths)
     for i, seq in enumerate(sequences):
-        solo_final, _ = lstm_forward_sequence(params, seq)
-        assert np.allclose(batch_final[i], solo_final, atol=1e-12)
+        solo_final, _, _ = lstm_forward(params, seq.matrix[None], lengths[i : i + 1])
+        assert np.allclose(batch_final[i], solo_final[0], atol=1e-12)
 
 
 def test_lstm_dimension_mismatch():
     rng = np.random.Generator(np.random.PCG64(4))
     params = init_lstm_params(rng, 4, 8)
     with pytest.raises(DimensionMismatch):
-        lstm_forward_sequence(params, _sequence(rng, 3, 5))
+        lstm_forward(params, _sequence(rng, 3, 5).matrix[None], np.array([3]))
+
+
+def test_sigmoid_exact_at_zero_and_symmetric():
+    assert sigmoid(np.array([0.0]))[0] == 0.5
+    z = np.linspace(-40.0, 40.0, 8001)
+    assert np.max(np.abs(sigmoid(-z) - (1.0 - sigmoid(z)))) <= 1e-15
+
+
+def test_sigmoid_saturates_without_warnings():
+    with np.errstate(all="raise"):
+        out = sigmoid(np.array([-1e4, 1e4]))
+    assert np.all(np.isfinite(out))
+    assert np.all((out >= 0.0) & (out <= 1.0))
+    assert out[0] == 0.0 and out[1] == 1.0
+
+
+def test_sigmoid_matches_exp_form():
+    z = np.linspace(-30.0, 30.0, 6001)
+    assert np.max(np.abs(sigmoid(z) - 1.0 / (1.0 + np.exp(-z)))) <= 1e-15
+
+
+def test_lstm_cache_does_not_change_outputs():
+    rng = np.random.Generator(np.random.PCG64(40))
+    params = init_lstm_params(rng, 4, 6)
+    x = rng.standard_normal((5, 7, 4))
+    lengths = np.array([7, 0, 3, 1, 6])
+    final_a, all_a, cache_a = lstm_forward(params, x, lengths)
+    final_b, all_b, cache_b = lstm_forward(params, x, lengths, keep_cache=True)
+    assert cache_a is None and cache_b is not None
+    assert np.array_equal(final_a, final_b)
+    assert np.array_equal(all_a, all_b)
+
+
+def test_lstm_all_empty_batch_has_zero_gradients():
+    rng = np.random.Generator(np.random.PCG64(41))
+    params = init_lstm_params(rng, 4, 6)
+    final_h, all_h, cache = lstm_forward(params, rng.standard_normal((3, 5, 4)),
+                                         np.zeros(3, dtype=np.int64), keep_cache=True)
+    assert np.all(final_h == 0.0) and np.all(all_h == 0.0)
+    grads = lstm_backward(params, cache, rng.standard_normal((3, 6)))
+    assert set(grads) == set(params)
+    for name, value in params.items():
+        assert grads[name].shape == value.shape
+        assert np.all(grads[name] == 0.0)
 
 
 def test_zero_model_outputs_half():
@@ -205,6 +251,27 @@ def test_gradients_match_finite_differences_quick():
     assert max(errors.values()) < 1e-4
 
 
+def test_gradients_match_finite_differences_with_empty_rows():
+    rng = np.random.Generator(np.random.PCG64(42))
+    config = NetConfig.contextual(embedding_dim=4, hidden_dim=5, dense_sizes=(6, 5), seed=43)
+    model = ContextualLstmModel.initialize(config)
+    x = rng.standard_normal((5, 6, 4))
+    lengths = np.array([6, 0, 3, 1, 0])
+    meta = rng.standard_normal((5, 6))
+    y = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+    w_main, w_aux = config.loss_weights
+
+    def loss_fn():
+        main, aux, _, _ = model.forward_batch(x, lengths, meta)
+        return w_main * bce(main, y) + w_aux * bce(aux, y)
+
+    main, aux, _, cache = model.forward_batch(x, lengths, meta, keep_cache=True)
+    grads = model.backward_batch(cache, main, aux, y)
+    errors = check_gradients(loss_fn, model.params, grads, seed=1, coords_per_group=48)
+    assert set(errors) == set(model.params)
+    assert max(errors.values()) < 1e-4
+
+
 def test_train_requires_both_classes():
     rng = np.random.Generator(np.random.PCG64(18))
     corpus = [( _sequence(rng, 2, 3), np.zeros(6), Label.BOT) for _ in range(4)]
@@ -229,6 +296,22 @@ def test_train_deterministic_and_loss_identity():
     for record in trace_a.epochs:
         assert abs(record.total_loss -
                    (w_main * record.main_loss + w_aux * record.aux_loss)) <= 1e-12
+
+
+def test_train_outputs_byte_identical_across_runs(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(44))
+    corpus = _toy_corpus(rng, 24)
+    seq, meta, label = corpus[0]
+    corpus[0] = (EmbeddedSequence(matrix=np.zeros_like(seq.matrix), true_length=0), meta, label)
+    val = _toy_corpus(np.random.Generator(np.random.PCG64(45)), 8)
+    config = NetConfig.contextual(embedding_dim=5, epochs=2, batch_size=8, seed=46)
+    outputs = []
+    for run in range(2):
+        model, trace = train(config, corpus, validation=val)
+        path = tmp_path / f"model_{run}.txt"
+        model.save(path)
+        outputs.append((path.read_bytes(), trace.to_csv_lines()))
+    assert outputs[0] == outputs[1]
 
 
 def test_training_reduces_loss_and_tracks_validation():
