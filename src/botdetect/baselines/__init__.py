@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import from_strings, to_strings
 from ..data import FeatureMatrix, Standardizer
+from ..persist import save_model
 from .boost import ensemble_training_error, fit_adaboost, predict_adaboost
 from .common import (
     BaselineConfig,
     BaselineKind,
     BaselineModel,
-    load_baseline,
     rows_for_prediction,
-    save_baseline,
     validate_training_matrix,
 )
 from .forest import fit_forest, predict_forest
@@ -27,6 +27,7 @@ from .linear import fit_logreg, fit_sgd, predict_logreg, predict_sgd
 from .mlp import fit_mlp, mlp_forward
 
 __all__ = [
+    "REGISTRY",
     "BaselineConfig",
     "BaselineKind",
     "BaselineModel",
@@ -36,6 +37,39 @@ __all__ = [
     "predict_proba",
     "save_baseline",
 ]
+
+# kind -> (fit(x, y, config, rng), predict(params, x), the config fields that
+# apply to the kind and are echoed into its checkpoints). Every entry calls
+# through this module's globals, so rebinding a name here (as a tracer does)
+# changes what runs.
+REGISTRY = {
+    BaselineKind.LOGREG: (
+        lambda x, y, config, rng: fit_logreg(x, y, config),
+        lambda params, x: predict_logreg(params, x),
+        ("logreg_epochs", "logreg_lr"),
+    ),
+    BaselineKind.SGD: (
+        lambda x, y, config, rng: fit_sgd(x, y, config, rng),
+        lambda params, x: predict_sgd(params, x),
+        ("sgd_epochs", "sgd_lr", "sgd_l2"),
+    ),
+    BaselineKind.FOREST: (
+        lambda x, y, config, rng: fit_forest(x, y, config),
+        lambda params, x: predict_forest(params, x),
+        ("n_trees", "max_depth", "min_leaf"),
+    ),
+    BaselineKind.ADABOOST: (
+        lambda x, y, config, rng: fit_adaboost(x, y, config),
+        lambda params, x: predict_adaboost(params, x),
+        ("n_stumps",),
+    ),
+    BaselineKind.MLP: (
+        lambda x, y, config, rng: fit_mlp(x, y, config, rng),
+        lambda params, x: mlp_forward(params, x),
+        ("mlp_layers", "mlp_lr", "mlp_beta1", "mlp_beta2", "mlp_eps", "mlp_batch",
+         "mlp_epochs"),
+    ),
+}
 
 
 def fit(kind: BaselineKind, matrix: FeatureMatrix,
@@ -48,34 +82,45 @@ def fit(kind: BaselineKind, matrix: FeatureMatrix,
     x = standardizer.transform(matrix.features)
     y = matrix.labels.astype(np.float64)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    if kind == BaselineKind.LOGREG:
-        params = fit_logreg(x, y, config)
-    elif kind == BaselineKind.SGD:
-        params = fit_sgd(x, y, config, rng)
-    elif kind == BaselineKind.FOREST:
-        params = fit_forest(x, y, config)
-    elif kind == BaselineKind.ADABOOST:
-        params = fit_adaboost(x, y, config)
-    else:
-        params = fit_mlp(x, y, config, rng)
     return BaselineModel(
         kind=kind,
         schema=matrix.schema,
         standardizer=standardizer,
         config=config,
-        params=params,
+        params=REGISTRY[kind][0](x, y, config, rng),
     )
 
 
 def predict_proba(model: BaselineModel, rows) -> np.ndarray:
     """Bot probability for each row; rows must match the training schema."""
-    x = rows_for_prediction(model, rows)
-    if model.kind == BaselineKind.LOGREG:
-        return predict_logreg(model.params, x)
-    if model.kind == BaselineKind.SGD:
-        return predict_sgd(model.params, x)
-    if model.kind == BaselineKind.FOREST:
-        return predict_forest(model.params, x)
-    if model.kind == BaselineKind.ADABOOST:
-        return predict_adaboost(model.params, x)
-    return mlp_forward(model.params, x)
+    return REGISTRY[BaselineKind(model.kind)][1](model.params, rows_for_prediction(model, rows))
+
+
+def save_baseline(model: BaselineModel, path, extra_meta: dict | None = None) -> None:
+    """Write the checkpoint; it echoes the seed and the kind's config fields."""
+    strings = to_strings(model.config)
+    meta = {"kind": model.kind.value, "schema": ",".join(model.schema)}
+    for name in ("seed", *REGISTRY[model.kind][2]):
+        meta[f"config.{name}"] = strings[name]
+    meta.update(extra_meta or {})
+    arrays = dict(model.params)
+    arrays["standardizer.mean"] = model.standardizer.mean
+    arrays["standardizer.std"] = model.standardizer.std
+    save_model(path, meta, arrays)
+
+
+def load_baseline(meta, arrays) -> BaselineModel:
+    """Rebuild a baseline from a parsed checkpoint (`persist.load_model`)."""
+    prefix = "config."
+    config = from_strings(BaselineConfig, {
+        key[len(prefix):]: value for key, value in meta.items() if key.startswith(prefix)
+    })
+    return BaselineModel(
+        kind=BaselineKind(meta["kind"]),
+        schema=tuple(meta["schema"].split(",")),
+        standardizer=Standardizer(
+            mean=arrays.pop("standardizer.mean"), std=arrays.pop("standardizer.std")
+        ),
+        config=config,
+        params=arrays,
+    )

@@ -1,4 +1,4 @@
-"""Shared baseline machinery: kinds, config, model container, persistence."""
+"""Shared baseline machinery: kinds, config, model container, row checks."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import numpy as np
 
 from ..data import FeatureMatrix, Standardizer
 from ..errors import DegenerateData, SchemaMismatch
-from ..persist import load_model, save_model
 
 
 class BaselineKind(str, enum.Enum):
@@ -46,26 +45,6 @@ class BaselineConfig:
     mlp_batch: int = 64
     mlp_epochs: int = 50
 
-    def echo(self, kind: BaselineKind) -> dict[str, str]:
-        relevant = {
-            BaselineKind.LOGREG: ("logreg_epochs", "logreg_lr"),
-            BaselineKind.SGD: ("sgd_epochs", "sgd_lr", "sgd_l2"),
-            BaselineKind.FOREST: ("n_trees", "max_depth", "min_leaf"),
-            BaselineKind.ADABOOST: ("n_stumps",),
-            BaselineKind.MLP: (
-                "mlp_layers", "mlp_lr", "mlp_beta1", "mlp_beta2",
-                "mlp_eps", "mlp_batch", "mlp_epochs",
-            ),
-        }[kind]
-        out = {"seed": str(self.seed)}
-        for name in relevant:
-            value = getattr(self, name)
-            if isinstance(value, tuple):
-                out[name] = ",".join(str(v) for v in value)
-            else:
-                out[name] = str(value)
-        return out
-
 
 @dataclass
 class BaselineModel:
@@ -97,44 +76,3 @@ def rows_for_prediction(model: BaselineModel, rows) -> np.ndarray:
             f"row width {rows.shape[1]} != training width {len(model.schema)}"
         )
     return model.standardizer.transform(rows)
-
-
-def save_baseline(model: BaselineModel, path, extra_meta: dict | None = None) -> None:
-    meta = {
-        "kind": model.kind.value,
-        "schema": ",".join(model.schema),
-    }
-    for key, value in model.config.echo(model.kind).items():
-        meta[f"config.{key}"] = value
-    meta.update(extra_meta or {})
-    arrays = dict(model.params)
-    arrays["standardizer.mean"] = model.standardizer.mean
-    arrays["standardizer.std"] = model.standardizer.std
-    save_model(path, meta, arrays)
-
-
-def load_baseline(path) -> BaselineModel:
-    meta, arrays = load_model(path)
-    kind = BaselineKind(meta["kind"])
-    standardizer = Standardizer(
-        mean=arrays.pop("standardizer.mean"), std=arrays.pop("standardizer.std")
-    )
-    kwargs = {}
-    for key, value in meta.items():
-        if not key.startswith("config."):
-            continue
-        name = key[len("config."):]
-        if name == "mlp_layers":
-            kwargs[name] = tuple(int(v) for v in value.split(","))
-        elif name in ("logreg_lr", "sgd_lr", "sgd_l2", "mlp_lr", "mlp_beta1",
-                      "mlp_beta2", "mlp_eps"):
-            kwargs[name] = float(value)
-        else:
-            kwargs[name] = int(value)
-    return BaselineModel(
-        kind=kind,
-        schema=tuple(meta["schema"].split(",")),
-        standardizer=standardizer,
-        config=BaselineConfig(**kwargs),
-        params=arrays,
-    )

@@ -1,10 +1,14 @@
 """Operator-facing command line: ingest, tokenize, resample, train, eval,
 inspect, bench, and synth.
 
-Every experiment is fully described by a RunConfig; artifacts land in a
-timestamped run directory (with a `latest` link) and each artifact file
-carries the config hash. Artifact contents contain no wall-clock data, so a
-rerun with an identical config and seed reproduces them byte for byte.
+Every experiment is fully described by a RunConfig; config files, bench
+rows and the `train` flags (one per RunConfig field) are all typed by
+`config.from_strings`. Artifacts land in a timestamped run directory (with a
+`latest` link) and each artifact file carries the config hash. Artifact
+contents contain no wall-clock data, so a rerun with an identical config and
+seed reproduces them byte for byte. `eval` and `inspect` parse a checkpoint
+once and rebuild training's `TweetPipeline` from it, warning when the
+embedding or tokenizer settings differ.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 training failure.
 """
@@ -16,12 +20,13 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import baselines
 from .baselines import BaselineConfig, BaselineKind
+from .config import from_strings, to_strings
 from .data import (
     ACCOUNT_FEATURE_COLUMNS,
     TWEET_METADATA_COLUMNS,
@@ -36,14 +41,13 @@ from .data import (
 )
 from .embedding import (
     CANONICAL_DIMENSIONS,
-    embed,
+    TweetPipeline,
     fixture_table,
     load_glove,
     most_frequent_tokens,
-    pipeline_fingerprint,
     write_glove_file,
 )
-from .errors import BotDetectError, ConfigError, DataError, DegenerateData
+from .errors import BotDetectError, ConfigError, DataError, DegenerateData, ParseError
 from .ingest import (
     SyntheticCorpusSpec,
     generate_synthetic,
@@ -62,12 +66,13 @@ from .introspect import (
 )
 from .metrics import EvalReport, evaluate
 from .nnet import ContextualLstmModel, NetConfig, train as train_net
+from .nnet.model import CHECKPOINT_KINDS
 from .persist import load_model
 from .resample import ResampleConfig, Strategy, apply_strategy
 from .tokenizer import tokenize
 
-NET_MODELS = ("lstm", "contextual")
-BASELINE_MODELS = tuple(k.value for k in BaselineKind)
+# The tweet-level net models, by RunConfig.model.
+NET_CONFIGS = {"lstm": NetConfig.tweet_only, "contextual": NetConfig.contextual}
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ class RunConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     val_fraction: float = 0.1
-    mlp_layers: str = "500,200,1"
+    mlp_layers: tuple[int, ...] = (500, 200, 1)
     n_trees: int = 100
     n_stumps: int = 100
     logreg_epochs: int = 500
@@ -105,9 +110,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.task not in ("account", "tweet"):
             raise ConfigError(f"task must be account or tweet, got {self.task!r}")
-        if self.model not in BASELINE_MODELS + NET_MODELS:
+        if self.model not in NET_CONFIGS and \
+                self.model not in {k.value for k in baselines.REGISTRY}:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.model in NET_MODELS:
+        if self.model in NET_CONFIGS:
             if self.task != "tweet":
                 raise ConfigError(f"model {self.model} is tweet-level only")
             if self.resample != "none":
@@ -133,39 +139,14 @@ class RunConfig:
             raise ConfigError("a corpus manifest is required")
 
     def to_kv_lines(self) -> list[str]:
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            lines.append(f"{f.name} = {getattr(self, f.name)}")
-        return lines
+        return [f"{name} = {text}" for name, text in sorted(to_strings(self).items())]
 
     def config_hash(self) -> str:
         digest = hashlib.sha256("\n".join(self.to_kv_lines()).encode("utf-8"))
         return digest.hexdigest()
 
     def echo(self) -> dict[str, str]:
-        out = {f.name: str(getattr(self, f.name)) for f in fields(self)}
-        out["config_hash"] = self.config_hash()
-        return out
-
-
-def config_from_strings(values: dict[str, str], **overrides) -> RunConfig:
-    """Build a RunConfig from string key-values (config files, bench rows)."""
-    typed = {}
-    by_name = {f.name: f for f in fields(RunConfig)}
-    for key, value in values.items():
-        if key not in by_name:
-            raise ConfigError(f"unknown config key {key!r}")
-        kind = by_name[key].type
-        if kind == "bool" or isinstance(by_name[key].default, bool):
-            typed[key] = value.strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(by_name[key].default, int):
-            typed[key] = int(value)
-        elif isinstance(by_name[key].default, float):
-            typed[key] = float(value)
-        else:
-            typed[key] = value
-    typed.update(overrides)
-    return RunConfig(**typed)
+        return {**to_strings(self), "config_hash": self.config_hash()}
 
 
 # -- experiment pipeline ---------------------------------------------------
@@ -206,7 +187,7 @@ def _baseline_config(config: RunConfig) -> BaselineConfig:
         n_trees=config.n_trees,
         n_stumps=config.n_stumps,
         logreg_epochs=config.logreg_epochs,
-        mlp_layers=tuple(int(v) for v in config.mlp_layers.split(",")),
+        mlp_layers=config.mlp_layers,
     )
 
 
@@ -256,18 +237,6 @@ def _run_baseline_experiment(config, matrix, run_dir, con_hash):
     return report, checkpoint
 
 
-def _prepare_tweet_tensors(config, tweets, table):
-    sequences, metadata = [], []
-    for tweet in tweets:
-        tokens = tokenize(tweet.text, repeat_tag=config.repeat_tag)
-        sequences.append(
-            embed(tokens, table, max_len=config.max_len, truncation=config.truncation)
-        )
-        metadata.append(encode_tweet_metadata(tweet.metadata))
-    labels = np.array([t.label for t in tweets], dtype=np.int8)
-    return sequences, np.vstack(metadata), labels
-
-
 def _run_net_experiment(config, tweets, run_dir, con_hash):
     if not tweets:
         raise DegenerateData("corpus contains no tweets")
@@ -283,8 +252,9 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         )
         restrict = most_frequent_tokens(train_tokens, config.vocab_cap)
     table = load_glove(config.embedding, config.embedding_dim, restrict_to=restrict)
+    pipeline = TweetPipeline(table, config.max_len, config.truncation, config.repeat_tag)
 
-    sequences, metadata, _ = _prepare_tweet_tensors(config, tweets, table)
+    sequences, metadata = pipeline.tensors(tweets)
     dataset = [
         (sequences[i], metadata[i], Label(int(labels[i]))) for i in range(len(tweets))
     ]
@@ -303,11 +273,7 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         epochs=epochs,
         seed=config.seed,
     )
-    net_config = (
-        NetConfig.contextual(**common)
-        if config.model == "contextual"
-        else NetConfig.tweet_only(**common)
-    )
+    net_config = NET_CONFIGS[config.model](**common)
     model, trace = train_net(
         net_config,
         [dataset[i] for i in fit_idx],
@@ -324,18 +290,7 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         [f"# config_hash = {con_hash}"] + trace.to_csv_lines(),
     )
     checkpoint = os.path.join(run_dir, "model.txt")
-    model.save(
-        checkpoint,
-        {
-            "config_hash": con_hash,
-            "pipeline_hash": pipeline_fingerprint(
-                table, config.max_len, config.truncation, config.repeat_tag
-            ),
-            "max_len": config.max_len,
-            "truncation": config.truncation,
-            "repeat_tag": int(config.repeat_tag),
-        },
-    )
+    model.save(checkpoint, {"config_hash": con_hash, **pipeline.meta()})
     return report, checkpoint
 
 
@@ -348,7 +303,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     accounts, tweets, load_diag = load_corpus(manifest)
     run_dir = _make_run_dir(config)
 
-    if config.model in NET_MODELS:
+    if config.model in NET_CONFIGS:
         report, checkpoint = _run_net_experiment(config, tweets, run_dir, con_hash)
     elif config.task == "account":
         matrix = _account_matrix(accounts)
@@ -408,7 +363,7 @@ def benchmark_suite(bench_path, out_dir) -> list[dict[str, str]]:
         row_out = os.path.join(out_dir, "rows", name)
         row = {"name": name}
         try:
-            config = config_from_strings(merged, out_dir=row_out)
+            config = from_strings(RunConfig, merged, out_dir=row_out)
             row.update(
                 task=config.task, model=config.model, resample=config.resample,
                 embedding_dim=str(config.embedding_dim),
@@ -522,98 +477,58 @@ def _cmd_resample(args) -> int:
     return 0
 
 
-_TRAIN_FLAGS = [
-    ("--task", str, "task"),
-    ("--model", str, "model"),
-    ("--manifest", str, "manifest"),
-    ("--out", str, "out_dir"),
-    ("--seed", int, "seed"),
-    ("--resample", str, "resample"),
-    ("--smote-k", int, "smote_k"),
-    ("--enn-k", int, "enn_k"),
-    ("--target-ratio", float, "target_ratio"),
-    ("--train-fraction", float, "train_fraction"),
-    ("--threshold", float, "threshold"),
-    ("--embedding", str, "embedding"),
-    ("--embedding-dim", int, "embedding_dim"),
-    ("--max-len", int, "max_len"),
-    ("--truncation", str, "truncation"),
-    ("--vocab-cap", int, "vocab_cap"),
-    ("--epochs", int, "epochs"),
-    ("--batch-size", int, "batch_size"),
-    ("--learning-rate", float, "learning_rate"),
-    ("--val-fraction", float, "val_fraction"),
-    ("--mlp-layers", str, "mlp_layers"),
-    ("--n-trees", int, "n_trees"),
-    ("--n-stumps", int, "n_stumps"),
-    ("--logreg-epochs", int, "logreg_epochs"),
-]
-
-
 def _cmd_train(args) -> int:
     values: dict[str, str] = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values.update(parse_kv_lines(fh))
-    config = config_from_strings(values)
-    overrides = {}
-    for _, _, dest in _TRAIN_FLAGS:
-        value = getattr(args, dest)
-        if value is not None:
-            overrides[dest] = value
-    for flag, dest in (("stratified", "stratified"),
-                       ("group_by_account", "group_by_account"),
-                       ("repeat_tag", "repeat_tag")):
-        value = getattr(args, dest)
-        if value is not None:
-            overrides[dest] = value
-    config = replace(config, **overrides)
-    result = run_experiment(config)
+    for f in fields(RunConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    result = run_experiment(from_strings(RunConfig, values))
     sys.stdout.write(result.report.to_text())
     print(f"artifacts: {result.run_dir}")
     return 0
 
 
-def _load_net_checkpoint(path):
-    model = ContextualLstmModel.load(path)
-    meta, _ = load_model(path)
-    return model, meta
+def _load_net(path, meta, arrays, embedding):
+    """The net and its tweet pipeline from a parsed checkpoint; warns when
+    the embedding or tokenizer settings differ from training's."""
+    if meta["kind"] not in CHECKPOINT_KINDS:
+        raise ParseError(f"{path}: kind {meta['kind']!r} is not a tweet-level net")
+    model = ContextualLstmModel.load(meta, arrays)
+    pipeline = TweetPipeline.from_meta(meta, load_glove(embedding, model.config.embedding_dim))
+    if not pipeline.matches(meta):
+        print("warning: embedding/tokenizer configuration differs from training",
+              file=sys.stderr)
+    return model, pipeline
 
 
 def _cmd_eval(args) -> int:
-    meta, _ = load_model(args.checkpoint)
-    kind = meta.get("kind", "")
+    meta, arrays = load_model(args.checkpoint)
+    kind = meta["kind"]
     manifest = parse_manifest(args.manifest)
     accounts, tweets, _ = load_corpus(manifest)
-    if kind in ("contextual_lstm", "tweet_lstm"):
+    if kind in CHECKPOINT_KINDS:
         if not args.embedding:
             raise ConfigError("net checkpoints need --embedding for evaluation")
-        model, meta = _load_net_checkpoint(args.checkpoint)
-        table = load_glove(args.embedding, model.config.embedding_dim)
-        max_len = int(meta.get("max_len", 30))
-        truncation = meta.get("truncation", "tail")
-        repeat = bool(int(meta.get("repeat_tag", 0)))
-        stored = meta.get("pipeline_hash")
-        current = pipeline_fingerprint(table, max_len, truncation, repeat)
-        if stored and stored != current:
-            print("warning: embedding/tokenizer configuration differs from training",
-                  file=sys.stderr)
-        sequences, metadata, labels = [], [], []
-        for tweet in tweets:
-            tokens = tokenize(tweet.text, repeat_tag=repeat)
-            sequences.append(embed(tokens, table, max_len=max_len, truncation=truncation))
-            metadata.append(encode_tweet_metadata(tweet.metadata))
-        labels = np.array([t.label for t in tweets], dtype=np.int8)
-        scores = model.predict_proba(sequences, np.vstack(metadata))
-        report = evaluate(scores, labels, args.threshold)
-    else:
-        model = baselines.load_baseline(args.checkpoint)
+        if not tweets:
+            raise DegenerateData("corpus contains no tweets")
+        model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
+        sequences, metadata = pipeline.tensors(tweets)
+        scores = model.predict_proba(sequences, metadata)
+        report = evaluate(scores, np.array([t.label for t in tweets], dtype=np.int8),
+                          args.threshold)
+    elif kind in {k.value for k in baselines.REGISTRY}:
+        model = baselines.load_baseline(meta, arrays)
         if model.schema == ACCOUNT_FEATURE_COLUMNS:
             matrix = _account_matrix(accounts)
         else:
             matrix = _tweet_meta_matrix(tweets)
         scores = baselines.predict_proba(model, matrix)
         report = evaluate(scores, matrix.labels, args.threshold)
+    else:
+        raise ParseError(f"{args.checkpoint}: unknown model kind {kind!r}")
     sys.stdout.write(report.to_text())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -625,11 +540,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    model, meta = _load_net_checkpoint(args.checkpoint)
-    table = load_glove(args.embedding, model.config.embedding_dim)
-    max_len = int(meta.get("max_len", 30))
-    truncation = meta.get("truncation", "tail")
-    repeat = bool(int(meta.get("repeat_tag", 0)))
+    meta, arrays = load_model(args.checkpoint)
+    model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
     manifest = parse_manifest(args.manifest)
     _, tweets, _ = load_corpus(manifest)
     if not tweets:
@@ -639,17 +551,17 @@ def _cmd_inspect(args) -> int:
     index = args.tweet_index
     if not 0 <= index < len(tweets):
         raise ConfigError(f"tweet index {index} outside corpus of {len(tweets)}")
-    trace = trace_tweet(model, table, tweets[index], max_len, truncation, repeat)
+    trace = trace_tweet(model, pipeline, tweets[index])
     _write_lines(os.path.join(args.out, f"trace_{index}.csv"), trace_csv_lines(trace))
     if trace.empty:
         print(f"note: tweet {index} tokenizes to nothing; trace is empty")
     if args.cell_state:
         _write_lines(
             os.path.join(args.out, f"cell_trace_{index}.csv"),
-            cell_trace_csv_lines(model, table, tweets[index], max_len, truncation, repeat),
+            cell_trace_csv_lines(model, pipeline, tweets[index]),
         )
 
-    report = unit_distributions(model, table, tweets, max_len, truncation, repeat)
+    report = unit_distributions(model, pipeline, tweets)
     _write_lines(os.path.join(args.out, "distributions.csv"), distribution_csv_lines(report))
     _write_lines(os.path.join(args.out, "ks.csv"), ks_csv_lines(report))
     best = report.ranking[0]
@@ -709,15 +621,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run a full experiment")
     p.add_argument("--config", default="", help="key = value config file")
-    for flag, kind, dest in _TRAIN_FLAGS:
-        p.add_argument(flag, type=kind, dest=dest, default=None)
-    p.add_argument("--stratified", dest="stratified", default=None,
-                   action="store_true")
-    p.add_argument("--no-stratified", dest="stratified", action="store_false")
-    p.add_argument("--group-by-account", dest="group_by_account", default=None,
-                   action="store_true")
-    p.add_argument("--repeat-tag", dest="repeat_tag", default=None,
-                   action="store_true")
+    # One flag per RunConfig field; values are strings, typed by from_strings.
+    for f in fields(RunConfig):
+        flag = "--out" if f.name == "out_dir" else "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, dest=f.name, action="store_const", const="true")
+        else:
+            p.add_argument(flag, dest=f.name)
+    p.add_argument("--no-stratified", dest="stratified", action="store_const",
+                   const="false")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")

@@ -250,15 +250,8 @@ class Standardizer:
         std.setflags(write=False)
         return cls(mean=mean, std=std)
 
-    @classmethod
-    def identity(cls, width: int) -> Standardizer:
-        return cls(mean=np.zeros(width), std=np.ones(width))
-
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) * self.std + self.mean
 
 
 @dataclass(frozen=True)

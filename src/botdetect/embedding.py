@@ -1,7 +1,11 @@
-"""Pre-trained word-vector loading and sequence embedding.
+"""Pre-trained word-vector loading, sequence embedding, and the tweet
+pipeline.
 
 Vector files use the GloVe text format: one token followed by its components
 per line, no header. Embeddings are frozen; they are never trained here.
+`TweetPipeline` is the one path from a tweet to model input (tokenize, then
+embed, then encode the metadata); checkpoints record its settings and
+fingerprint, and `eval` and `inspect` rebuild it from them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,10 @@ from typing import Iterable
 
 import numpy as np
 
+from .config import from_strings
+from .data import TweetRecord, encode_tweet_metadata
 from .errors import DimensionMismatch, ParseError
+from .tokenizer import tokenize
 
 # Dimensions of the published Twitter GloVe releases. Other dimensions are
 # accepted (small fixtures use d=2); the CLI restricts itself to these four.
@@ -136,6 +143,16 @@ def load_glove(
     return _build_table(tokens, rows, expected_dimension)
 
 
+def truncate(tokens, max_len: int, truncation: str = "tail"):
+    """The tokens kept at max_len: "tail" drops the tail of a long sequence,
+    "head" drops its head."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    if truncation not in ("tail", "head"):
+        raise ValueError("truncation must be 'tail' or 'head'")
+    return tokens[:max_len] if truncation == "tail" else tokens[-max_len:]
+
+
 def embed(
     tokens: list[str],
     table: EmbeddingTable,
@@ -145,17 +162,10 @@ def embed(
     """Map tokens to a fixed-length padded matrix of vectors.
 
     Out-of-vocabulary tokens map to the table's unknown vector. Sequences
-    longer than max_len lose their tail by default ("head" keeps the tail
-    instead); shorter sequences are zero-padded at the end.
+    longer than max_len are cut by `truncate`; shorter sequences are
+    zero-padded at the end.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    if truncation not in ("tail", "head"):
-        raise ValueError("truncation must be 'tail' or 'head'")
-    if len(tokens) > max_len:
-        kept = tokens[:max_len] if truncation == "tail" else tokens[-max_len:]
-    else:
-        kept = tokens
+    kept = truncate(tokens, max_len, truncation)
     matrix = np.zeros((max_len, table.dimension), dtype=np.float64)
     for i, tok in enumerate(kept):
         matrix[i] = table.lookup(tok)
@@ -188,14 +198,56 @@ def write_glove_file(table: EmbeddingTable, path) -> None:
             fh.write(f"{token} {comps}\n")
 
 
-def pipeline_fingerprint(
-    table: EmbeddingTable,
-    max_len: int,
-    truncation: str,
-    repeat_tag: bool,
-) -> str:
-    """Hash identifying the tokenizer+embedding configuration of a model."""
-    h = hashlib.sha256()
-    h.update(table.content_hash().encode())
-    h.update(f"|max_len={max_len}|trunc={truncation}|repeat={repeat_tag}".encode())
-    return h.hexdigest()
+@dataclass(frozen=True)
+class TweetPipeline:
+    """A model's tweet preprocessing: tokenize, embed, encode the metadata.
+
+    Training fixes the settings and writes them into the checkpoint with a
+    fingerprint; scoring and introspection rebuild the pipeline from there,
+    so every command reads a tweet exactly as training did.
+    """
+
+    table: EmbeddingTable
+    max_len: int = DEFAULT_MAX_LEN
+    truncation: str = "tail"
+    repeat_tag: bool = False
+
+    def __post_init__(self):
+        truncate((), self.max_len, self.truncation)  # rejects bad settings
+
+    def embed_tweet(self, tweet: TweetRecord) -> tuple[tuple[str, ...], EmbeddedSequence]:
+        """The tokens the model reads, after truncation, and their embedding."""
+        kept = truncate(tokenize(tweet.text, repeat_tag=self.repeat_tag),
+                        self.max_len, self.truncation)
+        return tuple(kept), embed(kept, self.table, self.max_len, self.truncation)
+
+    def tensors(self, tweets: list[TweetRecord]) -> tuple[list[EmbeddedSequence], np.ndarray]:
+        """Embedded sequences and raw (B, 6) metadata for a list of tweets."""
+        sequences = [self.embed_tweet(tweet)[1] for tweet in tweets]
+        metadata = np.vstack([encode_tweet_metadata(tweet.metadata) for tweet in tweets])
+        return sequences, metadata
+
+    def fingerprint(self) -> str:
+        """Hash of the embedding table and the tokenizer/embedding settings."""
+        h = hashlib.sha256()
+        h.update(self.table.content_hash().encode())
+        h.update(f"|max_len={self.max_len}|trunc={self.truncation}"
+                 f"|repeat={self.repeat_tag}".encode())
+        return h.hexdigest()
+
+    def meta(self) -> dict[str, str]:
+        """The checkpoint meta entries that record this pipeline."""
+        return {"pipeline_hash": self.fingerprint(), "max_len": str(self.max_len),
+                "truncation": self.truncation, "repeat_tag": str(int(self.repeat_tag))}
+
+    @classmethod
+    def from_meta(cls, meta, table: EmbeddingTable) -> TweetPipeline:
+        """The pipeline recorded in checkpoint meta, over the given table;
+        checkpoints without the entries get the defaults."""
+        settings = {k: meta[k] for k in ("max_len", "truncation", "repeat_tag") if k in meta}
+        return from_strings(cls, settings, table=table)
+
+    def matches(self, meta) -> bool:
+        """False when meta records a different pipeline fingerprint."""
+        stored = meta.get("pipeline_hash")
+        return not stored or stored == self.fingerprint()

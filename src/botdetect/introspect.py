@@ -1,9 +1,11 @@
 """Hidden-state introspection: per-timestep activation traces for single
 tweets and per-unit activation distributions over a corpus, split by class.
 
-Traces reuse the model's forward pass directly, so exported values are
-bit-identical to what the classifier computed; the corpus distributions come
-from one batched forward pass, bit-identical to ``predict_proba``'s batch.
+Every function reads tweets through the model's `TweetPipeline`, so it sees
+the tokens training saw. Traces reuse the model's forward pass directly, so
+exported values are bit-identical to what the classifier computed; the
+corpus distributions come from one batched forward pass, bit-identical to
+``predict_proba``'s batch.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Label, TweetRecord, encode_tweet_metadata
-from .embedding import EmbeddingTable, embed
+from .embedding import TweetPipeline
 from .errors import SingleClass
 from .nnet.lstm import lstm_forward
 from .nnet.model import ContextualLstmModel, stack_sequences
-from .tokenizer import tokenize
 
 DEFAULT_BINS = 50
 
@@ -53,30 +54,16 @@ class UnitDistributionReport:
     ranking: tuple[int, ...]  # unit indices, most class-separating first
 
 
-def _embed_tweet(model, table: EmbeddingTable, tweet: TweetRecord,
-                 max_len: int, truncation: str, repeat_tag: bool):
-    tokens = tokenize(tweet.text, repeat_tag=repeat_tag)
-    return tokens, embed(tokens, table, max_len=max_len, truncation=truncation)
-
-
 def trace_tweet(
-    model: ContextualLstmModel,
-    table: EmbeddingTable,
-    tweet: TweetRecord,
-    max_len: int = 30,
-    truncation: str = "tail",
-    repeat_tag: bool = False,
+    model: ContextualLstmModel, pipeline: TweetPipeline, tweet: TweetRecord
 ) -> ActivationTrace:
     """Hidden states of the forward pass, one row per embedded token.
 
     A tweet with zero tokens returns an empty trace flagged as such.
     """
-    tokens, sequence = _embed_tweet(model, table, tweet, max_len, truncation, repeat_tag)
-    kept = tuple(tokens[: sequence.true_length]) if truncation == "tail" \
-        else tuple(tokens[-sequence.true_length:] if sequence.true_length else ())
-    meta = encode_tweet_metadata(tweet.metadata) if model.config.use_metadata else None
-    _, _, hidden = model.forward(sequence, meta)
-    return ActivationTrace(matrix=hidden, tokens=kept, empty=sequence.true_length == 0)
+    tokens, sequence = pipeline.embed_tweet(tweet)
+    _, _, hidden = model.forward(sequence, encode_tweet_metadata(tweet.metadata))
+    return ActivationTrace(matrix=hidden, tokens=tokens, empty=not tokens)
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -91,11 +78,8 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 def unit_distributions(
     model: ContextualLstmModel,
-    table: EmbeddingTable,
+    pipeline: TweetPipeline,
     tweets: list[TweetRecord],
-    max_len: int = 30,
-    truncation: str = "tail",
-    repeat_tag: bool = False,
     bins: int = DEFAULT_BINS,
 ) -> UnitDistributionReport:
     """Final-state value distributions per (unit, class) over a corpus.
@@ -109,16 +93,10 @@ def unit_distributions(
     labels = np.array([tweet.label for tweet in tweets])
     if not np.any(labels == Label.HUMAN) or not np.any(labels == Label.BOT):
         raise SingleClass("unit distributions need tweets from both classes")
-    x, lengths = stack_sequences(
-        [_embed_tweet(model, table, t, max_len, truncation, repeat_tag)[1] for t in tweets]
-    )
-    meta = None
-    if model.config.use_metadata:
-        meta = model.standardize_metadata(
-            np.vstack([encode_tweet_metadata(t.metadata) for t in tweets])
-        )
+    sequences, metadata = pipeline.tensors(tweets)
+    x, lengths = stack_sequences(sequences)
     # all_h repeats each tweet's last state to the end; an empty tweet's stays 0.
-    _, _, all_h, _ = model.forward_batch(x, lengths, meta)
+    _, _, all_h, _ = model.forward_batch(x, lengths, model.standardize_metadata(metadata))
     finals = all_h[:, -1, :]
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
@@ -172,17 +150,10 @@ def trace_csv_lines(trace: ActivationTrace) -> list[str]:
 
 
 def cell_trace_csv_lines(
-    model: ContextualLstmModel,
-    table: EmbeddingTable,
-    tweet: TweetRecord,
-    max_len: int = 30,
-    truncation: str = "tail",
-    repeat_tag: bool = False,
+    model: ContextualLstmModel, pipeline: TweetPipeline, tweet: TweetRecord
 ) -> list[str]:
-    tokens, sequence = _embed_tweet(model, table, tweet, max_len, truncation, repeat_tag)
-    kept = tuple(tokens[: sequence.true_length]) if truncation == "tail" \
-        else tuple(tokens[-sequence.true_length:] if sequence.true_length else ())
-    return _heatmap_lines(cell_states(model, sequence), kept)
+    tokens, sequence = pipeline.embed_tweet(tweet)
+    return _heatmap_lines(cell_states(model, sequence), tokens)
 
 
 def distribution_csv_lines(report: UnitDistributionReport) -> list[str]:

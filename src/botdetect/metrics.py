@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Label
-from .errors import EmptyInput, SingleClass
+from .errors import DegenerateData, EmptyInput, SingleClass
 
 
 def confusion_at(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:
@@ -52,6 +52,9 @@ def roc_points(scores, labels) -> list[tuple[float, float]]:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("ROC requires both classes present")
+    if np.isnan(scores).any():
+        # NaN never equals itself, so the grouping loop below would not advance.
+        raise DegenerateData("scores contain NaN; the model is numerically broken")
     order = np.argsort(-scores, kind="stable")
     points = [(0.0, 0.0)]
     tp = fp = 0

@@ -10,19 +10,22 @@ tweet-only variant drops the metadata path and the auxiliary head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ..config import from_strings, to_strings
 from ..data import Label, Standardizer
 from ..embedding import EmbeddedSequence
 from ..errors import DegenerateData, DimensionMismatch
-from ..persist import load_model, save_model
+from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
     glorot_uniform, relu, sigmoid
 from .lstm import init_lstm_params, lstm_backward, lstm_forward
 
 METADATA_DIM = 6
+# Checkpoint kinds of the contextual and the tweet-only model.
+CHECKPOINT_KINDS = ("contextual_lstm", "tweet_lstm")
 
 
 @dataclass(frozen=True)
@@ -195,23 +198,14 @@ class ContextualLstmModel:
 
     def save(self, path, extra_meta: dict | None = None) -> None:
         cfg = self.config
-        meta = {
-            "kind": "contextual_lstm" if cfg.use_metadata else "tweet_lstm",
-            "embedding_dim": cfg.embedding_dim,
-            "hidden_dim": cfg.hidden_dim,
-            "dense_sizes": ",".join(str(d) for d in cfg.dense_sizes),
-            "use_metadata": int(cfg.use_metadata),
-            "use_aux": int(cfg.use_aux),
-            "loss_weight_main": repr(cfg.loss_weights[0]),
-            "loss_weight_aux": repr(cfg.loss_weights[1]),
-            "learning_rate": repr(cfg.learning_rate),
-            "beta1": repr(cfg.beta1),
-            "beta2": repr(cfg.beta2),
-            "adam_eps": repr(cfg.adam_eps),
-            "batch_size": cfg.batch_size,
-            "epochs": cfg.epochs,
-            "seed": cfg.seed,
-        }
+        meta = {"kind": CHECKPOINT_KINDS[0] if cfg.use_metadata else CHECKPOINT_KINDS[1]}
+        for name, text in to_strings(cfg).items():
+            if name == "loss_weights":
+                meta["loss_weight_main"], meta["loss_weight_aux"] = text.split(",")
+            else:
+                meta[name] = text
+        # v1 checkpoints write the two bools as 1/0.
+        meta.update(use_metadata=int(cfg.use_metadata), use_aux=int(cfg.use_aux))
         meta.update(extra_meta or {})
         arrays = dict(self.params)
         if self.metadata_standardizer is not None:
@@ -220,30 +214,17 @@ class ContextualLstmModel:
         save_model(path, meta, arrays)
 
     @classmethod
-    def load(cls, path) -> ContextualLstmModel:
-        meta, arrays = load_model(path)
-        config = NetConfig(
-            embedding_dim=int(meta["embedding_dim"]),
-            hidden_dim=int(meta["hidden_dim"]),
-            dense_sizes=tuple(int(d) for d in meta["dense_sizes"].split(",")),
-            use_metadata=bool(int(meta["use_metadata"])),
-            use_aux=bool(int(meta["use_aux"])),
-            loss_weights=(float(meta["loss_weight_main"]), float(meta["loss_weight_aux"])),
-            learning_rate=float(meta["learning_rate"]),
-            beta1=float(meta["beta1"]),
-            beta2=float(meta["beta2"]),
-            adam_eps=float(meta["adam_eps"]),
-            batch_size=int(meta["batch_size"]),
-            epochs=int(meta["epochs"]),
-            seed=int(meta["seed"]),
-        )
+    def load(cls, meta, arrays) -> ContextualLstmModel:
+        """Rebuild a model from a parsed checkpoint (`persist.load_model`)."""
+        values = {f.name: meta[f.name] for f in fields(NetConfig) if f.name != "loss_weights"}
+        values["loss_weights"] = f"{meta['loss_weight_main']},{meta['loss_weight_aux']}"
         standardizer = None
         if "meta_standardizer.mean" in arrays:
             standardizer = Standardizer(
                 mean=arrays.pop("meta_standardizer.mean"),
                 std=arrays.pop("meta_standardizer.std"),
             )
-        return cls(config, arrays, standardizer)
+        return cls(from_strings(NetConfig, values), arrays, standardizer)
 
 
 def blended_loss(main_score, aux_score, label,

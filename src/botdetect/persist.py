@@ -22,6 +22,18 @@ from .errors import ParseError
 FORMAT_HEADER = "botdetect-model v1"
 
 
+class Meta(dict):
+    """A checkpoint's meta entries; reading a missing key is a ParseError
+    naming the file."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key):
+        raise ParseError(f"{self.path}: missing meta {key!r}")
+
+
 def save_model(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     lines = [FORMAT_HEADER]
     for key, value in meta.items():
@@ -44,12 +56,12 @@ def save_model(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_model(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def load_model(path) -> tuple[Meta, dict[str, np.ndarray]]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise ParseError(f"{path}: not a {FORMAT_HEADER!r} file")
-    meta: dict[str, str] = {}
+    meta = Meta(path)
     arrays: dict[str, np.ndarray] = {}
     i = 1
     while i < len(lines):
@@ -65,12 +77,12 @@ def load_model(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             i += 1
             continue
         if line.startswith("tensor "):
-            parts = line.split()
-            name = parts[1]
-            ndim = int(parts[2])
-            shape = tuple(int(d) for d in parts[3 : 3 + ndim])
             i += 1
+            header = i  # the header's 1-based line number
             try:
+                _, name, ndim, *dims = line.split()
+                ndim = int(ndim)
+                shape = tuple(int(d) for d in dims[:ndim])
                 if ndim == 2:
                     rows = []
                     for _ in range(shape[0]):
@@ -82,7 +94,7 @@ def load_model(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
                     i += 1
                     arr = np.array(values, dtype=np.float64).reshape(shape)
             except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}: tensor {name}: {exc}") from exc
+                raise ParseError(f"{path}:{header}: bad tensor: {exc}") from exc
             arrays[name] = arr
             continue
         raise ParseError(f"{path}:{i + 1}: unexpected line {line!r}")

@@ -25,7 +25,7 @@ from botdetect.data import (
     split,
     split_indices,
 )
-from botdetect.embedding import embed, fixture_table
+from botdetect.embedding import TweetPipeline, embed, fixture_table
 from botdetect.ingest import (
     CorpusManifest,
     ManifestGroup,
@@ -364,7 +364,7 @@ def test_criterion_10_introspection_conservation():
         config = NetConfig.contextual(embedding_dim=25, epochs=2, batch_size=32, seed=102)
         model, _ = train(config, dataset)
 
-        report = unit_distributions(model, table, tweets)
+        report = unit_distributions(model, TweetPipeline(table), tweets)
         n_human = sum(1 for t in tweets if t.label == Label.HUMAN)
         n_bot = len(tweets) - n_human
         for dist in report.distributions:
@@ -372,7 +372,7 @@ def test_criterion_10_introspection_conservation():
             assert int(dist.counts.sum()) == expected
 
         for tweet in tweets[:25]:
-            trace = trace_tweet(model, table, tweet)
+            trace = trace_tweet(model, TweetPipeline(table), tweet)
             sequence = embed(tokenize(tweet.text), table, max_len=30)
             _, _, hidden = model.forward(
                 sequence, encode_tweet_metadata(tweet.metadata)

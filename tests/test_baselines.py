@@ -14,6 +14,7 @@ from botdetect.baselines.mlp import init_mlp_params, mlp_forward, mlp_grads, mlp
 from botdetect.data import FeatureMatrix, Standardizer
 from botdetect.errors import DegenerateData, SchemaMismatch
 from botdetect.nnet.gradcheck import check_gradients
+from botdetect.persist import load_model
 
 
 def _matrix(features, labels):
@@ -84,7 +85,7 @@ def test_zero_weight_logreg_scores_half():
     model = BaselineModel(
         kind=BaselineKind.LOGREG,
         schema=("a", "b"),
-        standardizer=Standardizer.identity(2),
+        standardizer=Standardizer(mean=np.zeros(2), std=np.ones(2)),
         config=BaselineConfig(),
         params={"w": np.zeros(2), "b": np.zeros(1)},
     )
@@ -216,10 +217,20 @@ def test_save_load_round_trip(tmp_path, kind):
     model = baselines.fit(kind, m, cfg)
     path = tmp_path / f"{kind.value}.txt"
     save_baseline(model, path)
-    loaded = load_baseline(path)
+    loaded = load_baseline(*load_model(path))
     assert loaded.kind == kind
     assert loaded.schema == m.schema
     q = np.random.Generator(np.random.PCG64(2)).standard_normal((15, 2))
     assert np.array_equal(
         baselines.predict_proba(model, q), baselines.predict_proba(loaded, q)
     )
+
+
+@pytest.mark.parametrize("name,kind", [("fit_forest", "forest"), ("fit_adaboost", "adaboost")])
+def test_registry_calls_through_module_globals(monkeypatch, name, kind):
+    # A tracer rebinds these module names; the registry must pick that up.
+    calls = []
+    original = getattr(baselines, name)
+    monkeypatch.setattr(baselines, name, lambda *args: calls.append(1) or original(*args))
+    baselines.fit(kind, _xor(seed=3, per_cluster=5), BaselineConfig(n_trees=2, n_stumps=2))
+    assert calls == [1]

@@ -1,11 +1,24 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from botdetect.cli import RunConfig, benchmark_suite, config_from_strings, main, run_experiment
-from botdetect.data import FeatureMatrix, matrix_from_csv_lines, matrix_to_csv_lines
+import botdetect
+from botdetect import baselines
+from botdetect.baselines import BaselineConfig
+from botdetect.cli import RunConfig, benchmark_suite, build_parser, main, run_experiment
+from botdetect.config import from_strings
+from botdetect.data import (
+    ACCOUNT_FEATURE_COLUMNS,
+    FeatureMatrix,
+    matrix_from_csv_lines,
+    matrix_to_csv_lines,
+)
+from botdetect.embedding import TweetPipeline, load_glove
 from botdetect.errors import ConfigError
+from botdetect.nnet import ContextualLstmModel, NetConfig
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +153,7 @@ def test_lstm_config_rules():
 
 
 def test_config_from_strings_types():
-    config = config_from_strings({
+    config = from_strings(RunConfig, {
         "task": "tweet", "model": "lstm", "seed": "9", "train_fraction": "0.7",
         "stratified": "false", "manifest": "m", "embedding": "e",
     })
@@ -148,7 +161,7 @@ def test_config_from_strings_types():
     assert config.train_fraction == 0.7
     assert config.stratified is False
     with pytest.raises(ConfigError):
-        config_from_strings({"not_a_key": "1"})
+        from_strings(RunConfig, {"not_a_key": "1"})
 
 
 def test_tweet_level_contextual_cli(corpus, tmp_path):
@@ -228,3 +241,120 @@ def test_bench_tweet_level_net_rows(corpus, tmp_path):
     assert [r["name"] for r in results] == ["tweet_only", "contextual_25"]
     assert all(r["status"] == "ok" for r in results)
     assert all(float(r["auc"]) > 0.9 for r in results)
+
+
+def test_bench_row_with_bad_value_is_recorded(corpus, tmp_path):
+    bench = tmp_path / "bench_bad.kv"
+    bench.write_text(
+        "default.task = account\n"
+        f"default.manifest = {corpus / 'manifest.txt'}\n"
+        "default.seed = 5\n"
+        "row.forest_ok.model = forest\n"
+        "row.forest_ok.n_trees = 4\n"
+        "row.forest_bad.model = forest\n"
+        "row.forest_bad.n_trees = x\n"
+        "row.logreg_ok.model = logreg\n"
+        "row.logreg_ok.logreg_epochs = 20\n",
+        encoding="utf-8",
+    )
+    results = benchmark_suite(str(bench), str(tmp_path / "bench_out"))
+    assert [r["status"] for r in results] == ["ok", "error", "ok"]
+    assert "n_trees" in results[1]["error"]
+    lines = (tmp_path / "bench_out" / "bench.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 4
+    assert lines[2].startswith("forest_bad,account,forest,") and ",error," in lines[2]
+
+
+def _checkpoint_texts(corpus, tmp_path):
+    """A contextual net checkpoint as `train` writes one (with its pipeline
+    meta), and a forest checkpoint; both as text."""
+    table = load_glove(corpus / "glove_25d.txt", 25)
+    net = ContextualLstmModel.initialize(NetConfig.contextual(embedding_dim=25, seed=1))
+    net.save(tmp_path / "net.txt", {"config_hash": "0" * 8, **TweetPipeline(table).meta()})
+    rng = np.random.Generator(np.random.PCG64(0))
+    x = rng.standard_normal((20, 10))
+    matrix = FeatureMatrix(x, ACCOUNT_FEATURE_COLUMNS, (x[:, 0] > 0).astype(np.int8))
+    forest = baselines.fit("forest", matrix, BaselineConfig(n_trees=2))
+    baselines.save_baseline(forest, tmp_path / "forest.txt")
+    return ((tmp_path / "net.txt").read_text(encoding="utf-8"),
+            (tmp_path / "forest.txt").read_text(encoding="utf-8"))
+
+
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+# id -> (expected exit code, what to run). Config files and checkpoints are
+# written from the given text; "net"/"forest" are edited checkpoint texts.
+MALFORMED = {
+    "config_seed_abc": (2, "train_config", "seed = abc\n"),
+    "config_stratified_maybe": (2, "train_config", "stratified = maybe\n"),
+    "flag_mlp_layers": (2, "train_flags", ["--mlp-layers", "5,x"]),
+    "net_hidden_dim_x": (2, "eval", ("net", "meta hidden_dim = 32", "meta hidden_dim = x")),
+    "baseline_n_trees_x": (2, "eval", ("forest", "meta config.n_trees = 2",
+                                       "meta config.n_trees = x")),
+    "tensor_dim_not_int": (3, "eval", ("forest", "tensor standardizer.mean 1 10",
+                                       "tensor standardizer.mean 1 ten")),
+    "missing_kind": (3, "eval", ("net", "meta kind = contextual_lstm\n", "")),
+    "unknown_kind": (3, "eval", ("forest", "meta kind = forest", "meta kind = tree")),
+    "inspect_forest": (3, "inspect", ("forest", "", "")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
+    expected, command, spec = MALFORMED[case]
+    manifest = str(corpus / "manifest.txt")
+    embedding = str(corpus / "glove_25d.txt")
+    if command == "train_config":
+        (tmp_path / "run.kv").write_text(
+            f"task = account\nmodel = forest\nmanifest = {manifest}\n" + spec, encoding="utf-8"
+        )
+        argv = ["train", "--config", str(tmp_path / "run.kv"), "--out", str(tmp_path / "r")]
+    elif command == "train_flags":
+        argv = ["train", "--task", "account", "--model", "mlp", "--manifest", manifest,
+                "--out", str(tmp_path / "r"), *spec]
+    else:
+        net_text, forest_text = _checkpoint_texts(corpus, tmp_path)
+        which, old, new = spec
+        text = net_text if which == "net" else forest_text
+        (tmp_path / "bad.txt").write_text(_edit(text, old, new), encoding="utf-8")
+        argv = [command, "--checkpoint", str(tmp_path / "bad.txt"), "--manifest", manifest,
+                "--embedding", embedding, "--out", str(tmp_path / "o")]
+    src = os.path.dirname(os.path.dirname(botdetect.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "botdetect.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == expected
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_inspect_warns_on_pipeline_mismatch(corpus, tmp_path, capsys):
+    net_text, _ = _checkpoint_texts(corpus, tmp_path)
+    common = ["--manifest", str(corpus / "manifest.txt"),
+              "--embedding", str(corpus / "glove_25d.txt"), "--out", str(tmp_path / "o")]
+    good = tmp_path / "good.txt"
+    good.write_text(net_text, encoding="utf-8")
+    assert main(["inspect", "--checkpoint", str(good), *common]) == 0
+    assert "warning" not in capsys.readouterr().err
+    stale = tmp_path / "stale.txt"
+    stale.write_text(_edit(net_text, "meta max_len = 30", "meta max_len = 20"),
+                     encoding="utf-8")
+    assert main(["inspect", "--checkpoint", str(stale), *common]) == 0
+    assert "differs from training" in capsys.readouterr().err
+
+
+def test_train_flags_keep_their_spellings():
+    parser = build_parser()
+    train = parser._subparsers._group_actions[0].choices["train"]
+    flags = {s for action in train._actions for s in action.option_strings}
+    assert flags == {
+        "-h", "--help", "--config", "--task", "--model", "--manifest", "--out", "--seed",
+        "--resample", "--smote-k", "--enn-k", "--target-ratio", "--train-fraction",
+        "--stratified", "--no-stratified", "--group-by-account", "--threshold",
+        "--embedding", "--embedding-dim", "--max-len", "--truncation", "--vocab-cap",
+        "--repeat-tag", "--epochs", "--batch-size", "--learning-rate", "--val-fraction",
+        "--mlp-layers", "--n-trees", "--n-stumps", "--logreg-epochs",
+    }

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from botdetect.embedding import (
     EmbeddedSequence,
+    TweetPipeline,
     embed,
     fixture_table,
     load_glove,
     most_frequent_tokens,
-    pipeline_fingerprint,
     write_glove_file,
 )
 from botdetect.errors import DimensionMismatch, ParseError
@@ -121,10 +121,8 @@ def test_fixture_table_round_trips_through_file(tmp_path):
     loaded = load_glove(path, 25)
     assert loaded.vocabulary == table.vocabulary
     assert np.array_equal(loaded.vectors, table.vectors)
-    assert pipeline_fingerprint(loaded, 30, "tail", False) == \
-        pipeline_fingerprint(table, 30, "tail", False)
-    assert pipeline_fingerprint(loaded, 20, "tail", False) != \
-        pipeline_fingerprint(table, 30, "tail", False)
+    assert TweetPipeline(loaded, 30).fingerprint() == TweetPipeline(table, 30).fingerprint()
+    assert TweetPipeline(loaded, 20).fingerprint() != TweetPipeline(table, 30).fingerprint()
 
 
 def test_embedded_sequence_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from botdetect.data import Label, TweetMetadata, TweetRecord, encode_tweet_metadata
-from botdetect.embedding import embed, fixture_table
+from botdetect.embedding import TweetPipeline, embed, fixture_table
 from botdetect.errors import SingleClass
 from botdetect.introspect import (
     ActivationTrace,
@@ -40,7 +40,7 @@ def model():
 
 
 def test_empty_tweet_flagged(model, table):
-    trace = trace_tweet(model, table, _tweet(""))
+    trace = trace_tweet(model, TweetPipeline(table), _tweet(""))
     assert trace.empty
     assert trace.matrix.shape == (0, 8)
     assert trace.tokens == ()
@@ -48,7 +48,7 @@ def test_empty_tweet_flagged(model, table):
 
 def test_single_token_trace_equals_final_state(model, table):
     tweet = _tweet("alpha")
-    trace = trace_tweet(model, table, tweet)
+    trace = trace_tweet(model, TweetPipeline(table), tweet)
     assert trace.matrix.shape == (1, 8)
     seq = embed(tokenize(tweet.text), table, max_len=30)
     main, aux, hidden = model.forward(seq, encode_tweet_metadata(tweet.metadata))
@@ -57,7 +57,7 @@ def test_single_token_trace_equals_final_state(model, table):
 
 def test_trace_matches_naive_recurrence(model, table):
     tweet = _tweet("alpha beta gamma delta echo")
-    trace = trace_tweet(model, table, tweet)
+    trace = trace_tweet(model, TweetPipeline(table), tweet)
     seq = embed(tokenize(tweet.text), table, max_len=30)
     _, ref_all = scalar_lstm_final(model.params, seq.matrix, seq.true_length)
     assert trace.matrix.shape == ref_all.shape == (5, 8)
@@ -65,19 +65,19 @@ def test_trace_matches_naive_recurrence(model, table):
 
 
 def test_trace_values_bounded(model, table):
-    trace = trace_tweet(model, table, _tweet("alpha beta 42 #gamma"))
+    trace = trace_tweet(model, TweetPipeline(table), _tweet("alpha beta 42 #gamma"))
     assert np.all(np.abs(trace.matrix) <= 1.0)
 
 
 def test_trace_aligns_tokens(model, table):
-    trace = trace_tweet(model, table, _tweet("alpha 42 #beta"))
+    trace = trace_tweet(model, TweetPipeline(table), _tweet("alpha 42 #beta"))
     assert trace.tokens == ("alpha", "<number>", "<hashtag>", "beta")
     assert trace.matrix.shape[0] == 4
 
 
 def test_trace_rows_match_forward_bitwise(model, table):
     tweet = _tweet("beta alpha gamma")
-    trace = trace_tweet(model, table, tweet)
+    trace = trace_tweet(model, TweetPipeline(table), tweet)
     seq = embed(tokenize(tweet.text), table, max_len=30)
     _, _, hidden = model.forward(seq, encode_tweet_metadata(tweet.metadata))
     assert np.array_equal(trace.matrix, hidden)
@@ -92,7 +92,7 @@ def test_ks_statistic_basics():
 
 def test_unit_distributions_require_both_classes(model, table):
     with pytest.raises(SingleClass):
-        unit_distributions(model, table, [_tweet("alpha")])
+        unit_distributions(model, TweetPipeline(table), [_tweet("alpha")])
 
 
 def test_zero_model_concentrates_mass_at_zero(table):
@@ -101,7 +101,7 @@ def test_zero_model_concentrates_mass_at_zero(table):
     for key in zero.params:
         zero.params[key] = np.zeros_like(zero.params[key])
     tweets = [_tweet("alpha beta"), _tweet("gamma", Label.BOT)]
-    report = unit_distributions(zero, table, tweets, bins=50)
+    report = unit_distributions(zero, TweetPipeline(table), tweets, bins=50)
     assert np.all(report.ks_by_unit == 0.0)
     zero_bin = 25  # [-1, 1] in 50 bins: bin 25 covers [0, 0.04)
     for dist in report.distributions:
@@ -112,7 +112,7 @@ def test_zero_model_concentrates_mass_at_zero(table):
 def test_histogram_mass_conservation(model, table):
     tweets = [_tweet("alpha beta"), _tweet("beta gamma"), _tweet("echo", Label.BOT),
               _tweet("delta echo alpha", Label.BOT), _tweet("gamma", Label.BOT)]
-    report = unit_distributions(model, table, tweets)
+    report = unit_distributions(model, TweetPipeline(table), tweets)
     for dist in report.distributions:
         expected = 2 if dist.label == Label.HUMAN else 3
         assert dist.counts.sum() == expected
@@ -140,19 +140,19 @@ def test_trained_model_separates_units():
     ]
     config = NetConfig.contextual(embedding_dim=25, epochs=6, batch_size=32, seed=9)
     model, _ = train(config, dataset)
-    report = unit_distributions(model, table, tweets)
+    report = unit_distributions(model, TweetPipeline(table), tweets)
     assert report.ks_by_unit.max() >= 0.5
     assert report.ranking[0] == int(np.argmax(report.ks_by_unit))
 
 
 def test_csv_exports(model, table):
     tweets = [_tweet("alpha beta"), _tweet("gamma", Label.BOT)]
-    trace = trace_tweet(model, table, tweets[0])
+    trace = trace_tweet(model, TweetPipeline(table), tweets[0])
     lines = trace_csv_lines(trace)
     assert lines[0] == "unit,t0,t1"
     assert lines[1] == "token,alpha,beta"
     assert len(lines) == 2 + 8
-    report = unit_distributions(model, table, tweets)
+    report = unit_distributions(model, TweetPipeline(table), tweets)
     dist_lines = distribution_csv_lines(report)
     assert dist_lines[0] == "unit,class,bin_low,bin_high,count"
     assert len(dist_lines) == 1 + 2 * 8 * 50
@@ -165,10 +165,10 @@ def test_cell_state_export(model, table):
     seq = embed(tokenize(tweet.text), table, max_len=30)
     states = cell_states(model, seq)
     assert states.shape == (3, 8)
-    lines = cell_trace_csv_lines(model, table, tweet)
+    lines = cell_trace_csv_lines(model, TweetPipeline(table), tweet)
     assert lines[1] == "token,alpha,beta,gamma"
     # cell states are the pre-output-gate memory; first row c_1 = i_1 * g_1
-    trace = trace_tweet(model, table, tweet)
+    trace = trace_tweet(model, TweetPipeline(table), tweet)
     assert not np.array_equal(states, trace.matrix)
 
 
@@ -191,7 +191,7 @@ def test_distributions_use_batched_final_states(model, table):
     # the single-tweet forward pass's last row.
     tweets = [_tweet("alpha beta"), _tweet(""), _tweet("echo delta gamma", Label.BOT),
               _tweet("beta 42", Label.BOT)]
-    report = unit_distributions(model, table, tweets)
+    report = unit_distributions(model, TweetPipeline(table), tweets)
     finals = {Label.HUMAN: [], Label.BOT: []}
     for tweet in tweets:
         seq = embed(tokenize(tweet.text), table, max_len=30)

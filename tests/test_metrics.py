@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botdetect.errors import EmptyInput, SingleClass
+from botdetect.errors import DegenerateData, EmptyInput, SingleClass
 from botdetect.metrics import auc, confusion_at, evaluate, roc_points
 
 from oracles import pair_auc
@@ -129,3 +129,8 @@ def test_report_serialization_deterministic():
     assert report.to_kv_lines() == report.to_kv_lines()
     assert any(line.startswith("config.model") for line in report.to_kv_lines())
     assert report.roc_csv_lines()[0] == "fpr,tpr"
+
+
+def test_nan_scores_are_rejected():
+    with pytest.raises(DegenerateData):
+        evaluate(np.array([0.2, np.nan, 0.9]), np.array([0, 1, 1]))

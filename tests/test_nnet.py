@@ -14,6 +14,7 @@ from botdetect.nnet import (
 from botdetect.nnet.gradcheck import check_gradients
 from botdetect.nnet.layers import bce, sigmoid
 from botdetect.nnet.lstm import lstm_backward, lstm_forward
+from botdetect.persist import load_model
 
 from oracles import scalar_bce, scalar_contextual_forward, scalar_lstm_final
 
@@ -358,7 +359,7 @@ def test_save_load_round_trip(tmp_path):
         model, _ = train(config, corpus)
         path = tmp_path / f"net_{config.use_metadata}.txt"
         model.save(path, {"pipeline_hash": "abc123"})
-        loaded = ContextualLstmModel.load(path)
+        loaded = ContextualLstmModel.load(*load_model(path))
         assert loaded.config == model.config
         seqs = [seq for seq, _, _ in corpus]
         metas = np.vstack([m for _, m, _ in corpus])

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from botdetect import baselines
+from botdetect.baselines import BaselineConfig
+from botdetect.data import FeatureMatrix
+from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import ParseError
+from botdetect.nnet import ContextualLstmModel, NetConfig
 from botdetect.persist import load_model, save_model
 
 
@@ -48,3 +53,77 @@ def test_rejects_truncated_file(tmp_path):
 def test_rejects_newline_in_meta(tmp_path):
     with pytest.raises(ValueError):
         save_model(tmp_path / "x.txt", {"bad": "a\nb"}, {})
+
+
+def _meta_lines(path):
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if line.startswith("meta ")]
+
+
+NET_META = [
+    "meta embedding_dim = 3", "meta hidden_dim = 2", "meta dense_sizes = 4,2",
+]
+NET_TAIL = [
+    "meta learning_rate = 0.002", "meta beta1 = 0.9", "meta beta2 = 0.999",
+    "meta adam_eps = 1e-08", "meta batch_size = 64", "meta epochs = 3", "meta seed = 5",
+    "meta config_hash = 00000000",
+    "meta pipeline_hash = 5c365d488ad5e538f1a0bff674d8f26713defacd1c5b41440c99e0597a4509c1",
+    "meta max_len = 12", "meta truncation = head", "meta repeat_tag = 1",
+]
+# Meta lines as checkpoints wrote them before the config parser and the tweet
+# pipeline were shared; checkpoints written since must keep these bytes.
+PINNED_META = {
+    "contextual_lstm": ["meta kind = contextual_lstm", *NET_META, "meta use_metadata = 1",
+                        "meta use_aux = 1", "meta loss_weight_main = 0.8",
+                        "meta loss_weight_aux = 0.2", *NET_TAIL],
+    "tweet_lstm": ["meta kind = tweet_lstm", *NET_META, "meta use_metadata = 0",
+                   "meta use_aux = 0", "meta loss_weight_main = 1.0",
+                   "meta loss_weight_aux = 0.0", *NET_TAIL],
+    "forest": ["meta kind = forest", "meta schema = a,b", "meta config.seed = 2",
+               "meta config.n_trees = 2", "meta config.max_depth = 0",
+               "meta config.min_leaf = 1", "meta config_hash = 00000000"],
+    "mlp": ["meta kind = mlp", "meta schema = a,b", "meta config.seed = 2",
+            "meta config.mlp_layers = 3,1", "meta config.mlp_lr = 0.001",
+            "meta config.mlp_beta1 = 0.9", "meta config.mlp_beta2 = 0.999",
+            "meta config.mlp_eps = 1e-08", "meta config.mlp_batch = 64",
+            "meta config.mlp_epochs = 1", "meta config_hash = 00000000"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_META))
+def test_checkpoint_meta_lines_are_pinned(tmp_path, kind):
+    path = tmp_path / "model.txt"
+    extra = {"config_hash": "0" * 8}
+    if kind in ("contextual_lstm", "tweet_lstm"):
+        maker = NetConfig.contextual if kind == "contextual_lstm" else NetConfig.tweet_only
+        config = maker(embedding_dim=3, hidden_dim=2, dense_sizes=(4, 2), epochs=3, seed=5,
+                       learning_rate=0.002)
+        table = fixture_table(["alpha", "beta", "<hashtag>"], 3, seed=0)
+        extra.update(TweetPipeline(table, 12, "head", True).meta())
+        ContextualLstmModel.initialize(config).save(path, extra)
+        loaded = ContextualLstmModel.load(*load_model(path))
+        assert loaded.config == config
+    else:
+        rng = np.random.Generator(np.random.PCG64(0))
+        x = rng.standard_normal((20, 2))
+        matrix = FeatureMatrix(x, ("a", "b"), (x[:, 0] > 0).astype(np.int8))
+        config = BaselineConfig(seed=2, n_trees=2, mlp_layers=(3, 1), mlp_epochs=1)
+        baselines.save_baseline(baselines.fit(kind, matrix, config), path, extra)
+        assert baselines.load_baseline(*load_model(path)).kind == kind
+    assert _meta_lines(path) == PINNED_META[kind]
+
+
+def test_malformed_tensor_header_is_a_parse_error(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("botdetect-model v1\ntensor w 1 three\n1 2 3\nend\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="model.txt:2"):
+        load_model(path)
+
+
+def test_missing_meta_key_is_a_parse_error(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(path, {"schema": "a"}, {})
+    meta, _ = load_model(path)
+    assert meta.get("kind") is None
+    with pytest.raises(ParseError, match="missing meta 'kind'"):
+        meta["kind"]
