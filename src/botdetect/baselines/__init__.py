@@ -9,6 +9,8 @@ state rather than raising.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from ..config import from_strings, to_strings
@@ -22,7 +24,7 @@ from .common import (
     rows_for_prediction,
     validate_training_matrix,
 )
-from .forest import fit_forest, predict_forest
+from .forest import fit_forest, predict_forest, tree_names
 from .linear import fit_logreg, fit_sgd, predict_logreg, predict_sgd
 from .mlp import fit_mlp, mlp_forward
 
@@ -38,36 +40,46 @@ __all__ = [
     "save_baseline",
 ]
 
-# kind -> (fit(x, y, config, rng), predict(params, x), the config fields that
-# apply to the kind and are echoed into its checkpoints). Every entry calls
-# through this module's globals, so rebinding a name here (as a tracer does)
-# changes what runs.
+class Entry(NamedTuple):
+    fit: Callable  # (x, y, config, rng) -> params
+    predict: Callable  # (params, x) -> bot probabilities
+    fields: tuple[str, ...]  # config fields echoed into checkpoints
+    tensors: Callable  # config -> names of the params' tensors
+
+
+# Every entry calls through this module's globals, so rebinding a name here
+# (as a tracer does) changes what runs.
 REGISTRY = {
-    BaselineKind.LOGREG: (
+    BaselineKind.LOGREG: Entry(
         lambda x, y, config, rng: fit_logreg(x, y, config),
         lambda params, x: predict_logreg(params, x),
         ("logreg_epochs", "logreg_lr"),
+        lambda config: ("w", "b"),
     ),
-    BaselineKind.SGD: (
+    BaselineKind.SGD: Entry(
         lambda x, y, config, rng: fit_sgd(x, y, config, rng),
         lambda params, x: predict_sgd(params, x),
         ("sgd_epochs", "sgd_lr", "sgd_l2"),
+        lambda config: ("w", "b", "platt"),
     ),
-    BaselineKind.FOREST: (
+    BaselineKind.FOREST: Entry(
         lambda x, y, config, rng: fit_forest(x, y, config),
         lambda params, x: predict_forest(params, x),
         ("n_trees", "max_depth", "min_leaf"),
+        lambda config: tree_names(config.n_trees),
     ),
-    BaselineKind.ADABOOST: (
+    BaselineKind.ADABOOST: Entry(
         lambda x, y, config, rng: fit_adaboost(x, y, config),
         lambda params, x: predict_adaboost(params, x),
         ("n_stumps",),
+        lambda config: ("stumps",),
     ),
-    BaselineKind.MLP: (
+    BaselineKind.MLP: Entry(
         lambda x, y, config, rng: fit_mlp(x, y, config, rng),
         lambda params, x: mlp_forward(params, x),
         ("mlp_layers", "mlp_lr", "mlp_beta1", "mlp_beta2", "mlp_eps", "mlp_batch",
          "mlp_epochs"),
+        lambda config: tuple(f"{p}{i}" for i in range(len(config.mlp_layers)) for p in "Wb"),
     ),
 }
 
@@ -87,20 +99,20 @@ def fit(kind: BaselineKind, matrix: FeatureMatrix,
         schema=matrix.schema,
         standardizer=standardizer,
         config=config,
-        params=REGISTRY[kind][0](x, y, config, rng),
+        params=REGISTRY[kind].fit(x, y, config, rng),
     )
 
 
 def predict_proba(model: BaselineModel, rows) -> np.ndarray:
     """Bot probability for each row; rows must match the training schema."""
-    return REGISTRY[BaselineKind(model.kind)][1](model.params, rows_for_prediction(model, rows))
+    return REGISTRY[BaselineKind(model.kind)].predict(model.params, rows_for_prediction(model, rows))
 
 
 def save_baseline(model: BaselineModel, path, extra_meta: dict | None = None) -> None:
     """Write the checkpoint; it echoes the seed and the kind's config fields."""
     strings = to_strings(model.config)
     meta = {"kind": model.kind.value, "schema": ",".join(model.schema)}
-    for name in ("seed", *REGISTRY[model.kind][2]):
+    for name in ("seed", *REGISTRY[model.kind].fields):
         meta[f"config.{name}"] = strings[name]
     meta.update(extra_meta or {})
     arrays = dict(model.params)
@@ -110,17 +122,19 @@ def save_baseline(model: BaselineModel, path, extra_meta: dict | None = None) ->
 
 
 def load_baseline(meta, arrays) -> BaselineModel:
-    """Rebuild a baseline from a parsed checkpoint (`persist.load_model`)."""
+    """Rebuild a baseline from a parsed checkpoint (`persist.load_model`); a
+    missing tensor is a ParseError naming it."""
     prefix = "config."
     config = from_strings(BaselineConfig, {
         key[len(prefix):]: value for key, value in meta.items() if key.startswith(prefix)
     })
+    kind = BaselineKind(meta["kind"])
     return BaselineModel(
-        kind=BaselineKind(meta["kind"]),
+        kind=kind,
         schema=tuple(meta["schema"].split(",")),
         standardizer=Standardizer(
-            mean=arrays.pop("standardizer.mean"), std=arrays.pop("standardizer.std")
+            mean=arrays["standardizer.mean"], std=arrays["standardizer.std"]
         ),
         config=config,
-        params=arrays,
+        params={name: arrays[name] for name in REGISTRY[kind].tensors(config)},
     )

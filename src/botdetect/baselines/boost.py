@@ -17,35 +17,45 @@ from ..nnet.layers import sigmoid
 _ERR_CLAMP = 1e-10
 
 
-def _best_stump(x, y, weights):
-    """Stump minimizing weighted 0-1 error; exhaustive over features and
-    thresholds via prefix sums. Ties keep the lowest feature, then the lowest
-    threshold, then polarity +1.
+def _stump_candidates(x, y):
+    """Per feature, what does not change between rounds: the stable order of
+    the rows, which sorted rows are bots and humans, and the n + 1 candidate
+    thresholds with their validity. Candidates lie below the minimum
+    (everything on the >= side), at midpoints between distinct neighbors and
+    above the maximum; a midpoint between equal values is invalid.
     """
     n, d = x.shape
     signs = 2.0 * y - 1.0
-    best = (0, -np.inf, 1.0)
-    best_err = np.inf
+    candidates = []
     for f in range(d):
         order = np.argsort(x[:, f], kind="stable")
         sv = x[order, f]
-        sw = weights[order]
-        # Candidate thresholds: below the minimum (everything on the >= side),
-        # midpoints between distinct neighbors, above the maximum.
-        # err for polarity +1 at threshold position k (first k rows predicted
-        # human): weight of bots among first k + weight of humans among rest.
-        prefix_pos = np.concatenate([[0.0], np.cumsum(np.where(signs[order] > 0, sw, 0.0))])
-        prefix_neg = np.concatenate([[0.0], np.cumsum(np.where(signs[order] < 0, sw, 0.0))])
-        w_pos_total = float(prefix_pos[-1])
-        w_neg_total = float(prefix_neg[-1])
-        ks = np.arange(n + 1)
-        err_plus = prefix_pos[ks] + (w_neg_total - prefix_neg[ks])
         valid = np.ones(n + 1, dtype=bool)
         valid[1:n] = sv[:-1] < sv[1:]
         thresholds = np.empty(n + 1)
         thresholds[0] = -np.inf
         thresholds[1:n] = (sv[:-1] + sv[1:]) / 2.0
         thresholds[n] = np.inf
+        candidates.append((order, signs[order] > 0, signs[order] < 0, valid, thresholds))
+    return candidates
+
+
+def _best_stump(candidates, weights):
+    """Stump minimizing weighted 0-1 error; exhaustive over features and
+    thresholds via prefix sums. Ties keep the lowest feature, then the lowest
+    threshold, then polarity +1.
+    """
+    best = (0, -np.inf, 1.0)
+    best_err = np.inf
+    for f, (order, is_bot, is_human, valid, thresholds) in enumerate(candidates):
+        sw = weights[order]
+        # err for polarity +1 at threshold position k (first k rows predicted
+        # human): weight of bots among first k + weight of humans among rest.
+        prefix_pos = np.concatenate([[0.0], np.cumsum(np.where(is_bot, sw, 0.0))])
+        prefix_neg = np.concatenate([[0.0], np.cumsum(np.where(is_human, sw, 0.0))])
+        w_pos_total = float(prefix_pos[-1])
+        w_neg_total = float(prefix_neg[-1])
+        err_plus = prefix_pos + (w_neg_total - prefix_neg)
         for polarity in (1.0, -1.0):
             errs = err_plus if polarity == 1.0 else (w_pos_total + w_neg_total) - err_plus
             errs = np.where(valid, errs, np.inf)
@@ -65,8 +75,9 @@ def fit_adaboost(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
     n = x.shape[0]
     weights = np.full(n, 1.0 / n)
     stumps = []
+    candidates = _stump_candidates(x, y)
     for _ in range(config.n_stumps):
-        (feature, threshold, polarity), err = _best_stump(x, y, weights)
+        (feature, threshold, polarity), err = _best_stump(candidates, weights)
         err = min(max(err, _ERR_CLAMP), 1.0 - _ERR_CLAMP)
         if err >= 0.5 and stumps:
             break

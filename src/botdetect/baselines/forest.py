@@ -19,44 +19,41 @@ from .common import BaselineConfig
 _LEAF = -1.0
 
 
-def _leaf_vote(y: np.ndarray) -> float:
-    # Majority class; exact ties vote bot.
-    return 1.0 if y.mean() >= 0.5 else 0.0
+def _best_split(x, labels, idx, features, min_leaf, total):
+    """Lowest weighted-Gini split over the candidate features, searched for
+    all of them at once in one (rows, features) block.
 
-
-def _best_split(x, y, idx, features, min_leaf):
-    """Lowest weighted-Gini split over the candidate features.
-
-    Returns (feature, threshold) or None. Ties keep the first candidate in
-    feature order, then the lowest threshold position.
+    `labels` are y[idx] and `total` their sum. Returns (feature, threshold)
+    or None. Ties keep the first candidate in feature order, then the lowest
+    threshold position.
     """
     n = idx.shape[0]
-    best = None
-    best_gini = np.inf
-    for f in features:
-        values = x[idx, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[idx][order]
-        left_pos = np.cumsum(sy)[:-1]
-        left_n = np.arange(1, n, dtype=np.float64)
-        right_n = n - left_n
-        total_pos = left_pos[-1] + sy[-1] if n > 1 else sy.sum()
-        right_pos = total_pos - left_pos
-        valid = (sv[:-1] < sv[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not np.any(valid):
-            continue
-        pl = left_pos / left_n
-        pr = right_pos / right_n
-        gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-        gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-        weighted = (left_n * gini_l + right_n * gini_r) / n
-        weighted = np.where(valid, weighted, np.inf)
-        pos = int(np.argmin(weighted))
-        if weighted[pos] < best_gini:
-            best_gini = float(weighted[pos])
-            best = (int(f), float((sv[pos] + sv[pos + 1]) / 2.0))
-    return best
+    columns = np.arange(features.shape[0])
+    values = x[idx[:, None], features]
+    order = values.argsort(axis=0, kind="stable")
+    sv = values[order, columns]
+    # Row p splits off p + 1 rows to the left and n - p - 1 to the right.
+    invalid = sv[:-1] >= sv[1:]
+    if min_leaf > 1:
+        invalid[: min_leaf - 1] = True
+        invalid[n - min_leaf:] = True
+    if invalid.all():
+        return None
+    left_pos = labels[order].cumsum(axis=0)[:-1]
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    right_n = n - left_n
+    pl = left_pos / left_n
+    pr = (total - left_pos) / right_n
+    ql = 1.0 - pl
+    qr = 1.0 - pr
+    gini_l = 1.0 - pl * pl - ql * ql
+    gini_r = 1.0 - pr * pr - qr * qr
+    weighted = (left_n * gini_l + right_n * gini_r) / n
+    weighted[invalid] = np.inf
+    pos = weighted.argmin(axis=0)
+    column = int(weighted[pos, columns].argmin())
+    at = pos[column]
+    return int(features[column]), float((sv[at, column] + sv[at + 1, column]) / 2.0)
 
 
 def _grow_tree(x, y, rng, config: BaselineConfig) -> np.ndarray:
@@ -70,16 +67,20 @@ def _grow_tree(x, y, rng, config: BaselineConfig) -> np.ndarray:
     stack = [(0, bootstrap, 1)]
     while stack:
         node_id, idx, depth = stack.pop()
+        size = idx.shape[0]
         labels = y[idx]
-        pure = labels.min() == labels.max()
+        total = labels.sum()
+        # A leaf votes for the majority class; exact ties vote bot.
+        leaf = [_LEAF, 0.0, -1.0, -1.0, 1.0 if total / size >= 0.5 else 0.0]
+        pure = total == 0 or total == size
         depth_capped = config.max_depth > 0 and depth >= config.max_depth
-        if pure or depth_capped or idx.shape[0] < 2 * config.min_leaf:
-            nodes[node_id] = [_LEAF, 0.0, -1.0, -1.0, _leaf_vote(labels)]
+        if pure or depth_capped or size < 2 * config.min_leaf:
+            nodes[node_id] = leaf
             continue
         features = np.sort(rng.choice(d, size=n_sub, replace=False))
-        found = _best_split(x, y, idx, features, config.min_leaf)
+        found = _best_split(x, labels, idx, features, config.min_leaf, total)
         if found is None:
-            nodes[node_id] = [_LEAF, 0.0, -1.0, -1.0, _leaf_vote(labels)]
+            nodes[node_id] = leaf
             continue
         feature, threshold = found
         go_left = x[idx, feature] <= threshold
@@ -93,15 +94,19 @@ def _grow_tree(x, y, rng, config: BaselineConfig) -> np.ndarray:
     return np.array(nodes, dtype=np.float64)
 
 
+def tree_names(n_trees: int) -> list[str]:
+    return [f"tree_{t:03d}" for t in range(n_trees)]
+
+
 def fit_forest(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
     order = np.lexsort((y,) + tuple(x[:, j] for j in reversed(range(x.shape[1]))))
     x_sorted = x[order]
     y_sorted = y[order]
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
     params = {}
-    for t in range(config.n_trees):
-        rng = np.random.Generator(np.random.PCG64(seeds[t]))
-        params[f"tree_{t:03d}"] = _grow_tree(x_sorted, y_sorted, rng, config)
+    for name, seed in zip(tree_names(config.n_trees), seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        params[name] = _grow_tree(x_sorted, y_sorted, rng, config)
     return params
 
 

@@ -135,6 +135,13 @@ class RunConfig:
             raise ConfigError("threshold must lie in (0, 1)")
         if self.truncation not in ("tail", "head"):
             raise ConfigError("truncation must be tail or head")
+        for name, least in (("max_len", 1), ("batch_size", 1), ("n_trees", 1),
+                            ("n_stumps", 1), ("embedding_dim", 1), ("logreg_epochs", 1),
+                            ("smote_k", 1), ("enn_k", 1), ("epochs", 0), ("vocab_cap", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not self.target_ratio > 0.0:
+            raise ConfigError(f"target_ratio must be positive, got {self.target_ratio}")
         if not self.manifest:
             raise ConfigError("a corpus manifest is required")
 

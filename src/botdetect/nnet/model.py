@@ -21,7 +21,7 @@ from ..errors import DegenerateData, DimensionMismatch
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
     glorot_uniform, relu, sigmoid
-from .lstm import init_lstm_params, lstm_backward, lstm_forward
+from .lstm import GATES, init_lstm_params, lstm_backward, lstm_forward
 
 METADATA_DIM = 6
 # Checkpoint kinds of the contextual and the tweet-only model.
@@ -215,16 +215,21 @@ class ContextualLstmModel:
 
     @classmethod
     def load(cls, meta, arrays) -> ContextualLstmModel:
-        """Rebuild a model from a parsed checkpoint (`persist.load_model`)."""
+        """Rebuild a model from a parsed checkpoint (`persist.load_model`); a
+        missing tensor is a ParseError naming it."""
         values = {f.name: meta[f.name] for f in fields(NetConfig) if f.name != "loss_weights"}
         values["loss_weights"] = f"{meta['loss_weight_main']},{meta['loss_weight_aux']}"
+        config = from_strings(NetConfig, values)
         standardizer = None
         if "meta_standardizer.mean" in arrays:
             standardizer = Standardizer(
-                mean=arrays.pop("meta_standardizer.mean"),
-                std=arrays.pop("meta_standardizer.std"),
+                mean=arrays["meta_standardizer.mean"], std=arrays["meta_standardizer.std"]
             )
-        return cls(from_strings(NetConfig, values), arrays, standardizer)
+        # The order initialize() creates them in.
+        heads = (("aux",) if config.use_aux else ()) + ("dense1", "dense2", "main")
+        names = [f"{p}_{gate}" for gate in GATES for p in "WUb"]
+        names += [f"{head}.{p}" for head in heads for p in "Wb"]
+        return cls(config, {name: arrays[name] for name in names}, standardizer)
 
 
 def blended_loss(main_score, aux_score, label,

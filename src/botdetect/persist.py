@@ -22,16 +22,17 @@ from .errors import ParseError
 FORMAT_HEADER = "botdetect-model v1"
 
 
-class Meta(dict):
-    """A checkpoint's meta entries; reading a missing key is a ParseError
-    naming the file."""
+class Entries(dict):
+    """A checkpoint's meta entries or its tensors; reading a missing key is a
+    ParseError naming the file and the entry."""
 
-    def __init__(self, path):
+    def __init__(self, path, sort: str):
         super().__init__()
         self.path = path
+        self.sort = sort
 
     def __missing__(self, key):
-        raise ParseError(f"{self.path}: missing meta {key!r}")
+        raise ParseError(f"{self.path}: missing {self.sort} {key!r}")
 
 
 def save_model(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -56,13 +57,13 @@ def save_model(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_model(path) -> tuple[Meta, dict[str, np.ndarray]]:
+def load_model(path) -> tuple[Entries, Entries]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise ParseError(f"{path}: not a {FORMAT_HEADER!r} file")
-    meta = Meta(path)
-    arrays: dict[str, np.ndarray] = {}
+    meta = Entries(path, "meta")
+    arrays = Entries(path, "tensor")
     i = 1
     while i < len(lines):
         line = lines[i]

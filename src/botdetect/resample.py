@@ -5,6 +5,17 @@ All neighbor searches run on per-column z-scored copies of the features
 dominated by the largest column). Synthetic rows are interpolated in the raw
 feature space, so they are exact convex combinations of two original rows.
 Ties in distance break toward the lower row index.
+
+Each stage computes its neighbors once, as a table (`neighbor_table`): row i
+holds the k nearest rows to row i. The table is built in blocks of rows whose
+temporaries take about 1 MiB each. A block first screens every candidate with
+the Gram form |x|^2 - 2 q.x (the squared distance less |q|^2; one matrix
+product per block) and keeps each candidate whose screened value lies within
+a float64 rounding bound of the row's k-th smallest one. The bound follows
+from d and the row norms (see `neighbor_table`), so no true neighbor is
+screened out. The survivors are then ranked on the exact distances
+`knn_indices` computes, sum((x - q)^2), by (distance, index), so the table
+equals a `knn_indices` call per row, ties included.
 """
 
 from __future__ import annotations
@@ -16,6 +27,10 @@ import numpy as np
 
 from .data import FeatureMatrix, Label, Standardizer
 from .errors import DegenerateMinority, InsufficientRows
+
+# Size of one (block rows, n) float64 temporary in `neighbor_table`.
+_BLOCK_BYTES = 1 << 20
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class Strategy(str, enum.Enum):
@@ -126,6 +141,59 @@ def knn_indices(
     return _nearest(matrix.features, query_index, candidates, k)
 
 
+def neighbor_table(std_features: np.ndarray, k: int, labels=None) -> np.ndarray:
+    """(n, k) table whose row i lists the k nearest rows to row i, nearest
+    first, row i itself excluded; with labels, only rows of row i's label.
+
+    Row i equals `knn_indices(matrix, i, k, same_class_only=labels is not
+    None)`. Screen bound: for a query q and a candidate x, the screen
+    g = |x|^2 - 2 q.x (the Gram form less |q|^2, the same for the whole row)
+    and the exact distance r = sum((x - q)^2) are float64 sums whose terms'
+    magnitudes add up to at most (|q| + |x|)^2, each term rounded at most
+    d + 2 times. So |q|^2 + g and r both lie within gamma (|q| + |x|)^2 of the
+    true squared distance, with gamma = m u / (1 - m u), u = 2^-53, m = d + 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1). If t
+    is the k-th smallest g of q, k candidates have r <= |q|^2 + t + E with
+    E = 2 gamma (|q| + M)^2 and M the largest row norm; so every one of q's k
+    nearest has g <= t + 2E and survives the screen. The code takes m = d + 3,
+    which covers the rounding of the norms and of t + 2E.
+    """
+    features = np.asarray(std_features, dtype=np.float64)
+    n, d = features.shape
+    if labels is not None:
+        table = np.empty((n, k), dtype=np.int64)
+        for label in np.unique(labels):
+            rows = np.flatnonzero(labels == label)
+            table[rows] = rows[neighbor_table(features[rows], k)]
+        return table
+    if k > n - 1:
+        raise InsufficientRows(f"need {k} neighbors but only {max(n - 1, 0)} eligible rows")
+    sq = np.sum(features * features, axis=1)
+    norms = np.sqrt(sq)
+    m = d + 3
+    gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+    slack = 4.0 * gamma * (norms + norms.max()) ** 2
+    table = np.empty((n, k), dtype=np.int64)
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        local = np.arange(stop - start)
+        # |x|^2 - 2 q.x: the Gram form less |q|^2, which is constant per row.
+        screen = features[start:stop] @ features.T
+        screen *= -2.0
+        screen += sq
+        screen[local, local + start] = np.inf
+        kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
+        flat = np.flatnonzero(screen <= (kth + slack[start:stop])[:, None])
+        rows, cols = np.divmod(flat, n)
+        diffs = features[cols] - features[rows + start]
+        d2 = np.sum(diffs * diffs, axis=1)
+        order = np.lexsort((cols, d2, rows))
+        first = np.searchsorted(rows, local)
+        table[start:stop] = cols[order[first[:, None] + np.arange(k)]]
+    return table
+
+
 def smote(matrix: FeatureMatrix, config: ResampleConfig) -> FeatureMatrix:
     """Append synthetic minority rows until minority/majority = target_ratio.
 
@@ -147,18 +215,14 @@ def smote(matrix: FeatureMatrix, config: ResampleConfig) -> FeatureMatrix:
         return matrix
 
     minority_rows = np.flatnonzero(matrix.labels == minority)
-    std = FeatureMatrix(_standardized(matrix), matrix.schema, matrix.labels)
-    neighbor_cache = {
-        int(i): knn_indices(std, int(i), config.smote_k, same_class_only=True)
-        for i in minority_rows
-    }
+    # The table of the minority rows alone is their same-class table.
+    neighbors = minority_rows[neighbor_table(_standardized(matrix)[minority_rows], config.smote_k)]
     rng = np.random.Generator(np.random.PCG64(config.seed))
     raw = matrix.features
     synthetic = np.empty((n_new, matrix.n_features), dtype=np.float64)
     for j in range(n_new):
         base = int(minority_rows[j % n_min])
-        neighbors = neighbor_cache[base]
-        nn = int(neighbors[rng.integers(0, len(neighbors))])
+        nn = int(neighbors[j % n_min, rng.integers(0, config.smote_k)])
         u = rng.uniform()
         synthetic[j] = raw[base] + u * (raw[nn] - raw[base])
     return matrix.with_rows_appended(synthetic, np.full(n_new, minority, dtype=np.int8))
@@ -169,16 +233,10 @@ def tomek_links(matrix: FeatureMatrix) -> set[tuple[int, int]]:
     n = matrix.n_rows
     if n < 2:
         return set()
-    std = FeatureMatrix(_standardized(matrix), matrix.schema, matrix.labels)
-    nn = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        nn[i] = knn_indices(std, i, 1)[0]
-    links: set[tuple[int, int]] = set()
-    for a in range(n):
-        b = int(nn[a])
-        if matrix.labels[a] != matrix.labels[b] and int(nn[b]) == a:
-            links.add((min(a, b), max(a, b)))
-    return links
+    nn = neighbor_table(_standardized(matrix), 1)[:, 0]
+    rows = np.arange(n)
+    linked = (nn[nn] == rows) & (matrix.labels != matrix.labels[nn]) & (rows < nn)
+    return set(zip(rows[linked].tolist(), nn[linked].tolist()))
 
 
 def enn_filter(matrix: FeatureMatrix, enn_k: int = 3) -> FeatureMatrix:
@@ -189,14 +247,9 @@ def enn_filter(matrix: FeatureMatrix, enn_k: int = 3) -> FeatureMatrix:
     n = matrix.n_rows
     if enn_k >= n:
         raise InsufficientRows(f"enn_k={enn_k} must be < row count {n}")
-    std = FeatureMatrix(_standardized(matrix), matrix.schema, matrix.labels)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        neighbors = knn_indices(std, i, enn_k)
-        opposite = int(np.sum(matrix.labels[neighbors] != matrix.labels[i]))
-        if opposite * 2 > enn_k:
-            keep[i] = False
-    return matrix.select(np.flatnonzero(keep))
+    neighbors = neighbor_table(_standardized(matrix), enn_k)
+    opposite = np.count_nonzero(matrix.labels[neighbors] != matrix.labels[:, None], axis=1)
+    return matrix.select(np.flatnonzero(opposite * 2 <= enn_k))
 
 
 def apply_strategy(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from botdetect.baselines import (
     load_baseline,
     save_baseline,
 )
+from botdetect.baselines.boost import fit_adaboost
+from botdetect.baselines.forest import fit_forest
 from botdetect.baselines.mlp import init_mlp_params, mlp_forward, mlp_grads, mlp_loss
 from botdetect.data import FeatureMatrix, Standardizer
 from botdetect.errors import DegenerateData, SchemaMismatch
@@ -234,3 +238,44 @@ def test_registry_calls_through_module_globals(monkeypatch, name, kind):
     monkeypatch.setattr(baselines, name, lambda *args: calls.append(1) or original(*args))
     baselines.fit(kind, _xor(seed=3, per_cluster=5), BaselineConfig(n_trees=2, n_stumps=2))
     assert calls == [1]
+
+
+def _pinned_fixture():
+    # Count columns with many tied values next to rounded Gaussian columns.
+    rng = np.random.Generator(np.random.PCG64(2024))
+    counts = rng.integers(0, 4, size=(240, 6)).astype(np.float64)
+    normal = np.round(rng.standard_normal((240, 4)), 1)
+    x = np.hstack([counts, normal])
+    y = ((x[:, 0] + x[:, 6] + rng.standard_normal(240) * 0.8) > 1.5).astype(np.float64)
+    return x, y
+
+
+def _params_digest(params):
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(name.encode("utf-8"))
+        digest.update(params[name].tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of the fitted arrays, captured before the split and stump searches
+# were vectorized; any change to a tree or stump changes them.
+@pytest.mark.parametrize("config,expected", [
+    (BaselineConfig(seed=5, n_trees=15),
+     "00a23652ffbc39bab2856f7318d19e0bb0a23a4d38583dfe89d2ab7a45c2aed5"),
+    (BaselineConfig(seed=5, n_trees=15, min_leaf=3, max_depth=6),
+     "7edc52ed5d23d6aeb40b4ca35e33a91c05eaa44e7164704127c0e820af9dda68"),
+])
+def test_forest_trees_pinned(config, expected):
+    x, y = _pinned_fixture()
+    assert _params_digest(fit_forest(x, y, config)) == expected
+
+
+def test_adaboost_stumps_pinned():
+    x, y = _pinned_fixture()
+    # Copies of features 6 and 0 tie with them in every round; the lower
+    # feature must win, so the copies change nothing.
+    params = fit_adaboost(np.hstack([x, x[:, [6, 0]]]), y, BaselineConfig(n_stumps=40))
+    assert params["stumps"].shape == (40, 4)
+    assert _params_digest(params) == (
+        "b0bdc371d37e2ce6b1a45335930802ee1dc23ab359d6f3924f10ac9ab0fbbed6")

@@ -152,6 +152,17 @@ def test_lstm_config_rules():
     RunConfig(task="tweet", model="lstm", manifest="m", embedding="e").validate()
 
 
+@pytest.mark.parametrize("name,value", [
+    ("max_len", 0), ("batch_size", 0), ("n_trees", 0), ("n_stumps", 0), ("embedding_dim", 0),
+    ("logreg_epochs", 0), ("smote_k", 0), ("enn_k", -1), ("epochs", -1), ("vocab_cap", -1),
+    ("target_ratio", 0.0), ("target_ratio", float("nan")),
+])
+def test_out_of_range_values_are_config_errors(name, value):
+    RunConfig(manifest="m", max_len=1, n_trees=1, epochs=0, vocab_cap=0).validate()
+    with pytest.raises(ConfigError, match=name):
+        RunConfig(manifest="m", **{name: value}).validate()
+
+
 def test_config_from_strings_types():
     config = from_strings(RunConfig, {
         "task": "tweet", "model": "lstm", "seed": "9", "train_fraction": "0.7",
@@ -267,17 +278,33 @@ def test_bench_row_with_bad_value_is_recorded(corpus, tmp_path):
 
 def _checkpoint_texts(corpus, tmp_path):
     """A contextual net checkpoint as `train` writes one (with its pipeline
-    meta), and a forest checkpoint; both as text."""
+    meta), a forest and an adaboost checkpoint; all as text, by name."""
     table = load_glove(corpus / "glove_25d.txt", 25)
     net = ContextualLstmModel.initialize(NetConfig.contextual(embedding_dim=25, seed=1))
     net.save(tmp_path / "net.txt", {"config_hash": "0" * 8, **TweetPipeline(table).meta()})
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.standard_normal((20, 10))
     matrix = FeatureMatrix(x, ACCOUNT_FEATURE_COLUMNS, (x[:, 0] > 0).astype(np.int8))
-    forest = baselines.fit("forest", matrix, BaselineConfig(n_trees=2))
-    baselines.save_baseline(forest, tmp_path / "forest.txt")
-    return ((tmp_path / "net.txt").read_text(encoding="utf-8"),
-            (tmp_path / "forest.txt").read_text(encoding="utf-8"))
+    for kind in ("forest", "adaboost"):
+        model = baselines.fit(kind, matrix, BaselineConfig(n_trees=2, n_stumps=3))
+        baselines.save_baseline(model, tmp_path / f"{kind}.txt")
+    return {name: (tmp_path / f"{name}.txt").read_text(encoding="utf-8")
+            for name in ("net", "forest", "adaboost")}
+
+
+def _without_tensors(text, prefix):
+    """The checkpoint text less every tensor whose name starts with prefix."""
+    lines = text.splitlines(keepends=True)
+    kept, i = [], 0
+    while i < len(lines):
+        parts = lines[i].split()
+        if parts[0] == "tensor" and parts[1].startswith(prefix):
+            i += 1 + (int(parts[3]) if parts[2] == "2" else 1)
+        else:
+            kept.append(lines[i])
+            i += 1
+    assert len(kept) < len(lines)
+    return "".join(kept)
 
 
 def _edit(text, old, new):
@@ -299,6 +326,16 @@ MALFORMED = {
     "missing_kind": (3, "eval", ("net", "meta kind = contextual_lstm\n", "")),
     "unknown_kind": (3, "eval", ("forest", "meta kind = forest", "meta kind = tree")),
     "inspect_forest": (3, "inspect", ("forest", "", "")),
+    "flag_max_len_0": (2, "train_flags", ["--max-len", "0"]),
+    "flag_batch_size_0": (2, "train_flags", ["--batch-size", "0"]),
+    "flag_n_trees_0": (2, "train_flags", ["--n-trees", "0"]),
+    # A new text of None drops every tensor whose name starts with the old.
+    "forest_no_standardizer_mean": (3, "eval", ("forest", "standardizer.mean", None)),
+    "forest_no_trees": (3, "eval", ("forest", "tree_", None)),
+    "adaboost_no_stumps": (3, "eval", ("adaboost", "stumps", None)),
+    "net_no_lstm_tensor": (3, "eval", ("net", "U_f", None)),
+    "net_no_dense_tensor": (3, "eval", ("net", "dense2.b", None)),
+    "net_no_aux_tensor": (3, "inspect", ("net", "aux.W", None)),
 }
 
 
@@ -316,10 +353,10 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         argv = ["train", "--task", "account", "--model", "mlp", "--manifest", manifest,
                 "--out", str(tmp_path / "r"), *spec]
     else:
-        net_text, forest_text = _checkpoint_texts(corpus, tmp_path)
         which, old, new = spec
-        text = net_text if which == "net" else forest_text
-        (tmp_path / "bad.txt").write_text(_edit(text, old, new), encoding="utf-8")
+        text = _checkpoint_texts(corpus, tmp_path)[which]
+        text = _without_tensors(text, old) if new is None else _edit(text, old, new)
+        (tmp_path / "bad.txt").write_text(text, encoding="utf-8")
         argv = [command, "--checkpoint", str(tmp_path / "bad.txt"), "--manifest", manifest,
                 "--embedding", embedding, "--out", str(tmp_path / "o")]
     src = os.path.dirname(os.path.dirname(botdetect.__file__))
@@ -332,7 +369,7 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
 
 
 def test_inspect_warns_on_pipeline_mismatch(corpus, tmp_path, capsys):
-    net_text, _ = _checkpoint_texts(corpus, tmp_path)
+    net_text = _checkpoint_texts(corpus, tmp_path)["net"]
     common = ["--manifest", str(corpus / "manifest.txt"),
               "--embedding", str(corpus / "glove_25d.txt"), "--out", str(tmp_path / "o")]
     good = tmp_path / "good.txt"

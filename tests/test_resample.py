@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from botdetect.data import FeatureMatrix, Label
+from botdetect import resample
 from botdetect.errors import DegenerateMinority, InsufficientRows
 from botdetect.resample import (
     ResampleConfig,
@@ -9,11 +10,18 @@ from botdetect.resample import (
     apply_strategy,
     enn_filter,
     knn_indices,
+    neighbor_table,
     smote,
     tomek_links,
 )
 
-from oracles import brute_enn_keep, brute_knn, brute_tomek, is_convex_combination
+from oracles import (
+    brute_enn_keep,
+    brute_knn,
+    brute_tomek,
+    is_convex_combination,
+    standardized_copy,
+)
 
 
 def _matrix(features, labels):
@@ -64,6 +72,64 @@ def test_knn_matches_brute_force():
         got = knn_indices(m, q, 5).tolist()
         want = brute_knn(m.features, q, 5, range(m.n_rows))
         assert got == want
+
+
+def _duplicate_heavy(seed, n, d, high):
+    """Small-integer rows, so many rows are exact duplicates and many
+    distances tie."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    features = rng.integers(0, high, size=(n, d)).astype(np.float64)
+    labels = rng.integers(0, 2, n).astype(np.int8)
+    labels[:6] = 1
+    labels[-6:] = 0
+    return FeatureMatrix(features, tuple(f"c{i}" for i in range(d)), labels)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("seed,n,d,high", [(1, 60, 1, 4), (2, 90, 3, 3), (3, 120, 10, 2),
+                                           (4, 80, 4, 10)])
+def test_neighbor_table_matches_brute_force(seed, n, d, high, k):
+    # Integer rows make every distance exact, whatever the summation order.
+    m = _duplicate_heavy(seed, n, d, high)
+    table = neighbor_table(m.features, k)
+    same = neighbor_table(m.features, k, m.labels)
+    assert table.shape == same.shape == (n, k)
+    for q in range(n):
+        assert table[q].tolist() == brute_knn(m.features, q, k, range(n))
+        peers = np.flatnonzero(m.labels == m.labels[q])
+        assert same[q].tolist() == brute_knn(m.features, q, k, peers)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("seed,n,d,high", [(2, 90, 3, 3), (3, 120, 10, 2)])
+def test_neighbor_table_matches_knn_indices_on_standardized_rows(seed, n, d, high, k):
+    # On z-scored rows a distance's last bit depends on the summation order,
+    # which the brute-force oracle does not share; every row must still
+    # equal the one-row search.
+    m = _duplicate_heavy(seed, n, d, high)
+    std = FeatureMatrix(standardized_copy(m), m.schema, m.labels)
+    table = neighbor_table(std.features, k)
+    same = neighbor_table(std.features, k, m.labels)
+    for q in range(n):
+        assert table[q].tolist() == knn_indices(std, q, k).tolist()
+        assert same[q].tolist() == knn_indices(std, q, k, same_class_only=True).tolist()
+
+
+def test_neighbor_table_blocks_agree_with_one_block(monkeypatch):
+    m = _duplicate_heavy(5, 150, 3, 3)
+    x = standardized_copy(m)
+    whole = neighbor_table(x, 4)
+    monkeypatch.setattr(resample, "_BLOCK_BYTES", 8 * 150 * 7)  # blocks of 7 rows
+    assert np.array_equal(neighbor_table(x, 4), whole)
+
+
+def test_neighbor_table_insufficient_rows():
+    m = _matrix([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 1])
+    assert neighbor_table(m.features, 3).tolist() == [[1, 2, 3], [0, 2, 3], [1, 3, 0], [2, 1, 0]]
+    with pytest.raises(InsufficientRows):
+        neighbor_table(m.features, 4)
+    with pytest.raises(InsufficientRows):
+        neighbor_table(m.features, 1, m.labels)  # the lone human has no peer
 
 
 # -- smote -----------------------------------------------------------------
