@@ -16,7 +16,7 @@ import numpy as np
 from ..config import from_strings, to_strings
 from ..data import FeatureMatrix, Standardizer
 from ..persist import save_model
-from .boost import ensemble_training_error, fit_adaboost, predict_adaboost
+from .boost import fit_adaboost, predict_adaboost
 from .common import (
     BaselineConfig,
     BaselineKind,
@@ -33,7 +33,6 @@ __all__ = [
     "BaselineConfig",
     "BaselineKind",
     "BaselineModel",
-    "ensemble_training_error",
     "fit",
     "load_baseline",
     "predict_proba",

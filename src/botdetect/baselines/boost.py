@@ -106,14 +106,3 @@ def adaboost_margin(params: dict, x: np.ndarray) -> np.ndarray:
 def predict_adaboost(params: dict, x: np.ndarray) -> np.ndarray:
     return sigmoid(adaboost_margin(params, x))
 
-
-def ensemble_training_error(params: dict, x: np.ndarray, y: np.ndarray) -> list[float]:
-    """0-1 training error after each successive stump (diagnostic)."""
-    margins = np.zeros(x.shape[0])
-    errors = []
-    for feature, threshold, polarity, alpha in params["stumps"]:
-        votes = 2.0 * _stump_predict(x, feature, threshold, polarity) - 1.0
-        margins += alpha * votes
-        predicted = (margins >= 0.0).astype(np.float64)
-        errors.append(float(np.mean(predicted != y)))
-    return errors

@@ -172,20 +172,18 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _account_matrix(accounts) -> FeatureMatrix:
-    if not accounts:
-        raise DegenerateData("corpus contains no accounts")
-    rows = np.vstack([encode_account(a.features) for a in accounts])
-    labels = np.array([a.label for a in accounts], dtype=np.int8)
-    return FeatureMatrix(rows, ACCOUNT_FEATURE_COLUMNS, labels)
-
-
-def _tweet_meta_matrix(tweets) -> FeatureMatrix:
-    if not tweets:
-        raise DegenerateData("corpus contains no tweets")
-    rows = np.vstack([encode_tweet_metadata(t.metadata) for t in tweets])
-    labels = np.array([t.label for t in tweets], dtype=np.int8)
-    return FeatureMatrix(rows, TWEET_METADATA_COLUMNS, labels)
+def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
+    """A baseline's input: the account features, or the tweet metadata."""
+    if on_accounts:
+        records, schema = accounts, ACCOUNT_FEATURE_COLUMNS
+        rows = [encode_account(r.features) for r in records]
+    else:
+        records, schema = tweets, TWEET_METADATA_COLUMNS
+        rows = [encode_tweet_metadata(r.metadata) for r in records]
+    if not records:
+        raise DegenerateData(f"corpus contains no {'accounts' if on_accounts else 'tweets'}")
+    labels = np.array([r.label for r in records], dtype=np.int8)
+    return FeatureMatrix(np.vstack(rows), schema, labels)
 
 
 def _baseline_config(config: RunConfig) -> BaselineConfig:
@@ -273,14 +271,13 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         fit_idx, val_idx = train_idx[sub_fit], train_idx[sub_val]
 
     epochs = config.epochs if config.epochs > 0 else 30
-    common = dict(
+    net_config = NET_CONFIGS[config.model](
         embedding_dim=table.dimension,
         learning_rate=config.learning_rate,
         batch_size=config.batch_size,
         epochs=epochs,
         seed=config.seed,
     )
-    net_config = NET_CONFIGS[config.model](**common)
     model, trace = train_net(
         net_config,
         [dataset[i] for i in fit_idx],
@@ -291,7 +288,6 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
     scores = model.predict_proba(test_sequences, metadata[test_idx])
     report = evaluate(scores, labels[test_idx], config.threshold, config.echo())
 
-    trace.config_echo = config.echo()
     _write_lines(
         os.path.join(run_dir, "trace.csv"),
         [f"# config_hash = {con_hash}"] + trace.to_csv_lines(),
@@ -312,11 +308,8 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
 
     if config.model in NET_CONFIGS:
         report, checkpoint = _run_net_experiment(config, tweets, run_dir, con_hash)
-    elif config.task == "account":
-        matrix = _account_matrix(accounts)
-        report, checkpoint = _run_baseline_experiment(config, matrix, run_dir, con_hash)
     else:
-        matrix = _tweet_meta_matrix(tweets)
+        matrix = _baseline_matrix(config.task == "account", accounts, tweets)
         report, checkpoint = _run_baseline_experiment(config, matrix, run_dir, con_hash)
 
     report_kv = os.path.join(run_dir, "report.kv")
@@ -383,10 +376,8 @@ def benchmark_suite(bench_path, out_dir) -> list[dict[str, str]]:
                 auc=f"{rep.auc:.4f}", status="ok", error="",
             )
         except (BotDetectError, OSError) as exc:
-            row.setdefault("task", merged.get("task", ""))
-            row.setdefault("model", merged.get("model", ""))
-            row.setdefault("resample", merged.get("resample", ""))
-            row.setdefault("embedding_dim", merged.get("embedding_dim", ""))
+            for key in ("task", "model", "resample", "embedding_dim"):
+                row.setdefault(key, merged.get(key, ""))
             message = str(exc).replace(",", ";").replace("\n", " ")
             row.update(
                 precision="", recall="", f1="", accuracy="", auc="",
@@ -430,7 +421,8 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticCorpusSpec(
+    spec = from_strings(
+        SyntheticCorpusSpec, {},
         n_accounts_per_class=args.accounts,
         tweets_per_account=args.tweets_per_account,
         seed=args.seed,
@@ -467,7 +459,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_resample(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         matrix = matrix_from_csv_lines(fh)
-    config = ResampleConfig(
+    config = from_strings(
+        ResampleConfig, {},
         strategy=Strategy(args.strategy),
         smote_k=args.smote_k,
         enn_k=args.enn_k,
@@ -512,6 +505,8 @@ def _load_net(path, meta, arrays, embedding):
 
 
 def _cmd_eval(args) -> int:
+    if not 0.0 < args.threshold < 1.0:
+        raise ConfigError("threshold must lie in (0, 1)")
     meta, arrays = load_model(args.checkpoint)
     kind = meta["kind"]
     manifest = parse_manifest(args.manifest)
@@ -528,10 +523,7 @@ def _cmd_eval(args) -> int:
                           args.threshold)
     elif kind in {k.value for k in baselines.REGISTRY}:
         model = baselines.load_baseline(meta, arrays)
-        if model.schema == ACCOUNT_FEATURE_COLUMNS:
-            matrix = _account_matrix(accounts)
-        else:
-            matrix = _tweet_meta_matrix(tweets)
+        matrix = _baseline_matrix(model.schema == ACCOUNT_FEATURE_COLUMNS, accounts, tweets)
         scores = baselines.predict_proba(model, matrix)
         report = evaluate(scores, matrix.labels, args.threshold)
     else:

@@ -117,28 +117,12 @@ def encode_account(features: AccountFeatures) -> np.ndarray:
     )
 
 
-def decode_account(vector: np.ndarray) -> AccountFeatures:
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (len(ACCOUNT_FEATURE_COLUMNS),):
-        raise ValueError(f"expected width-10 vector, got shape {vector.shape}")
-    counts = [int(v) for v in vector[:5]]
-    flags = [bool(v != 0.0) for v in vector[5:]]
-    return AccountFeatures(*counts, *flags)
-
-
 def encode_tweet_metadata(metadata: TweetMetadata) -> np.ndarray:
     """Encode tweet metadata as a width-6 vector in frozen column order."""
     return np.array(
         [float(getattr(metadata, name)) for name in TWEET_METADATA_COLUMNS],
         dtype=np.float64,
     )
-
-
-def decode_tweet_metadata(vector: np.ndarray) -> TweetMetadata:
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (len(TWEET_METADATA_COLUMNS),):
-        raise ValueError(f"expected width-6 vector, got shape {vector.shape}")
-    return TweetMetadata(*(int(v) for v in vector))
 
 
 @dataclass(frozen=True)

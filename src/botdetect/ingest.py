@@ -182,23 +182,39 @@ def _check_bad_rows(path, skipped: int, total: int) -> None:
         )
 
 
+def _cell(row: list[str], index: int | None) -> str:
+    if index is None or index >= len(row):
+        return ""
+    return row[index]
+
+
+def _read_header(reader, path, mandatory) -> dict[str, int]:
+    """Column name -> index, from a header row that names every mandatory column."""
+    header = next(reader, None)
+    if header is None:
+        raise HeaderMismatch(f"{path}: file has no header row")
+    columns = {name.strip(): i for i, name in enumerate(header)}
+    missing = [c for c in mandatory if c not in columns]
+    if missing:
+        raise HeaderMismatch(f"{path}: missing mandatory columns {missing}")
+    return columns
+
+
+def _data_rows(reader, id_col: int | None, group: ManifestGroup):
+    """(account id, row) for each non-empty row; a row whose id cell is
+    absent or empty gets `<group>:<row index>`."""
+    for row_idx, row in enumerate(reader):
+        if row:
+            yield _cell(row, id_col).strip() or f"{group.name}:{row_idx}", row
+
+
 def _load_users(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[AccountRecord]:
     with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch(f"{path}: file has no header row")
-        columns = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in ACCOUNT_FEATURE_COLUMNS if c not in columns]
-        if missing:
-            raise HeaderMismatch(f"{path}: missing mandatory columns {missing}")
-        id_col = columns.get("id")
+        columns = _read_header(reader, path, ACCOUNT_FEATURE_COLUMNS)
         accounts = []
         total = 0
-        for row_idx, row in enumerate(reader):
-            if not row:
-                continue
+        for account_id, row in _data_rows(reader, columns.get("id"), group):
             total += 1
             values: dict[str, int | bool] = {}
             ok = True
@@ -218,9 +234,6 @@ def _load_users(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[Acco
             if not ok:
                 diag.accounts_skipped += 1
                 continue
-            account_id = (
-                _cell(row, id_col).strip() if id_col is not None else f"{group.name}:{row_idx}"
-            ) or f"{group.name}:{row_idx}"
             accounts.append(
                 AccountRecord(
                     account_id=account_id,
@@ -231,12 +244,6 @@ def _load_users(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[Acco
         _check_bad_rows(path, diag.accounts_skipped, total)
     diag.accounts_loaded = len(accounts)
     return accounts
-
-
-def _cell(row: list[str], index: int | None) -> str:
-    if index is None or index >= len(row):
-        return ""
-    return row[index]
 
 
 def _fallback_entity_counts(text: str) -> tuple[int, int, int]:
@@ -255,13 +262,7 @@ def _fallback_entity_counts(text: str) -> tuple[int, int, int]:
 def _load_tweets(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[TweetRecord]:
     with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch(f"{path}: file has no header row")
-        columns = {name.strip(): i for i, name in enumerate(header)}
-        if "text" not in columns:
-            raise HeaderMismatch(f"{path}: missing mandatory column 'text'")
+        columns = _read_header(reader, path, ("text",))
         entity_cols = ("num_hashtags", "num_urls", "num_mentions")
         fallback = [c for c in entity_cols if c not in columns]
         if fallback:
@@ -271,12 +272,9 @@ def _load_tweets(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[Twe
         for col in TWEET_METADATA_COLUMNS:
             if col not in columns and col not in fallback:
                 diag.notes.append(f"column {col} absent; filled with 0")
-        user_col = columns.get("user_id")
         tweets = []
         total = 0
-        for row_idx, row in enumerate(reader):
-            if not row:
-                continue
+        for account_id, row in _data_rows(reader, columns.get("user_id"), group):
             total += 1
             text = _cell(row, columns["text"])
             counts: dict[str, int] = {}
@@ -300,9 +298,6 @@ def _load_tweets(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[Twe
                 recovered = {"num_hashtags": h, "num_urls": u, "num_mentions": m}
                 for col in fallback:
                     counts[col] = recovered[col]
-            account_id = (
-                _cell(row, user_col).strip() if user_col is not None else f"{group.name}:{row_idx}"
-            ) or f"{group.name}:{row_idx}"
             tweets.append(
                 TweetRecord(
                     text=text,

@@ -264,7 +264,6 @@ class TrainingTrace:
     loss_weights: tuple[float, float]
     steps: list[tuple[int, int, float, float, float]] = field(default_factory=list)
     epochs: list[EpochRecord] = field(default_factory=list)
-    config_echo: dict[str, str] = field(default_factory=dict)
 
     def to_csv_lines(self) -> list[str]:
         lines = ["record,epoch,step,main_loss,aux_loss,total_loss,val_accuracy,val_auc"]
@@ -335,7 +334,6 @@ def train(
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = len(corpus)
-    w_main, w_aux = config.loss_weights
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_main, epoch_aux, epoch_total, seen = 0.0, 0.0, 0.0, 0
@@ -344,9 +342,7 @@ def train(
             xb, lb, yb = x_all[idx], lengths_all[idx], targets[idx]
             mb = meta_all[idx] if config.use_metadata else None
             main, aux, _, cache = model.forward_batch(xb, lb, mb, keep_cache=True)
-            main_loss = bce(main, yb)
-            aux_loss = bce(aux, yb) if aux is not None else 0.0
-            total = w_main * main_loss + w_aux * aux_loss
+            total, main_loss, aux_loss = blended_loss(main, aux, yb, config.loss_weights)
             grads = model.backward_batch(cache, main, aux, yb)
             optimizer.step(grads)
             trace.steps.append((epoch, step, main_loss, aux_loss, total))

@@ -17,6 +17,16 @@ def standardized_copy(matrix: FeatureMatrix) -> np.ndarray:
 
 
 def brute_knn(features: np.ndarray, query: int, k: int, candidates) -> list[int]:
+    """The k candidates nearest to row `query` (itself excluded) by squared
+    Euclidean distance, ties to the lower index.
+
+    Sum-order contract: the squared differences are summed left to right.
+    numpy's `np.sum`, which `resample` uses, sums pairwise in blocks of 8,
+    so from 8 columns on the two sums can differ in the last bit and order
+    near-ties differently. Compare against this oracle on integer features,
+    where both sums are exact; on real-valued rows such as z-scored ones,
+    use `resample.knn_indices` as the reference instead.
+    """
     scored = []
     for j in candidates:
         if j == query:

@@ -254,6 +254,8 @@ def test_criterion_7_account_level_desk_benchmark():
                 )
                 model = baselines.fit(kind, balanced, config)
                 resampled.append(_bot_recall(model, test_matrix))
+            print(f"  {kind.value:8s} bot recall plain {np.mean(plain):.4f} "
+                  f"smotenn {np.mean(resampled):.4f}")
             gains[kind.value] = float(np.mean(resampled) - np.mean(plain))
         elapsed = time.monotonic() - started
         summary = " ".join(f"{k}:{v:+.3f}" for k, v in gains.items())

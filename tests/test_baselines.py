@@ -8,11 +8,10 @@ from botdetect.baselines import (
     BaselineConfig,
     BaselineKind,
     BaselineModel,
-    ensemble_training_error,
     load_baseline,
     save_baseline,
 )
-from botdetect.baselines.boost import fit_adaboost
+from botdetect.baselines.boost import adaboost_margin, fit_adaboost
 from botdetect.baselines.forest import fit_forest
 from botdetect.baselines.mlp import init_mlp_params, mlp_forward, mlp_grads, mlp_loss
 from botdetect.data import FeatureMatrix, Standardizer
@@ -148,9 +147,12 @@ def test_adaboost_training_error_non_increasing_on_pinned_fixture():
     stumps = model.params["stumps"]
     assert stumps.shape[0] == 10
     assert np.all(stumps[:, 3] > 0.0)  # alpha > 0 <=> weighted error < 0.5
-    errors = ensemble_training_error(
-        model.params, model.standardizer.transform(x), y.astype(np.float64)
-    )
+    # 0-1 training error of each prefix of the ensemble.
+    xs = model.standardizer.transform(x)
+    errors = [
+        float(np.mean((adaboost_margin({"stumps": stumps[:k]}, xs) >= 0.0) != y))
+        for k in range(1, len(stumps) + 1)
+    ]
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < errors[0]
 

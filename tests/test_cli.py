@@ -336,6 +336,17 @@ MALFORMED = {
     "net_no_lstm_tensor": (3, "eval", ("net", "U_f", None)),
     "net_no_dense_tensor": (3, "eval", ("net", "dense2.b", None)),
     "net_no_aux_tensor": (3, "inspect", ("net", "aux.W", None)),
+    # Extra argv after a checkpoint edit is appended to the command.
+    "eval_threshold_7": (2, "eval", ("forest", "", "", "--threshold", "7")),
+    # Any other argv runs as given; {tmp} is the test's directory, which
+    # holds a valid feature-matrix CSV at {tmp}/m.csv.
+    "synth_separation_2": (2, "cli", ["synth", "--out", "{tmp}/c", "--separation", "2"]),
+    "synth_accounts_0": (2, "cli", ["synth", "--out", "{tmp}/c", "--accounts", "0"]),
+    "resample_smote_k_0": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
+                                      "{tmp}/o.csv", "--strategy", "smote", "--smote-k", "0"]),
+    "resample_target_ratio_0": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
+                                           "{tmp}/o.csv", "--strategy", "smote",
+                                           "--target-ratio", "0"]),
 }
 
 
@@ -352,13 +363,19 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     elif command == "train_flags":
         argv = ["train", "--task", "account", "--model", "mlp", "--manifest", manifest,
                 "--out", str(tmp_path / "r"), *spec]
+    elif command == "cli":
+        rng = np.random.Generator(np.random.PCG64(0))
+        matrix = FeatureMatrix(rng.standard_normal((20, 3)), ("a", "b", "c"), [0] * 14 + [1] * 6)
+        (tmp_path / "m.csv").write_text("\n".join(matrix_to_csv_lines(matrix)) + "\n",
+                                        encoding="utf-8")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in spec]
     else:
-        which, old, new = spec
+        which, old, new, *extra = spec
         text = _checkpoint_texts(corpus, tmp_path)[which]
         text = _without_tensors(text, old) if new is None else _edit(text, old, new)
         (tmp_path / "bad.txt").write_text(text, encoding="utf-8")
         argv = [command, "--checkpoint", str(tmp_path / "bad.txt"), "--manifest", manifest,
-                "--embedding", embedding, "--out", str(tmp_path / "o")]
+                "--embedding", embedding, "--out", str(tmp_path / "o"), *extra]
     src = os.path.dirname(os.path.dirname(botdetect.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "botdetect.cli", *argv],

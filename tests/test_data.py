@@ -12,8 +12,6 @@ from botdetect.data import (
     SplitSpec,
     Standardizer,
     TweetMetadata,
-    decode_account,
-    decode_tweet_metadata,
     encode_account,
     encode_tweet_metadata,
     matrix_from_csv_lines,
@@ -57,13 +55,21 @@ def test_encode_metadata_examples():
 @given(account_strategy)
 @settings(max_examples=100, deadline=None)
 def test_account_round_trip(account):
-    assert decode_account(encode_account(account)) == account
+    # Each field sits at its frozen column's index, exactly: counts up to 1e9
+    # and the 0/1 flags are exact in float64.
+    vector = encode_account(account)
+    assert vector.shape == (len(ACCOUNT_FEATURE_COLUMNS),)
+    values = {name: int(v) for name, v in zip(ACCOUNT_FEATURE_COLUMNS, vector.tolist())}
+    assert AccountFeatures(**values) == account
 
 
 @given(metadata_strategy)
 @settings(max_examples=100, deadline=None)
 def test_metadata_round_trip(metadata):
-    assert decode_tweet_metadata(encode_tweet_metadata(metadata)) == metadata
+    vector = encode_tweet_metadata(metadata)
+    assert vector.shape == (len(TWEET_METADATA_COLUMNS),)
+    values = {name: int(v) for name, v in zip(TWEET_METADATA_COLUMNS, vector.tolist())}
+    assert TweetMetadata(**values) == metadata
 
 
 def test_account_validation():

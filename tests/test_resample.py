@@ -87,9 +87,10 @@ def _duplicate_heavy(seed, n, d, high):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("seed,n,d,high", [(1, 60, 1, 4), (2, 90, 3, 3), (3, 120, 10, 2),
-                                           (4, 80, 4, 10)])
+                                           (4, 80, 4, 10), (5, 100, 8, 7), (6, 70, 16, 40)])
 def test_neighbor_table_matches_brute_force(seed, n, d, high, k):
-    # Integer rows make every distance exact, whatever the summation order.
+    # Integer rows make every distance exact, whatever the summation order,
+    # so the oracle's left-to-right sum holds at 8 columns and more too.
     m = _duplicate_heavy(seed, n, d, high)
     table = neighbor_table(m.features, k)
     same = neighbor_table(m.features, k, m.labels)
