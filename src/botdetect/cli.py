@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -31,7 +32,6 @@ from .data import (
     ACCOUNT_FEATURE_COLUMNS,
     TWEET_METADATA_COLUMNS,
     FeatureMatrix,
-    Label,
     SplitSpec,
     encode_account,
     encode_tweet_metadata,
@@ -140,8 +140,14 @@ class RunConfig:
                             ("smote_k", 1), ("enn_k", 1), ("epochs", 0), ("vocab_cap", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not self.target_ratio > 0.0:
-            raise ConfigError(f"target_ratio must be positive, got {self.target_ratio}")
+        if not 0.0 < self.target_ratio < math.inf:
+            raise ConfigError(f"target_ratio must be positive and finite, got {self.target_ratio}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not self.mlp_layers or min(self.mlp_layers) < 1 or self.mlp_layers[-1] != 1:
+            raise ConfigError("mlp_layers widths must be >= 1 and end in 1, "
+                              f"got {','.join(map(str, self.mlp_layers))}")
         if not self.manifest:
             raise ConfigError("a corpus manifest is required")
 
@@ -259,10 +265,10 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
     table = load_glove(config.embedding, config.embedding_dim, restrict_to=restrict)
     pipeline = TweetPipeline(table, config.max_len, config.truncation, config.repeat_tag)
 
-    sequences, metadata = pipeline.tensors(tweets)
-    dataset = [
-        (sequences[i], metadata[i], Label(int(labels[i]))) for i in range(len(tweets))
-    ]
+    ids, lengths, metadata = pipeline.tensors(tweets)
+
+    def rows(idx):
+        return ids[idx], lengths[idx], metadata[idx], labels[idx]
 
     fit_idx, val_idx = train_idx, np.array([], dtype=np.int64)
     if config.val_fraction > 0.0:
@@ -278,14 +284,11 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         epochs=epochs,
         seed=config.seed,
     )
-    model, trace = train_net(
-        net_config,
-        [dataset[i] for i in fit_idx],
-        validation=[dataset[i] for i in val_idx] if val_idx.size else None,
-    )
+    model, trace = train_net(net_config, table.matrix, rows(fit_idx),
+                             validation=rows(val_idx) if val_idx.size else None)
 
-    test_sequences = [sequences[i] for i in test_idx]
-    scores = model.predict_proba(test_sequences, metadata[test_idx])
+    scores = model.predict_proba(table.matrix, ids[test_idx], lengths[test_idx],
+                                 metadata[test_idx])
     report = evaluate(scores, labels[test_idx], config.threshold, config.echo())
 
     _write_lines(
@@ -337,9 +340,10 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
 # -- bench -----------------------------------------------------------------
 
 
-def benchmark_suite(bench_path, out_dir) -> list[dict[str, str]]:
+def benchmark_suite(bench_path, out_dir) -> list[dict]:
     """Run every row of a bench config; rows keep file order, failures are
-    recorded and do not stop the suite."""
+    recorded (with the exit code `main` would give them) and do not stop the
+    suite."""
     with open(bench_path, encoding="utf-8") as fh:
         entries = parse_kv_lines(fh)
     defaults: dict[str, str] = {}
@@ -382,6 +386,8 @@ def benchmark_suite(bench_path, out_dir) -> list[dict[str, str]]:
             row.update(
                 precision="", recall="", f1="", accuracy="", auc="",
                 status="error", error=message,
+                exit_code=exc.exit_code if isinstance(exc, BotDetectError)
+                else DataError.exit_code,
             )
         results.append(row)
 
@@ -517,8 +523,7 @@ def _cmd_eval(args) -> int:
         if not tweets:
             raise DegenerateData("corpus contains no tweets")
         model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
-        sequences, metadata = pipeline.tensors(tweets)
-        scores = model.predict_proba(sequences, metadata)
+        scores = model.predict_proba(pipeline.table.matrix, *pipeline.tensors(tweets))
         report = evaluate(scores, np.array([t.label for t in tweets], dtype=np.int8),
                           args.threshold)
     elif kind in {k.value for k in baselines.REGISTRY}:
@@ -573,7 +578,7 @@ def _cmd_bench(args) -> int:
     results = benchmark_suite(args.config, args.out)
     failures = [r for r in results if r["status"] != "ok"]
     print(f"bench: {len(results)} rows, {len(failures)} failed; outputs in {args.out}")
-    return 0
+    return failures[0]["exit_code"] if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,11 +1,13 @@
-"""Pre-trained word-vector loading, sequence embedding, and the tweet
+"""Pre-trained word-vector loading, token-id encoding, and the tweet
 pipeline.
 
 Vector files use the GloVe text format: one token followed by its components
-per line, no header. Embeddings are frozen; they are never trained here.
-`TweetPipeline` is the one path from a tweet to model input (tokenize, then
-embed, then encode the metadata); checkpoints record its settings and
-fingerprint, and `eval` and `inspect` rebuild it from them.
+per line, no header. Embeddings are frozen; they are never trained here, so
+a tweet is carried as row ids into the table's matrix and its vectors are
+gathered only where a batch enters the LSTM. `TweetPipeline` is the one path
+from a tweet to model input (tokenize, then map tokens to row ids, then
+encode the metadata); checkpoints record its settings and fingerprint, and
+`eval` and `inspect` rebuild it from them.
 """
 
 from __future__ import annotations
@@ -31,28 +33,35 @@ DEFAULT_MAX_LEN = 30
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    dimension: int
+    """Frozen word vectors as one (V + 2, d) matrix: the V vocabulary rows,
+    then the unknown-token row (their mean), then the all-zero pad row. A
+    tweet travels as row ids into it."""
+
     vocabulary: dict[str, int]
-    vectors: np.ndarray
-    unknown_vector: np.ndarray
-    pad_vector: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.pad_id + 1:
+            raise ValueError("matrix shape does not match vocabulary")
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.vectors.shape != (len(self.vocabulary), self.dimension):
-            raise ValueError("vectors shape does not match vocabulary")
-        if not np.all(np.isfinite(self.vectors)):
+        if not np.all(np.isfinite(self.matrix)):
             raise ValueError("vectors contain non-finite entries")
-        if np.any(self.pad_vector != 0.0):
+        if np.any(self.matrix[self.pad_id] != 0.0):
             raise ValueError("pad vector must be exactly zero")
-        self.vectors.setflags(write=False)
+        self.matrix.setflags(write=False)
 
-    def lookup(self, token: str) -> np.ndarray:
-        idx = self.vocabulary.get(token)
-        if idx is None:
-            return self.unknown_vector
-        return self.vectors[idx]
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def unknown_id(self) -> int:
+        return len(self.vocabulary)
+
+    @property
+    def pad_id(self) -> int:
+        return len(self.vocabulary) + 1
 
     def content_hash(self) -> str:
         """Deterministic fingerprint of dimension, vocabulary, and values."""
@@ -61,43 +70,16 @@ class EmbeddingTable:
         for token, idx in sorted(self.vocabulary.items()):
             h.update(token.encode("utf-8"))
             h.update(str(idx).encode())
-        h.update(np.ascontiguousarray(self.vectors).tobytes())
+        h.update(self.matrix[: self.unknown_id].tobytes())
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class EmbeddedSequence:
-    """A max_len x d matrix; rows at and beyond true_length are padding."""
-
-    matrix: np.ndarray
-    true_length: int
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2:
-            raise ValueError("embedded matrix must be 2-d")
-        if not 0 <= self.true_length <= self.matrix.shape[0]:
-            raise ValueError("true_length out of range")
-        self.matrix.setflags(write=False)
-
-
-def _build_table(tokens: list[str], rows: list[np.ndarray], dimension: int) -> EmbeddingTable:
-    vocabulary = {tok: i for i, tok in enumerate(tokens)}
-    if rows:
-        vectors = np.vstack(rows).astype(np.float64)
-        unknown = vectors.mean(axis=0)
-    else:
-        vectors = np.zeros((0, dimension), dtype=np.float64)
-        unknown = np.zeros(dimension, dtype=np.float64)
-    unknown.setflags(write=False)
-    pad = np.zeros(dimension, dtype=np.float64)
-    pad.setflags(write=False)
-    return EmbeddingTable(
-        dimension=dimension,
-        vocabulary=vocabulary,
-        vectors=vectors,
-        unknown_vector=unknown,
-        pad_vector=pad,
-    )
+def _build_table(tokens: list[str], rows, dimension: int) -> EmbeddingTable:
+    matrix = np.zeros((len(tokens) + 2, dimension), dtype=np.float64)
+    if tokens:
+        matrix[: len(tokens)] = rows
+        matrix[len(tokens)] = matrix[: len(tokens)].mean(axis=0)
+    return EmbeddingTable(vocabulary={tok: i for i, tok in enumerate(tokens)}, matrix=matrix)
 
 
 def load_glove(
@@ -158,18 +140,17 @@ def embed(
     table: EmbeddingTable,
     max_len: int = DEFAULT_MAX_LEN,
     truncation: str = "tail",
-) -> EmbeddedSequence:
-    """Map tokens to a fixed-length padded matrix of vectors.
+) -> np.ndarray:
+    """Map tokens to a fixed-length row of `table.matrix` ids.
 
-    Out-of-vocabulary tokens map to the table's unknown vector. Sequences
-    longer than max_len are cut by `truncate`; shorter sequences are
-    zero-padded at the end.
+    Out-of-vocabulary tokens map to the unknown row. Sequences longer than
+    max_len are cut by `truncate`; shorter ones are padded at the end with
+    the pad row, so the ids before the first pad are the tokens read.
     """
     kept = truncate(tokens, max_len, truncation)
-    matrix = np.zeros((max_len, table.dimension), dtype=np.float64)
-    for i, tok in enumerate(kept):
-        matrix[i] = table.lookup(tok)
-    return EmbeddedSequence(matrix=matrix, true_length=len(kept))
+    ids = np.full(max_len, table.pad_id, dtype=np.int32)
+    ids[: len(kept)] = [table.vocabulary.get(tok, table.unknown_id) for tok in kept]
+    return ids
 
 
 def most_frequent_tokens(sequences: Iterable[list[str]], n: int) -> set[str]:
@@ -186,7 +167,7 @@ def fixture_table(tokens: Iterable[str], dimension: int, seed: int) -> Embedding
     ordered = sorted(set(tokens))
     rng = np.random.Generator(np.random.PCG64(seed))
     vectors = rng.standard_normal((len(ordered), dimension)) / np.sqrt(dimension)
-    return _build_table(ordered, [v for v in vectors], dimension)
+    return _build_table(ordered, vectors, dimension)
 
 
 def write_glove_file(table: EmbeddingTable, path) -> None:
@@ -194,7 +175,7 @@ def write_glove_file(table: EmbeddingTable, path) -> None:
     by_index = sorted(table.vocabulary.items(), key=lambda kv: kv[1])
     with open(path, "w", encoding="utf-8") as fh:
         for token, idx in by_index:
-            comps = " ".join(repr(float(v)) for v in table.vectors[idx])
+            comps = " ".join(repr(float(v)) for v in table.matrix[idx])
             fh.write(f"{token} {comps}\n")
 
 
@@ -215,17 +196,22 @@ class TweetPipeline:
     def __post_init__(self):
         truncate((), self.max_len, self.truncation)  # rejects bad settings
 
-    def embed_tweet(self, tweet: TweetRecord) -> tuple[tuple[str, ...], EmbeddedSequence]:
-        """The tokens the model reads, after truncation, and their embedding."""
+    def embed_tweet(self, tweet: TweetRecord) -> tuple[tuple[str, ...], np.ndarray]:
+        """The tokens the model reads, after truncation, and their row ids."""
         kept = truncate(tokenize(tweet.text, repeat_tag=self.repeat_tag),
                         self.max_len, self.truncation)
         return tuple(kept), embed(kept, self.table, self.max_len, self.truncation)
 
-    def tensors(self, tweets: list[TweetRecord]) -> tuple[list[EmbeddedSequence], np.ndarray]:
-        """Embedded sequences and raw (B, 6) metadata for a list of tweets."""
-        sequences = [self.embed_tweet(tweet)[1] for tweet in tweets]
+    def tensors(self, tweets: list[TweetRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(N, max_len) int32 row ids, (N,) true lengths and raw (N, 6)
+        metadata for a list of tweets."""
+        ids = np.empty((len(tweets), self.max_len), dtype=np.int32)
+        lengths = np.empty(len(tweets), dtype=np.int64)
+        for i, tweet in enumerate(tweets):
+            tokens, ids[i] = self.embed_tweet(tweet)
+            lengths[i] = len(tokens)
         metadata = np.vstack([encode_tweet_metadata(tweet.metadata) for tweet in tweets])
-        return sequences, metadata
+        return ids, lengths, metadata
 
     def fingerprint(self) -> str:
         """Hash of the embedding table and the tokenizer/embedding settings."""

@@ -61,8 +61,9 @@ def trace_tweet(
 
     A tweet with zero tokens returns an empty trace flagged as such.
     """
-    tokens, sequence = pipeline.embed_tweet(tweet)
-    _, _, hidden = model.forward(sequence, encode_tweet_metadata(tweet.metadata))
+    tokens, ids = pipeline.embed_tweet(tweet)
+    _, _, hidden = model.forward(pipeline.table.matrix, ids, len(tokens),
+                                 encode_tweet_metadata(tweet.metadata))
     return ActivationTrace(matrix=hidden, tokens=tokens, empty=not tokens)
 
 
@@ -93,10 +94,9 @@ def unit_distributions(
     labels = np.array([tweet.label for tweet in tweets])
     if not np.any(labels == Label.HUMAN) or not np.any(labels == Label.BOT):
         raise SingleClass("unit distributions need tweets from both classes")
-    sequences, metadata = pipeline.tensors(tweets)
-    x, lengths = stack_sequences(sequences)
+    ids, lengths, metadata = pipeline.tensors(tweets)
     # all_h repeats each tweet's last state to the end; an empty tweet's stays 0.
-    _, _, all_h, _ = model.forward_batch(x, lengths, model.standardize_metadata(metadata))
+    _, _, all_h = model.forward_ids(pipeline.table.matrix, ids, lengths, metadata)
     finals = all_h[:, -1, :]
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
@@ -127,10 +127,12 @@ def unit_distributions(
     )
 
 
-def cell_states(model: ContextualLstmModel, sequence) -> np.ndarray:
-    """Cell-state values c_t per real timestep (unbounded, unlike outputs)."""
-    lengths = np.array([sequence.true_length])
-    cache = lstm_forward(model.params, sequence.matrix[None], lengths, keep_cache=True)[2]
+def cell_states(model: ContextualLstmModel, matrix: np.ndarray, ids: np.ndarray,
+                length: int) -> np.ndarray:
+    """Cell-state values c_t per real timestep (unbounded, unlike outputs) of
+    one tweet's (max_len,) row ids into the embedding matrix."""
+    x = stack_sequences(matrix, ids[None])
+    cache = lstm_forward(model.params, x, np.array([length]), keep_cache=True)[2]
     return np.stack(cache["c"])[1:, 0, :]
 
 
@@ -152,8 +154,8 @@ def trace_csv_lines(trace: ActivationTrace) -> list[str]:
 def cell_trace_csv_lines(
     model: ContextualLstmModel, pipeline: TweetPipeline, tweet: TweetRecord
 ) -> list[str]:
-    tokens, sequence = pipeline.embed_tweet(tweet)
-    return _heatmap_lines(cell_states(model, sequence), tokens)
+    tokens, ids = pipeline.embed_tweet(tweet)
+    return _heatmap_lines(cell_states(model, pipeline.table.matrix, ids, len(tokens)), tokens)
 
 
 def distribution_csv_lines(report: UnitDistributionReport) -> list[str]:

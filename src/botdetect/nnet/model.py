@@ -1,6 +1,7 @@
 """The contextual tweet classifier and its tweet-only variant.
 
-Tweet text is embedded, run through a 32-unit LSTM, and the final state is
+A tweet arrives as row ids into the frozen embedding matrix; its vectors are
+gathered when its batch enters a 32-unit LSTM, and the final state is
 concatenated with the six standardized metadata counters before two ReLU
 layers (128, 64) and a sigmoid output. An auxiliary sigmoid head reads the
 LSTM state directly; it exists for training regularization only and its loss
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..config import from_strings, to_strings
-from ..data import Label, Standardizer
-from ..embedding import EmbeddedSequence
+from ..data import Standardizer
 from ..errors import DegenerateData, DimensionMismatch
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
@@ -140,31 +140,33 @@ class ContextualLstmModel:
         }
         return main_scores, aux_scores, all_h, cache
 
-    def forward(self, sequence: EmbeddedSequence, metadata: np.ndarray | None = None):
-        """Single-tweet forward: (main_score, aux_score, hidden_trace).
+    def forward(self, matrix: np.ndarray, ids: np.ndarray, length: int,
+                metadata: np.ndarray | None = None):
+        """Single-tweet forward on its (max_len,) row ids into the embedding
+        matrix: (main_score, aux_score, hidden_trace).
 
         ``hidden_trace`` holds the LSTM state at every real timestep; the
         metadata argument is raw counts and is standardized internally.
         """
-        x = sequence.matrix[None, :, :]
-        lengths = np.array([sequence.true_length])
-        meta = None
         if self.config.use_metadata:
-            meta = np.asarray(metadata, dtype=np.float64).reshape(1, METADATA_DIM)
-            meta = self.standardize_metadata(meta)
-        main, aux, all_h, _ = self.forward_batch(x, lengths, meta)
-        trace = all_h[0, : sequence.true_length, :].copy()
+            metadata = np.asarray(metadata, dtype=np.float64).reshape(1, METADATA_DIM)
+        main, aux, all_h = self.forward_ids(matrix, ids[None], np.array([length]), metadata)
+        trace = all_h[0, :length, :].copy()
         return float(main[0]), (float(aux[0]) if aux is not None else None), trace
 
-    def predict_proba(self, sequences: list[EmbeddedSequence],
+    def predict_proba(self, matrix: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
                       metadata: np.ndarray | None = None) -> np.ndarray:
-        """Main-head scores for a list of tweets (raw metadata accepted)."""
-        x, lengths = stack_sequences(sequences)
+        """Main-head scores for (N, max_len) row ids (raw metadata accepted),
+        in one full-batch forward pass."""
+        return self.forward_ids(matrix, ids, lengths, metadata)[0]
+
+    def forward_ids(self, matrix, ids, lengths, metadata):
+        """(main_scores, aux_scores, all_h) of one forward pass on row ids
+        and raw metadata."""
         meta = None
         if self.config.use_metadata:
             meta = self.standardize_metadata(np.asarray(metadata, dtype=np.float64))
-        main, _, _, _ = self.forward_batch(x, lengths, meta)
-        return main
+        return self.forward_batch(stack_sequences(matrix, ids), lengths, meta)[:3]
 
     # -- training --------------------------------------------------------
 
@@ -279,39 +281,35 @@ class TrainingTrace:
         return lines
 
 
-def stack_sequences(sequences: list[EmbeddedSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack sequences (all embedded at the same max_len) into one array."""
-    if not sequences:
-        raise DegenerateData("no sequences to stack")
-    shapes = {seq.matrix.shape for seq in sequences}
-    if len(shapes) != 1:
-        raise DimensionMismatch(f"mixed sequence shapes: {sorted(shapes)}")
-    x = np.stack([seq.matrix for seq in sequences])
-    lengths = np.array([seq.true_length for seq in sequences], dtype=np.int64)
-    return x, lengths
+def stack_sequences(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The (B, max_len, d) vectors of a batch of row ids: the one gather from
+    the embedding matrix."""
+    return matrix[ids]
 
 
 def train(
     config: NetConfig,
-    corpus: list[tuple[EmbeddedSequence, np.ndarray, Label]],
-    validation: list[tuple[EmbeddedSequence, np.ndarray, Label]] | None = None,
+    matrix: np.ndarray,
+    corpus: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    validation: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ContextualLstmModel, TrainingTrace]:
     """Mini-batch Adam over full backpropagation through time.
 
+    ``corpus`` and ``validation`` are (ids, lengths, raw metadata, labels)
+    arrays; each batch gathers its vectors from the embedding ``matrix``.
     Embeddings are frozen (gradients stop at the sequence input). Metadata is
     standardized with training-set statistics; it is never resampled. The run
     is bit-reproducible for a fixed config seed.
     """
     from ..metrics import auc as compute_auc  # local import avoids a cycle
 
-    if not corpus:
+    ids_all, lengths_all, meta_all, labels = corpus
+    if len(ids_all) == 0:
         raise DegenerateData("training corpus is empty")
-    targets = np.array([float(label) for _, _, label in corpus])
+    targets = np.asarray(labels, dtype=np.float64)
     if len(set(targets.tolist())) < 2:
         raise DegenerateData("training corpus must contain both classes")
 
-    x_all, lengths_all = stack_sequences([seq for seq, _, _ in corpus])
-    meta_all = np.array([np.asarray(m, dtype=np.float64) for _, m, _ in corpus])
     standardizer = None
     if config.use_metadata:
         standardizer = Standardizer.fit(meta_all)
@@ -323,23 +321,14 @@ def train(
                      beta2=config.beta2, eps=config.adam_eps)
     trace = TrainingTrace(loss_weights=config.loss_weights)
 
-    val_arrays = None
-    if validation:
-        vx, vlen = stack_sequences([seq for seq, _, _ in validation])
-        vmeta = np.array([np.asarray(m, dtype=np.float64) for _, m, _ in validation])
-        if config.use_metadata:
-            vmeta = standardizer.transform(vmeta)
-        vy = np.array([float(label) for _, _, label in validation])
-        val_arrays = (vx, vlen, vmeta, vy)
-
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    n = len(corpus)
+    n = len(ids_all)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_main, epoch_aux, epoch_total, seen = 0.0, 0.0, 0.0, 0
         for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            xb, lb, yb = x_all[idx], lengths_all[idx], targets[idx]
+            xb, lb, yb = stack_sequences(matrix, ids_all[idx]), lengths_all[idx], targets[idx]
             mb = meta_all[idx] if config.use_metadata else None
             main, aux, _, cache = model.forward_batch(xb, lb, mb, keep_cache=True)
             total, main_loss, aux_loss = blended_loss(main, aux, yb, config.loss_weights)
@@ -356,11 +345,10 @@ def train(
             aux_loss=epoch_aux / seen,
             total_loss=epoch_total / seen,
         )
-        if val_arrays is not None:
-            vx, vlen, vmeta, vy = val_arrays
-            vmain, _, _, _ = model.forward_batch(
-                vx, vlen, vmeta if config.use_metadata else None
-            )
+        if validation is not None:
+            vids, vlen, vmeta, vlabels = validation
+            vmain = model.predict_proba(matrix, vids, vlen, vmeta)
+            vy = np.asarray(vlabels, dtype=np.float64)
             record.val_accuracy = float(np.mean((vmain >= 0.5) == (vy == 1.0)))
             if len(set(vy.tolist())) == 2:
                 record.val_auc = compute_auc(vmain, vy.astype(np.int8))

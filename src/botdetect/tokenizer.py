@@ -7,6 +7,7 @@ unmappable passes through as its lowercase self.
 
 from __future__ import annotations
 
+import functools
 import re
 
 HASHTAG = "<hashtag>"
@@ -97,26 +98,28 @@ def _emoticon_tag(token: str) -> str | None:
     return None
 
 
-def _expand_token(token: str, tokens_out: list[str]) -> None:
+# Raw whitespace tokens repeat heavily across tweets, so each one's expansion
+# is computed once and kept in a bounded cache.
+_EXPAND_CACHE_SIZE = 1 << 15
+
+
+@functools.lru_cache(maxsize=_EXPAND_CACHE_SIZE)
+def _expand_token(token: str) -> tuple[str, ...]:
+    """The tokens one raw whitespace token becomes (a pure function)."""
     if token in TAG_SET:
-        tokens_out.append(token)
-        return
+        return (token,)
     tag = _emoticon_tag(token)
     if tag is not None:
-        tokens_out.append(tag)
-        return
+        return (tag,)
     if _NUMBER_RE.fullmatch(token):
-        tokens_out.append(NUMBER)
-        return
-    trailing = []
+        return (NUMBER,)
+    trailing = ()
     if len(token) >= 2 and token.isalpha() and token.isupper():
-        trailing.append(ALLCAPS)
+        trailing += (ALLCAPS,)
     collapsed = _ELONG_RE.sub(r"\1\1", token)
     if collapsed != token:
-        trailing.append(ELONG)
-        token = collapsed
-    tokens_out.append(token.lower())
-    tokens_out.extend(trailing)
+        trailing += (ELONG,)
+    return (collapsed.lower(), *trailing)
 
 
 def tokenize(text: str, repeat_tag: bool = False) -> TokenSequence:
@@ -132,7 +135,7 @@ def tokenize(text: str, repeat_tag: bool = False) -> TokenSequence:
         s = _PUNCT_REPEAT_RE.sub(lambda m: f" {m.group(1)} {REPEAT} ", s)
     out: list[str] = []
     for raw in s.split():
-        _expand_token(raw, out)
+        out.extend(_expand_token(raw))
     return out
 
 

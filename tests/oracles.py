@@ -134,14 +134,16 @@ def scalar_bce(score: float, target: float, clamp: float = 1e-7) -> float:
     return -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
 
 
-def scalar_contextual_forward(model, sequence, metadata) -> tuple[float, float]:
-    """Layer-by-layer trace of the full net using plain loops."""
+def scalar_contextual_forward(model, x: np.ndarray, true_length: int,
+                              metadata) -> tuple[float, float]:
+    """Layer-by-layer trace of the full net using plain loops, on one tweet's
+    (max_len x d) vectors."""
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     p = model.params
-    final_h, _ = scalar_lstm_final(p, sequence.matrix, sequence.true_length)
+    final_h, _ = scalar_lstm_final(p, x, true_length)
     if model.config.use_metadata:
         meta = model.metadata_standardizer.transform(metadata) \
             if model.metadata_standardizer is not None else metadata

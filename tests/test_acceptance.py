@@ -25,7 +25,7 @@ from botdetect.data import (
     split,
     split_indices,
 )
-from botdetect.embedding import TweetPipeline, embed, fixture_table
+from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.ingest import (
     CorpusManifest,
     ManifestGroup,
@@ -150,18 +150,11 @@ def test_criterion_4_gradient_verification():
 
 
 def _tweet_dataset(spec, table, max_len=30):
+    """(ids, lengths, metadata, labels) arrays of a synthetic corpus."""
     _, tweets = generate_synthetic(spec)
-    dataset = []
-    for tweet in tweets:
-        dataset.append(
-            (
-                embed(tokenize(tweet.text), table, max_len=max_len),
-                encode_tweet_metadata(tweet.metadata),
-                tweet.label,
-            )
-        )
+    ids, lengths, metadata = TweetPipeline(table, max_len).tensors(tweets)
     labels = np.array([t.label for t in tweets], dtype=np.int8)
-    return dataset, labels, tweets
+    return ids, lengths, metadata, labels
 
 
 def test_criterion_5_loss_identity():
@@ -172,9 +165,9 @@ def test_criterion_5_loss_identity():
         for tweet in tweets:
             vocab.update(tokenize(tweet.text))
         table = fixture_table(vocab, 25, seed=51)
-        dataset, _, _ = _tweet_dataset(spec, table)
+        dataset = _tweet_dataset(spec, table)
         config = NetConfig.contextual(embedding_dim=25, epochs=10, batch_size=32, seed=52)
-        _, trace = train(config, dataset)
+        _, trace = train(config, table.matrix, dataset)
         assert trace.steps, "no steps recorded"
         assert len({epoch for epoch, *_ in trace.steps}) == 10
         for epoch, step, main, aux, total in trace.steps:
@@ -195,18 +188,18 @@ def test_criterion_6_tweet_level_desk_benchmark():
             for tweet in tweets:
                 vocab.update(tokenize(tweet.text))
             table = fixture_table(vocab, 25, seed=700 + seed)
-            dataset, labels, _ = _tweet_dataset(spec, table)
+            dataset = _tweet_dataset(spec, table)
+            labels = dataset[3]
             train_idx, test_idx = split_indices(labels, SplitSpec(0.8, True, seed))
-            fit_set = [dataset[i] for i in train_idx]
-            test_sequences = [dataset[i][0] for i in test_idx]
-            test_meta = np.vstack([dataset[i][1] for i in test_idx])
+            fit_set = tuple(a[train_idx] for a in dataset)
+            test_ids, test_lengths, test_meta, _ = (a[test_idx] for a in dataset)
             for maker, bucket in (
                 (NetConfig.contextual, contextual_aucs),
                 (NetConfig.tweet_only, tweet_only_aucs),
             ):
                 config = maker(embedding_dim=25, epochs=12, batch_size=64, seed=seed)
-                model, _ = train(config, fit_set)
-                scores = model.predict_proba(test_sequences, test_meta)
+                model, _ = train(config, table.matrix, fit_set)
+                scores = model.predict_proba(table.matrix, test_ids, test_lengths, test_meta)
                 bucket.append(auc(scores, labels[test_idx]))
         mean_ctx = float(np.mean(contextual_aucs))
         mean_tweet = float(np.mean(tweet_only_aucs))
@@ -358,13 +351,10 @@ def test_criterion_10_introspection_conservation():
         for tweet in tweets:
             vocab.update(tokenize(tweet.text))
         table = fixture_table(vocab, 25, seed=101)
-        dataset = [
-            (embed(tokenize(t.text), table, max_len=30),
-             encode_tweet_metadata(t.metadata), t.label)
-            for t in tweets
-        ]
+        ids, lengths, metadata = TweetPipeline(table).tensors(tweets)
+        labels = np.array([t.label for t in tweets])
         config = NetConfig.contextual(embedding_dim=25, epochs=2, batch_size=32, seed=102)
-        model, _ = train(config, dataset)
+        model, _ = train(config, table.matrix, (ids, lengths, metadata, labels))
 
         report = unit_distributions(model, TweetPipeline(table), tweets)
         n_human = sum(1 for t in tweets if t.label == Label.HUMAN)
@@ -373,10 +363,8 @@ def test_criterion_10_introspection_conservation():
             expected = n_human if dist.label == Label.HUMAN else n_bot
             assert int(dist.counts.sum()) == expected
 
-        for tweet in tweets[:25]:
+        for i, tweet in enumerate(tweets[:25]):
             trace = trace_tweet(model, TweetPipeline(table), tweet)
-            sequence = embed(tokenize(tweet.text), table, max_len=30)
-            _, _, hidden = model.forward(
-                sequence, encode_tweet_metadata(tweet.metadata)
-            )
+            _, _, hidden = model.forward(table.matrix, ids[i], lengths[i],
+                                         encode_tweet_metadata(tweet.metadata))
             assert np.array_equal(trace.matrix, hidden)

@@ -254,7 +254,7 @@ def test_bench_tweet_level_net_rows(corpus, tmp_path):
     assert all(float(r["auc"]) > 0.9 for r in results)
 
 
-def test_bench_row_with_bad_value_is_recorded(corpus, tmp_path):
+def test_bench_row_with_bad_value_is_recorded(corpus, tmp_path, capsys):
     bench = tmp_path / "bench_bad.kv"
     bench.write_text(
         "default.task = account\n"
@@ -274,6 +274,29 @@ def test_bench_row_with_bad_value_is_recorded(corpus, tmp_path):
     lines = (tmp_path / "bench_out" / "bench.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4
     assert lines[2].startswith("forest_bad,account,forest,") and ",error," in lines[2]
+    # The suite still writes every row, then exits with the first failure's
+    # code: 2 for the bad value, ahead of a later missing corpus (3).
+    with open(bench, "a", encoding="utf-8") as fh:
+        fh.write("row.no_corpus.model = forest\nrow.no_corpus.manifest = /missing.txt\n")
+    assert main(["bench", "--config", str(bench), "--out", str(tmp_path / "main_out")]) == 2
+    assert "4 rows, 2 failed" in capsys.readouterr().out
+    lines = (tmp_path / "main_out" / "bench.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 5 and ",error," in lines[4]
+
+
+def test_bench_exit_status(corpus, tmp_path, capsys):
+    common = ("default.task = account\n"
+              f"default.manifest = {corpus / 'manifest.txt'}\n"
+              "default.n_trees = 4\n")
+    ok = tmp_path / "ok.kv"
+    ok.write_text(common + "row.forest.model = forest\n", encoding="utf-8")
+    assert main(["bench", "--config", str(ok), "--out", str(tmp_path / "ok_out")]) == 0
+    assert "1 rows, 0 failed" in capsys.readouterr().out
+    missing = tmp_path / "missing.kv"
+    missing.write_text(common + "row.forest.model = forest\n"
+                       "row.forest.manifest = /missing.txt\n", encoding="utf-8")
+    assert main(["bench", "--config", str(missing), "--out", str(tmp_path / "m_out")]) == 3
+    assert (tmp_path / "m_out" / "bench.txt").exists()
 
 
 def _checkpoint_texts(corpus, tmp_path):
@@ -329,6 +352,13 @@ MALFORMED = {
     "flag_max_len_0": (2, "train_flags", ["--max-len", "0"]),
     "flag_batch_size_0": (2, "train_flags", ["--batch-size", "0"]),
     "flag_n_trees_0": (2, "train_flags", ["--n-trees", "0"]),
+    "flag_learning_rate_negative": (2, "train_flags", ["--learning-rate", "-1"]),
+    "flag_learning_rate_0": (2, "train_flags", ["--learning-rate", "0"]),
+    "flag_learning_rate_nan": (2, "train_flags", ["--learning-rate", "nan"]),
+    "flag_target_ratio_inf": (2, "train_flags", ["--target-ratio", "inf",
+                                                 "--resample", "smote"]),
+    "flag_mlp_layers_not_ending_in_1": (2, "train_flags", ["--mlp-layers", "4,2"]),
+    "flag_mlp_layers_0": (2, "train_flags", ["--mlp-layers", "0"]),
     # A new text of None drops every tensor whose name starts with the old.
     "forest_no_standardizer_mean": (3, "eval", ("forest", "standardizer.mean", None)),
     "forest_no_trees": (3, "eval", ("forest", "tree_", None)),

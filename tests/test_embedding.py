@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botdetect.data import Label, TweetMetadata, TweetRecord
 from botdetect.embedding import (
-    EmbeddedSequence,
     TweetPipeline,
     embed,
     fixture_table,
@@ -27,12 +29,12 @@ def table(tmp_path):
 def test_load_fixture(table):
     assert table.dimension == 2
     assert len(table.vocabulary) == 3
-    assert table.lookup("alpha").tolist() == [1.0, 0.0]
+    assert table.matrix[table.vocabulary["alpha"]].tolist() == [1.0, 0.0]
 
 
 def test_unknown_vector_is_mean(table):
-    assert table.unknown_vector.tolist() == [1.0, 4.0 / 3.0]
-    assert table.pad_vector.tolist() == [0.0, 0.0]
+    assert table.matrix[table.unknown_id].tolist() == [1.0, 4.0 / 3.0]
+    assert table.matrix[table.pad_id].tolist() == [0.0, 0.0]
 
 
 def test_dimension_mismatch(tmp_path):
@@ -53,7 +55,7 @@ def test_duplicates_keep_first(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("tok 1.0 1.0\ntok 9.0 9.0\n", encoding="utf-8")
     table = load_glove(path, 2)
-    assert table.lookup("tok").tolist() == [1.0, 1.0]
+    assert table.matrix[table.vocabulary["tok"]].tolist() == [1.0, 1.0]
 
 
 def test_restricted_load(tmp_path):
@@ -61,40 +63,40 @@ def test_restricted_load(tmp_path):
     path.write_text(FIXTURE, encoding="utf-8")
     table = load_glove(path, 2, restrict_to={"alpha", "gamma"})
     assert set(table.vocabulary) == {"alpha", "gamma"}
-    assert table.unknown_vector.tolist() == [1.5, 1.5]
+    assert table.matrix[table.unknown_id].tolist() == [1.5, 1.5]
 
 
 def test_embed_empty(table):
-    seq = embed([], table, max_len=4)
-    assert seq.true_length == 0
-    assert np.all(seq.matrix == 0.0)
+    ids = embed([], table, max_len=4)
+    assert ids.dtype == np.int32 and ids.shape == (4,)
+    assert np.all(ids == table.pad_id)
+    assert np.all(table.matrix[ids] == 0.0)
 
 
 def test_embed_single_token_pads(table):
-    seq = embed(["alpha"], table, max_len=3)
-    assert seq.true_length == 1
-    assert seq.matrix[0].tolist() == [1.0, 0.0]
-    assert np.all(seq.matrix[1:] == 0.0)
+    ids = embed(["alpha"], table, max_len=3)
+    assert np.count_nonzero(ids != table.pad_id) == 1
+    assert table.matrix[ids][0].tolist() == [1.0, 0.0]
+    assert np.all(table.matrix[ids][1:] == 0.0)
 
 
 def test_embed_truncates_tail(table):
     tokens = ["alpha"] * 25 + ["beta"] * 15
-    seq = embed(tokens, table, max_len=30)
-    assert seq.true_length == 30
-    assert seq.matrix[29].tolist() == [1.0, 0.0][:2] or seq.matrix[29].tolist() == [0.0, 1.0]
+    seq = table.matrix[embed(tokens, table, max_len=30)]
+    assert seq[29].tolist() == [1.0, 0.0][:2] or seq[29].tolist() == [0.0, 1.0]
     # tail truncation keeps the head: rows 0..24 alpha, 25..29 beta
-    assert seq.matrix[0].tolist() == [1.0, 0.0]
-    assert seq.matrix[25].tolist() == [0.0, 1.0]
-    head = embed(tokens, table, max_len=30, truncation="head")
-    assert head.matrix[0].tolist() == [0.0, 1.0] or head.matrix[0].tolist() == [1.0, 0.0]
-    assert head.matrix[29].tolist() == [0.0, 1.0]
+    assert seq[0].tolist() == [1.0, 0.0]
+    assert seq[25].tolist() == [0.0, 1.0]
+    head = table.matrix[embed(tokens, table, max_len=30, truncation="head")]
+    assert head[0].tolist() == [0.0, 1.0] or head[0].tolist() == [1.0, 0.0]
+    assert head[29].tolist() == [0.0, 1.0]
 
 
 def test_embed_oov_rows_equal_unknown(table):
-    seq = embed(["nope", "alpha", "missing"], table, max_len=4)
-    assert np.array_equal(seq.matrix[0], table.unknown_vector)
-    assert np.array_equal(seq.matrix[2], table.unknown_vector)
-    assert np.array_equal(seq.matrix[1], table.vectors[table.vocabulary["alpha"]])
+    seq = table.matrix[embed(["nope", "alpha", "missing"], table, max_len=4)]
+    assert np.array_equal(seq[0], table.matrix[table.unknown_id])
+    assert np.array_equal(seq[2], table.matrix[table.unknown_id])
+    assert np.array_equal(seq[1], table.matrix[table.vocabulary["alpha"]])
 
 
 @given(st.lists(st.sampled_from(["alpha", "beta", "zzz"]), max_size=40),
@@ -102,9 +104,51 @@ def test_embed_oov_rows_equal_unknown(table):
 @settings(max_examples=80, deadline=None)
 def test_true_length_exact(tokens, max_len):
     table = fixture_table(["alpha", "beta"], 4, seed=0)
-    seq = embed(tokens, table, max_len=max_len)
-    assert seq.true_length == min(len(tokens), max_len)
-    assert np.all(seq.matrix[seq.true_length:] == 0.0)
+    ids = embed(tokens, table, max_len=max_len)
+    true_length = min(len(tokens), max_len)
+    assert np.all(ids[:true_length] != table.pad_id)
+    assert np.all(table.matrix[ids][true_length:] == 0.0)
+
+
+def test_table_rows_are_one_matrix(table):
+    # The vocabulary, unknown and pad rows live in one read-only matrix.
+    assert table.matrix.shape == (len(table.vocabulary) + 2, table.dimension)
+    assert not table.matrix.flags.writeable
+    assert table.unknown_id == 3 and table.pad_id == 4
+
+
+def _tweet(text):
+    return TweetRecord(text=text, metadata=TweetMetadata(1, 0, 2, 0, 0, 0),
+                       label=Label.HUMAN, account_id="a")
+
+
+def test_tensors_are_ids_lengths_and_metadata(table):
+    tweets = [_tweet("alpha nope beta"), _tweet(""), _tweet("gamma " * 40)]
+    ids, lengths, metadata = TweetPipeline(table, max_len=30).tensors(tweets)
+    assert ids.dtype == np.int32 and ids.shape == (3, 30)
+    assert lengths.tolist() == [3, 0, 30]
+    assert metadata.shape == (3, 6)
+    assert ids[0, :3].tolist() == [0, table.unknown_id, 1]
+    assert np.all(ids[0, 3:] == table.pad_id) and np.all(ids[1] == table.pad_id)
+
+
+def test_tensors_allocate_far_less_than_float_sequences():
+    # The pipeline carries int32 ids, not a float64 (N, max_len, d) array.
+    words = [f"w{i}" for i in range(200)]
+    table = fixture_table(words, 50, seed=0)
+    pipeline = TweetPipeline(table, max_len=30)
+    tweets = [_tweet(" ".join(words[(7 * i + j) % 200] for j in range(30)))
+              for i in range(2000)]
+    pipeline.tensors(tweets[:10])  # warm the tokenizer's regexes
+    tracemalloc.start()
+    try:
+        ids, _, _ = pipeline.tensors(tweets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    float_bytes = len(tweets) * 30 * 50 * 8
+    assert ids.shape == (2000, 30)
+    assert peak < float_bytes / 10, f"peak {peak} bytes against {float_bytes}"
 
 
 def test_most_frequent_tokens():
@@ -120,11 +164,6 @@ def test_fixture_table_round_trips_through_file(tmp_path):
     write_glove_file(table, path)
     loaded = load_glove(path, 25)
     assert loaded.vocabulary == table.vocabulary
-    assert np.array_equal(loaded.vectors, table.vectors)
+    assert np.array_equal(loaded.matrix, table.matrix)
     assert TweetPipeline(loaded, 30).fingerprint() == TweetPipeline(table, 30).fingerprint()
     assert TweetPipeline(loaded, 20).fingerprint() != TweetPipeline(table, 30).fingerprint()
-
-
-def test_embedded_sequence_validation():
-    with pytest.raises(ValueError):
-        EmbeddedSequence(matrix=np.zeros((3, 2)), true_length=4)

@@ -27,6 +27,12 @@ def _tweet(text, label=Label.HUMAN):
     return TweetRecord(text=text, metadata=META, label=label, account_id="a")
 
 
+def _ids(text, table):
+    """A tweet's row ids at max_len 30 and its true length."""
+    tokens = tokenize(text)
+    return embed(tokens, table, max_len=30), min(len(tokens), 30)
+
+
 @pytest.fixture(scope="module")
 def table():
     vocab = {"alpha", "beta", "gamma", "delta", "echo", "<hashtag>", "<number>"}
@@ -50,16 +56,17 @@ def test_single_token_trace_equals_final_state(model, table):
     tweet = _tweet("alpha")
     trace = trace_tweet(model, TweetPipeline(table), tweet)
     assert trace.matrix.shape == (1, 8)
-    seq = embed(tokenize(tweet.text), table, max_len=30)
-    main, aux, hidden = model.forward(seq, encode_tweet_metadata(tweet.metadata))
+    ids, length = _ids(tweet.text, table)
+    main, aux, hidden = model.forward(table.matrix, ids, length,
+                                      encode_tweet_metadata(tweet.metadata))
     assert np.array_equal(trace.matrix[0], hidden[-1])
 
 
 def test_trace_matches_naive_recurrence(model, table):
     tweet = _tweet("alpha beta gamma delta echo")
     trace = trace_tweet(model, TweetPipeline(table), tweet)
-    seq = embed(tokenize(tweet.text), table, max_len=30)
-    _, ref_all = scalar_lstm_final(model.params, seq.matrix, seq.true_length)
+    ids, length = _ids(tweet.text, table)
+    _, ref_all = scalar_lstm_final(model.params, table.matrix[ids], length)
     assert trace.matrix.shape == ref_all.shape == (5, 8)
     assert np.allclose(trace.matrix, ref_all, atol=1e-12)
 
@@ -78,8 +85,9 @@ def test_trace_aligns_tokens(model, table):
 def test_trace_rows_match_forward_bitwise(model, table):
     tweet = _tweet("beta alpha gamma")
     trace = trace_tweet(model, TweetPipeline(table), tweet)
-    seq = embed(tokenize(tweet.text), table, max_len=30)
-    _, _, hidden = model.forward(seq, encode_tweet_metadata(tweet.metadata))
+    ids, length = _ids(tweet.text, table)
+    _, _, hidden = model.forward(table.matrix, ids, length,
+                                 encode_tweet_metadata(tweet.metadata))
     assert np.array_equal(trace.matrix, hidden)
 
 
@@ -130,16 +138,10 @@ def test_trained_model_separates_units():
     for tweet in tweets:
         vocab.update(tokenize(tweet.text))
     table = fixture_table(vocab, 25, seed=3)
-    dataset = [
-        (
-            embed(tokenize(t.text), table, max_len=30),
-            encode_tweet_metadata(t.metadata),
-            t.label,
-        )
-        for t in tweets
-    ]
+    ids, lengths, metadata = TweetPipeline(table).tensors(tweets)
+    labels = np.array([t.label for t in tweets])
     config = NetConfig.contextual(embedding_dim=25, epochs=6, batch_size=32, seed=9)
-    model, _ = train(config, dataset)
+    model, _ = train(config, table.matrix, (ids, lengths, metadata, labels))
     report = unit_distributions(model, TweetPipeline(table), tweets)
     assert report.ks_by_unit.max() >= 0.5
     assert report.ranking[0] == int(np.argmax(report.ks_by_unit))
@@ -162,8 +164,7 @@ def test_csv_exports(model, table):
 
 def test_cell_state_export(model, table):
     tweet = _tweet("alpha beta gamma")
-    seq = embed(tokenize(tweet.text), table, max_len=30)
-    states = cell_states(model, seq)
+    states = cell_states(model, table.matrix, *_ids(tweet.text, table))
     assert states.shape == (3, 8)
     lines = cell_trace_csv_lines(model, TweetPipeline(table), tweet)
     assert lines[1] == "token,alpha,beta,gamma"
@@ -179,10 +180,10 @@ def test_activation_trace_validation():
 
 def test_cell_states_match_scalar_oracle(model, table):
     for text in ("alpha beta gamma delta echo", "beta", ""):
-        seq = embed(tokenize(text), table, max_len=30)
-        states = cell_states(model, seq)
-        ref = scalar_lstm_cells(model.params, seq.matrix, seq.true_length)
-        assert states.shape == ref.shape == (seq.true_length, 8)
+        ids, length = _ids(text, table)
+        states = cell_states(model, table.matrix, ids, length)
+        ref = scalar_lstm_cells(model.params, table.matrix[ids], length)
+        assert states.shape == ref.shape == (length, 8)
         assert np.allclose(states, ref, rtol=0.0, atol=1e-12)
 
 
@@ -194,8 +195,9 @@ def test_distributions_use_batched_final_states(model, table):
     report = unit_distributions(model, TweetPipeline(table), tweets)
     finals = {Label.HUMAN: [], Label.BOT: []}
     for tweet in tweets:
-        seq = embed(tokenize(tweet.text), table, max_len=30)
-        _, _, hidden = model.forward(seq, encode_tweet_metadata(tweet.metadata))
+        ids, length = _ids(tweet.text, table)
+        _, _, hidden = model.forward(table.matrix, ids, length,
+                                     encode_tweet_metadata(tweet.metadata))
         finals[tweet.label].append(hidden[-1] if hidden.shape[0] else np.zeros(8))
     for dist in report.distributions:
         values = np.array(finals[dist.label])[:, dist.unit_index]

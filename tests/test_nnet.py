@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from botdetect.data import Label, Standardizer
-from botdetect.embedding import EmbeddedSequence
+from botdetect.data import Label, Standardizer, TweetMetadata, TweetRecord
+from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import DegenerateData, DimensionMismatch
 from botdetect.nnet import (
     ContextualLstmModel,
@@ -20,11 +20,37 @@ from oracles import scalar_bce, scalar_contextual_forward, scalar_lstm_final
 
 
 def _sequence(rng, length, dim, max_len=None):
+    """A (max_len, dim) float sequence, zero past its length, and the length."""
     max_len = max_len or length
     matrix = np.zeros((max_len, dim))
     if length:
         matrix[:length] = rng.standard_normal((length, dim))
-    return EmbeddedSequence(matrix=matrix, true_length=length)
+    return matrix, length
+
+
+def _forward(model, sequence, metadata=None):
+    """model.forward on a float sequence, read as row ids into itself."""
+    x, length = sequence
+    return model.forward(x, np.arange(len(x)), length, metadata)
+
+
+def _pack(*parts):
+    """One embedding matrix holding the rows of every (x, length, metadata,
+    label) toy tweet, and per part the (ids, lengths, metadata, labels)
+    arrays that gather them back."""
+    flat = [tweet for part in parts for tweet in part]
+    max_len = flat[0][0].shape[0]
+    matrix = np.concatenate([x for x, _, _, _ in flat])
+    ids = np.arange(len(flat) * max_len).reshape(len(flat), max_len)
+    lengths = np.array([length for _, length, _, _ in flat])
+    metadata = np.array([m for _, _, m, _ in flat])
+    labels = np.array([label for _, _, _, label in flat])
+    packed, start = [], 0
+    for part in parts:
+        rows = slice(start, start + len(part))
+        packed.append((ids[rows], lengths[rows], metadata[rows], labels[rows]))
+        start += len(part)
+    return (matrix, *packed)
 
 
 def _zero_cell(dim, hidden=4):
@@ -39,18 +65,18 @@ def _zero_cell(dim, hidden=4):
 def test_lstm_zero_length_gives_zero_state():
     rng = np.random.Generator(np.random.PCG64(0))
     params = init_lstm_params(rng, 5, 32)
-    seq = _sequence(rng, 0, 5, max_len=4)
-    final_h, all_h, _ = lstm_forward(params, seq.matrix[None], np.array([seq.true_length]))
+    x, length = _sequence(rng, 0, 5, max_len=4)
+    final_h, all_h, _ = lstm_forward(params, x[None], np.array([length]))
     assert np.all(final_h[0] == 0.0)
-    assert all_h[0, : seq.true_length].shape == (0, 32)
+    assert all_h[0, :length].shape == (0, 32)
     assert np.all(all_h == 0.0)
 
 
 def test_lstm_zero_weights_give_zero_output():
     rng = np.random.Generator(np.random.PCG64(1))
     params = _zero_cell(3)
-    seq = _sequence(rng, 6, 3)
-    final_h, all_h, _ = lstm_forward(params, seq.matrix[None], np.array([6]))
+    x, _ = _sequence(rng, 6, 3)
+    final_h, all_h, _ = lstm_forward(params, x[None], np.array([6]))
     assert np.all(final_h == 0.0)
     assert np.all(all_h == 0.0)
 
@@ -58,22 +84,22 @@ def test_lstm_zero_weights_give_zero_output():
 def test_lstm_matches_scalar_reference():
     rng = np.random.Generator(np.random.PCG64(2))
     params = init_lstm_params(rng, 4, 8)
-    seq = _sequence(rng, 5, 4, max_len=7)
-    final_h, all_h, _ = lstm_forward(params, seq.matrix[None], np.array([seq.true_length]))
-    ref_final, ref_all = scalar_lstm_final(params, seq.matrix, seq.true_length)
+    x, length = _sequence(rng, 5, 4, max_len=7)
+    final_h, all_h, _ = lstm_forward(params, x[None], np.array([length]))
+    ref_final, ref_all = scalar_lstm_final(params, x, length)
     assert np.allclose(final_h[0], ref_final, atol=1e-12)
-    assert np.allclose(all_h[0, : seq.true_length], ref_all, atol=1e-12)
+    assert np.allclose(all_h[0, :length], ref_all, atol=1e-12)
 
 
 def test_lstm_batch_masking_equals_per_sequence_runs():
     rng = np.random.Generator(np.random.PCG64(3))
     params = init_lstm_params(rng, 3, 6)
     sequences = [_sequence(rng, n, 3, max_len=5) for n in (5, 2, 0, 4)]
-    x = np.stack([s.matrix for s in sequences])
-    lengths = np.array([s.true_length for s in sequences])
+    x = np.stack([m for m, _ in sequences])
+    lengths = np.array([length for _, length in sequences])
     batch_final, _, _ = lstm_forward(params, x, lengths)
-    for i, seq in enumerate(sequences):
-        solo_final, _, _ = lstm_forward(params, seq.matrix[None], lengths[i : i + 1])
+    for i, (matrix, _) in enumerate(sequences):
+        solo_final, _, _ = lstm_forward(params, matrix[None], lengths[i : i + 1])
         assert np.allclose(batch_final[i], solo_final[0], atol=1e-12)
 
 
@@ -81,7 +107,7 @@ def test_lstm_dimension_mismatch():
     rng = np.random.Generator(np.random.PCG64(4))
     params = init_lstm_params(rng, 4, 8)
     with pytest.raises(DimensionMismatch):
-        lstm_forward(params, _sequence(rng, 3, 5).matrix[None], np.array([3]))
+        lstm_forward(params, _sequence(rng, 3, 5)[0][None], np.array([3]))
 
 
 def test_sigmoid_exact_at_zero_and_symmetric():
@@ -134,7 +160,7 @@ def test_zero_model_outputs_half():
     for key in model.params:
         model.params[key] = np.zeros_like(model.params[key])
     rng = np.random.Generator(np.random.PCG64(5))
-    main, aux, trace = model.forward(_sequence(rng, 4, 3), np.arange(6.0))
+    main, aux, trace = _forward(model, _sequence(rng, 4, 3), np.arange(6.0))
     assert main == 0.5 and aux == 0.5
     assert trace.shape == (4, 4)
 
@@ -145,8 +171,8 @@ def test_metadata_ignored_when_first_layer_weights_zeroed():
     model.params["dense1.W"][:, 4:] = 0.0  # zero the metadata columns
     rng = np.random.Generator(np.random.PCG64(6))
     seq = _sequence(rng, 4, 3)
-    main_a, _, _ = model.forward(seq, np.zeros(6))
-    main_b, _, _ = model.forward(seq, np.array([9.0, -4.0, 2.0, 7.0, 1.0, 3.0]))
+    main_a, _, _ = _forward(model, seq, np.zeros(6))
+    main_b, _, _ = _forward(model, seq, np.array([9.0, -4.0, 2.0, 7.0, 1.0, 3.0]))
     assert main_a == main_b
 
 
@@ -159,8 +185,8 @@ def test_forward_matches_scalar_trace():
     rng = np.random.Generator(np.random.PCG64(10))
     seq = _sequence(rng, 5, 4)
     meta = rng.standard_normal(6)
-    main, aux, _ = model.forward(seq, meta)
-    ref_main, ref_aux = scalar_contextual_forward(model, seq, meta)
+    main, aux, _ = _forward(model, seq, meta)
+    ref_main, ref_aux = scalar_contextual_forward(model, *seq, meta)
     assert main == pytest.approx(ref_main, abs=1e-12)
     assert aux == pytest.approx(ref_aux, abs=1e-12)
 
@@ -169,7 +195,7 @@ def test_tweet_only_forward_has_no_aux():
     config = NetConfig.tweet_only(embedding_dim=4, hidden_dim=5, dense_sizes=(7, 6), seed=11)
     model = ContextualLstmModel.initialize(config)
     rng = np.random.Generator(np.random.PCG64(12))
-    main, aux, _ = model.forward(_sequence(rng, 3, 4))
+    main, aux, _ = _forward(model, _sequence(rng, 3, 4))
     assert aux is None
     assert "aux.W" not in model.params
     assert model.params["dense1.W"].shape == (7, 5)
@@ -214,7 +240,7 @@ def _toy_corpus(rng, n, dim=5, max_len=6, sep=2.0):
         meta = rng.poisson(3.0, size=6).astype(np.float64)
         if label == Label.BOT:
             meta = meta + 2.0
-        corpus.append((EmbeddedSequence(matrix=matrix, true_length=length), meta, label))
+        corpus.append((matrix, length, meta, label))
     return corpus
 
 
@@ -225,8 +251,8 @@ def test_state_resets_between_sequences():
     seq_a = _sequence(rng, 4, 5, max_len=6)
     seq_b = _sequence(rng, 6, 5, max_len=6)
     meta = np.zeros(6)
-    first_then = [model.forward(seq_a, meta)[0], model.forward(seq_b, meta)[0]]
-    reversed_order = [model.forward(seq_b, meta)[0], model.forward(seq_a, meta)[0]]
+    first_then = [_forward(model, seq_a, meta)[0], _forward(model, seq_b, meta)[0]]
+    reversed_order = [_forward(model, seq_b, meta)[0], _forward(model, seq_a, meta)[0]]
     assert first_then[0] == reversed_order[1]
     assert first_then[1] == reversed_order[0]
 
@@ -275,19 +301,21 @@ def test_gradients_match_finite_differences_with_empty_rows():
 
 def test_train_requires_both_classes():
     rng = np.random.Generator(np.random.PCG64(18))
-    corpus = [( _sequence(rng, 2, 3), np.zeros(6), Label.BOT) for _ in range(4)]
+    corpus = [(*_sequence(rng, 2, 3), np.zeros(6), Label.BOT) for _ in range(4)]
+    matrix, arrays = _pack(corpus)
     with pytest.raises(DegenerateData):
-        train(NetConfig.contextual(embedding_dim=3, epochs=1), corpus)
+        train(NetConfig.contextual(embedding_dim=3, epochs=1), matrix, arrays)
+    empty = (np.zeros((0, 2), dtype=np.int32), np.zeros(0), np.zeros((0, 6)), np.zeros(0))
     with pytest.raises(DegenerateData):
-        train(NetConfig.contextual(embedding_dim=3, epochs=1), [])
+        train(NetConfig.contextual(embedding_dim=3, epochs=1), matrix, empty)
 
 
 def test_train_deterministic_and_loss_identity():
     rng = np.random.Generator(np.random.PCG64(19))
-    corpus = _toy_corpus(rng, 24)
+    matrix, corpus = _pack(_toy_corpus(rng, 24))
     config = NetConfig.contextual(embedding_dim=5, epochs=3, batch_size=8, seed=20)
-    model_a, trace_a = train(config, corpus)
-    model_b, trace_b = train(config, corpus)
+    model_a, trace_a = train(config, matrix, corpus)
+    model_b, trace_b = train(config, matrix, corpus)
     for key in model_a.params:
         assert np.array_equal(model_a.params[key], model_b.params[key])
     assert trace_a.steps == trace_b.steps
@@ -302,13 +330,14 @@ def test_train_deterministic_and_loss_identity():
 def test_train_outputs_byte_identical_across_runs(tmp_path):
     rng = np.random.Generator(np.random.PCG64(44))
     corpus = _toy_corpus(rng, 24)
-    seq, meta, label = corpus[0]
-    corpus[0] = (EmbeddedSequence(matrix=np.zeros_like(seq.matrix), true_length=0), meta, label)
+    x, _, meta, label = corpus[0]
+    corpus[0] = (np.zeros_like(x), 0, meta, label)
     val = _toy_corpus(np.random.Generator(np.random.PCG64(45)), 8)
+    matrix, corpus, val = _pack(corpus, val)
     config = NetConfig.contextual(embedding_dim=5, epochs=2, batch_size=8, seed=46)
     outputs = []
     for run in range(2):
-        model, trace = train(config, corpus, validation=val)
+        model, trace = train(config, matrix, corpus, validation=val)
         path = tmp_path / f"model_{run}.txt"
         model.save(path)
         outputs.append((path.read_bytes(), trace.to_csv_lines()))
@@ -317,10 +346,10 @@ def test_train_outputs_byte_identical_across_runs(tmp_path):
 
 def test_training_reduces_loss_and_tracks_validation():
     rng = np.random.Generator(np.random.PCG64(21))
-    corpus = _toy_corpus(rng, 40)
-    val = _toy_corpus(np.random.Generator(np.random.PCG64(22)), 12)
+    matrix, corpus, val = _pack(_toy_corpus(rng, 40),
+                                _toy_corpus(np.random.Generator(np.random.PCG64(22)), 12))
     config = NetConfig.contextual(embedding_dim=5, epochs=12, batch_size=8, seed=23)
-    model, trace = train(config, corpus, validation=val)
+    model, trace = train(config, matrix, corpus, validation=val)
     assert trace.epochs[-1].total_loss < trace.epochs[0].total_loss
     assert trace.epochs[-1].val_accuracy is not None
     assert trace.epochs[-1].val_auc > 0.9
@@ -328,11 +357,10 @@ def test_training_reduces_loss_and_tracks_validation():
 
 def test_scores_stay_in_unit_interval():
     rng = np.random.Generator(np.random.PCG64(24))
-    corpus = _toy_corpus(rng, 20)
+    matrix, corpus = _pack(_toy_corpus(rng, 20))
     config = NetConfig.contextual(embedding_dim=5, epochs=2, batch_size=8, seed=25)
-    model, _ = train(config, corpus)
-    scores = model.predict_proba([seq for seq, _, _ in corpus],
-                                 np.vstack([m for _, m, _ in corpus]))
+    model, _ = train(config, matrix, corpus)
+    scores = model.predict_proba(matrix, *corpus[:3])
     assert np.all((scores > 0.0) & (scores < 1.0))
 
 
@@ -341,11 +369,12 @@ def test_contextual_with_zero_metadata_no_better_than_tweet_only():
     # contextual model cannot beat the tweet-only model's achievable fit
     # (5% tolerance for optimizer noise).
     rng = np.random.Generator(np.random.PCG64(26))
-    corpus = [(seq, np.zeros(6), label) for seq, _, label in _toy_corpus(rng, 40)]
+    matrix, corpus = _pack([(x, length, np.zeros(6), label)
+                            for x, length, _, label in _toy_corpus(rng, 40)])
     ctx_config = NetConfig.contextual(embedding_dim=5, epochs=10, batch_size=8, seed=27)
     tweet_config = NetConfig.tweet_only(embedding_dim=5, epochs=10, batch_size=8, seed=27)
-    _, ctx_trace = train(ctx_config, corpus)
-    _, tweet_trace = train(tweet_config, corpus)
+    _, ctx_trace = train(ctx_config, matrix, corpus)
+    _, tweet_trace = train(tweet_config, matrix, corpus)
     ctx_main = ctx_trace.epochs[-1].main_loss
     tweet_main = tweet_trace.epochs[-1].main_loss
     assert ctx_main >= tweet_main - 0.05 * tweet_main
@@ -353,27 +382,48 @@ def test_contextual_with_zero_metadata_no_better_than_tweet_only():
 
 def test_save_load_round_trip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(28))
-    corpus = _toy_corpus(rng, 16)
+    matrix, corpus = _pack(_toy_corpus(rng, 16))
     for maker in (NetConfig.contextual, NetConfig.tweet_only):
         config = maker(embedding_dim=5, epochs=2, batch_size=8, seed=29)
-        model, _ = train(config, corpus)
+        model, _ = train(config, matrix, corpus)
         path = tmp_path / f"net_{config.use_metadata}.txt"
         model.save(path, {"pipeline_hash": "abc123"})
         loaded = ContextualLstmModel.load(*load_model(path))
         assert loaded.config == model.config
-        seqs = [seq for seq, _, _ in corpus]
-        metas = np.vstack([m for _, m, _ in corpus])
         assert np.array_equal(
-            model.predict_proba(seqs, metas), loaded.predict_proba(seqs, metas)
+            model.predict_proba(matrix, *corpus[:3]), loaded.predict_proba(matrix, *corpus[:3])
         )
 
 
 def test_trace_csv_has_step_and_epoch_rows():
     rng = np.random.Generator(np.random.PCG64(30))
-    corpus = _toy_corpus(rng, 16)
+    matrix, corpus = _pack(_toy_corpus(rng, 16))
     config = NetConfig.contextual(embedding_dim=5, epochs=2, batch_size=8, seed=31)
-    _, trace = train(config, corpus)
+    _, trace = train(config, matrix, corpus)
     lines = trace.to_csv_lines()
     assert lines[0].startswith("record,epoch,step")
     assert any(line.startswith("step,0,0,") for line in lines)
     assert any(line.startswith("epoch,1,") for line in lines)
+
+
+def test_predict_proba_on_ids_equals_forward_batch_on_floats():
+    # Scoring gathers rows from the table; the scores must be the bits the
+    # same forward pass gives on the gathered floats, empty and all-unknown
+    # tweets included.
+    table = fixture_table(["alpha", "beta", "gamma", "<number>"], 5, seed=47)
+    pipeline = TweetPipeline(table, max_len=6)
+    meta = TweetMetadata(1, 0, 2, 0, 0, 0)
+    texts = ["alpha beta 42", "", "foo bar baz", "gamma " * 9, "beta nope alpha"]
+    tweets = [TweetRecord(text=t, metadata=meta, label=Label.HUMAN, account_id="a")
+              for t in texts]
+    ids, lengths, metadata = pipeline.tensors(tweets)
+    assert lengths.tolist() == [3, 0, 3, 6, 3]
+    assert np.all(ids[2, :3] == table.unknown_id)
+    for maker in (NetConfig.contextual, NetConfig.tweet_only):
+        model = ContextualLstmModel.initialize(maker(embedding_dim=5, seed=48))
+        model.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
+        scores = model.predict_proba(table.matrix, ids, lengths, metadata)
+        x = np.stack([[table.matrix[i] for i in row] for row in ids])
+        meta_std = model.standardize_metadata(metadata) if model.config.use_metadata else None
+        expected, _, _, _ = model.forward_batch(x, lengths, meta_std)
+        assert np.array_equal(scores, expected)

@@ -1,7 +1,11 @@
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botdetect import tokenizer
 from botdetect.tokenizer import TAG_SET, plain_words, tokenize
 
 from golden_tokenizer import GOLDEN_CASES, REPEAT_CASES, REPEAT_OFF_CASES
@@ -53,3 +57,43 @@ def test_idempotent_on_plain_words(text):
 def test_word_order_preserved():
     tokens = tokenize("alpha #Tag beta GAMMA delta")
     assert plain_words(tokens) == ["alpha", "tag", "beta", "gamma", "delta"]
+
+
+_EMOTICONS = (":)", ":-(", "<3", ":P", ":|", "\U0001f602", "❤️", ";D")
+
+
+def _raw_token(rank: int) -> str:
+    """A distinct raw token per rank, cycling through the tokenizer's shapes."""
+    if rank % 11 == 0:
+        return _EMOTICONS[rank // 11 % len(_EMOTICONS)]
+    word, r = "", rank
+    while r >= 0:
+        word = chr(ord("a") + r % 26) + word
+        r = r // 26 - 1
+    shapes = (word, word.upper(), word + word[-1] * 3, str(rank), word.capitalize() + "!",
+              "#" + word, "@" + word, "http://t.co/" + word)
+    return shapes[rank % len(shapes)]
+
+
+def _zipf_texts(n_tweets: int, seed: int) -> list[str]:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ranks = rng.zipf(1.3, size=(n_tweets, 12))
+    return [" ".join(_raw_token(int(r)) for r in row) for row in ranks]
+
+
+def test_expand_cache_matches_uncached_on_zipf_long_tail(monkeypatch):
+    texts = _zipf_texts(3000, seed=0)
+    uncached = tokenizer._expand_token.__wrapped__
+    small = functools.lru_cache(maxsize=256)(uncached)
+    with monkeypatch.context() as patch:
+        patch.setattr(tokenizer, "_expand_token", uncached)
+        expected = [tokenize(text) for text in texts]
+    assert [tokenize(text) for text in texts] == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(tokenizer, "_expand_token", small)
+        assert [tokenize(text) for text in texts] == expected
+    # The draw has a long tail, so the small cache evicts and still agrees.
+    raw = {tok for text in texts for tok in text.split()}
+    assert len(raw) > 4 * 256
+    info = small.cache_info()
+    assert info.currsize == 256 and info.misses > len(raw)
