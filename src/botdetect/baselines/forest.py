@@ -8,128 +8,245 @@ tree. Predictions are therefore invariant to the order of the training rows.
 Trees are stored as flat (n_nodes, 5) arrays: feature, threshold, left child,
 right child, leaf vote; feature == -1 marks a leaf. Rows with value <=
 threshold go left.
+
+All trees grow together, in rounds. Each tree keeps its own RNG and its own
+depth-first stack, so its nodes are numbered, and its feature subsets drawn,
+in the same preorder as when it grows alone: the i-th draw goes to the i-th
+node that may split. A round pops the next such node of each tree in turn
+until about `_ROUND_ROWS` rows are taken (a tree left out waits for the next
+round, in the same place), searches every popped node at once, and writes
+the children's rows back into one buffer of bootstrap rows, where each node
+is a range of its tree's block.
+
+The search sorts one packed integer key per (row, candidate feature):
+(node, feature slot, rank of the value among the feature's distinct values,
+label). In sorted order each (node, slot) group lists its rows by value, so
+the last row of a run of equal ranks is a boundary between two values, with
+the group position giving the left row count and the running label count
+(minus the group's start) the left bot count. Those are exactly the counts a
+per-node search reads at the same boundaries, and the weighted Gini is
+evaluated from them with the same arithmetic, so the choices, ties included
+(lowest slot, then lowest value), are the same and so are the trees.
 """
 
 from __future__ import annotations
+
+from array import array
+from collections import deque
 
 import numpy as np
 
 from .common import BaselineConfig
 
 _LEAF = -1.0
-
-
-def _best_split(x, labels, idx, features, min_leaf, total):
-    """Lowest weighted-Gini split over the candidate features, searched for
-    all of them at once in one (rows, features) block.
-
-    `labels` are y[idx] and `total` their sum. Returns (feature, threshold)
-    or None. Ties keep the first candidate in feature order, then the lowest
-    threshold position.
-    """
-    n = idx.shape[0]
-    columns = np.arange(features.shape[0])
-    values = x[idx[:, None], features]
-    order = values.argsort(axis=0, kind="stable")
-    sv = values[order, columns]
-    # Row p splits off p + 1 rows to the left and n - p - 1 to the right.
-    invalid = sv[:-1] >= sv[1:]
-    if min_leaf > 1:
-        invalid[: min_leaf - 1] = True
-        invalid[n - min_leaf:] = True
-    if invalid.all():
-        return None
-    left_pos = labels[order].cumsum(axis=0)[:-1]
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
-    right_n = n - left_n
-    pl = left_pos / left_n
-    pr = (total - left_pos) / right_n
-    ql = 1.0 - pl
-    qr = 1.0 - pr
-    gini_l = 1.0 - pl * pl - ql * ql
-    gini_r = 1.0 - pr * pr - qr * qr
-    weighted = (left_n * gini_l + right_n * gini_r) / n
-    weighted[invalid] = np.inf
-    pos = weighted.argmin(axis=0)
-    column = int(weighted[pos, columns].argmin())
-    at = pos[column]
-    return int(features[column]), float((sv[at, column] + sv[at + 1, column]) / 2.0)
-
-
-def _grow_tree(x, y, rng, config: BaselineConfig) -> np.ndarray:
-    n, d = x.shape
-    n_sub = max(1, int(round(np.sqrt(d))))
-    bootstrap = rng.integers(0, n, size=n)
-    nodes: list[list[float]] = []
-    # Stack of (node_id, member indices into the bootstrap sample, depth);
-    # iterative growth avoids recursion limits on deep, impure trees.
-    nodes.append([_LEAF, 0.0, -1.0, -1.0, 0.0])
-    stack = [(0, bootstrap, 1)]
-    while stack:
-        node_id, idx, depth = stack.pop()
-        size = idx.shape[0]
-        labels = y[idx]
-        total = labels.sum()
-        # A leaf votes for the majority class; exact ties vote bot.
-        leaf = [_LEAF, 0.0, -1.0, -1.0, 1.0 if total / size >= 0.5 else 0.0]
-        pure = total == 0 or total == size
-        depth_capped = config.max_depth > 0 and depth >= config.max_depth
-        if pure or depth_capped or size < 2 * config.min_leaf:
-            nodes[node_id] = leaf
-            continue
-        features = np.sort(rng.choice(d, size=n_sub, replace=False))
-        found = _best_split(x, labels, idx, features, config.min_leaf, total)
-        if found is None:
-            nodes[node_id] = leaf
-            continue
-        feature, threshold = found
-        go_left = x[idx, feature] <= threshold
-        left_id = len(nodes)
-        nodes.append([_LEAF, 0.0, -1.0, -1.0, 0.0])
-        right_id = len(nodes)
-        nodes.append([_LEAF, 0.0, -1.0, -1.0, 0.0])
-        nodes[node_id] = [float(feature), threshold, float(left_id), float(right_id), 0.0]
-        stack.append((right_id, idx[~go_left], depth + 1))
-        stack.append((left_id, idx[go_left], depth + 1))
-    return np.array(nodes, dtype=np.float64)
+# A round stops taking nodes once this many rows are taken. It bounds the
+# round's temporaries (a few dozen arrays of rows x candidate features),
+# whatever the number of trees.
+_ROUND_ROWS = 4096
+# Prediction walks at most this many (tree, row) pairs at once.
+_PREDICT_PAIRS = 1 << 14
+# Two leaf rows, appended when a node splits; the leaf vote is set later.
+_CHILDREN = array("d", [_LEAF, 0.0, -1.0, -1.0, 0.0] * 2)
 
 
 def tree_names(n_trees: int) -> list[str]:
     return [f"tree_{t:03d}" for t in range(n_trees)]
 
 
+def _set_vote(table: array, node_id: int, total: int, size: int) -> None:
+    # A leaf votes for the majority class; exact ties vote bot.
+    table[5 * node_id + 4] = 1.0 if total / size >= 0.5 else 0.0
+
+
+def _next_splittable(stack: list, table: array, config: BaselineConfig):
+    """Pop the tree's stack to its next node that may split, making leaves of
+    the nodes on the way; None once the tree is done."""
+    while stack:
+        node = stack.pop()
+        node_id, start, end, depth, total = node
+        size = end - start
+        pure = total == 0 or total == size
+        depth_capped = config.max_depth > 0 and depth >= config.max_depth
+        if pure or depth_capped or size < 2 * config.min_leaf:
+            _set_vote(table, node_id, total, size)
+            continue
+        return node
+    return None
+
+
+def _split_round(values, coded, levels, labels, rows, starts, sizes, totals, features,
+                 min_leaf):
+    """Best split of every node of a round, and each node's rows partitioned
+    stably in place in `rows`: left rows first, then right rows.
+
+    `values` and `coded` are feature-major: entry f * n + r is row r's value
+    of feature f, and its rank * 2 + label. Node k owns
+    rows[starts[k]:starts[k] + sizes[k]], holds totals[k] bots and searches
+    the features features[k]. Returns, per node, the feature (-1 when no
+    split is valid), the threshold, and the left child's row and bot counts.
+    """
+    n_nodes, n_sub = features.shape
+    n_rows = labels.shape[0]
+    width = levels.shape[1]
+    offsets = np.cumsum(sizes) - sizes
+    at = np.repeat(starts - offsets, sizes) + np.arange(offsets[-1] + sizes[-1])
+    members = rows[at]
+
+    # ((node * n_sub + slot) * width + rank) * 2 + label, sorted. Keys stay
+    # below n_trees * n_sub * 2 * n, far inside int64.
+    group_base = np.arange(n_nodes * n_sub).reshape(n_nodes, n_sub) * (2 * width)
+    column = np.repeat(features * n_rows, sizes, axis=0) + members[:, None]
+    keys = np.sort(coded[column] + np.repeat(group_base, sizes, axis=0), axis=None)
+    run = keys >> 1
+    cut = np.flatnonzero(run[1:] != run[:-1])
+    group = run[cut] // width
+    inner = group == run[cut + 1] // width
+    cut, group = cut[inner], group[inner]
+    node, slot = np.divmod(group, n_sub)
+    first = n_sub * offsets[node] + slot * sizes[node]
+    left_count = cut - first + 1
+    if min_leaf > 1:
+        keep = (left_count >= min_leaf) & (left_count <= sizes[node] - min_leaf)
+        cut, node, slot, first, left_count = (
+            cut[keep], node[keep], slot[keep], first[keep], left_count[keep])
+
+    split_feature = np.zeros(n_nodes, dtype=np.int64)
+    threshold = np.full(n_nodes, np.inf)
+    found = np.zeros(n_nodes, dtype=bool)
+    if cut.shape[0]:
+        bots = np.zeros(keys.shape[0] + 1, dtype=np.int64)
+        np.cumsum(keys & 1, out=bots[1:])
+        left_pos = (bots[cut + 1] - bots[first]).astype(np.float64)
+        left_n = left_count.astype(np.float64)
+        n = sizes[node].astype(np.float64)
+        right_n = n - left_n
+        pl = left_pos / left_n
+        pr = (totals[node] - left_pos) / right_n
+        ql = 1.0 - pl
+        qr = 1.0 - pr
+        gini_l = 1.0 - pl * pl - ql * ql
+        gini_r = 1.0 - pr * pr - qr * qr
+        weighted = (left_n * gini_l + right_n * gini_r) / n
+        # Candidates run in (node, slot, rank) order: the first minimum of
+        # each node is its lowest slot, then its lowest value.
+        heads = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+        best = np.minimum.reduceat(weighted, heads)
+        hit = np.flatnonzero(weighted == np.repeat(best, np.diff(np.append(heads, cut.shape[0]))))
+        hit = hit[np.concatenate(([True], node[hit[1:]] != node[hit[:-1]]))]
+        chosen, at_cut = node[hit], cut[hit]
+        f = features[chosen, slot[hit]]
+        split_feature[chosen] = f
+        found[chosen] = True
+        threshold[chosen] = (levels[f, run[at_cut] % width]
+                             + levels[f, run[at_cut + 1] % width]) / 2.0
+
+    # A node without a split keeps its infinite threshold, so its rows all
+    # stay on the left, where they are.
+    value = values[np.repeat(split_feature * n_rows, sizes) + members]
+    right = ~(value <= np.repeat(threshold, sizes))
+    side = np.repeat(np.arange(0, 2 * n_nodes, 2, dtype=np.int16 if n_nodes < 1 << 14
+                               else np.int64), sizes) + right
+    rows[at] = members[np.argsort(side, kind="stable")]
+    left = np.bincount(side, minlength=2 * n_nodes)[0::2]
+    left_bots = np.bincount(side, weights=labels[members], minlength=2 * n_nodes)[0::2]
+    split_feature[~found] = -1
+    return (split_feature.tolist(), threshold.tolist(), left.tolist(),
+            left_bots.astype(np.int64).tolist())
+
+
 def fit_forest(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
     order = np.lexsort((y,) + tuple(x[:, j] for j in reversed(range(x.shape[1]))))
-    x_sorted = x[order]
-    y_sorted = y[order]
+    x = x[order]
+    labels = (y[order] != 0).astype(np.int64)
+    n, d = x.shape
+    n_sub = max(1, int(round(np.sqrt(d))))
+
+    # Feature-major columns: each value, and its rank among its feature's
+    # sorted distinct values with the label in the low bit. `levels` maps
+    # ranks back to values.
+    distinct = [np.unique(x[:, j], return_inverse=True) for j in range(d)]
+    width = max(values.shape[0] for values, _ in distinct)
+    levels = np.zeros((d, width))
+    coded = np.empty((d, n), dtype=np.int64)
+    for j, (values, rank) in enumerate(distinct):
+        levels[j, : values.shape[0]] = values
+        coded[j] = rank.reshape(-1) * 2 + labels
+    columns = np.ascontiguousarray(x.T).reshape(-1)
+    coded = coded.reshape(-1)
+
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    params = {}
-    for name, seed in zip(tree_names(config.n_trees), seeds):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        params[name] = _grow_tree(x_sorted, y_sorted, rng, config)
-    return params
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    rows = np.empty(config.n_trees * n, dtype=np.int64)
+    tables, stacks = [], []
+    for t, rng in enumerate(rngs):
+        bootstrap = rng.integers(0, n, size=n)
+        rows[t * n:(t + 1) * n] = bootstrap
+        tables.append(array("d", _CHILDREN[:5]))
+        # (node_id, start, end, depth, bot count) of nodes still to grow.
+        stacks.append([(0, t * n, (t + 1) * n, 1, int(labels[bootstrap].sum()))])
 
-
-def tree_votes(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Leaf vote of one stored tree for every row, traversed iteratively."""
-    m = x.shape[0]
-    at = np.zeros(m, dtype=np.int64)
-    feature = nodes[:, 0]
-    while True:
-        live = feature[at] != _LEAF
-        if not np.any(live):
+    waiting = deque(range(config.n_trees))
+    while waiting:
+        picked, drawn, taken = [], [], 0
+        while waiting and taken < _ROUND_ROWS:
+            t = waiting.popleft()
+            node = _next_splittable(stacks[t], tables[t], config)
+            if node is None:
+                continue
+            drawn.append(np.sort(rngs[t].choice(d, size=n_sub, replace=False)))
+            picked.append((t, node))
+            taken += node[2] - node[1]
+        if not picked:
             break
-        rows = np.flatnonzero(live)
-        node = at[rows]
-        f = feature[node].astype(np.int64)
-        go_left = x[rows, f] <= nodes[node, 1]
-        at[rows] = np.where(go_left, nodes[node, 2], nodes[node, 3]).astype(np.int64)
-    return nodes[at, 4]
+        starts = np.array([node[1] for _, node in picked], dtype=np.int64)
+        sizes = np.array([node[2] - node[1] for _, node in picked], dtype=np.int64)
+        totals = np.array([node[4] for _, node in picked], dtype=np.float64)
+        split = _split_round(columns, coded, levels, labels, rows, starts, sizes, totals,
+                             np.array(drawn), config.min_leaf)
+        for (t, (node_id, start, end, depth, total)), feature, threshold, left, left_bots in zip(
+                picked, *split):
+            table, stack = tables[t], stacks[t]
+            if feature < 0:
+                _set_vote(table, node_id, total, end - start)
+            else:
+                left_id = len(table) // 5
+                table[5 * node_id:5 * node_id + 4] = array(
+                    "d", (feature, threshold, left_id, left_id + 1))
+                table.extend(_CHILDREN)
+                stack.append((left_id + 1, start + left, end, depth + 1, total - left_bots))
+                stack.append((left_id, start, start + left, depth + 1, left_bots))
+            waiting.append(t)
+
+    return {name: np.frombuffer(table, dtype=np.float64).reshape(-1, 5)
+            for name, table in zip(tree_names(config.n_trees), tables)}
 
 
 def predict_forest(params: dict, x: np.ndarray) -> np.ndarray:
+    """Mean leaf vote over the trees. Every (tree, row) pair of a block of
+    rows walks down one concatenated node table together, one level a step."""
     trees = [params[name] for name in sorted(params)]
-    votes = np.zeros(x.shape[0])
-    for nodes in trees:
-        votes += tree_votes(nodes, x)
+    sizes = np.array([nodes.shape[0] for nodes in trees])
+    roots = sizes.cumsum() - sizes
+    table = np.concatenate(trees)
+    # Children become indices into the concatenated table.
+    shift = np.repeat(roots, sizes)
+    inner = table[:, 0] != _LEAF
+    left = np.where(inner, table[:, 2] + shift, -1).astype(np.int64)
+    right = np.where(inner, table[:, 3] + shift, -1).astype(np.int64)
+    feature = np.where(inner, table[:, 0], 0).astype(np.int64)
+
+    votes = np.empty(x.shape[0])
+    block = max(1, _PREDICT_PAIRS // len(trees))
+    for lo in range(0, x.shape[0], block):
+        rows = x[lo:lo + block]
+        m = rows.shape[0]
+        at = np.repeat(roots, m)
+        live = np.flatnonzero(inner[at])
+        while live.shape[0]:
+            node = at[live]
+            go_left = rows[live % m, feature[node]] <= table[node, 1]
+            at[live] = np.where(go_left, left[node], right[node])
+            live = live[inner[at[live]]]
+        # Votes are 0 or 1, so the sum is exact in any order.
+        votes[lo:lo + m] = table[at, 4].reshape(len(trees), m).sum(axis=0)
     return votes / len(trees)

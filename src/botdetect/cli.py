@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 training failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -296,17 +297,27 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         [f"# config_hash = {con_hash}"] + trace.to_csv_lines(),
     )
     checkpoint = os.path.join(run_dir, "model.txt")
-    model.save(checkpoint, {"config_hash": con_hash, **pipeline.meta()})
+    meta = {"config_hash": con_hash, **pipeline.meta()}
+    if restrict is not None:
+        # The kept tokens, in table order, so that scoring loads this table.
+        meta["vocabulary"] = " ".join(table.vocabulary)
+    model.save(checkpoint, meta)
     return report, checkpoint
 
 
-def run_experiment(config: RunConfig) -> ExperimentResult:
+def _read_corpus(manifest_path):
+    return load_corpus(parse_manifest(manifest_path))
+
+
+def run_experiment(config: RunConfig, read_corpus=_read_corpus) -> ExperimentResult:
     """Execute ingest -> features -> (resample) -> fit -> evaluate, writing
-    the report, checkpoint, training trace, and a run manifest to disk."""
+    the report, checkpoint, training trace, and a run manifest to disk.
+
+    `read_corpus(manifest_path)` gives (accounts, tweets, diagnostics); the
+    run reads them and changes none of them."""
     config.validate()
     con_hash = config.config_hash()
-    manifest = parse_manifest(config.manifest)
-    accounts, tweets, load_diag = load_corpus(manifest)
+    accounts, tweets, load_diag = read_corpus(config.manifest)
     run_dir = _make_run_dir(config)
 
     if config.model in NET_CONFIGS:
@@ -360,6 +371,9 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
         raise ConfigError("bench config defines no rows")
 
     os.makedirs(out_dir, exist_ok=True)
+    # Rows that share a manifest share one parse of it; a failed parse is
+    # not kept, so every row that names the manifest records its error.
+    read_corpus = functools.lru_cache(maxsize=None)(_read_corpus)
     results = []
     for name, overrides in row_values.items():
         merged = dict(defaults)
@@ -372,7 +386,7 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
                 task=config.task, model=config.model, resample=config.resample,
                 embedding_dim=str(config.embedding_dim),
             )
-            result = run_experiment(config)
+            result = run_experiment(config, read_corpus)
             rep = result.report
             row.update(
                 precision=f"{rep.precision:.4f}", recall=f"{rep.recall:.4f}",
@@ -499,11 +513,15 @@ def _cmd_train(args) -> int:
 
 def _load_net(path, meta, arrays, embedding):
     """The net and its tweet pipeline from a parsed checkpoint; warns when
-    the embedding or tokenizer settings differ from training's."""
+    the embedding or tokenizer settings differ from training's. A checkpoint
+    trained with a vocabulary cap lists its kept tokens, and only those are
+    loaded."""
     if meta["kind"] not in CHECKPOINT_KINDS:
         raise ParseError(f"{path}: kind {meta['kind']!r} is not a tweet-level net")
     model = ContextualLstmModel.load(meta, arrays)
-    pipeline = TweetPipeline.from_meta(meta, load_glove(embedding, model.config.embedding_dim))
+    vocabulary = meta["vocabulary"].split() if "vocabulary" in meta else None
+    table = load_glove(embedding, model.config.embedding_dim, restrict_to=vocabulary)
+    pipeline = TweetPipeline.from_meta(meta, table)
     if not pipeline.matches(meta):
         print("warning: embedding/tokenizer configuration differs from training",
               file=sys.stderr)

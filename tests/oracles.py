@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from botdetect.baselines import BaselineConfig
 from botdetect.data import FeatureMatrix, Standardizer
 
 
@@ -184,3 +185,115 @@ def scalar_lstm_cells(params: dict[str, np.ndarray], matrix: np.ndarray,
             h_new[unit] = sig(pre["o"]) * np.tanh(cells[t, unit])
         h, c = h_new, cells[t].copy()
     return cells
+
+
+# -- reference forest ------------------------------------------------------
+# The per-node CART grower that `baselines.forest` replaced with lockstep
+# rounds, kept as it was: one tree at a time, one split search per node.
+# `fit_forest` must return the same bytes.
+
+_LEAF = -1.0
+
+
+def _best_split(x, labels, idx, features, min_leaf, total):
+    """Lowest weighted-Gini split over the candidate features, searched for
+    all of them at once in one (rows, features) block.
+
+    `labels` are y[idx] and `total` their sum. Returns (feature, threshold)
+    or None. Ties keep the first candidate in feature order, then the lowest
+    threshold position.
+    """
+    n = idx.shape[0]
+    columns = np.arange(features.shape[0])
+    values = x[idx[:, None], features]
+    order = values.argsort(axis=0, kind="stable")
+    sv = values[order, columns]
+    # Row p splits off p + 1 rows to the left and n - p - 1 to the right.
+    invalid = sv[:-1] >= sv[1:]
+    if min_leaf > 1:
+        invalid[: min_leaf - 1] = True
+        invalid[n - min_leaf:] = True
+    if invalid.all():
+        return None
+    left_pos = labels[order].cumsum(axis=0)[:-1]
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    right_n = n - left_n
+    pl = left_pos / left_n
+    pr = (total - left_pos) / right_n
+    ql = 1.0 - pl
+    qr = 1.0 - pr
+    gini_l = 1.0 - pl * pl - ql * ql
+    gini_r = 1.0 - pr * pr - qr * qr
+    weighted = (left_n * gini_l + right_n * gini_r) / n
+    weighted[invalid] = np.inf
+    pos = weighted.argmin(axis=0)
+    column = int(weighted[pos, columns].argmin())
+    at = pos[column]
+    return int(features[column]), float((sv[at, column] + sv[at + 1, column]) / 2.0)
+
+
+def _grow_tree(x, y, rng, config: BaselineConfig) -> np.ndarray:
+    n, d = x.shape
+    n_sub = max(1, int(round(np.sqrt(d))))
+    bootstrap = rng.integers(0, n, size=n)
+    nodes: list[list[float]] = []
+    # Stack of (node_id, member indices into the bootstrap sample, depth);
+    # iterative growth avoids recursion limits on deep, impure trees.
+    nodes.append([_LEAF, 0.0, -1.0, -1.0, 0.0])
+    stack = [(0, bootstrap, 1)]
+    while stack:
+        node_id, idx, depth = stack.pop()
+        size = idx.shape[0]
+        labels = y[idx]
+        total = labels.sum()
+        # A leaf votes for the majority class; exact ties vote bot.
+        leaf = [_LEAF, 0.0, -1.0, -1.0, 1.0 if total / size >= 0.5 else 0.0]
+        pure = total == 0 or total == size
+        depth_capped = config.max_depth > 0 and depth >= config.max_depth
+        if pure or depth_capped or size < 2 * config.min_leaf:
+            nodes[node_id] = leaf
+            continue
+        features = np.sort(rng.choice(d, size=n_sub, replace=False))
+        found = _best_split(x, labels, idx, features, config.min_leaf, total)
+        if found is None:
+            nodes[node_id] = leaf
+            continue
+        feature, threshold = found
+        go_left = x[idx, feature] <= threshold
+        left_id = len(nodes)
+        nodes.append([_LEAF, 0.0, -1.0, -1.0, 0.0])
+        right_id = len(nodes)
+        nodes.append([_LEAF, 0.0, -1.0, -1.0, 0.0])
+        nodes[node_id] = [float(feature), threshold, float(left_id), float(right_id), 0.0]
+        stack.append((right_id, idx[~go_left], depth + 1))
+        stack.append((left_id, idx[go_left], depth + 1))
+    return np.array(nodes, dtype=np.float64)
+
+
+def reference_forest(x, y, config) -> dict:
+    order = np.lexsort((y,) + tuple(x[:, j] for j in reversed(range(x.shape[1]))))
+    x_sorted = x[order]
+    y_sorted = y[order]
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
+    params = {}
+    for t, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        params[f"tree_{t:03d}"] = _grow_tree(x_sorted, y_sorted, rng, config)
+    return params
+
+
+def tree_votes(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Leaf vote of one stored tree for every row, traversed iteratively."""
+    m = x.shape[0]
+    at = np.zeros(m, dtype=np.int64)
+    feature = nodes[:, 0]
+    while True:
+        live = feature[at] != _LEAF
+        if not np.any(live):
+            break
+        rows = np.flatnonzero(live)
+        node = at[rows]
+        f = feature[node].astype(np.int64)
+        go_left = x[rows, f] <= nodes[node, 1]
+        at[rows] = np.where(go_left, nodes[node, 2], nodes[node, 3]).astype(np.int64)
+    return nodes[at, 4]

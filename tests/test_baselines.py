@@ -1,7 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdetect import baselines
 from botdetect.baselines import (
@@ -12,12 +15,14 @@ from botdetect.baselines import (
     save_baseline,
 )
 from botdetect.baselines.boost import adaboost_margin, fit_adaboost
-from botdetect.baselines.forest import fit_forest
+from botdetect.baselines import forest
+from botdetect.baselines.forest import fit_forest, predict_forest
 from botdetect.baselines.mlp import init_mlp_params, mlp_forward, mlp_grads, mlp_loss
 from botdetect.data import FeatureMatrix, Standardizer
 from botdetect.errors import DegenerateData, SchemaMismatch
 from botdetect.nnet.gradcheck import check_gradients
 from botdetect.persist import load_model
+from oracles import reference_forest, tree_votes
 
 
 def _matrix(features, labels):
@@ -271,6 +276,78 @@ def _params_digest(params):
 def test_forest_trees_pinned(config, expected):
     x, y = _pinned_fixture()
     assert _params_digest(fit_forest(x, y, config)) == expected
+
+
+def _columns(seed, kinds, n):
+    """One column per kind: few tied integers, rounded Gaussians (ties),
+    continuous Gaussians (no ties) or a constant."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    make = {
+        "ties": lambda: rng.integers(0, 4, size=n).astype(np.float64),
+        "rounded": lambda: np.round(rng.standard_normal(n), 1),
+        "continuous": lambda: rng.standard_normal(n),
+        "constant": lambda: np.full(n, 2.5),
+    }
+    return np.column_stack([make[kind]() for kind in kinds]), rng
+
+
+@pytest.mark.parametrize("round_rows", [forest._ROUND_ROWS, 7])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 80),
+    kinds=st.lists(st.sampled_from(["ties", "rounded", "continuous", "constant"]),
+                   min_size=1, max_size=6),
+    labels=st.sampled_from(["mixed", "all_bot", "all_human"]),
+    min_leaf=st.sampled_from([1, 3]),
+    max_depth=st.sampled_from([0, 1, 6]),
+    n_trees=st.sampled_from([1, 7]),
+)
+@settings(max_examples=60, deadline=None)
+def test_forest_equals_per_node_reference(round_rows, seed, n, kinds, labels, min_leaf,
+                                          max_depth, n_trees):
+    # A budget of 7 rows makes most rounds leave trees waiting.
+    x, rng = _columns(seed, kinds, n)
+    y = {"mixed": lambda: rng.integers(0, 2, size=n), "all_bot": lambda: np.ones(n),
+         "all_human": lambda: np.zeros(n)}[labels]().astype(np.float64)
+    config = BaselineConfig(seed=seed, n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest, "_ROUND_ROWS", round_rows)
+        fitted = fit_forest(x, y, config)
+    expected = reference_forest(x, y, config)
+    assert list(fitted) == list(expected)
+    for name in expected:
+        assert fitted[name].dtype == np.float64
+        assert fitted[name].tobytes() == expected[name].tobytes()
+
+
+def test_forest_fit_memory_is_bounded_by_the_round_budget():
+    # The account-table training shape: without a row budget, the first
+    # round alone searches every tree's root at once.
+    rng = np.random.Generator(np.random.PCG64(11))
+    x = rng.poisson(3.0, size=(1440, 10)).astype(np.float64)
+    y = (x[:, 0] + rng.standard_normal(1440) * 0.5 > 4.0).astype(np.int8)
+    tracemalloc.start()
+    try:
+        params = fit_forest(x, y, BaselineConfig(seed=3, n_trees=100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(params) == 100
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("pairs", [forest._PREDICT_PAIRS, 48])
+def test_predict_forest_equals_per_tree_vote_sum(monkeypatch, pairs):
+    # 48 pairs over 16 trees walk 3 rows at a time, the last block 2 rows.
+    monkeypatch.setattr(forest, "_PREDICT_PAIRS", pairs)
+    x, y = _pinned_fixture()
+    params = fit_forest(x, y, BaselineConfig(seed=5, n_trees=15))
+    params["tree_015"] = np.array([[-1.0, 0.0, -1.0, -1.0, 1.0]])  # a single leaf
+    queries = np.vstack([x, np.random.Generator(np.random.PCG64(6)).standard_normal((50, 10))])
+    votes = np.zeros(queries.shape[0])
+    for name in sorted(params):
+        votes += tree_votes(params[name], queries)
+    assert predict_forest(params, queries).tobytes() == (votes / len(params)).tobytes()
 
 
 def test_adaboost_stumps_pinned():

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -8,7 +9,14 @@ import pytest
 import botdetect
 from botdetect import baselines
 from botdetect.baselines import BaselineConfig
-from botdetect.cli import RunConfig, benchmark_suite, build_parser, main, run_experiment
+from botdetect.cli import (
+    RunConfig,
+    _load_net,
+    benchmark_suite,
+    build_parser,
+    main,
+    run_experiment,
+)
 from botdetect.config import from_strings
 from botdetect.data import (
     ACCOUNT_FEATURE_COLUMNS,
@@ -19,6 +27,7 @@ from botdetect.data import (
 from botdetect.embedding import TweetPipeline, load_glove
 from botdetect.errors import ConfigError
 from botdetect.nnet import ContextualLstmModel, NetConfig
+from botdetect.persist import load_model
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +244,40 @@ def test_bench_suite(corpus, tmp_path):
     assert lines[1].startswith("forest_none,account,forest,none")
 
 
+
+def test_bench_parses_each_manifest_once(corpus, tmp_path, monkeypatch):
+    loads = []
+
+    def counted(manifest):
+        result = original(manifest)
+        loads.append((result, copy.deepcopy(result)))
+        return result
+
+    original = botdetect.cli.load_corpus
+    monkeypatch.setattr(botdetect.cli, "load_corpus", counted)
+    bench = tmp_path / "shared.kv"
+    bench.write_text(
+        "default.task = account\n"
+        f"default.manifest = {corpus / 'manifest.txt'}\n"
+        "default.n_trees = 4\n"
+        "row.forest_none.model = forest\n"
+        "row.forest_smotenn.model = forest\n"
+        "row.forest_smotenn.resample = smotenn\n"
+        "row.logreg_none.model = logreg\n"
+        "row.gone_a.manifest = /missing.txt\n"
+        "row.gone_b.manifest = /missing.txt\n",
+        encoding="utf-8",
+    )
+    results = benchmark_suite(str(bench), str(tmp_path / "out"))
+    assert [r["status"] for r in results] == ["ok", "ok", "ok", "error", "error"]
+    # One parse serves the three rows, and none of them changed it; a
+    # manifest that fails to parse fails every row that names it.
+    assert len(loads) == 1
+    shared, snapshot = loads[0]
+    assert shared == snapshot
+    assert results[3]["error"] == results[4]["error"]
+
+
 def test_bench_tweet_level_net_rows(corpus, tmp_path):
     bench = tmp_path / "bench_net.kv"
     bench.write_text(
@@ -428,6 +471,27 @@ def test_inspect_warns_on_pipeline_mismatch(corpus, tmp_path, capsys):
                      encoding="utf-8")
     assert main(["inspect", "--checkpoint", str(stale), *common]) == 0
     assert "differs from training" in capsys.readouterr().err
+
+
+
+def test_vocab_capped_checkpoint_scores_through_training_pipeline(corpus, tmp_path, capsys):
+    embedding = str(corpus / "glove_25d.txt")
+    common = ["--manifest", str(corpus / "manifest.txt"), "--embedding", embedding]
+    assert main(["train", "--task", "tweet", "--model", "lstm", "--vocab-cap", "50",
+                 "--embedding-dim", "25", "--epochs", "1", "--seed", "2",
+                 "--out", str(tmp_path / "runs"), *common]) == 0
+    checkpoint = str(tmp_path / "runs" / "latest" / "model.txt")
+    meta, arrays = load_model(checkpoint)
+    kept = meta["vocabulary"].split()
+    assert 0 < len(kept) <= 50
+    _, pipeline = _load_net(checkpoint, meta, arrays, embedding)
+    assert list(pipeline.table.vocabulary) == kept
+    assert pipeline.fingerprint() == meta["pipeline_hash"]
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", checkpoint, *common]) == 0
+    assert main(["inspect", "--checkpoint", checkpoint, "--out", str(tmp_path / "ins"),
+                 *common]) == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_train_flags_keep_their_spellings():
