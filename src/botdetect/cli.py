@@ -34,8 +34,6 @@ from .data import (
     TWEET_METADATA_COLUMNS,
     FeatureMatrix,
     SplitSpec,
-    encode_account,
-    encode_tweet_metadata,
     matrix_from_csv_lines,
     matrix_to_csv_lines,
     split_indices,
@@ -183,14 +181,14 @@ def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
     """A baseline's input: the account features, or the tweet metadata."""
     if on_accounts:
         records, schema = accounts, ACCOUNT_FEATURE_COLUMNS
-        rows = [encode_account(r.features) for r in records]
+        rows = [r.features for r in records]
     else:
         records, schema = tweets, TWEET_METADATA_COLUMNS
-        rows = [encode_tweet_metadata(r.metadata) for r in records]
+        rows = [r.metadata for r in records]
     if not records:
         raise DegenerateData(f"corpus contains no {'accounts' if on_accounts else 'tweets'}")
     labels = np.array([r.label for r in records], dtype=np.int8)
-    return FeatureMatrix(np.vstack(rows), schema, labels)
+    return FeatureMatrix(np.array(rows, dtype=np.float64), schema, labels)
 
 
 def _baseline_config(config: RunConfig) -> BaselineConfig:

@@ -48,56 +48,10 @@ ACCOUNT_COUNT_COLUMNS = ACCOUNT_FEATURE_COLUMNS[:5]
 ACCOUNT_BOOL_COLUMNS = ACCOUNT_FEATURE_COLUMNS[5:]
 
 
-def _check_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return int(value)
-
-
-@dataclass(frozen=True)
-class AccountFeatures:
-    """The ten profile features used for account-level detection."""
-
-    statuses_count: int
-    followers_count: int
-    friends_count: int
-    favourites_count: int
-    listed_count: int
-    default_profile: bool
-    geo_enabled: bool
-    profile_use_background_image: bool
-    verified: bool
-    protected: bool
-
-    def __post_init__(self):
-        for name in ACCOUNT_COUNT_COLUMNS:
-            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
-        for name in ACCOUNT_BOOL_COLUMNS:
-            object.__setattr__(self, name, bool(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class TweetMetadata:
-    """The six per-tweet counters used alongside tweet text."""
-
-    retweet_count: int
-    reply_count: int
-    favorite_count: int
-    num_hashtags: int
-    num_urls: int
-    num_mentions: int
-
-    def __post_init__(self):
-        for name in TWEET_METADATA_COLUMNS:
-            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
-
-
 @dataclass(frozen=True)
 class TweetRecord:
     text: str
-    metadata: TweetMetadata
+    metadata: tuple[int, ...]  # counts in TWEET_METADATA_COLUMNS order
     label: Label
     account_id: str
 
@@ -105,24 +59,8 @@ class TweetRecord:
 @dataclass(frozen=True)
 class AccountRecord:
     account_id: str
-    features: AccountFeatures
+    features: tuple[int, ...]  # ACCOUNT_FEATURE_COLUMNS order, flags as 0/1
     label: Label
-
-
-def encode_account(features: AccountFeatures) -> np.ndarray:
-    """Encode account features as a width-10 vector; booleans map to 0.0/1.0."""
-    return np.array(
-        [float(getattr(features, name)) for name in ACCOUNT_FEATURE_COLUMNS],
-        dtype=np.float64,
-    )
-
-
-def encode_tweet_metadata(metadata: TweetMetadata) -> np.ndarray:
-    """Encode tweet metadata as a width-6 vector in frozen column order."""
-    return np.array(
-        [float(getattr(metadata, name)) for name in TWEET_METADATA_COLUMNS],
-        dtype=np.float64,
-    )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import from_strings
-from .data import TweetRecord, encode_tweet_metadata
+from .data import TweetRecord
 from .errors import DimensionMismatch, ParseError
 from .tokenizer import tokenize
 
@@ -210,7 +210,7 @@ class TweetPipeline:
         for i, tweet in enumerate(tweets):
             tokens, ids[i] = self.embed_tweet(tweet)
             lengths[i] = len(tokens)
-        metadata = np.vstack([encode_tweet_metadata(tweet.metadata) for tweet in tweets])
+        metadata = np.array([tweet.metadata for tweet in tweets], dtype=np.float64)
         return ids, lengths, metadata
 
     def fingerprint(self) -> str:

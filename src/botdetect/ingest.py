@@ -8,6 +8,13 @@ Real corpora arrive as per-group directories of ``users.csv`` and
     group.<name>.accounts = <expected count>   # optional
     group.<name>.tweets = <expected count>     # optional
 
+Both files go through one row reader, `_load_rows`. It checks that the
+header names the file's mandatory columns, gives a row without an id the id
+`<group>:<row index>`, and hands each row to the file's row parser. A row
+whose count or flag cell does not parse is skipped and counted; past
+BAD_ROW_FRACTION of a file, loading fails. Records hold their counts (and
+flags, as 0/1) as a tuple in the column order `data` declares.
+
 The synthetic generator emits the same CSV schema, so every downstream path
 is exercised identically for real and synthetic data.
 """
@@ -26,10 +33,8 @@ from .data import (
     ACCOUNT_COUNT_COLUMNS,
     ACCOUNT_FEATURE_COLUMNS,
     TWEET_METADATA_COLUMNS,
-    AccountFeatures,
     AccountRecord,
     Label,
-    TweetMetadata,
     TweetRecord,
 )
 from .errors import ConfigError, ExcessiveBadRows, HeaderMismatch, ParseError
@@ -163,14 +168,14 @@ def _parse_count(cell: str, column: str, diag: GroupDiagnostics) -> int | None:
     return int(value)
 
 
-def _parse_bool(cell: str, column: str, diag: GroupDiagnostics) -> bool | None:
+def _parse_flag(cell: str, column: str, diag: GroupDiagnostics) -> int | None:
     text = cell.strip().lower()
     if text in _TRUE_VALUES:
-        return True
+        return 1
     if text in _FALSE_VALUES:
         if text == "":
             diag.filled_cells[column] = diag.filled_cells.get(column, 0) + 1
-        return False
+        return 0
     return None
 
 
@@ -188,62 +193,70 @@ def _cell(row: list[str], index: int | None) -> str:
     return row[index]
 
 
-def _read_header(reader, path, mandatory) -> dict[str, int]:
-    """Column name -> index, from a header row that names every mandatory column."""
-    header = next(reader, None)
-    if header is None:
-        raise HeaderMismatch(f"{path}: file has no header row")
-    columns = {name.strip(): i for i, name in enumerate(header)}
-    missing = [c for c in mandatory if c not in columns]
-    if missing:
-        raise HeaderMismatch(f"{path}: missing mandatory columns {missing}")
-    return columns
+def _parse_cells(row, cells, diag) -> tuple[int, ...] | None:
+    """The parsed `(column, index, parser)` cells of a row, in order; None
+    at the first cell that fails."""
+    values = []
+    for column, index, parse in cells:
+        value = parse(_cell(row, index), column, diag)
+        if value is None:
+            return None
+        values.append(value)
+    return tuple(values)
 
 
-def _data_rows(reader, id_col: int | None, group: ManifestGroup):
-    """(account id, row) for each non-empty row; a row whose id cell is
-    absent or empty gets `<group>:<row index>`."""
-    for row_idx, row in enumerate(reader):
-        if row:
-            yield _cell(row, id_col).strip() or f"{group.name}:{row_idx}", row
+def _load_rows(path, group: ManifestGroup, mandatory, id_column, row_parser) -> tuple[list, int]:
+    """(records, skipped rows) of one group file.
+
+    The header must name every mandatory column. `row_parser(columns)` gets
+    the column name -> index map and returns the parse of one row:
+    `(account id, row) -> record`, or None to skip and count the row. A
+    non-empty row whose id cell is absent or empty gets the id
+    `<group>:<row index>`.
+    """
+    with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise HeaderMismatch(f"{path}: file has no header row")
+        columns = {name.strip(): i for i, name in enumerate(header)}
+        missing = [c for c in mandatory if c not in columns]
+        if missing:
+            raise HeaderMismatch(f"{path}: missing mandatory columns {missing}")
+        parse = row_parser(columns)
+        id_index = columns.get(id_column)
+        records = []
+        total = skipped = 0
+        for row_idx, row in enumerate(reader):
+            if not row:
+                continue
+            total += 1
+            record = parse(_cell(row, id_index).strip() or f"{group.name}:{row_idx}", row)
+            if record is None:
+                skipped += 1
+            else:
+                records.append(record)
+        _check_bad_rows(path, skipped, total)
+    return records, skipped
 
 
 def _load_users(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[AccountRecord]:
-    with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
-        reader = csv.reader(fh)
-        columns = _read_header(reader, path, ACCOUNT_FEATURE_COLUMNS)
-        accounts = []
-        total = 0
-        for account_id, row in _data_rows(reader, columns.get("id"), group):
-            total += 1
-            values: dict[str, int | bool] = {}
-            ok = True
-            for col in ACCOUNT_COUNT_COLUMNS:
-                parsed = _parse_count(_cell(row, columns[col]), col, diag)
-                if parsed is None:
-                    ok = False
-                    break
-                values[col] = parsed
-            if ok:
-                for col in ACCOUNT_BOOL_COLUMNS:
-                    parsed = _parse_bool(_cell(row, columns[col]), col, diag)
-                    if parsed is None:
-                        ok = False
-                        break
-                    values[col] = parsed
-            if not ok:
-                diag.accounts_skipped += 1
-                continue
-            accounts.append(
-                AccountRecord(
-                    account_id=account_id,
-                    features=AccountFeatures(**values),
-                    label=group.label,
-                )
-            )
-        _check_bad_rows(path, diag.accounts_skipped, total)
+    def row_parser(columns):
+        cells = [(col, columns[col], _parse_count) for col in ACCOUNT_COUNT_COLUMNS]
+        cells += [(col, columns[col], _parse_flag) for col in ACCOUNT_BOOL_COLUMNS]
+
+        def parse(account_id, row):
+            features = _parse_cells(row, cells, diag)
+            return None if features is None else AccountRecord(account_id, features, group.label)
+        return parse
+
+    accounts, diag.accounts_skipped = _load_rows(
+        path, group, ACCOUNT_FEATURE_COLUMNS, "id", row_parser)
     diag.accounts_loaded = len(accounts)
     return accounts
+
+
+_ENTITY_COLUMNS = ("num_hashtags", "num_urls", "num_mentions")
 
 
 def _fallback_entity_counts(text: str) -> tuple[int, int, int]:
@@ -260,53 +273,33 @@ def _fallback_entity_counts(text: str) -> tuple[int, int, int]:
 
 
 def _load_tweets(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[TweetRecord]:
-    with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
-        reader = csv.reader(fh)
-        columns = _read_header(reader, path, ("text",))
-        entity_cols = ("num_hashtags", "num_urls", "num_mentions")
-        fallback = [c for c in entity_cols if c not in columns]
-        if fallback:
-            # Entity columns absent from this dump: recover them from the
-            # text and flag the substitution.
-            diag.fallback_columns.extend(fallback)
+    def row_parser(columns):
+        # Entity columns absent from this dump are recovered from the text,
+        # and the substitution is flagged.
+        fallback = [c for c in _ENTITY_COLUMNS if c not in columns]
+        diag.fallback_columns.extend(fallback)
         for col in TWEET_METADATA_COLUMNS:
             if col not in columns and col not in fallback:
                 diag.notes.append(f"column {col} absent; filled with 0")
-        tweets = []
-        total = 0
-        for account_id, row in _data_rows(reader, columns.get("user_id"), group):
-            total += 1
-            text = _cell(row, columns["text"])
-            counts: dict[str, int] = {}
-            ok = True
-            for col in TWEET_METADATA_COLUMNS:
-                if col in columns:
-                    parsed = _parse_count(_cell(row, columns[col]), col, diag)
-                    if parsed is None:
-                        ok = False
-                        break
-                    counts[col] = parsed
-                elif col in fallback:
-                    counts[col] = -1  # placeholder, filled below
-                else:
-                    counts[col] = 0
-            if not ok:
-                diag.tweets_skipped += 1
-                continue
-            if fallback:
-                h, u, m = _fallback_entity_counts(text)
-                recovered = {"num_hashtags": h, "num_urls": u, "num_mentions": m}
-                for col in fallback:
-                    counts[col] = recovered[col]
-            tweets.append(
-                TweetRecord(
-                    text=text,
-                    metadata=TweetMetadata(**counts),
-                    label=group.label,
-                    account_id=account_id,
-                )
-            )
-        _check_bad_rows(path, diag.tweets_skipped, total)
+        present = [col for col in TWEET_METADATA_COLUMNS if col in columns]
+        cells = [(col, columns[col], _parse_count) for col in present]
+        text_index = columns["text"]
+
+        def parse(account_id, row):
+            counts = _parse_cells(row, cells, diag)
+            if counts is None:
+                return None
+            text = _cell(row, text_index)
+            if len(present) < len(TWEET_METADATA_COLUMNS):
+                values = {}
+                if fallback:
+                    values.update(zip(_ENTITY_COLUMNS, _fallback_entity_counts(text)))
+                values.update(zip(present, counts))
+                counts = tuple(values.get(col, 0) for col in TWEET_METADATA_COLUMNS)
+            return TweetRecord(text, counts, group.label, account_id)
+        return parse
+
+    tweets, diag.tweets_skipped = _load_rows(path, group, ("text",), "user_id", row_parser)
     diag.tweets_loaded = len(tweets)
     return tweets
 
@@ -362,7 +355,7 @@ SHARED_WORDS = tuple(f"word{i:03d}" for i in range(120))
 HUMAN_WORDS = tuple(f"tone{i:03d}" for i in range(60))
 BOT_WORDS = tuple(f"spam{i:03d}" for i in range(60))
 
-# (column, base mean, cap): human draws min(Poisson(mean), cap); bots add a
+# (column, base mean, cap) in column order: human draws min(Poisson(mean), cap); bots add a
 # separation-scaled offset so ranges become disjoint at separation 1.
 _TWEET_COUNT_SPECS = (
     ("retweet_count", 2.0, 8),
@@ -441,7 +434,8 @@ def _draw_word(rng, separation: float, label: Label) -> str:
     return SHARED_WORDS[rng.integers(0, len(SHARED_WORDS))]
 
 
-def _make_tweet_text(rng, separation, label, counts: dict[str, int]) -> str:
+def _make_tweet_text(rng, separation, label, metadata: tuple[int, ...]) -> str:
+    hashtags, urls, mentions = metadata[3:]  # the entity columns
     n_words = 4 + int(rng.poisson(4.0))
     n_words = min(max(n_words, 2), 16)
     words = [_draw_word(rng, separation, label) for _ in range(n_words)]
@@ -450,12 +444,12 @@ def _make_tweet_text(rng, separation, label, counts: dict[str, int]) -> str:
     if rng.uniform() < 0.10:
         words[-1] = words[-1] + words[-1][-1] * 3
     extras = []
-    for _ in range(counts["num_hashtags"]):
+    for _ in range(hashtags):
         extras.append("#" + _draw_word(rng, separation, label))
-    for _ in range(counts["num_urls"]):
+    for _ in range(urls):
         tail = "".join(rng.choice(list("abcdefghij0123456789"), size=6))
         extras.append("https://t.co/" + tail)
-    for _ in range(counts["num_mentions"]):
+    for _ in range(mentions):
         extras.append("@user" + str(rng.integers(1000, 9999)))
     if rng.uniform() < 0.25:
         extras.append(str(rng.integers(0, 10000)))
@@ -467,14 +461,13 @@ def _make_tweet_text(rng, separation, label, counts: dict[str, int]) -> str:
 
 
 def _make_account(rng, spec, label, account_id) -> AccountRecord:
-    values: dict[str, int | bool] = {}
-    for col, base, cap in _ACCOUNT_COUNT_SPECS:
-        values[col] = _draw_count(rng, base, cap, spec.separation, label)
-    for col, direction in zip(ACCOUNT_BOOL_COLUMNS, _ACCOUNT_BOOL_DIRECTIONS):
+    features = [_draw_count(rng, base, cap, spec.separation, label)
+                for _, base, cap in _ACCOUNT_COUNT_SPECS]
+    for direction in _ACCOUNT_BOOL_DIRECTIONS:
         drift = 0.35 * spec.separation * direction
         p = 0.5 + (drift if label == Label.BOT else -drift)
-        values[col] = bool(rng.uniform() < p)
-    return AccountRecord(account_id=account_id, features=AccountFeatures(**values), label=label)
+        features.append(int(rng.uniform() < p))
+    return AccountRecord(account_id, tuple(features), label)
 
 
 def generate_synthetic(
@@ -494,19 +487,10 @@ def generate_synthetic(
             account_id = f"{prefix}{a:05d}"
             accounts.append(_make_account(rng, spec, label, account_id))
             for _ in range(spec.tweets_per_account):
-                counts = {
-                    col: _draw_count(rng, base, cap, spec.separation, label)
-                    for col, base, cap in _TWEET_COUNT_SPECS
-                }
-                text = _make_tweet_text(rng, spec.separation, label, counts)
-                tweets.append(
-                    TweetRecord(
-                        text=text,
-                        metadata=TweetMetadata(**counts),
-                        label=label,
-                        account_id=account_id,
-                    )
-                )
+                metadata = tuple(_draw_count(rng, base, cap, spec.separation, label)
+                                 for _, base, cap in _TWEET_COUNT_SPECS)
+                text = _make_tweet_text(rng, spec.separation, label, metadata)
+                tweets.append(TweetRecord(text, metadata, label, account_id))
     return accounts, tweets
 
 
@@ -527,19 +511,12 @@ def write_corpus(accounts, tweets, out_dir) -> str:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("id",) + ACCOUNT_FEATURE_COLUMNS)
             for acc in group_accounts:
-                row = [acc.account_id]
-                for col in ACCOUNT_COUNT_COLUMNS:
-                    row.append(getattr(acc.features, col))
-                for col in ACCOUNT_BOOL_COLUMNS:
-                    row.append(int(getattr(acc.features, col)))
-                writer.writerow(row)
+                writer.writerow([acc.account_id, *map(int, acc.features)])
         with open(os.path.join(group_dir, "tweets.csv"), "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("user_id", "text") + TWEET_METADATA_COLUMNS)
             for tw in group_tweets:
-                row = [tw.account_id, tw.text]
-                row.extend(getattr(tw.metadata, col) for col in TWEET_METADATA_COLUMNS)
-                writer.writerow(row)
+                writer.writerow([tw.account_id, tw.text, *map(int, tw.metadata)])
         manifest_lines.extend(
             [
                 f"group.{name}.path = {name}",

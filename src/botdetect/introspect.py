@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Label, TweetRecord, encode_tweet_metadata
+from .data import Label, TweetRecord
 from .embedding import TweetPipeline
 from .errors import SingleClass
 from .nnet.lstm import lstm_forward
@@ -63,7 +63,7 @@ def trace_tweet(
     """
     tokens, ids = pipeline.embed_tweet(tweet)
     _, _, hidden = model.forward(pipeline.table.matrix, ids, len(tokens),
-                                 encode_tweet_metadata(tweet.metadata))
+                                 np.array(tweet.metadata, dtype=np.float64))
     return ActivationTrace(matrix=hidden, tokens=tokens, empty=not tokens)
 
 

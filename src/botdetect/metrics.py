@@ -53,34 +53,28 @@ def roc_points(scores, labels) -> list[tuple[float, float]]:
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("ROC requires both classes present")
     if np.isnan(scores).any():
-        # NaN never equals itself, so the grouping loop below would not advance.
+        # NaN has no rank; such scores come from a numerically broken model.
         raise DegenerateData("scores contain NaN; the model is numerically broken")
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = scores.shape[0]
-    while i < n:
-        value = scores[order[i]]
-        j = i
-        while j < n and scores[order[j]] == value:
-            if labels[order[j]] == Label.BOT:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    return points
+    ranked = scores[order]
+    # The last position of each run of equal scores closes one step.
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]), ranked.shape[0] - 1)
+    tp = np.cumsum(labels[order] == Label.BOT)[ends]
+    fp = ends + 1 - tp
+    return [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
 
 
-def auc(scores, labels) -> float:
-    """Trapezoidal area under the ROC curve."""
-    points = roc_points(scores, labels)
+def _area(points) -> float:
+    """Trapezoidal area under ROC points, summed left to right."""
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
+
+
+def auc(scores, labels) -> float:
+    """Trapezoidal area under the ROC curve."""
+    return _area(roc_points(scores, labels))
 
 
 @dataclass(frozen=True)
@@ -161,13 +155,14 @@ def evaluate(
     # Human-class metrics come from the transposed confusion.
     h_precision, h_recall, h_f1, _, _ = _prf(tn, fn, fp)
     accuracy = (tp + tn) / (tp + fp + fn + tn)
+    points = roc_points(scores, labels)
     return EvalReport(
         precision=precision,
         recall=recall,
         f1=f1,
         accuracy=accuracy,
-        auc=auc(scores, labels),
-        roc_points=tuple(roc_points(scores, labels)),
+        auc=_area(points),
+        roc_points=tuple(points),
         threshold=threshold,
         confusion=(tp, fp, fn, tn),
         macro_precision=(precision + h_precision) / 2.0,

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..config import from_strings, to_strings
 from ..data import Standardizer
-from ..errors import DegenerateData, DimensionMismatch
+from ..errors import DegenerateData, DimensionMismatch, TrainingError
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
     glorot_uniform, relu, sigmoid
@@ -299,7 +299,8 @@ def train(
     arrays; each batch gathers its vectors from the embedding ``matrix``.
     Embeddings are frozen (gradients stop at the sequence input). Metadata is
     standardized with training-set statistics; it is never resampled. The run
-    is bit-reproducible for a fixed config seed.
+    is bit-reproducible for a fixed config seed. A step whose loss is not
+    finite raises TrainingError.
     """
     from ..metrics import auc as compute_auc  # local import avoids a cycle
 
@@ -332,6 +333,8 @@ def train(
             mb = meta_all[idx] if config.use_metadata else None
             main, aux, _, cache = model.forward_batch(xb, lb, mb, keep_cache=True)
             total, main_loss, aux_loss = blended_loss(main, aux, yb, config.loss_weights)
+            if not np.isfinite(total):
+                raise TrainingError(f"loss is not finite at epoch {epoch}, step {step}")
             grads = model.backward_batch(cache, main, aux, yb)
             optimizer.step(grads)
             trace.steps.append((epoch, step, main_loss, aux_loss, total))

@@ -46,12 +46,9 @@ def save_model(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         arr = np.asarray(arr, dtype=np.float64)
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"tensor {name} {arr.ndim} {dims}".rstrip())
-        flat = arr.reshape(-1) if arr.ndim != 2 else arr
-        if arr.ndim == 2:
-            for row in flat:
-                lines.append(" ".join(repr(float(v)) for v in row))
-        else:
-            lines.append(" ".join(repr(float(v)) for v in flat))
+        # A 2-D tensor is one line per row; any other rank is one line.
+        rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
+        lines.extend(" ".join(map(repr, row)) for row in rows.tolist())
     lines.append("end")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

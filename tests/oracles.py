@@ -79,6 +79,29 @@ def pair_auc(scores, labels) -> float:
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def loop_roc_points(scores, labels) -> list[tuple[float, float]]:
+    """ROC points by walking the stably sorted scores one position at a
+    time; each run of equal scores closes one step."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = sum(1 for lab in labels if lab == 1)
+    n_neg = len(labels) - n_pos
+    order = np.argsort(-scores, kind="stable")
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and scores[order[j]] == scores[order[i]]:
+            if labels[order[j]] == 1:
+                tp += 1
+            else:
+                fp += 1
+            j += 1
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    return points
+
+
 def is_convex_combination(row, originals: np.ndarray, tol: float = 1e-9) -> bool:
     """True if row = a + u*(b - a) for some original rows a, b and u in [0,1]."""
     n = originals.shape[0]

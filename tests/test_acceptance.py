@@ -20,8 +20,6 @@ from botdetect.data import (
     FeatureMatrix,
     Label,
     SplitSpec,
-    encode_account,
-    encode_tweet_metadata,
     split,
     split_indices,
 )
@@ -292,7 +290,7 @@ def test_criterion_8_real_corpus_conditional():
             for name, label in CRESCI_GROUPS
         )
         accounts, _, _ = load_corpus(CorpusManifest(groups=groups))
-        features = np.vstack([encode_account(a.features) for a in accounts])
+        features = np.array([a.features for a in accounts], dtype=np.float64)
         labels = np.array([a.label for a in accounts], dtype=np.int8)
         matrix = FeatureMatrix(features, ACCOUNT_FEATURE_COLUMNS, labels)
         train_matrix, test_matrix = split(matrix, SplitSpec(0.8, True, 0))
@@ -366,5 +364,5 @@ def test_criterion_10_introspection_conservation():
         for i, tweet in enumerate(tweets[:25]):
             trace = trace_tweet(model, TweetPipeline(table), tweet)
             _, _, hidden = model.forward(table.matrix, ids[i], lengths[i],
-                                         encode_tweet_metadata(tweet.metadata))
+                                         np.array(tweet.metadata, dtype=np.float64))
             assert np.array_equal(trace.matrix, hidden)

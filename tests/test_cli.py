@@ -458,6 +458,45 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+def _diverging_train_argv(corpus, out, model):
+    # At this learning rate the first Adam step sends the weights to inf.
+    return ["train", "--task", "tweet", "--model", model,
+            "--manifest", str(corpus / "manifest.txt"),
+            "--embedding", str(corpus / "glove_25d.txt"), "--embedding-dim", "25",
+            "--epochs", "1", "--learning-rate", "1e300", "--out", str(out)]
+
+
+@pytest.mark.parametrize("model", ["contextual", "lstm"])
+def test_diverging_training_exits_4(corpus, tmp_path, model):
+    src = os.path.dirname(os.path.dirname(botdetect.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = _diverging_train_argv(corpus, tmp_path / "r", model)
+    proc = subprocess.run([sys.executable, "-m", "botdetect.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    # numpy's overflow warnings may come first; the last line names the step.
+    assert proc.stderr.splitlines()[-1] == "error: loss is not finite at epoch 0, step 1"
+
+
+def test_bench_row_that_diverges_records_exit_4(corpus, tmp_path):
+    bench = tmp_path / "diverge.kv"
+    bench.write_text(
+        "default.task = tweet\n"
+        f"default.manifest = {corpus / 'manifest.txt'}\n"
+        f"default.embedding = {corpus / 'glove_25d.txt'}\n"
+        "default.embedding_dim = 25\n"
+        "default.epochs = 1\n"
+        "row.net.model = contextual\n"
+        "row.net.learning_rate = 1e300\n",
+        encoding="utf-8",
+    )
+    with np.errstate(all="ignore"):
+        results = benchmark_suite(str(bench), str(tmp_path / "b"))
+    assert results[0]["exit_code"] == 4
+    assert results[0]["error"] == "loss is not finite at epoch 0; step 1"
+
+
 def test_inspect_warns_on_pipeline_mismatch(corpus, tmp_path, capsys):
     net_text = _checkpoint_texts(corpus, tmp_path)["net"]
     common = ["--manifest", str(corpus / "manifest.txt"),

@@ -1,82 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from botdetect.data import (
-    ACCOUNT_FEATURE_COLUMNS,
-    TWEET_METADATA_COLUMNS,
-    AccountFeatures,
     FeatureMatrix,
     Label,
     SplitSpec,
     Standardizer,
-    TweetMetadata,
-    encode_account,
-    encode_tweet_metadata,
     matrix_from_csv_lines,
     matrix_to_csv_lines,
     split,
     split_indices,
 )
 from botdetect.errors import EmptyClass, EmptyInput
-
-counts = st.integers(min_value=0, max_value=10**9)
-flags = st.booleans()
-
-account_strategy = st.builds(
-    AccountFeatures, counts, counts, counts, counts, counts,
-    flags, flags, flags, flags, flags,
-)
-metadata_strategy = st.builds(TweetMetadata, *(counts for _ in range(6)))
-
-
-def test_encode_account_zero():
-    zero = AccountFeatures(0, 0, 0, 0, 0, False, False, False, False, False)
-    assert encode_account(zero).tolist() == [0.0] * 10
-
-
-def test_encode_account_placement():
-    acc = AccountFeatures(5, 0, 0, 0, 0, False, False, False, True, False)
-    vec = encode_account(acc)
-    assert vec[0] == 5.0
-    assert vec[8] == 1.0
-    assert vec.sum() == 6.0
-    assert len(ACCOUNT_FEATURE_COLUMNS) == 10
-
-
-def test_encode_metadata_examples():
-    assert encode_tweet_metadata(TweetMetadata(0, 0, 0, 0, 0, 0)).tolist() == [0.0] * 6
-    vec = encode_tweet_metadata(TweetMetadata(0, 0, 0, 2, 1, 0))
-    assert vec.tolist() == [0.0, 0.0, 0.0, 2.0, 1.0, 0.0]
-    assert len(TWEET_METADATA_COLUMNS) == 6
-
-
-@given(account_strategy)
-@settings(max_examples=100, deadline=None)
-def test_account_round_trip(account):
-    # Each field sits at its frozen column's index, exactly: counts up to 1e9
-    # and the 0/1 flags are exact in float64.
-    vector = encode_account(account)
-    assert vector.shape == (len(ACCOUNT_FEATURE_COLUMNS),)
-    values = {name: int(v) for name, v in zip(ACCOUNT_FEATURE_COLUMNS, vector.tolist())}
-    assert AccountFeatures(**values) == account
-
-
-@given(metadata_strategy)
-@settings(max_examples=100, deadline=None)
-def test_metadata_round_trip(metadata):
-    vector = encode_tweet_metadata(metadata)
-    assert vector.shape == (len(TWEET_METADATA_COLUMNS),)
-    values = {name: int(v) for name, v in zip(TWEET_METADATA_COLUMNS, vector.tolist())}
-    assert TweetMetadata(**values) == metadata
-
-
-def test_account_validation():
-    with pytest.raises(ValueError):
-        AccountFeatures(-1, 0, 0, 0, 0, False, False, False, False, False)
-    with pytest.raises(TypeError):
-        AccountFeatures(0.5, 0, 0, 0, 0, False, False, False, False, False)
 
 
 def test_matrix_rejects_nan_and_width_mismatch():

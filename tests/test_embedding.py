@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botdetect.data import Label, TweetMetadata, TweetRecord
+from botdetect.data import Label, TweetRecord
 from botdetect.embedding import (
     TweetPipeline,
     embed,
@@ -118,7 +118,7 @@ def test_table_rows_are_one_matrix(table):
 
 
 def _tweet(text):
-    return TweetRecord(text=text, metadata=TweetMetadata(1, 0, 2, 0, 0, 0),
+    return TweetRecord(text=text, metadata=(1, 0, 2, 0, 0, 0),
                        label=Label.HUMAN, account_id="a")
 
 

@@ -1,14 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from botdetect import baselines
 from botdetect.baselines import BaselineConfig, BaselineKind
 from botdetect.data import (
+    ACCOUNT_FEATURE_COLUMNS,
     FeatureMatrix,
     Label,
     SplitSpec,
     TWEET_METADATA_COLUMNS,
-    encode_tweet_metadata,
     split,
 )
 from botdetect.errors import ExcessiveBadRows, HeaderMismatch, ParseError
@@ -92,7 +94,7 @@ def test_corrupt_numeric_row_skipped_and_counted(tmp_path):
     assert len(tweets) == 2
     assert diag.groups[0].tweets_skipped == 1
     assert tweets[0].text == "hello world"
-    assert tweets[1].metadata.num_mentions == 2
+    assert dict(zip(TWEET_METADATA_COLUMNS, tweets[1].metadata))["num_mentions"] == 2
 
 
 def test_missing_mandatory_column_is_header_mismatch(tmp_path):
@@ -109,7 +111,7 @@ def test_absent_count_column_fills_zero(tmp_path):
     rows = [header, "u1,hello,2,1,0,0,0", "u2,world,0,0,1,0,0"]
     group = _group(tmp_path, "humans", [USERS_HEADER], rows)
     _, tweets, diag = load_corpus(CorpusManifest(groups=(group,)))
-    assert all(t.metadata.reply_count == 0 for t in tweets)
+    assert all(dict(zip(TWEET_METADATA_COLUMNS, t.metadata))["reply_count"] == 0 for t in tweets)
     assert any("reply_count" in note for note in diag.groups[0].notes)
 
 
@@ -118,8 +120,8 @@ def test_absent_entity_columns_fall_back_to_text_counting(tmp_path):
     rows = [header, 'u1,"see #a #b https://t.co/x @bob",0,0,0']
     group = _group(tmp_path, "humans", [USERS_HEADER], rows)
     _, tweets, diag = load_corpus(CorpusManifest(groups=(group,)))
-    meta = tweets[0].metadata
-    assert (meta.num_hashtags, meta.num_urls, meta.num_mentions) == (2, 1, 1)
+    meta = dict(zip(TWEET_METADATA_COLUMNS, tweets[0].metadata))
+    assert (meta["num_hashtags"], meta["num_urls"], meta["num_mentions"]) == (2, 1, 1)
     assert set(diag.groups[0].fallback_columns) == {"num_hashtags", "num_urls", "num_mentions"}
 
 
@@ -127,9 +129,42 @@ def test_empty_cells_fill_with_zero_and_are_counted(tmp_path):
     rows = [USERS_HEADER, "a1,5,,3,0,0,1,,0,1,0"]
     group = _group(tmp_path, "humans", rows, None)
     accounts, _, diag = load_corpus(CorpusManifest(groups=(group,)))
-    assert accounts[0].features.followers_count == 0
-    assert not accounts[0].features.geo_enabled
+    features = dict(zip(ACCOUNT_FEATURE_COLUMNS, accounts[0].features))
+    assert features["followers_count"] == 0
+    assert not features["geo_enabled"]
     assert diag.groups[0].filled_cells["followers_count"] == 1
+
+
+@pytest.mark.parametrize(
+    "column, cell, loaded, filled",
+    [
+        # count cells: a non-negative finite number truncates to an int
+        ("followers_count", "-1", None, 0),
+        ("followers_count", "1e400", None, 0),
+        ("followers_count", "inf", None, 0),
+        ("followers_count", "abc", None, 0),
+        ("followers_count", "", 0, 1),
+        ("followers_count", "nan", 0, 1),
+        ("followers_count", "2.9", 2, 0),
+        # flag cells load as 0/1
+        ("geo_enabled", "yes", 1, 0),
+        ("geo_enabled", "maybe", None, 0),
+        ("geo_enabled", "", 0, 1),
+    ],
+)
+def test_cell_value_loads_fills_or_skips_the_row(tmp_path, column, cell, loaded, filled):
+    # `loaded` None: the row is skipped and counted. Every other cell is 1.
+    cells = [cell if c == column else "1" for c in ACCOUNT_FEATURE_COLUMNS]
+    group = _group(tmp_path, "humans", [USERS_HEADER, ",".join(["a1", *cells])], None)
+    accounts, _, diag = load_corpus(CorpusManifest(groups=(group,)))
+    if loaded is None:
+        assert accounts == [] and diag.groups[0].accounts_skipped == 1
+    else:
+        assert diag.groups[0].accounts_skipped == 0
+        want = tuple(loaded if c == column else 1 for c in ACCOUNT_FEATURE_COLUMNS)
+        assert accounts[0].features == want
+        assert all(type(v) is int for v in accounts[0].features)
+    assert diag.groups[0].filled_cells.get(column, 0) == filled
 
 
 def test_count_mismatch_reported_as_warning(tmp_path):
@@ -191,6 +226,25 @@ def test_synthetic_deterministic_byte_identical(tmp_path):
         assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
 
 
+# sha256 of write_corpus(generate_synthetic(SyntheticCorpusSpec(6, 3, seed=4,
+# separation=0.5))): guards the column order and the 0/1 flag spelling.
+SYNTHETIC_CORPUS_SHA256 = {
+    "human/users.csv": "561c6f92a9303d5df01f990781f8eadcf26d163a012274476dbbaab2b8daa88b",
+    "human/tweets.csv": "ba298f150742dbd5e8c102f4d15da43f0d8426a3d0beb78dcb28e6590d01dcc2",
+    "bot/users.csv": "130c50ed40ab66818569ec6b6490dd8920bf33c418f4085d4d0adf9f5c19f55c",
+    "bot/tweets.csv": "ec3a85823ed0dc84bd47e535337f481839a7b15e1b944d5b82fd824d0d0174af",
+    "manifest.txt": "83b6165943090ecb5d73dee2b877c15d1bcc0a8f69f09089a4f124a3ef2a6bbf",
+}
+
+
+def test_synthetic_corpus_bytes_are_pinned(tmp_path):
+    spec = SyntheticCorpusSpec(6, 3, seed=4, separation=0.5)
+    write_corpus(*generate_synthetic(spec), tmp_path)
+    digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
+               for rel in SYNTHETIC_CORPUS_SHA256}
+    assert digests == SYNTHETIC_CORPUS_SHA256
+
+
 def test_synthetic_round_trips_through_loader(tmp_path):
     spec = SyntheticCorpusSpec(8, 4, seed=3, separation=0.7)
     accounts, tweets = generate_synthetic(spec)
@@ -218,9 +272,9 @@ def test_separation_one_vocabularies_disjoint():
 def test_separation_one_metadata_ranges_disjoint():
     spec = SyntheticCorpusSpec(60, 2, seed=6, separation=1.0)
     _, tweets = generate_synthetic(spec)
-    for column in TWEET_METADATA_COLUMNS:
-        human_max = max(getattr(t.metadata, column) for t in tweets if t.label == Label.HUMAN)
-        bot_min = min(getattr(t.metadata, column) for t in tweets if t.label == Label.BOT)
+    for column in range(len(TWEET_METADATA_COLUMNS)):
+        human_max = max(t.metadata[column] for t in tweets if t.label == Label.HUMAN)
+        bot_min = min(t.metadata[column] for t in tweets if t.label == Label.BOT)
         assert human_max < bot_min
 
 
@@ -236,9 +290,7 @@ def test_metadata_means_converge_within_five_percent():
     _, tweets = generate_synthetic(spec)
     assert len(tweets) >= 10000
     for label in (Label.HUMAN, Label.BOT):
-        sample = np.vstack(
-            [encode_tweet_metadata(t.metadata) for t in tweets if t.label == label]
-        )
+        sample = np.array([t.metadata for t in tweets if t.label == label], dtype=np.float64)
         expected = class_metadata_means(spec, label)
         rel = np.abs(sample.mean(axis=0) - expected) / expected
         assert rel.max() < 0.05
@@ -251,7 +303,7 @@ def test_separation_zero_classifier_at_chance():
     for seed in range(5):
         spec = SyntheticCorpusSpec(50, 10, seed=seed, separation=0.0)
         _, tweets = generate_synthetic(spec)
-        features = np.vstack([encode_tweet_metadata(t.metadata) for t in tweets])
+        features = np.array([t.metadata for t in tweets], dtype=np.float64)
         labels = np.array([t.label for t in tweets], dtype=np.int8)
         matrix = FeatureMatrix(features, TWEET_METADATA_COLUMNS, labels)
         train, test = split(matrix, SplitSpec(0.7, True, seed))

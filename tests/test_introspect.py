@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from botdetect.data import Label, TweetMetadata, TweetRecord, encode_tweet_metadata
+from botdetect.data import Label, TweetRecord
 from botdetect.embedding import TweetPipeline, embed, fixture_table
 from botdetect.errors import SingleClass
 from botdetect.introspect import (
@@ -20,7 +20,7 @@ from botdetect.tokenizer import tokenize
 
 from oracles import scalar_lstm_cells, scalar_lstm_final
 
-META = TweetMetadata(1, 0, 2, 0, 0, 0)
+META = (1, 0, 2, 0, 0, 0)
 
 
 def _tweet(text, label=Label.HUMAN):
@@ -58,7 +58,7 @@ def test_single_token_trace_equals_final_state(model, table):
     assert trace.matrix.shape == (1, 8)
     ids, length = _ids(tweet.text, table)
     main, aux, hidden = model.forward(table.matrix, ids, length,
-                                      encode_tweet_metadata(tweet.metadata))
+                                      np.array(tweet.metadata, dtype=np.float64))
     assert np.array_equal(trace.matrix[0], hidden[-1])
 
 
@@ -87,7 +87,7 @@ def test_trace_rows_match_forward_bitwise(model, table):
     trace = trace_tweet(model, TweetPipeline(table), tweet)
     ids, length = _ids(tweet.text, table)
     _, _, hidden = model.forward(table.matrix, ids, length,
-                                 encode_tweet_metadata(tweet.metadata))
+                                 np.array(tweet.metadata, dtype=np.float64))
     assert np.array_equal(trace.matrix, hidden)
 
 
@@ -197,7 +197,7 @@ def test_distributions_use_batched_final_states(model, table):
     for tweet in tweets:
         ids, length = _ids(tweet.text, table)
         _, _, hidden = model.forward(table.matrix, ids, length,
-                                     encode_tweet_metadata(tweet.metadata))
+                                     np.array(tweet.metadata, dtype=np.float64))
         finals[tweet.label].append(hidden[-1] if hidden.shape[0] else np.zeros(8))
     for dist in report.distributions:
         values = np.array(finals[dist.label])[:, dist.unit_index]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from botdetect.errors import DegenerateData, EmptyInput, SingleClass
 from botdetect.metrics import auc, confusion_at, evaluate, roc_points
 
-from oracles import pair_auc
+from oracles import loop_roc_points, pair_auc
 
 
 def test_perfect_scores_have_no_errors():
@@ -122,6 +122,29 @@ def test_auc_bounds(seed):
     scores = rng.uniform(size=n)
     value = auc(scores, labels)
     assert 0.0 <= value <= 1.0
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_roc_points_and_auc_match_the_loop_reference(seed):
+    # Few distinct levels force ties; -0.0 and 0.0 must fall into one step.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.integers(2, 400))
+    labels = rng.integers(0, 2, n).astype(np.int8)
+    labels[:2] = [0, 1]
+    levels = np.array([-0.0, 0.0, 0.25, 0.5, 1.0, -np.inf, np.inf])
+    if rng.uniform() < 0.5:
+        scores = levels[rng.integers(0, len(levels), n)]
+    else:
+        scores = rng.uniform(size=n)
+    want = loop_roc_points(scores, labels)
+    assert roc_points(scores, labels) == want
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(want, want[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    assert repr(auc(scores, labels)) == repr(area)
+    report = evaluate(scores, labels)
+    assert report.roc_points == tuple(want) and repr(report.auc) == repr(area)
 
 
 def test_report_serialization_deterministic():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from botdetect.data import Label, Standardizer, TweetMetadata, TweetRecord
+from botdetect.data import Label, Standardizer, TweetRecord
 from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import DegenerateData, DimensionMismatch
 from botdetect.nnet import (
@@ -412,7 +412,7 @@ def test_predict_proba_on_ids_equals_forward_batch_on_floats():
     # tweets included.
     table = fixture_table(["alpha", "beta", "gamma", "<number>"], 5, seed=47)
     pipeline = TweetPipeline(table, max_len=6)
-    meta = TweetMetadata(1, 0, 2, 0, 0, 0)
+    meta = (1, 0, 2, 0, 0, 0)
     texts = ["alpha beta 42", "", "foo bar baz", "gamma " * 9, "beta nope alpha"]
     tweets = [TweetRecord(text=t, metadata=meta, label=Label.HUMAN, account_id="a")
               for t in texts]

@@ -26,6 +26,34 @@ def test_round_trip_bit_exact(tmp_path):
         assert np.array_equal(loaded[name], np.asarray(arr, dtype=np.float64))
 
 
+def test_tensor_lines_are_pinned_for_every_rank(tmp_path):
+    # A 2-D tensor is one line per row (none for zero rows, empty lines for
+    # zero columns); every other rank is one line of repr-formatted floats.
+    arrays = {
+        "scalar": np.array(-0.0),
+        "vector": np.array([0.1, -2.5, 1e-300, 3.0]),
+        "no_rows": np.zeros((0, 5)),
+        "empty_rows": np.zeros((3, 0)),
+        "matrix": np.array([[1 / 3, 2.0], [np.inf, -7.25]]),
+    }
+    path = tmp_path / "model.txt"
+    save_model(path, {"kind": "test"}, arrays)
+    assert path.read_text(encoding="utf-8") == (
+        "botdetect-model v1\n"
+        "meta kind = test\n"
+        "tensor scalar 0\n-0.0\n"
+        "tensor vector 1 4\n0.1 -2.5 1e-300 3.0\n"
+        "tensor no_rows 2 0 5\n"
+        "tensor empty_rows 2 3 0\n\n\n\n"
+        "tensor matrix 2 2 2\n0.3333333333333333 2.0\ninf -7.25\n"
+        "end\n"
+    )
+    _, loaded = load_model(path)
+    for name, arr in arrays.items():
+        assert loaded[name].shape == arr.shape
+        assert np.array_equal(loaded[name], arr)
+
+
 def test_identical_models_serialize_identically(tmp_path):
     arrays = {"w": np.linspace(-1, 1, 7)}
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
