@@ -15,8 +15,9 @@ import numpy as np
 
 from ..config import from_strings, to_strings
 from ..data import FeatureMatrix, Standardizer
+from ..errors import ParseError
 from ..persist import save_model
-from .boost import fit_adaboost, predict_adaboost
+from .boost import fit_adaboost, predict_adaboost, stumps_fit
 from .common import (
     BaselineConfig,
     BaselineKind,
@@ -24,9 +25,9 @@ from .common import (
     rows_for_prediction,
     validate_training_matrix,
 )
-from .forest import fit_forest, predict_forest, tree_names
-from .linear import fit_logreg, fit_sgd, predict_logreg, predict_sgd
-from .mlp import fit_mlp, mlp_forward
+from .forest import fit_forest, predict_forest, tree_names, trees_fit
+from .linear import fit_logreg, fit_sgd, linear_fits, predict_logreg, predict_sgd
+from .mlp import fit_mlp, mlp_fits, mlp_forward
 
 __all__ = [
     "REGISTRY",
@@ -44,6 +45,7 @@ class Entry(NamedTuple):
     predict: Callable  # (params, x) -> bot probabilities
     fields: tuple[str, ...]  # config fields echoed into checkpoints
     tensors: Callable  # config -> names of the params' tensors
+    fits: Callable  # (params, width) -> whether the params score width-wide rows
 
 
 # Every entry calls through this module's globals, so rebinding a name here
@@ -54,24 +56,28 @@ REGISTRY = {
         lambda params, x: predict_logreg(params, x),
         ("logreg_epochs", "logreg_lr"),
         lambda config: ("w", "b"),
+        lambda params, width: linear_fits(params, width),
     ),
     BaselineKind.SGD: Entry(
         lambda x, y, config, rng: fit_sgd(x, y, config, rng),
         lambda params, x: predict_sgd(params, x),
         ("sgd_epochs", "sgd_lr", "sgd_l2"),
         lambda config: ("w", "b", "platt"),
+        lambda params, width: linear_fits(params, width),
     ),
     BaselineKind.FOREST: Entry(
         lambda x, y, config, rng: fit_forest(x, y, config),
         lambda params, x: predict_forest(params, x),
         ("n_trees", "max_depth", "min_leaf"),
         lambda config: tree_names(config.n_trees),
+        lambda params, width: trees_fit(params, width),
     ),
     BaselineKind.ADABOOST: Entry(
         lambda x, y, config, rng: fit_adaboost(x, y, config),
         lambda params, x: predict_adaboost(params, x),
         ("n_stumps",),
         lambda config: ("stumps",),
+        lambda params, width: stumps_fit(params, width),
     ),
     BaselineKind.MLP: Entry(
         lambda x, y, config, rng: fit_mlp(x, y, config, rng),
@@ -79,6 +85,7 @@ REGISTRY = {
         ("mlp_layers", "mlp_lr", "mlp_beta1", "mlp_beta2", "mlp_eps", "mlp_batch",
          "mlp_epochs"),
         lambda config: tuple(f"{p}{i}" for i in range(len(config.mlp_layers)) for p in "Wb"),
+        lambda params, width: mlp_fits(params, width),
     ),
 }
 
@@ -122,18 +129,19 @@ def save_baseline(model: BaselineModel, path, extra_meta: dict | None = None) ->
 
 def load_baseline(meta, arrays) -> BaselineModel:
     """Rebuild a baseline from a parsed checkpoint (`persist.load_model`); a
-    missing tensor is a ParseError naming it."""
+    missing tensor is a ParseError naming it, and so are tensors that cannot
+    score rows of the schema's width."""
     prefix = "config."
     config = from_strings(BaselineConfig, {
         key[len(prefix):]: value for key, value in meta.items() if key.startswith(prefix)
     })
     kind = BaselineKind(meta["kind"])
-    return BaselineModel(
-        kind=kind,
-        schema=tuple(meta["schema"].split(",")),
-        standardizer=Standardizer(
-            mean=arrays["standardizer.mean"], std=arrays["standardizer.std"]
-        ),
-        config=config,
-        params={name: arrays[name] for name in REGISTRY[kind].tensors(config)},
-    )
+    schema = tuple(meta["schema"].split(","))
+    standardizer = Standardizer(mean=arrays["standardizer.mean"], std=arrays["standardizer.std"])
+    params = {name: arrays[name] for name in REGISTRY[kind].tensors(config)}
+    if standardizer.mean.shape != (len(schema),) or standardizer.std.shape != (len(schema),):
+        raise ParseError(f"{arrays.path}: the standardizer is not {len(schema)} wide")
+    if not REGISTRY[kind].fits(params, len(schema)):
+        raise ParseError(f"{arrays.path}: the {kind.value} tensors cannot score "
+                         f"{len(schema)}-wide rows")
+    return BaselineModel(kind, schema, standardizer, config, params)

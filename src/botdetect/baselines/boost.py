@@ -95,6 +95,14 @@ def fit_adaboost(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
     return {"stumps": np.array(stumps, dtype=np.float64)}
 
 
+def stumps_fit(params: dict, width: int) -> bool:
+    """Whether every (feature, threshold, polarity, alpha) row splits on a
+    feature in [0, width)."""
+    stumps = params["stumps"]
+    return stumps.ndim == 2 and stumps.shape[1] == 4 and bool(
+        np.all((0 <= stumps[:, 0]) & (stumps[:, 0] < width)))
+
+
 def adaboost_margin(params: dict, x: np.ndarray) -> np.ndarray:
     margins = np.zeros(x.shape[0])
     for feature, threshold, polarity, alpha in params["stumps"]:

@@ -221,6 +221,25 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
             for name, table in zip(tree_names(config.n_trees), tables)}
 
 
+def trees_fit(params: dict, width: int) -> bool:
+    """Whether the trees can score width-wide rows: there is one at least,
+    and each inner node splits on a feature in [0, width) and points at two
+    later rows of its table, as `fit_forest` appends them, so every walk
+    ends at a leaf."""
+    if not params:
+        return False
+    for nodes in params.values():
+        if nodes.ndim != 2 or nodes.shape[1] != 5 or not nodes.shape[0]:
+            return False
+        at = np.flatnonzero(nodes[:, 0] != _LEAF)
+        inner = nodes[at][:, [0, 2, 3]]
+        feature, left, right = inner.T
+        if not (np.all(inner == np.floor(inner)) and np.all((0 <= feature) & (feature < width))
+                and np.all((at < left) & (at < right) & (np.maximum(left, right) < len(nodes)))):
+            return False
+    return True
+
+
 def predict_forest(params: dict, x: np.ndarray) -> np.ndarray:
     """Mean leaf vote over the trees. Every (tree, row) pair of a block of
     rows walks down one concatenated node table together, one level a step."""

@@ -13,6 +13,12 @@ _PLATT_ITERS = 1000
 _PLATT_LR = 0.5
 
 
+def linear_fits(params: dict, width: int) -> bool:
+    """Whether w, b and (for SGD) the four Platt numbers fit width-wide rows."""
+    shapes = {"w": (width,), "b": (1,), "platt": (4,)}
+    return all(params[name].shape == shapes[name] for name in params)
+
+
 def fit_logreg(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
     """Cross-entropy minimized by full-batch gradient descent."""
     n, d = x.shape

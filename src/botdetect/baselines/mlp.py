@@ -13,7 +13,6 @@ from ..nnet.layers import (
     Adam,
     affine,
     affine_backward,
-    bce,
     bce_grad_wrt_logit,
     glorot_uniform,
     relu,
@@ -63,6 +62,17 @@ def mlp_grads(params: dict, cache, scores: np.ndarray, targets: np.ndarray) -> d
     return grads
 
 
+def mlp_fits(params: dict, width: int) -> bool:
+    """Whether the layers chain from width inputs to one output."""
+    fan_in = width
+    for i in range(len(params) // 2):
+        w, b = params[f"W{i}"], params[f"b{i}"]
+        if w.ndim != 2 or w.shape[1] != fan_in or b.shape != w.shape[:1]:
+            return False
+        fan_in = w.shape[0]
+    return fan_in == 1
+
+
 def fit_mlp(x: np.ndarray, y: np.ndarray, config: BaselineConfig,
             rng: np.random.Generator) -> dict:
     params = init_mlp_params(rng, x.shape[1], config.mlp_layers)
@@ -77,7 +87,3 @@ def fit_mlp(x: np.ndarray, y: np.ndarray, config: BaselineConfig,
             grads = mlp_grads(params, cache, scores, y[idx])
             optimizer.step(grads)
     return params
-
-
-def mlp_loss(params: dict, x: np.ndarray, y: np.ndarray) -> float:
-    return bce(mlp_forward(params, x), y)

@@ -168,13 +168,21 @@ class RunConfig:
 class ExperimentResult:
     report: EvalReport
     run_dir: str
-    checkpoint_path: str
-    report_kv_path: str
 
 
 def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_report(out_dir, report: EvalReport, head: list[str], text_tail: str) -> None:
+    """`report.kv`, `report.txt` and `roc.csv`. The head lines open the kv
+    file and, as comments, the csv; the tail closes the text."""
+    _write_lines(os.path.join(out_dir, "report.kv"), head + report.to_kv_lines())
+    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+        fh.write(report.to_text() + text_tail)
+    _write_lines(os.path.join(out_dir, "roc.csv"),
+                 [f"# {line}" for line in head] + report.roc_csv_lines())
 
 
 def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
@@ -192,13 +200,8 @@ def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
 
 
 def _baseline_config(config: RunConfig) -> BaselineConfig:
-    return BaselineConfig(
-        seed=config.seed,
-        n_trees=config.n_trees,
-        n_stumps=config.n_stumps,
-        logreg_epochs=config.logreg_epochs,
-        mlp_layers=config.mlp_layers,
-    )
+    return BaselineConfig(**{f.name: getattr(config, f.name) for f in fields(BaselineConfig)
+                             if hasattr(config, f.name)})
 
 
 def _make_run_dir(config: RunConfig) -> str:
@@ -242,9 +245,8 @@ def _run_baseline_experiment(config, matrix, run_dir, con_hash):
     model = baselines.fit(BaselineKind(config.model), train_matrix, _baseline_config(config))
     scores = baselines.predict_proba(model, test_matrix)
     report = evaluate(scores, test_matrix.labels, config.threshold, config.echo())
-    checkpoint = os.path.join(run_dir, "model.txt")
-    baselines.save_baseline(model, checkpoint, {"config_hash": con_hash})
-    return report, checkpoint
+    baselines.save_baseline(model, os.path.join(run_dir, "model.txt"), {"config_hash": con_hash})
+    return report
 
 
 def _run_net_experiment(config, tweets, run_dir, con_hash):
@@ -294,13 +296,12 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         os.path.join(run_dir, "trace.csv"),
         [f"# config_hash = {con_hash}"] + trace.to_csv_lines(),
     )
-    checkpoint = os.path.join(run_dir, "model.txt")
     meta = {"config_hash": con_hash, **pipeline.meta()}
     if restrict is not None:
         # The kept tokens, in table order, so that scoring loads this table.
         meta["vocabulary"] = " ".join(table.vocabulary)
-    model.save(checkpoint, meta)
-    return report, checkpoint
+    model.save(os.path.join(run_dir, "model.txt"), meta)
+    return report
 
 
 def _read_corpus(manifest_path):
@@ -319,31 +320,24 @@ def run_experiment(config: RunConfig, read_corpus=_read_corpus) -> ExperimentRes
     run_dir = _make_run_dir(config)
 
     if config.model in NET_CONFIGS:
-        report, checkpoint = _run_net_experiment(config, tweets, run_dir, con_hash)
+        report = _run_net_experiment(config, tweets, run_dir, con_hash)
     else:
         matrix = _baseline_matrix(config.task == "account", accounts, tweets)
-        report, checkpoint = _run_baseline_experiment(config, matrix, run_dir, con_hash)
+        report = _run_baseline_experiment(config, matrix, run_dir, con_hash)
 
-    report_kv = os.path.join(run_dir, "report.kv")
-    _write_lines(report_kv, [f"config_hash = {con_hash}"] + report.to_kv_lines())
-    with open(os.path.join(run_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
-        fh.write(f"  config hash {con_hash}\n")
-    _write_lines(
-        os.path.join(run_dir, "roc.csv"),
-        [f"# config_hash = {con_hash}"] + report.roc_csv_lines(),
-    )
+    _write_report(run_dir, report, [f"config_hash = {con_hash}"],
+                  f"  config hash {con_hash}\n")
     run_lines = [f"config_hash = {con_hash}"]
     run_lines += [f"config.{line}" for line in config.to_kv_lines()]
     run_lines += load_diag.to_kv_lines()
     run_lines.append("rule.lstm_resampling = forbidden (metadata never oversampled)")
     _write_lines(os.path.join(run_dir, "run.kv"), run_lines)
-    return ExperimentResult(
-        report=report,
-        run_dir=run_dir,
-        checkpoint_path=checkpoint,
-        report_kv_path=report_kv,
-    )
+    return ExperimentResult(report, run_dir)
+
+
+def _exit_code(exc: BotDetectError | OSError) -> int:
+    """The exit code of an error: its own, or a data error's for an OSError."""
+    return exc.exit_code if isinstance(exc, BotDetectError) else DataError.exit_code
 
 
 # -- bench -----------------------------------------------------------------
@@ -395,12 +389,7 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
             for key in ("task", "model", "resample", "embedding_dim"):
                 row.setdefault(key, merged.get(key, ""))
             message = str(exc).replace(",", ";").replace("\n", " ")
-            row.update(
-                precision="", recall="", f1="", accuracy="", auc="",
-                status="error", error=message,
-                exit_code=exc.exit_code if isinstance(exc, BotDetectError)
-                else DataError.exit_code,
-            )
+            row.update(status="error", error=message, exit_code=_exit_code(exc))
         results.append(row)
 
     columns = ["name", "task", "model", "resample", "embedding_dim",
@@ -461,8 +450,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    manifest = parse_manifest(args.manifest)
-    accounts, tweets, diagnostics = load_corpus(manifest)
+    accounts, tweets, diagnostics = _read_corpus(args.manifest)
     lines = [
         f"accounts_total = {len(accounts)}",
         f"tweets_total = {len(tweets)}",
@@ -531,8 +519,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError("threshold must lie in (0, 1)")
     meta, arrays = load_model(args.checkpoint)
     kind = meta["kind"]
-    manifest = parse_manifest(args.manifest)
-    accounts, tweets, _ = load_corpus(manifest)
+    accounts, tweets, _ = _read_corpus(args.manifest)
     if kind in CHECKPOINT_KINDS:
         if not args.embedding:
             raise ConfigError("net checkpoints need --embedding for evaluation")
@@ -552,18 +539,14 @@ def _cmd_eval(args) -> int:
     sys.stdout.write(report.to_text())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_lines(os.path.join(args.out, "report.kv"), report.to_kv_lines())
-        with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_text())
-        _write_lines(os.path.join(args.out, "roc.csv"), report.roc_csv_lines())
+        _write_report(args.out, report, [], "")
     return 0
 
 
 def _cmd_inspect(args) -> int:
     meta, arrays = load_model(args.checkpoint)
     model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
-    manifest = parse_manifest(args.manifest)
-    _, tweets, _ = load_corpus(manifest)
+    _, tweets, _ = _read_corpus(args.manifest)
     if not tweets:
         raise DegenerateData("corpus contains no tweets")
     os.makedirs(args.out, exist_ok=True)
@@ -682,16 +665,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (DataError, FileNotFoundError, OSError) as exc:
-        code = exc.exit_code if isinstance(exc, BotDetectError) else DataError.exit_code
-        print(f"data error: {exc}", file=sys.stderr)
+    except (BotDetectError, OSError) as exc:
+        code = _exit_code(exc)
+        kind = {ConfigError.exit_code: "config error", DataError.exit_code: "data error"}
+        print(f"{kind.get(code, 'error')}: {exc}", file=sys.stderr)
         return code
-    except BotDetectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
 
 
 if __name__ == "__main__":

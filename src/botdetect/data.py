@@ -151,6 +151,8 @@ def matrix_from_csv_lines(lines) -> FeatureMatrix:
             feats.append([float(c) for c in cells[:-1]])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+        if not np.all(np.isfinite(feats[-1])):
+            raise ParseError(f"line {lineno}: a feature cell is NaN or infinite")
         labels.append(Label.BOT if name == "bot" else Label.HUMAN)
     return FeatureMatrix(np.array(feats, dtype=np.float64), schema, labels)
 
@@ -238,11 +240,3 @@ def _split_units(n, labels, spec, rng):
         train = np.sort(perm[:k])
         test = np.sort(perm[k:])
     return train, test
-
-
-def split(
-    matrix: FeatureMatrix, spec: SplitSpec, groups=None
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Split a FeatureMatrix into disjoint (train, test) covering every row."""
-    train_idx, test_idx = split_indices(matrix.labels, spec, groups=groups)
-    return matrix.select(train_idx), matrix.select(test_idx)

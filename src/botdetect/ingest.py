@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,6 +119,8 @@ def parse_manifest(path) -> CorpusManifest:
 
 @dataclass
 class GroupDiagnostics:
+    """One group's load accounting; the four counters run in `run.kv` order."""
+
     name: str
     accounts_loaded: int = 0
     tweets_loaded: int = 0
@@ -138,10 +140,7 @@ class LoadDiagnostics:
         lines = []
         for g in self.groups:
             p = f"group.{g.name}"
-            lines.append(f"{p}.accounts_loaded = {g.accounts_loaded}")
-            lines.append(f"{p}.tweets_loaded = {g.tweets_loaded}")
-            lines.append(f"{p}.accounts_skipped = {g.accounts_skipped}")
-            lines.append(f"{p}.tweets_skipped = {g.tweets_skipped}")
+            lines += [f"{p}.{f.name} = {getattr(g, f.name)}" for f in fields(g)[1:5]]
             for col in sorted(g.filled_cells):
                 lines.append(f"{p}.filled.{col} = {g.filled_cells[col]}")
             for col in g.fallback_columns:
@@ -393,19 +392,6 @@ class SyntheticCorpusSpec:
             raise ValueError("separation must lie in [0, 1]")
 
 
-def _clipped_poisson_mean(lam: float, cap: int) -> float:
-    """Exact mean of min(Poisson(lam), cap)."""
-    total = 0.0
-    tail = 1.0
-    log_p = -lam
-    for k in range(cap):
-        p = math.exp(log_p)
-        total += k * p
-        tail -= p
-        log_p += math.log(lam) - math.log(k + 1)
-    return total + cap * max(tail, 0.0)
-
-
 def _count_params(base: float, cap: int, separation: float, label: Label):
     if label == Label.HUMAN:
         return base, cap, 0
@@ -416,15 +402,6 @@ def _count_params(base: float, cap: int, separation: float, label: Label):
 def _draw_count(rng, base, cap, separation, label) -> int:
     lam, cap, offset = _count_params(base, cap, separation, label)
     return offset + int(min(rng.poisson(lam), cap))
-
-
-def class_metadata_means(spec: SyntheticCorpusSpec, label: Label) -> np.ndarray:
-    """Exact per-column expected metadata counts for one class."""
-    means = []
-    for _, base, cap in _TWEET_COUNT_SPECS:
-        lam, cap_eff, offset = _count_params(base, cap, spec.separation, label)
-        means.append(offset + _clipped_poisson_mean(lam, cap_eff))
-    return np.array(means)
 
 
 def _draw_word(rng, separation: float, label: Label) -> str:

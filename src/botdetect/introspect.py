@@ -40,15 +40,12 @@ class ActivationTrace:
 class UnitDistribution:
     unit_index: int
     label: Label
-    bin_edges: np.ndarray
     counts: np.ndarray
-    mean: float
-    variance: float
-    quantiles: tuple[float, ...]  # 5%, 25%, 50%, 75%, 95%
 
 
 @dataclass(frozen=True)
 class UnitDistributionReport:
+    bin_edges: np.ndarray  # shared by every distribution
     distributions: tuple[UnitDistribution, ...]
     ks_by_unit: np.ndarray
     ranking: tuple[int, ...]  # unit indices, most class-separating first
@@ -105,26 +102,11 @@ def unit_distributions(
     stacked = {lab: finals[labels == lab] for lab in (Label.HUMAN, Label.BOT)}
     for unit in range(hidden_dim):
         for label in (Label.HUMAN, Label.BOT):
-            values = stacked[label][:, unit]
-            counts, _ = np.histogram(values, bins=edges)
-            distributions.append(
-                UnitDistribution(
-                    unit_index=unit,
-                    label=label,
-                    bin_edges=edges,
-                    counts=counts,
-                    mean=float(values.mean()),
-                    variance=float(values.var()),
-                    quantiles=tuple(
-                        float(q) for q in np.quantile(values, (0.05, 0.25, 0.5, 0.75, 0.95))
-                    ),
-                )
-            )
+            counts, _ = np.histogram(stacked[label][:, unit], bins=edges)
+            distributions.append(UnitDistribution(unit, label, counts))
         ks[unit] = ks_statistic(stacked[Label.HUMAN][:, unit], stacked[Label.BOT][:, unit])
     ranking = tuple(int(u) for u in np.argsort(-ks, kind="stable"))
-    return UnitDistributionReport(
-        distributions=tuple(distributions), ks_by_unit=ks, ranking=ranking
-    )
+    return UnitDistributionReport(edges, tuple(distributions), ks, ranking)
 
 
 def cell_states(model: ContextualLstmModel, matrix: np.ndarray, ids: np.ndarray,
@@ -162,7 +144,7 @@ def distribution_csv_lines(report: UnitDistributionReport) -> list[str]:
     lines = ["unit,class,bin_low,bin_high,count"]
     for dist in report.distributions:
         name = dist.label.name.lower()
-        for low, high, count in zip(dist.bin_edges[:-1], dist.bin_edges[1:], dist.counts):
+        for low, high, count in zip(report.bin_edges[:-1], report.bin_edges[1:], dist.counts):
             lines.append(
                 f"{dist.unit_index},{name},{float(low)!r},{float(high)!r},{int(count)}"
             )

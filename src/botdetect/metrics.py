@@ -7,7 +7,7 @@ macro average over both classes is included for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,46 +79,34 @@ def auc(scores, labels) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One evaluation. The fields before `roc_points` are the scalars in
+    `report.kv` order: `to_kv_lines` writes them as declared, then the
+    config echo."""
+
     precision: float
     recall: float
     f1: float
     accuracy: float
     auc: float
-    roc_points: tuple[tuple[float, float], ...]
     threshold: float
-    confusion: tuple[int, int, int, int]
+    tp: int
+    fp: int
+    fn: int
+    tn: int
     macro_precision: float
     macro_recall: float
     macro_f1: float
     precision_defined: bool
     recall_defined: bool
+    roc_points: tuple[tuple[float, float], ...]
     config_echo: dict[str, str] = field(default_factory=dict)
 
     def to_kv_lines(self) -> list[str]:
-        tp, fp, fn, tn = self.confusion
-        lines = [
-            f"precision = {self.precision!r}",
-            f"recall = {self.recall!r}",
-            f"f1 = {self.f1!r}",
-            f"accuracy = {self.accuracy!r}",
-            f"auc = {self.auc!r}",
-            f"threshold = {self.threshold!r}",
-            f"tp = {tp}",
-            f"fp = {fp}",
-            f"fn = {fn}",
-            f"tn = {tn}",
-            f"macro_precision = {self.macro_precision!r}",
-            f"macro_recall = {self.macro_recall!r}",
-            f"macro_f1 = {self.macro_f1!r}",
-            f"precision_defined = {self.precision_defined}",
-            f"recall_defined = {self.recall_defined}",
-        ]
-        for key in sorted(self.config_echo):
-            lines.append(f"config.{key} = {self.config_echo[key]}")
+        lines = [f"{f.name} = {getattr(self, f.name)!r}" for f in fields(self)[:-2]]
+        lines += [f"config.{key} = {self.config_echo[key]}" for key in sorted(self.config_echo)]
         return lines
 
     def to_text(self) -> str:
-        tp, fp, fn, tn = self.confusion
         rows = [
             "evaluation report (positive class: bot)",
             f"  precision  {self.precision:.4f}",
@@ -127,7 +115,7 @@ class EvalReport:
             f"  accuracy   {self.accuracy:.4f}",
             f"  auc        {self.auc:.4f}",
             f"  threshold  {self.threshold:.4f}  (score >= threshold -> bot)",
-            f"  confusion  tp={tp} fp={fp} fn={fn} tn={tn}",
+            f"  confusion  tp={self.tp} fp={self.fp} fn={self.fn} tn={self.tn}",
             f"  macro avg  precision={self.macro_precision:.4f} "
             f"recall={self.macro_recall:.4f} f1={self.macro_f1:.4f}",
         ]
@@ -162,13 +150,13 @@ def evaluate(
         f1=f1,
         accuracy=accuracy,
         auc=_area(points),
-        roc_points=tuple(points),
         threshold=threshold,
-        confusion=(tp, fp, fn, tn),
+        tp=tp, fp=fp, fn=fn, tn=tn,
         macro_precision=(precision + h_precision) / 2.0,
         macro_recall=(recall + h_recall) / 2.0,
         macro_f1=(f1 + h_f1) / 2.0,
         precision_defined=p_def,
         recall_defined=r_def,
+        roc_points=tuple(points),
         config_echo=dict(config_echo or {}),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..config import from_strings, to_strings
 from ..data import Standardizer
-from ..errors import DegenerateData, DimensionMismatch, TrainingError
+from ..errors import DegenerateData, DimensionMismatch, ParseError, TrainingError
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
     glorot_uniform, relu, sigmoid
@@ -53,6 +53,20 @@ class NetConfig:
         if not self.use_aux and w_aux != 0.0:
             raise ValueError("aux loss weight must be 0 when the aux head is off")
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's shape, in the order `initialize` creates them."""
+        h, (d1, d2) = self.hidden_dim, self.dense_sizes
+        shapes = {}
+        for gate in GATES:
+            shapes.update({f"W_{gate}": (h, self.embedding_dim), f"U_{gate}": (h, h),
+                           f"b_{gate}": (h,)})
+        if self.use_aux:
+            shapes.update({"aux.W": (1, h), "aux.b": (1,)})
+        shapes.update({"dense1.W": (d1, h + (METADATA_DIM if self.use_metadata else 0)),
+                       "dense1.b": (d1,), "dense2.W": (d2, d1), "dense2.b": (d2,),
+                       "main.W": (1, d2), "main.b": (1,)})
+        return shapes
+
     @classmethod
     def contextual(cls, embedding_dim: int, **overrides) -> NetConfig:
         return cls(embedding_dim=embedding_dim, **overrides)
@@ -78,32 +92,19 @@ class ContextualLstmModel:
         self.metadata_standardizer = metadata_standardizer
 
     @classmethod
-    def initialize(cls, config: NetConfig, seed: int | None = None) -> ContextualLstmModel:
-        rng = np.random.Generator(np.random.PCG64(config.seed if seed is None else seed))
+    def initialize(cls, config: NetConfig) -> ContextualLstmModel:
+        rng = np.random.Generator(np.random.PCG64(config.seed))
         params = init_lstm_params(rng, config.embedding_dim, config.hidden_dim)
-        d1, d2 = config.dense_sizes
-        dense1_in = config.hidden_dim + (METADATA_DIM if config.use_metadata else 0)
-        if config.use_aux:
-            params["aux.W"] = glorot_uniform(rng, (1, config.hidden_dim))
-            params["aux.b"] = np.zeros(1)
-        params["dense1.W"] = glorot_uniform(rng, (d1, dense1_in))
-        params["dense1.b"] = np.zeros(d1)
-        params["dense2.W"] = glorot_uniform(rng, (d2, d1))
-        params["dense2.b"] = np.zeros(d2)
-        params["main.W"] = glorot_uniform(rng, (1, d2))
-        params["main.b"] = np.zeros(1)
+        # The heads follow the LSTM's tensors.
+        for name, shape in list(config.param_shapes().items())[len(params):]:
+            params[name] = glorot_uniform(rng, shape) if name.endswith(".W") else np.zeros(shape)
         return cls(config, params)
 
     # -- forward ---------------------------------------------------------
 
-    def standardize_metadata(self, metadata: np.ndarray) -> np.ndarray:
-        if self.metadata_standardizer is None:
-            return metadata
-        return self.metadata_standardizer.transform(metadata)
-
     def forward_batch(self, x: np.ndarray, lengths: np.ndarray,
                       metadata: np.ndarray | None, keep_cache: bool = False):
-        """Batched forward pass on already-standardized metadata.
+        """Batched forward pass on raw metadata, which it standardizes.
 
         Returns (main_scores, aux_scores, all_h) plus a cache when training.
         """
@@ -113,6 +114,8 @@ class ContextualLstmModel:
         if cfg.use_metadata:
             if metadata is None or metadata.shape[1] != METADATA_DIM:
                 raise DimensionMismatch("metadata must be a (B, 6) array")
+            if self.metadata_standardizer is not None:
+                metadata = self.metadata_standardizer.transform(metadata)
             u = np.concatenate([final_h, metadata], axis=1)
         else:
             u = final_h
@@ -163,10 +166,7 @@ class ContextualLstmModel:
     def forward_ids(self, matrix, ids, lengths, metadata):
         """(main_scores, aux_scores, all_h) of one forward pass on row ids
         and raw metadata."""
-        meta = None
-        if self.config.use_metadata:
-            meta = self.standardize_metadata(np.asarray(metadata, dtype=np.float64))
-        return self.forward_batch(stack_sequences(matrix, ids), lengths, meta)[:3]
+        return self.forward_batch(stack_sequences(matrix, ids), lengths, metadata)[:3]
 
     # -- training --------------------------------------------------------
 
@@ -222,16 +222,20 @@ class ContextualLstmModel:
         values = {f.name: meta[f.name] for f in fields(NetConfig) if f.name != "loss_weights"}
         values["loss_weights"] = f"{meta['loss_weight_main']},{meta['loss_weight_aux']}"
         config = from_strings(NetConfig, values)
+        # Shapes come from the meta, and are checked before any is used.
+        shapes = config.param_shapes()
         standardizer = None
         if "meta_standardizer.mean" in arrays:
             standardizer = Standardizer(
                 mean=arrays["meta_standardizer.mean"], std=arrays["meta_standardizer.std"]
             )
-        # The order initialize() creates them in.
-        heads = (("aux",) if config.use_aux else ()) + ("dense1", "dense2", "main")
-        names = [f"{p}_{gate}" for gate in GATES for p in "WUb"]
-        names += [f"{head}.{p}" for head in heads for p in "Wb"]
-        return cls(config, {name: arrays[name] for name in names}, standardizer)
+            shapes.update({f"meta_standardizer.{s}": (METADATA_DIM,) for s in ("mean", "std")})
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ParseError(f"{arrays.path}: tensor {name!r} has shape "
+                                 f"{arrays[name].shape}, expected {shape}")
+        params = {name: arrays[name] for name in shapes if not name.startswith("meta_")}
+        return cls(config, params, standardizer)
 
 
 def blended_loss(main_score, aux_score, label,
@@ -263,7 +267,6 @@ class EpochRecord:
 
 @dataclass
 class TrainingTrace:
-    loss_weights: tuple[float, float]
     steps: list[tuple[int, int, float, float, float]] = field(default_factory=list)
     epochs: list[EpochRecord] = field(default_factory=list)
 
@@ -311,16 +314,12 @@ def train(
     if len(set(targets.tolist())) < 2:
         raise DegenerateData("training corpus must contain both classes")
 
-    standardizer = None
-    if config.use_metadata:
-        standardizer = Standardizer.fit(meta_all)
-        meta_all = standardizer.transform(meta_all)
-
     model = ContextualLstmModel.initialize(config)
-    model.metadata_standardizer = standardizer
+    if config.use_metadata:
+        model.metadata_standardizer = Standardizer.fit(meta_all)
     optimizer = Adam(model.params, lr=config.learning_rate, beta1=config.beta1,
                      beta2=config.beta2, eps=config.adam_eps)
-    trace = TrainingTrace(loss_weights=config.loss_weights)
+    trace = TrainingTrace()
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = len(ids_all)
@@ -329,9 +328,9 @@ def train(
         epoch_main, epoch_aux, epoch_total, seen = 0.0, 0.0, 0.0, 0
         for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            xb, lb, yb = stack_sequences(matrix, ids_all[idx]), lengths_all[idx], targets[idx]
-            mb = meta_all[idx] if config.use_metadata else None
-            main, aux, _, cache = model.forward_batch(xb, lb, mb, keep_cache=True)
+            xb, yb = stack_sequences(matrix, ids_all[idx]), targets[idx]
+            main, aux, _, cache = model.forward_batch(xb, lengths_all[idx], meta_all[idx],
+                                                      keep_cache=True)
             total, main_loss, aux_loss = blended_loss(main, aux, yb, config.loss_weights)
             if not np.isfinite(total):
                 raise TrainingError(f"loss is not finite at epoch {epoch}, step {step}")

@@ -81,16 +81,11 @@ def load_model(path) -> tuple[Entries, Entries]:
                 _, name, ndim, *dims = line.split()
                 ndim = int(ndim)
                 shape = tuple(int(d) for d in dims[:ndim])
-                if ndim == 2:
-                    rows = []
-                    for _ in range(shape[0]):
-                        rows.append([float(v) for v in lines[i].split()])
-                        i += 1
-                    arr = np.array(rows, dtype=np.float64).reshape(shape)
-                else:
-                    values = [float(v) for v in lines[i].split()]
-                    i += 1
-                    arr = np.array(values, dtype=np.float64).reshape(shape)
+                # A 2-D tensor is one line per row; any other rank is one line.
+                count = shape[0] if ndim == 2 else 1
+                rows = [[float(v) for v in row.split()] for row in lines[i:i + count]]
+                arr = np.array(rows, dtype=np.float64).reshape(shape)
+                i += count
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{header}: bad tensor: {exc}") from exc
             arrays[name] = arr

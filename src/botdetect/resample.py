@@ -21,7 +21,7 @@ equals a `knn_indices` call per row, ties included.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,13 +57,16 @@ class ResampleConfig:
 
 @dataclass
 class StageRecord:
+    """One stage's row accounting; the fields after `name` run in
+    `resample.kv` order."""
+
     name: str
     rows_in: int
     rows_out: int
     added: int
     removed: int
-    human_out: int
-    bot_out: int
+    human: int
+    bot: int
 
 
 @dataclass
@@ -73,31 +76,15 @@ class ResampleDiagnostics:
     assumptions: list[str] = field(default_factory=list)
 
     def record(self, name: str, before: FeatureMatrix, after: FeatureMatrix) -> None:
-        human, bot = after.class_counts()
-        self.stages.append(
-            StageRecord(
-                name=name,
-                rows_in=before.n_rows,
-                rows_out=after.n_rows,
-                added=max(0, after.n_rows - before.n_rows),
-                removed=max(0, before.n_rows - after.n_rows),
-                human_out=human,
-                bot_out=bot,
-            )
-        )
+        n_in, n_out = before.n_rows, after.n_rows
+        self.stages.append(StageRecord(name, n_in, n_out, max(0, n_out - n_in),
+                                       max(0, n_in - n_out), *after.class_counts()))
 
     def to_kv_lines(self) -> list[str]:
         lines = [f"strategy = {self.strategy.value}"]
         for s in self.stages:
-            prefix = f"stage.{s.name}"
-            lines.append(f"{prefix}.rows_in = {s.rows_in}")
-            lines.append(f"{prefix}.rows_out = {s.rows_out}")
-            lines.append(f"{prefix}.added = {s.added}")
-            lines.append(f"{prefix}.removed = {s.removed}")
-            lines.append(f"{prefix}.human = {s.human_out}")
-            lines.append(f"{prefix}.bot = {s.bot_out}")
-        for i, note in enumerate(self.assumptions):
-            lines.append(f"assumption.{i} = {note}")
+            lines += [f"stage.{s.name}.{f.name} = {getattr(s, f.name)}" for f in fields(s)[1:]]
+        lines += [f"assumption.{i} = {note}" for i, note in enumerate(self.assumptions)]
         return lines
 
 

@@ -137,8 +137,3 @@ def tokenize(text: str, repeat_tag: bool = False) -> TokenSequence:
     for raw in s.split():
         out.extend(_expand_token(raw))
     return out
-
-
-def plain_words(tokens: TokenSequence) -> list[str]:
-    """The non-tag subsequence of a token sequence, in order."""
-    return [t for t in tokens if t not in TAG_SET]

@@ -20,7 +20,6 @@ from botdetect.data import (
     FeatureMatrix,
     Label,
     SplitSpec,
-    split,
     split_indices,
 )
 from botdetect.embedding import TweetPipeline, fixture_table
@@ -42,6 +41,7 @@ from botdetect.resample import ResampleConfig, Strategy, apply_strategy, smote, 
 from botdetect.tokenizer import tokenize
 
 from golden_tokenizer import GOLDEN_CASES, REPEAT_CASES, REPEAT_OFF_CASES
+from helpers import split
 from oracles import brute_enn_keep, brute_tomek, is_convex_combination, pair_auc
 
 

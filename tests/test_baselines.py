@@ -17,11 +17,12 @@ from botdetect.baselines import (
 from botdetect.baselines.boost import adaboost_margin, fit_adaboost
 from botdetect.baselines import forest
 from botdetect.baselines.forest import fit_forest, predict_forest
-from botdetect.baselines.mlp import init_mlp_params, mlp_forward, mlp_grads, mlp_loss
+from botdetect.baselines.mlp import init_mlp_params, mlp_forward, mlp_grads
 from botdetect.data import FeatureMatrix, Standardizer
-from botdetect.errors import DegenerateData, SchemaMismatch
+from botdetect.errors import DegenerateData, ParseError, SchemaMismatch
 from botdetect.nnet.gradcheck import check_gradients
 from botdetect.persist import load_model
+from helpers import mlp_loss
 from oracles import reference_forest, tree_votes
 
 
@@ -235,6 +236,42 @@ def test_save_load_round_trip(tmp_path, kind):
     assert np.array_equal(
         baselines.predict_proba(model, q), baselines.predict_proba(loaded, q)
     )
+
+
+def _with_cell(value, at):
+    def change(a):
+        a = a.copy()
+        a[at] = value
+        return a
+    return change
+
+
+# (kind, tensor, an edit after which the tensor cannot score 2-wide rows)
+UNUSABLE = [
+    ("logreg", "w", lambda a: a[:1]),
+    ("sgd", "platt", lambda a: a[:3]),
+    ("mlp", "W1", lambda a: a[:, :-1]),
+    ("mlp", "b0", lambda a: a[:-1]),
+    ("forest", "tree_000", lambda a: a[:, :4]),
+    ("forest", "tree_000", _with_cell(2.0, (0, 0))),  # feature 2 of 2
+    ("forest", "tree_000", _with_cell(0.5, (0, 2))),  # a child that is not a row
+    ("forest", "tree_000", _with_cell(1e6, (0, 3))),  # a child past the table
+    ("forest", "tree_000", _with_cell(np.nan, (0, 3))),
+    ("adaboost", "stumps", _with_cell(-1.0, (0, 0))),
+    ("adaboost", "stumps", lambda a: a[:, :3]),
+]
+
+
+@pytest.mark.parametrize("kind,name,change", UNUSABLE)
+def test_load_refuses_tensors_that_cannot_score(tmp_path, kind, name, change):
+    cfg = BaselineConfig(seed=3, n_trees=2, n_stumps=3, mlp_layers=(6, 1), mlp_epochs=2)
+    path = tmp_path / "model.txt"
+    save_baseline(baselines.fit(kind, _xor(seed=16, per_cluster=20), cfg), path)
+    meta, arrays = load_model(path)
+    load_baseline(meta, arrays)
+    arrays[name] = change(arrays[name])
+    with pytest.raises(ParseError, match=f"{kind} tensors cannot score 2-wide rows"):
+        load_baseline(meta, arrays)
 
 
 @pytest.mark.parametrize("name,kind", [("fit_forest", "forest"), ("fit_adaboost", "adaboost")])

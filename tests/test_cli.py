@@ -25,9 +25,9 @@ from botdetect.data import (
     matrix_to_csv_lines,
 )
 from botdetect.embedding import TweetPipeline, load_glove
-from botdetect.errors import ConfigError
+from botdetect.errors import ConfigError, ParseError
 from botdetect.nnet import ContextualLstmModel, NetConfig
-from botdetect.persist import load_model
+from botdetect.persist import load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,39 @@ def test_run_experiment_writes_artifacts(corpus, tmp_path):
         assert os.path.exists(path)
         assert config.config_hash() in open(path, encoding="utf-8").read()
     assert os.path.islink(os.path.join(str(tmp_path / "runs"), "latest"))
+
+
+# The kv key order is the field order of EvalReport, StageRecord and
+# GroupDiagnostics; these sequences were written before the kv lines were
+# rendered from those fields.
+REPORT_KEYS = [
+    "config_hash", "precision", "recall", "f1", "accuracy", "auc", "threshold",
+    "tp", "fp", "fn", "tn", "macro_precision", "macro_recall", "macro_f1",
+    "precision_defined", "recall_defined",
+]
+SMOTENN_KEYS = ["config_hash", "strategy"] + [
+    f"stage.{stage}.{name}" for stage in ("smote", "enn")
+    for name in ("rows_in", "rows_out", "added", "removed", "human", "bot")
+] + ["assumption.0", "assumption.1", "assumption.2"]
+GROUP_KEYS = [
+    f"group.{group}.{name}" for group in ("human", "bot")
+    for name in ("accounts_loaded", "tweets_loaded", "accounts_skipped", "tweets_skipped")
+]
+
+
+def test_kv_key_order_is_pinned(corpus, tmp_path):
+    config = _base_config(corpus, tmp_path / "runs", resample="smotenn")
+    run_dir = run_experiment(config).run_dir
+
+    def keys(name):
+        with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
+            return [line.split(" = ")[0] for line in fh]
+
+    report = keys("report.kv")
+    assert report[:len(REPORT_KEYS)] == REPORT_KEYS
+    assert report[len(REPORT_KEYS):] == [f"config.{key}" for key in sorted(config.echo())]
+    assert keys("resample.kv") == SMOTENN_KEYS
+    assert [key for key in keys("run.kv") if key.startswith("group.")] == GROUP_KEYS
 
 
 def test_account_forest_on_disjoint_corpus_is_near_perfect(corpus, tmp_path):
@@ -405,6 +438,8 @@ MALFORMED = {
     # A new text of None drops every tensor whose name starts with the old.
     "forest_no_standardizer_mean": (3, "eval", ("forest", "standardizer.mean", None)),
     "forest_no_trees": (3, "eval", ("forest", "tree_", None)),
+    "forest_n_trees_0": (3, "eval", ("forest", "meta config.n_trees = 2",
+                                     "meta config.n_trees = 0")),
     "adaboost_no_stumps": (3, "eval", ("adaboost", "stumps", None)),
     "net_no_lstm_tensor": (3, "eval", ("net", "U_f", None)),
     "net_no_dense_tensor": (3, "eval", ("net", "dense2.b", None)),
@@ -420,6 +455,11 @@ MALFORMED = {
     "resample_target_ratio_0": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
                                            "{tmp}/o.csv", "--strategy", "smote",
                                            "--target-ratio", "0"]),
+    # m_nan.csv and m_inf.csv are m.csv with its first cell replaced.
+    "resample_nan_cell": (3, "cli", ["resample", "--input", "{tmp}/m_nan.csv", "--output",
+                                     "{tmp}/o.csv", "--strategy", "smote"]),
+    "resample_inf_cell": (3, "cli", ["resample", "--input", "{tmp}/m_inf.csv", "--output",
+                                     "{tmp}/o.csv", "--strategy", "smote"]),
 }
 
 
@@ -439,8 +479,11 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     elif command == "cli":
         rng = np.random.Generator(np.random.PCG64(0))
         matrix = FeatureMatrix(rng.standard_normal((20, 3)), ("a", "b", "c"), [0] * 14 + [1] * 6)
-        (tmp_path / "m.csv").write_text("\n".join(matrix_to_csv_lines(matrix)) + "\n",
-                                        encoding="utf-8")
+        lines = matrix_to_csv_lines(matrix)
+        (tmp_path / "m.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for cell in ("nan", "inf"):
+            bad = [lines[0], cell + lines[1][lines[1].index(","):], *lines[2:]]
+            (tmp_path / f"m_{cell}.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in spec]
     else:
         which, old, new, *extra = spec
@@ -456,6 +499,44 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     assert proc.returncode == expected
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+# id -> (checkpoint, tensor, the edit that makes it unusable).
+BAD_TENSORS = {
+    "net_main_W_1_63": ("net", "main.W", lambda a: a[:, :63]),
+    "forest_standardizer_9_wide": ("forest", "standardizer.mean", lambda a: a[:9]),
+    "adaboost_stump_feature_12": ("adaboost", "stumps",
+                                  lambda a: np.vstack([[12.0, *a[0, 1:]], a[1:]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TENSORS))
+def test_checkpoint_tensor_that_cannot_score_ends_in_one_line(corpus, tmp_path, capsys, case):
+    which, name, change = BAD_TENSORS[case]
+    path = tmp_path / "bad.txt"
+    path.write_text(_checkpoint_texts(corpus, tmp_path)[which], encoding="utf-8")
+    meta, arrays = load_model(path)
+    arrays[name] = change(arrays[name])
+    save_model(path, meta, arrays)
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(path), "--manifest", str(corpus / "manifest.txt"),
+                 "--embedding", str(corpus / "glove_25d.txt")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith(f"data error: {path}: ")
+
+
+def test_cyclic_tree_is_refused_on_load(corpus, tmp_path):
+    # Scoring would walk from the root back to the root for ever.
+    path = tmp_path / "forest.txt"
+    path.write_text(_checkpoint_texts(corpus, tmp_path)["forest"], encoding="utf-8")
+    meta, arrays = load_model(path)
+    nodes = arrays["tree_000"].copy()
+    assert nodes[0, 0] != -1.0  # the root splits
+    nodes[0, 2:4] = 0.0
+    arrays["tree_000"] = nodes
+    with pytest.raises(ParseError, match="forest"):
+        baselines.load_baseline(meta, arrays)
 
 
 def _diverging_train_argv(corpus, out, model):

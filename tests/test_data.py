@@ -8,10 +8,11 @@ from botdetect.data import (
     Standardizer,
     matrix_from_csv_lines,
     matrix_to_csv_lines,
-    split,
     split_indices,
 )
 from botdetect.errors import EmptyClass, EmptyInput
+
+from helpers import split
 
 
 def test_matrix_rejects_nan_and_width_mismatch():

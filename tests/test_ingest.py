@@ -11,7 +11,6 @@ from botdetect.data import (
     Label,
     SplitSpec,
     TWEET_METADATA_COLUMNS,
-    split,
 )
 from botdetect.errors import ExcessiveBadRows, HeaderMismatch, ParseError
 from botdetect.ingest import (
@@ -19,14 +18,15 @@ from botdetect.ingest import (
     CorpusManifest,
     ManifestGroup,
     SyntheticCorpusSpec,
-    class_metadata_means,
     generate_synthetic,
     load_corpus,
     parse_manifest,
     write_corpus,
 )
 from botdetect.metrics import auc
-from botdetect.tokenizer import plain_words, tokenize
+from botdetect.tokenizer import tokenize
+
+from helpers import class_metadata_means, plain_words, split
 
 USERS_HEADER = (
     "id,statuses_count,followers_count,friends_count,favourites_count,"

@@ -22,7 +22,7 @@ def test_hand_computed_confusion_fixture():
     scores = [0.9, 0.8, 0.6, 0.4, 0.3, 0.3, 0.2, 0.2, 0.1, 0.1]
     labels = [1, 1, 0, 1, 0, 0, 0, 0, 0, 0]
     report = evaluate(scores, labels, 0.5)
-    assert report.confusion == (2, 1, 1, 6)
+    assert (report.tp, report.fp, report.fn, report.tn) == (2, 1, 1, 6)
     assert report.precision == pytest.approx(2 / 3)
     assert report.recall == pytest.approx(2 / 3)
     assert report.f1 == pytest.approx(2 / 3)
@@ -95,7 +95,7 @@ def test_accuracy_reproducible_from_confusion():
     labels[:2] = [0, 1]
     scores = rng.uniform(size=64)
     report = evaluate(scores, labels, 0.3)
-    tp, fp, fn, tn = report.confusion
+    tp, fp, fn, tn = report.tp, report.fp, report.fn, report.tn
     assert report.accuracy == (tp + tn) / 64
 
 

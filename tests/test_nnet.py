@@ -3,7 +3,7 @@ import pytest
 
 from botdetect.data import Label, Standardizer, TweetRecord
 from botdetect.embedding import TweetPipeline, fixture_table
-from botdetect.errors import DegenerateData, DimensionMismatch
+from botdetect.errors import DegenerateData, DimensionMismatch, ParseError
 from botdetect.nnet import (
     ContextualLstmModel,
     NetConfig,
@@ -395,6 +395,27 @@ def test_save_load_round_trip(tmp_path):
         )
 
 
+@pytest.mark.parametrize("key,value,tensor", [
+    # The shapes come from the meta; no parameter is allocated from it.
+    ("hidden_dim", "1000000000", "W_i"),
+    ("embedding_dim", "4", "W_i"),
+    ("dense_sizes", "4,3", "dense2.W"),
+    ("use_metadata", "0", "dense1.W"),
+    ("meta_standardizer.mean", np.zeros(5), "meta_standardizer.mean"),
+    ("main.W", np.zeros((1, 63)), "main.W"),
+])
+def test_load_refuses_tensors_whose_shape_the_meta_does_not_give(tmp_path, key, value, tensor):
+    config = NetConfig.contextual(embedding_dim=3, hidden_dim=2, dense_sizes=(4, 64))
+    model = ContextualLstmModel.initialize(config)
+    model.metadata_standardizer = Standardizer(mean=np.zeros(6), std=np.ones(6))
+    model.save(tmp_path / "net.txt")
+    meta, arrays = load_model(tmp_path / "net.txt")
+    ContextualLstmModel.load(meta, arrays)
+    (arrays if isinstance(value, np.ndarray) else meta)[key] = value
+    with pytest.raises(ParseError, match=f"tensor '{tensor}' has shape"):
+        ContextualLstmModel.load(meta, arrays)
+
+
 def test_trace_csv_has_step_and_epoch_rows():
     rng = np.random.Generator(np.random.PCG64(30))
     matrix, corpus = _pack(_toy_corpus(rng, 16))
@@ -424,6 +445,5 @@ def test_predict_proba_on_ids_equals_forward_batch_on_floats():
         model.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
         scores = model.predict_proba(table.matrix, ids, lengths, metadata)
         x = np.stack([[table.matrix[i] for i in row] for row in ids])
-        meta_std = model.standardize_metadata(metadata) if model.config.use_metadata else None
-        expected, _, _, _ = model.forward_batch(x, lengths, meta_std)
+        expected, _, _, _ = model.forward_batch(x, lengths, metadata)
         assert np.array_equal(scores, expected)

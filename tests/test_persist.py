@@ -148,6 +148,21 @@ def test_malformed_tensor_header_is_a_parse_error(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("body", [
+    "tensor w 2 2 2\n1 2\n3\nend\n",  # ragged rows
+    "tensor w 2 3 2\n1 2\n3 4\nend\n",  # a row short
+    "tensor w 1 3\n1 2\nend\n",  # a value short
+    "tensor w 1 2\n1 x\nend\n",  # not a float
+    "tensor w 2 2 2\n1 2\n",  # the file ends inside the body
+    "tensor w 1 2\n",
+])
+def test_malformed_tensor_body_is_a_parse_error(tmp_path, body):
+    path = tmp_path / "model.txt"
+    path.write_text("botdetect-model v1\n" + body, encoding="utf-8")
+    with pytest.raises(ParseError, match="model.txt:2: bad tensor"):
+        load_model(path)
+
+
 def test_missing_meta_key_is_a_parse_error(tmp_path):
     path = tmp_path / "model.txt"
     save_model(path, {"schema": "a"}, {})

@@ -280,7 +280,7 @@ def test_smotenn_pipeline_on_gaussian_fixture():
     out, diag = apply_strategy(m, ResampleConfig(strategy=Strategy.SMOTENN, seed=42))
     smote_stage = diag.stages[0]
     assert smote_stage.name == "smote"
-    assert abs(smote_stage.bot_out - smote_stage.human_out) <= 0.05 * smote_stage.human_out
+    assert abs(smote_stage.bot - smote_stage.human) <= 0.05 * smote_stage.human
     assert diag.stages[1].name == "enn"
     assert diag.stages[1].removed >= 0
     assert any("enn_k" in a for a in diag.assumptions)

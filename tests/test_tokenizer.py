@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botdetect import tokenizer
-from botdetect.tokenizer import TAG_SET, plain_words, tokenize
+from botdetect.tokenizer import TAG_SET, tokenize
 
 from golden_tokenizer import GOLDEN_CASES, REPEAT_CASES, REPEAT_OFF_CASES
+from helpers import plain_words
 
 
 @pytest.mark.parametrize("text,expected", GOLDEN_CASES, ids=lambda v: repr(v)[:40])
