@@ -130,14 +130,15 @@ def save_baseline(model: BaselineModel, path, extra_meta: dict | None = None) ->
 def load_baseline(meta, arrays) -> BaselineModel:
     """Rebuild a baseline from a parsed checkpoint (`persist.load_model`); a
     missing tensor is a ParseError naming it, and so are tensors that cannot
-    score rows of the schema's width."""
+    score rows of the schema's width and a standardizer `Standardizer.load`
+    refuses."""
     prefix = "config."
     config = from_strings(BaselineConfig, {
         key[len(prefix):]: value for key, value in meta.items() if key.startswith(prefix)
     })
     kind = BaselineKind(meta["kind"])
     schema = tuple(meta["schema"].split(","))
-    standardizer = Standardizer(mean=arrays["standardizer.mean"], std=arrays["standardizer.std"])
+    standardizer = Standardizer.load(arrays, "standardizer")
     params = {name: arrays[name] for name in REGISTRY[kind].tensors(config)}
     if standardizer.mean.shape != (len(schema),) or standardizer.std.shape != (len(schema),):
         raise ParseError(f"{arrays.path}: the standardizer is not {len(schema)} wide")

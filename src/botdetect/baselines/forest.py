@@ -5,6 +5,11 @@ Training rows are first sorted into a canonical order, and every tree draws
 its bootstrap sample from a seed spawned off the master seed and indexed by
 tree. Predictions are therefore invariant to the order of the training rows.
 
+Only the bootstrap goes through `numpy.random.Generator`. A tree's feature
+subsets come from its PCG64 raw words, whose stream NumPy keeps stable
+across versions (NEP 19), in numpy passes over a chunk of nodes at a time
+(`feature_subsets`): they are the subsets `Generator.choice` draws, sorted.
+
 Trees are stored as flat (n_nodes, 5) arrays: feature, threshold, left child,
 right child, leaf vote; feature == -1 marks a leaf. Rows with value <=
 threshold go left.
@@ -47,6 +52,10 @@ _ROUND_ROWS = 4096
 _PREDICT_PAIRS = 1 << 14
 # Two leaf rows, appended when a node splits; the leaf vote is set later.
 _CHILDREN = array("d", [_LEAF, 0.0, -1.0, -1.0, 0.0] * 2)
+# A tree's first pull of raw words covers this many feature subsets, and
+# each later pull twice as many as the one before. Every growing tree holds
+# the subsets of its last pull, so the first is small.
+_SUBSET_CHUNK = 16
 
 
 def tree_names(n_trees: int) -> list[str]:
@@ -72,6 +81,61 @@ def _next_splittable(stack: list, table: array, config: BaselineConfig):
             continue
         return node
     return None
+
+
+def feature_subsets(bit_generator, d: int, n_sub: int):
+    """Yield, in order, the subsets that successive
+    `np.sort(Generator(bit_generator).choice(d, n_sub, replace=False))`
+    calls would return, computed from the raw words.
+
+    With d <= 10000, or n_sub <= d // 50, `choice` is Floyd's algorithm: for
+    j = d - n_sub ... d - 1 it draws v in [0, j] and takes v, or j when v is
+    taken already. A Fisher-Yates shuffle follows, drawing in [0, i] for
+    i = n_sub - 1 ... 1: the sort undoes it, but its draws use values. Each
+    draw in [0, r] is Lemire's: the next 32-bit value w gives
+    (w * (r + 1)) >> 32, unless the product's low half is below
+    2**32 % (r + 1), when the next value is drawn in place of w. The 32-bit
+    values are the half the generator's state holds pending, if any, then
+    each raw word's low half and then its high half.
+
+    Words are pulled in growing chunks and the last chunk runs past the last
+    subset used, so nothing may draw from the generator afterwards. A draw
+    in [0, 0], which only n_sub == d has, uses a value here and none in
+    `choice`; every subset is then all of range(d) either way.
+    """
+    bounds = np.concatenate((np.arange(d - n_sub, d), np.arange(n_sub - 1, 0, -1))).astype(
+        np.uint64) + 1
+    state = bit_generator.state
+    values = np.array([state["uinteger"]] if state["has_uint32"] else [], dtype=np.uint64)
+    chunk = _SUBSET_CHUNK
+    while True:
+        # Enough raw words for `chunk` more subsets, each word read as two
+        # 32-bit values, its low half first.
+        count = -((values.shape[0] - chunk * bounds.shape[0]) // 2)
+        values = np.concatenate(
+            (values, bit_generator.random_raw(count).astype("<u8").view("<u4")))
+        chunk *= 2
+        while values.shape[0] >= bounds.shape[0]:
+            table, values = _subset_table(values, bounds, d, n_sub)
+            yield from table
+
+
+def _subset_table(values, bounds, d, n_sub):
+    """The sorted subsets drawn from the head of `values` (see
+    `feature_subsets`) up to the first rejected value, and the values left
+    after them, less that one: its node draws on from the value after it."""
+    per_node = bounds.shape[0]
+    nodes = values.shape[0] // per_node
+    scaled = values[:nodes * per_node].reshape(nodes, per_node) * bounds
+    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < (1 << 32) % bounds)
+    if rejected.shape[0]:
+        nodes = rejected[0] // per_node
+    chosen = scaled[:nodes, :n_sub] >> 32
+    for k in range(1, n_sub):
+        taken = (chosen[:, :k] == chosen[:, k:k + 1]).any(axis=1)
+        chosen[taken, k] = d - n_sub + k
+    return (np.sort(chosen, axis=1).astype(np.int64),
+            np.delete(values[nodes * per_node:], rejected[:1] - nodes * per_node))
 
 
 def _split_round(values, coded, levels, labels, rows, starts, sizes, totals, features,
@@ -175,12 +239,13 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
     coded = coded.reshape(-1)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     rows = np.empty(config.n_trees * n, dtype=np.int64)
-    tables, stacks = [], []
-    for t, rng in enumerate(rngs):
+    tables, stacks, subsets = [], [], []
+    for t, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
         bootstrap = rng.integers(0, n, size=n)
         rows[t * n:(t + 1) * n] = bootstrap
+        subsets.append(feature_subsets(rng.bit_generator, d, n_sub))
         tables.append(array("d", _CHILDREN[:5]))
         # (node_id, start, end, depth, bot count) of nodes still to grow.
         stacks.append([(0, t * n, (t + 1) * n, 1, int(labels[bootstrap].sum()))])
@@ -193,7 +258,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
             node = _next_splittable(stacks[t], tables[t], config)
             if node is None:
                 continue
-            drawn.append(np.sort(rngs[t].choice(d, size=n_sub, replace=False)))
+            drawn.append(next(subsets[t]))
             picked.append((t, node))
             taken += node[2] - node[1]
         if not picked:

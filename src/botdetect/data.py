@@ -174,6 +174,19 @@ class Standardizer:
         std.setflags(write=False)
         return cls(mean=mean, std=std)
 
+    @classmethod
+    def load(cls, arrays, prefix: str) -> Standardizer:
+        """The standardizer a checkpoint's tensors (`persist.load_model`)
+        hold as `<prefix>.mean` and `<prefix>.std`. A mean that is not finite,
+        or a std that is not positive and finite, is a ParseError: `fit`
+        writes neither, and scoring would divide by it."""
+        mean, std = arrays[f"{prefix}.mean"], arrays[f"{prefix}.std"]
+        if not np.all(np.isfinite(mean)):
+            raise ParseError(f"{arrays.path}: tensor '{prefix}.mean' is not finite")
+        if not np.all(np.isfinite(std) & (std > 0.0)):
+            raise ParseError(f"{arrays.path}: tensor '{prefix}.std' is not positive and finite")
+        return cls(mean=mean, std=std)
+
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 

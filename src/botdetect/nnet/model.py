@@ -218,7 +218,8 @@ class ContextualLstmModel:
     @classmethod
     def load(cls, meta, arrays) -> ContextualLstmModel:
         """Rebuild a model from a parsed checkpoint (`persist.load_model`); a
-        missing tensor is a ParseError naming it."""
+        missing tensor is a ParseError naming it, and so are a tensor of
+        another shape and a standardizer `Standardizer.load` refuses."""
         values = {f.name: meta[f.name] for f in fields(NetConfig) if f.name != "loss_weights"}
         values["loss_weights"] = f"{meta['loss_weight_main']},{meta['loss_weight_aux']}"
         config = from_strings(NetConfig, values)
@@ -226,9 +227,7 @@ class ContextualLstmModel:
         shapes = config.param_shapes()
         standardizer = None
         if "meta_standardizer.mean" in arrays:
-            standardizer = Standardizer(
-                mean=arrays["meta_standardizer.mean"], std=arrays["meta_standardizer.std"]
-            )
+            standardizer = Standardizer.load(arrays, "meta_standardizer")
             shapes.update({f"meta_standardizer.{s}": (METADATA_DIM,) for s in ("mean", "std")})
         for name, shape in shapes.items():
             if arrays[name].shape != shape:

@@ -320,3 +320,34 @@ def tree_votes(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
         go_left = x[rows, f] <= nodes[node, 1]
         at[rows] = np.where(go_left, nodes[node, 2], nodes[node, 3]).astype(np.int64)
     return nodes[at, 4]
+
+
+# -- feature subsets -------------------------------------------------------
+# `Generator.choice(d, n_sub, replace=False)` for small d, one 32-bit value
+# at a time, sorted: Floyd's algorithm, then the draws of the Fisher-Yates
+# shuffle that follows it, each bounded by Lemire's rejection method.
+
+
+def _lemire_draw(values, r: int) -> int:
+    """A draw in [0, r] from an iterator of 32-bit values; r == 0 takes none."""
+    if r == 0:
+        return 0
+    while True:
+        product = next(values) * (r + 1)
+        if product & 0xFFFFFFFF >= (1 << 32) % (r + 1):
+            return product >> 32
+
+
+def floyd_subsets(values, d: int, n_sub: int, count: int) -> list[list[int]]:
+    """The first `count` sorted subsets drawn from the 32-bit values."""
+    values = iter(values)
+    subsets = []
+    for _ in range(count):
+        chosen: list[int] = []
+        for j in range(d - n_sub, d):
+            value = _lemire_draw(values, j)
+            chosen.append(j if value in chosen else value)
+        for i in range(n_sub - 1, 0, -1):
+            _lemire_draw(values, i)
+        subsets.append(sorted(chosen))
+    return subsets

@@ -23,7 +23,7 @@ from botdetect.errors import DegenerateData, ParseError, SchemaMismatch
 from botdetect.nnet.gradcheck import check_gradients
 from botdetect.persist import load_model
 from helpers import mlp_loss
-from oracles import reference_forest, tree_votes
+from oracles import floyd_subsets, reference_forest, tree_votes
 
 
 def _matrix(features, labels):
@@ -355,6 +355,68 @@ def test_forest_equals_per_node_reference(round_rows, seed, n, kinds, labels, mi
     for name in expected:
         assert fitted[name].dtype == np.float64
         assert fitted[name].tobytes() == expected[name].tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    d=st.integers(1, 64),
+    n=st.integers(1, 50),
+    pending=st.booleans(),
+    count=st.integers(1, 300),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_feature_subsets_equal_sorted_generator_choice(seed, d, n, pending, count, data):
+    # As in a tree: a bootstrap first, then the subsets. The bootstrap's
+    # 32-bit draws may leave half a word pending, and a float32 draw flips
+    # that. 300 subsets span five pulls of words.
+    n_sub = data.draw(st.integers(1, d))
+    mirror, rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    for generator in (mirror, rng):
+        generator.integers(0, n, size=n)
+        if generator.bit_generator.state["has_uint32"] != pending:
+            generator.random(dtype=np.float32)
+    assert rng.bit_generator.state["has_uint32"] == pending
+    subsets = forest.feature_subsets(rng.bit_generator, d, n_sub)
+    for _ in range(count):
+        expected = np.sort(mirror.choice(d, n_sub, replace=False))
+        assert next(subsets).tolist() == expected.tolist()
+
+
+class _GivenWords:
+    """A bit generator that hands out the given raw words, in order."""
+
+    def __init__(self, words, pending):
+        self.words = words
+        self.state = {"has_uint32": int(pending is not None), "uinteger": pending or 0}
+
+    def random_raw(self, size):
+        head, self.words = self.words[:size], self.words[size:]
+        assert head.shape[0] == size
+        return head
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    d=st.integers(2, 64),
+    zeros=st.lists(st.integers(0, 1499), max_size=40),
+    pending=st.sampled_from([None, 0, 12345]),
+)
+@settings(max_examples=60, deadline=None)
+def test_feature_subsets_redraw_rejected_values(seed, d, zeros, pending):
+    # A zero word is two zero values, which every range but a power-of-two
+    # one rejects; the first ten words make the range-9 draw at d = 10
+    # reject its value 0. 300 subsets cross the pulls' boundaries.
+    n_sub = max(1, int(round(np.sqrt(d))))
+    words = np.random.PCG64(seed).random_raw(8192)
+    words[:10] = 0
+    words[zeros] = 0
+    values = [] if pending is None else [pending]
+    for word in words.tolist():
+        values += [word & 0xFFFFFFFF, word >> 32]
+    expected = floyd_subsets(values, d, n_sub, 300)
+    subsets = forest.feature_subsets(_GivenWords(words, pending), d, n_sub)
+    assert [next(subsets).tolist() for _ in range(300)] == expected
 
 
 def test_forest_fit_memory_is_bounded_by_the_round_budget():

@@ -21,6 +21,7 @@ from botdetect.config import from_strings
 from botdetect.data import (
     ACCOUNT_FEATURE_COLUMNS,
     FeatureMatrix,
+    Standardizer,
     matrix_from_csv_lines,
     matrix_to_csv_lines,
 )
@@ -377,9 +378,11 @@ def test_bench_exit_status(corpus, tmp_path, capsys):
 
 def _checkpoint_texts(corpus, tmp_path):
     """A contextual net checkpoint as `train` writes one (with its pipeline
-    meta), a forest and an adaboost checkpoint; all as text, by name."""
+    meta and metadata standardizer), a forest and an adaboost checkpoint;
+    all as text, by name."""
     table = load_glove(corpus / "glove_25d.txt", 25)
     net = ContextualLstmModel.initialize(NetConfig.contextual(embedding_dim=25, seed=1))
+    net.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
     net.save(tmp_path / "net.txt", {"config_hash": "0" * 8, **TweetPipeline(table).meta()})
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.standard_normal((20, 10))
@@ -441,6 +444,12 @@ MALFORMED = {
     "forest_n_trees_0": (3, "eval", ("forest", "meta config.n_trees = 2",
                                      "meta config.n_trees = 0")),
     "adaboost_no_stumps": (3, "eval", ("adaboost", "stumps", None)),
+    # A callable new text edits the tensor named by the old.
+    "forest_standardizer_std_0": (3, "eval", ("forest", "standardizer.std",
+                                              lambda a: np.r_[0.0, a[1:]])),
+    "forest_standardizer_mean_nan": (3, "eval", ("forest", "standardizer.mean",
+                                                 lambda a: np.r_[np.nan, a[1:]])),
+    "net_meta_standardizer_std_0": (3, "eval", ("net", "meta_standardizer.std", np.zeros_like)),
     "net_no_lstm_tensor": (3, "eval", ("net", "U_f", None)),
     "net_no_dense_tensor": (3, "eval", ("net", "dense2.b", None)),
     "net_no_aux_tensor": (3, "inspect", ("net", "aux.W", None)),
@@ -488,8 +497,14 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     else:
         which, old, new, *extra = spec
         text = _checkpoint_texts(corpus, tmp_path)[which]
-        text = _without_tensors(text, old) if new is None else _edit(text, old, new)
-        (tmp_path / "bad.txt").write_text(text, encoding="utf-8")
+        if callable(new):
+            (tmp_path / "bad.txt").write_text(text, encoding="utf-8")
+            meta, arrays = load_model(tmp_path / "bad.txt")
+            arrays[old] = new(arrays[old])
+            save_model(tmp_path / "bad.txt", meta, arrays)
+        else:
+            text = _without_tensors(text, old) if new is None else _edit(text, old, new)
+            (tmp_path / "bad.txt").write_text(text, encoding="utf-8")
         argv = [command, "--checkpoint", str(tmp_path / "bad.txt"), "--manifest", manifest,
                 "--embedding", embedding, "--out", str(tmp_path / "o"), *extra]
     src = os.path.dirname(os.path.dirname(botdetect.__file__))

@@ -10,7 +10,8 @@ from botdetect.data import (
     matrix_to_csv_lines,
     split_indices,
 )
-from botdetect.errors import EmptyClass, EmptyInput
+from botdetect.errors import EmptyClass, EmptyInput, ParseError
+from botdetect.persist import Entries
 
 from helpers import split
 
@@ -92,6 +93,21 @@ def test_standardizer_round_trip_and_zero_variance():
     assert np.allclose(z[:, :3].mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(z[:, :3].std(axis=0), 1.0, atol=1e-12)
     assert np.allclose(z[:, 3], 0.0)
+
+
+@pytest.mark.parametrize("tensor,value", [
+    ("mean", np.nan), ("mean", np.inf), ("std", 0.0), ("std", -1.0), ("std", np.nan),
+    ("std", np.inf),
+])
+def test_standardizer_load_refuses_what_fit_never_writes(tensor, value):
+    s = Standardizer.fit(np.arange(12.0).reshape(4, 3))
+    arrays = Entries("model.txt", "tensor")
+    arrays.update({"s.mean": s.mean, "s.std": s.std})
+    loaded = Standardizer.load(arrays, "s")
+    assert loaded.mean is s.mean and loaded.std is s.std
+    arrays[f"s.{tensor}"] = np.array([1.0, value, 1.0])
+    with pytest.raises(ParseError, match=f"model.txt: tensor 's.{tensor}' is not"):
+        Standardizer.load(arrays, "s")
 
 
 def test_matrix_csv_round_trip():
