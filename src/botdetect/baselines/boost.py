@@ -97,10 +97,11 @@ def fit_adaboost(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
 
 def stumps_fit(params: dict, width: int) -> bool:
     """Whether every (feature, threshold, polarity, alpha) row splits on a
-    feature in [0, width)."""
+    feature in [0, width) with a finite alpha. A threshold may be +-inf, as
+    `_stump_candidates` writes below the minimum and above the maximum."""
     stumps = params["stumps"]
     return stumps.ndim == 2 and stumps.shape[1] == 4 and bool(
-        np.all((0 <= stumps[:, 0]) & (stumps[:, 0] < width)))
+        np.all((0 <= stumps[:, 0]) & (stumps[:, 0] < width) & np.isfinite(stumps[:, 3])))
 
 
 def adaboost_margin(params: dict, x: np.ndarray) -> np.ndarray:

@@ -288,13 +288,16 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
 
 def trees_fit(params: dict, width: int) -> bool:
     """Whether the trees can score width-wide rows: there is one at least,
-    and each inner node splits on a feature in [0, width) and points at two
-    later rows of its table, as `fit_forest` appends them, so every walk
-    ends at a leaf."""
+    every threshold is finite and every vote 0 or 1, and each inner node
+    splits on a feature in [0, width) and points at two later rows of its
+    table, as `fit_forest` appends them, so every walk ends at a leaf."""
     if not params:
         return False
     for nodes in params.values():
         if nodes.ndim != 2 or nodes.shape[1] != 5 or not nodes.shape[0]:
+            return False
+        votes = nodes[:, 4]
+        if not (np.all(np.isfinite(nodes[:, 1])) and np.all((votes == 0) | (votes == 1))):
             return False
         at = np.flatnonzero(nodes[:, 0] != _LEAF)
         inner = nodes[at][:, [0, 2, 3]]

@@ -14,9 +14,11 @@ _PLATT_LR = 0.5
 
 
 def linear_fits(params: dict, width: int) -> bool:
-    """Whether w, b and (for SGD) the four Platt numbers fit width-wide rows."""
+    """Whether w, b and (for SGD) the four Platt numbers fit width-wide rows
+    and are finite."""
     shapes = {"w": (width,), "b": (1,), "platt": (4,)}
-    return all(params[name].shape == shapes[name] for name in params)
+    return all(params[name].shape == shapes[name] and np.all(np.isfinite(params[name]))
+               for name in params)
 
 
 def fit_logreg(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:

@@ -63,11 +63,13 @@ def mlp_grads(params: dict, cache, scores: np.ndarray, targets: np.ndarray) -> d
 
 
 def mlp_fits(params: dict, width: int) -> bool:
-    """Whether the layers chain from width inputs to one output."""
+    """Whether the layers chain from width inputs to one output, with finite
+    weights."""
     fan_in = width
     for i in range(len(params) // 2):
         w, b = params[f"W{i}"], params[f"b{i}"]
-        if w.ndim != 2 or w.shape[1] != fan_in or b.shape != w.shape[:1]:
+        if w.ndim != 2 or w.shape[1] != fan_in or b.shape != w.shape[:1] \
+                or not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             return False
         fan_in = w.shape[0]
     return fan_in == 1

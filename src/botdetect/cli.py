@@ -559,10 +559,7 @@ def _cmd_inspect(args) -> int:
     if trace.empty:
         print(f"note: tweet {index} tokenizes to nothing; trace is empty")
     if args.cell_state:
-        _write_lines(
-            os.path.join(args.out, f"cell_trace_{index}.csv"),
-            cell_trace_csv_lines(model, pipeline, tweets[index]),
-        )
+        _write_lines(os.path.join(args.out, f"cell_trace_{index}.csv"), cell_trace_csv_lines(trace))
 
     report = unit_distributions(model, pipeline, tweets)
     _write_lines(os.path.join(args.out, "distributions.csv"), distribution_csv_lines(report))

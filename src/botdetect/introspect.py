@@ -2,10 +2,10 @@
 tweets and per-unit activation distributions over a corpus, split by class.
 
 Every function reads tweets through the model's `TweetPipeline`, so it sees
-the tokens training saw. Traces reuse the model's forward pass directly, so
-exported values are bit-identical to what the classifier computed; the
-corpus distributions come from one batched forward pass, bit-identical to
-``predict_proba``'s batch.
+the tokens training saw. A tweet's hidden-state and cell-state traces come
+from its one run of the model's forward pass, so exported values are
+bit-identical to what the classifier computed; the corpus distributions come
+from one batched forward pass, bit-identical to ``predict_proba``'s batch.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .data import Label, TweetRecord
 from .embedding import TweetPipeline
 from .errors import SingleClass
-from .nnet.lstm import lstm_forward
 from .nnet.model import ContextualLstmModel, stack_sequences
 
 DEFAULT_BINS = 50
@@ -25,14 +24,16 @@ DEFAULT_BINS = 50
 
 @dataclass(frozen=True)
 class ActivationTrace:
-    """LSTM outputs per timestep (true_length x 32), aligned with tokens."""
+    """LSTM outputs and cell states c_t (unbounded, unlike outputs) per
+    timestep (true_length x 32 each), aligned with tokens."""
 
     matrix: np.ndarray
+    cells: np.ndarray
     tokens: tuple[str, ...]
     empty: bool
 
     def __post_init__(self):
-        if self.matrix.shape[0] != len(self.tokens):
+        if not self.matrix.shape[0] == self.cells.shape[0] == len(self.tokens):
             raise ValueError("trace rows must align with tokens")
 
 
@@ -54,14 +55,14 @@ class UnitDistributionReport:
 def trace_tweet(
     model: ContextualLstmModel, pipeline: TweetPipeline, tweet: TweetRecord
 ) -> ActivationTrace:
-    """Hidden states of the forward pass, one row per embedded token.
+    """Hidden and cell states of the forward pass, one row per embedded token.
 
     A tweet with zero tokens returns an empty trace flagged as such.
     """
     tokens, ids = pipeline.embed_tweet(tweet)
-    _, _, hidden = model.forward(pipeline.table.matrix, ids, len(tokens),
-                                 np.array(tweet.metadata, dtype=np.float64))
-    return ActivationTrace(matrix=hidden, tokens=tokens, empty=not tokens)
+    _, _, hidden, cells = model.forward(pipeline.table.matrix, ids, len(tokens),
+                                        np.array(tweet.metadata, dtype=np.float64))
+    return ActivationTrace(matrix=hidden, cells=cells, tokens=tokens, empty=not tokens)
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -92,9 +93,8 @@ def unit_distributions(
     if not np.any(labels == Label.HUMAN) or not np.any(labels == Label.BOT):
         raise SingleClass("unit distributions need tweets from both classes")
     ids, lengths, metadata = pipeline.tensors(tweets)
-    # all_h repeats each tweet's last state to the end; an empty tweet's stays 0.
-    _, _, all_h = model.forward_ids(pipeline.table.matrix, ids, lengths, metadata)
-    finals = all_h[:, -1, :]
+    _, _, finals, _ = model.forward_batch(stack_sequences(pipeline.table.matrix, ids),
+                                          lengths, metadata)
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
     distributions = []
@@ -107,15 +107,6 @@ def unit_distributions(
         ks[unit] = ks_statistic(stacked[Label.HUMAN][:, unit], stacked[Label.BOT][:, unit])
     ranking = tuple(int(u) for u in np.argsort(-ks, kind="stable"))
     return UnitDistributionReport(edges, tuple(distributions), ks, ranking)
-
-
-def cell_states(model: ContextualLstmModel, matrix: np.ndarray, ids: np.ndarray,
-                length: int) -> np.ndarray:
-    """Cell-state values c_t per real timestep (unbounded, unlike outputs) of
-    one tweet's (max_len,) row ids into the embedding matrix."""
-    x = stack_sequences(matrix, ids[None])
-    cache = lstm_forward(model.params, x, np.array([length]), keep_cache=True)[2]
-    return np.stack(cache["c"])[1:, 0, :]
 
 
 def _heatmap_lines(matrix: np.ndarray, tokens: tuple[str, ...]) -> list[str]:
@@ -133,11 +124,9 @@ def trace_csv_lines(trace: ActivationTrace) -> list[str]:
     return _heatmap_lines(trace.matrix, trace.tokens)
 
 
-def cell_trace_csv_lines(
-    model: ContextualLstmModel, pipeline: TweetPipeline, tweet: TweetRecord
-) -> list[str]:
-    tokens, ids = pipeline.embed_tweet(tweet)
-    return _heatmap_lines(cell_states(model, pipeline.table.matrix, ids, len(tokens)), tokens)
+def cell_trace_csv_lines(trace: ActivationTrace) -> list[str]:
+    """The same heat-map layout over the cell states."""
+    return _heatmap_lines(trace.cells, trace.tokens)
 
 
 def distribution_csv_lines(report: UnitDistributionReport) -> list[str]:

@@ -1,5 +1,4 @@
-"""From-scratch dense and LSTM layers, the contextual tweet classifier, and
-gradient-checking utilities."""
+"""From-scratch dense and LSTM layers and the contextual tweet classifier."""
 
 from .lstm import init_lstm_params, lstm_forward
 from .model import (

@@ -8,10 +8,11 @@ hands back per-gate gradients by indexing that gate axis. Forward (Appleyard,
 Kočiský & Blunsom 2016): one matmul projects the inputs of all timesteps before
 the recurrence; each step runs one h·Uᵀ matmul for all gates, one sigmoid over
 the i, f, o blocks and one tanh over the candidate block. Padded steps keep a
-sample's state (``np.where``); state never carries across inputs. Only
-training and the cell-state trace keep a per-step cache. Backward mirrors
-this: one (4, B, h) block dA per step, dh from one dA·U, and dW, dU, db each
-from one matmul or sum over the stacked blocks after the loop.
+sample's state (``np.where``); state never carries across inputs. The pass
+returns the final states; only training and the single-tweet trace keep the
+per-step cache, which holds every step's hidden and cell states. Backward
+mirrors the forward: one (4, B, h) block dA per step, dh from one dA·U, and
+dW, dU, db each from one matmul or sum over the stacked blocks after the loop.
 """
 
 from __future__ import annotations
@@ -48,17 +49,17 @@ def lstm_forward(params: dict[str, np.ndarray], x: np.ndarray, lengths: np.ndarr
                  keep_cache: bool = False):
     """Run the recurrence over a batch.
 
-    x: (B, T, d); lengths: (B,) true lengths. Returns (final_h (B, h),
-    all_h (B, T, h), cache). all_h[b, t] is the hidden state after step t;
-    rows at t >= lengths[b] repeat the last valid state. The cache is None
-    unless ``keep_cache``; it holds the time-major inputs ``x`` of the
-    S = max(lengths) steps, ``h`` = all_h, and per-step lists of activations
-    ``ifo`` (3, B, h) and ``cand`` and of masked cell states ``c``, which
-    start with the zero initial state (entry t enters step t).
+    x: (B, T, d); lengths: (B,) true lengths. Returns (final_h (B, h), cache);
+    a sample's final state is its state after its last real step (zero for an
+    empty one). The cache is None unless ``keep_cache``; it holds the
+    time-major inputs ``x`` of the S = max(lengths) steps, per-step lists of
+    activations ``ifo`` (3, B, h) and ``cand``, and per-step lists of masked
+    hidden states ``h`` and cell states ``c`` (B, h), which start with the
+    zero initial state (entry t enters step t, entry t + 1 leaves it).
     """
     w, u, b = _joined(params, "W"), _joined(params, "U"), _joined(params, "b")
     hidden_dim = u.shape[1]
-    batch, total_steps, input_dim = x.shape
+    batch, _, input_dim = x.shape
     if w.shape[2] != input_dim:
         raise DimensionMismatch(f"sequence dimension {input_dim} != cell input dim {w.shape[2]}")
     steps = int(lengths.max()) if batch else 0
@@ -69,8 +70,7 @@ def lstm_forward(params: dict[str, np.ndarray], x: np.ndarray, lengths: np.ndarr
     projected = projected.reshape(4, steps, batch, hidden_dim)
     u_t = u.transpose(0, 2, 1)
     h = c = np.zeros((batch, hidden_dim))
-    all_h = np.empty((batch, total_steps, hidden_dim))
-    cache = dict(x=inputs, lengths=lengths, h=all_h, ifo=[], cand=[], c=[c]) if keep_cache else None
+    cache = dict(x=inputs, lengths=lengths, ifo=[], cand=[], h=[h], c=[c]) if keep_cache else None
     for t in range(steps):
         a = h @ u_t
         a += projected[:, t]
@@ -80,12 +80,10 @@ def lstm_forward(params: dict[str, np.ndarray], x: np.ndarray, lengths: np.ndarr
         c_tanh = np.tanh(c_raw)
         h = np.where(live[t], ifo[2] * c_tanh, h)
         c = np.where(live[t], c_raw, c)
-        all_h[:, t, :] = h
         if keep_cache:
-            for key, value in zip(("ifo", "cand", "c"), (ifo, cand, c)):
+            for key, value in zip(("ifo", "cand", "h", "c"), (ifo, cand, h, c)):
                 cache[key].append(value)
-    all_h[:, steps:, :] = h[:, None, :]
-    return h, all_h, cache
+    return h, cache
 
 
 def lstm_backward(params: dict[str, np.ndarray], cache, d_final_h: np.ndarray):
@@ -114,8 +112,7 @@ def lstm_backward(params: dict[str, np.ndarray], cache, d_final_h: np.ndarray):
         np.multiply(dc * ifo[0], 1.0 - cand * cand, out=da[3])
         dc = dc * ifo[1]
         dh = (da @ u).sum(axis=0)
-    zero = np.zeros((1, batch, hidden_dim))  # h_prev, time-major like the dA blocks
-    h_prev = np.concatenate([zero, cache["h"][:, :steps].transpose(1, 0, 2)])[:steps]
+    h_prev = np.stack(cache["h"])[:steps]  # time-major like the dA blocks
     d_a = d_gates.reshape(4, steps * batch, hidden_dim)
     d_a_t = d_a.transpose(0, 2, 1)
     fused = {"W": d_a_t @ cache["x"], "b": np.ones(steps * batch) @ d_a,

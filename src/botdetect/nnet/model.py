@@ -106,11 +106,12 @@ class ContextualLstmModel:
                       metadata: np.ndarray | None, keep_cache: bool = False):
         """Batched forward pass on raw metadata, which it standardizes.
 
-        Returns (main_scores, aux_scores, all_h) plus a cache when training.
+        Returns (main_scores, aux_scores, final_h, cache); the cache is None
+        unless ``keep_cache``.
         """
         p = self.params
         cfg = self.config
-        final_h, all_h, lstm_cache = lstm_forward(p, x, lengths, keep_cache)
+        final_h, lstm_cache = lstm_forward(p, x, lengths, keep_cache)
         if cfg.use_metadata:
             if metadata is None or metadata.shape[1] != METADATA_DIM:
                 raise DimensionMismatch("metadata must be a (B, 6) array")
@@ -131,7 +132,7 @@ class ContextualLstmModel:
         else:
             aux_scores = None
         if not keep_cache:
-            return main_scores, aux_scores, all_h, None
+            return main_scores, aux_scores, final_h, None
         cache = {
             "lstm": lstm_cache,
             "final_h": final_h,
@@ -141,32 +142,29 @@ class ContextualLstmModel:
             "z2": z2,
             "r2": r2,
         }
-        return main_scores, aux_scores, all_h, cache
+        return main_scores, aux_scores, final_h, cache
 
     def forward(self, matrix: np.ndarray, ids: np.ndarray, length: int,
                 metadata: np.ndarray | None = None):
         """Single-tweet forward on its (max_len,) row ids into the embedding
-        matrix: (main_score, aux_score, hidden_trace).
+        matrix: (main_score, aux_score, hidden_trace, cell_trace).
 
-        ``hidden_trace`` holds the LSTM state at every real timestep; the
-        metadata argument is raw counts and is standardized internally.
+        The traces hold the LSTM's hidden and cell states at every real
+        timestep, one row each; the metadata argument is raw counts and is
+        standardized internally.
         """
         if self.config.use_metadata:
             metadata = np.asarray(metadata, dtype=np.float64).reshape(1, METADATA_DIM)
-        main, aux, all_h = self.forward_ids(matrix, ids[None], np.array([length]), metadata)
-        trace = all_h[0, :length, :].copy()
-        return float(main[0]), (float(aux[0]) if aux is not None else None), trace
+        main, aux, _, cache = self.forward_batch(stack_sequences(matrix, ids[None]),
+                                                 np.array([length]), metadata, keep_cache=True)
+        hidden, cells = (np.stack(cache["lstm"][key])[1:, 0, :] for key in ("h", "c"))
+        return float(main[0]), (float(aux[0]) if aux is not None else None), hidden, cells
 
     def predict_proba(self, matrix: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
                       metadata: np.ndarray | None = None) -> np.ndarray:
         """Main-head scores for (N, max_len) row ids (raw metadata accepted),
         in one full-batch forward pass."""
-        return self.forward_ids(matrix, ids, lengths, metadata)[0]
-
-    def forward_ids(self, matrix, ids, lengths, metadata):
-        """(main_scores, aux_scores, all_h) of one forward pass on row ids
-        and raw metadata."""
-        return self.forward_batch(stack_sequences(matrix, ids), lengths, metadata)[:3]
+        return self.forward_batch(stack_sequences(matrix, ids), lengths, metadata)[0]
 
     # -- training --------------------------------------------------------
 
@@ -219,7 +217,8 @@ class ContextualLstmModel:
     def load(cls, meta, arrays) -> ContextualLstmModel:
         """Rebuild a model from a parsed checkpoint (`persist.load_model`); a
         missing tensor is a ParseError naming it, and so are a tensor of
-        another shape and a standardizer `Standardizer.load` refuses."""
+        another shape or with an infinite weight and a standardizer
+        `Standardizer.load` refuses."""
         values = {f.name: meta[f.name] for f in fields(NetConfig) if f.name != "loss_weights"}
         values["loss_weights"] = f"{meta['loss_weight_main']},{meta['loss_weight_aux']}"
         config = from_strings(NetConfig, values)
@@ -233,6 +232,8 @@ class ContextualLstmModel:
             if arrays[name].shape != shape:
                 raise ParseError(f"{arrays.path}: tensor {name!r} has shape "
                                  f"{arrays[name].shape}, expected {shape}")
+            if not np.all(np.isfinite(arrays[name])):
+                raise ParseError(f"{arrays.path}: tensor {name!r} is not finite")
         params = {name: arrays[name] for name in shapes if not name.startswith("meta_")}
         return cls(config, params, standardizer)
 

@@ -88,6 +88,8 @@ def load_model(path) -> tuple[Entries, Entries]:
                 i += count
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{header}: bad tensor: {exc}") from exc
+            if np.isnan(arr).any():  # no fit writes one
+                raise ParseError(f"{path}:{header}: tensor {name!r} holds NaN")
             arrays[name] = arr
             continue
         raise ParseError(f"{path}:{i + 1}: unexpected line {line!r}")

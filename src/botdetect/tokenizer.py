@@ -1,7 +1,7 @@
 """Tweet tokenizer compatible with the published Twitter GloVe vocabularies.
 
 Rule order is fixed: URL, user mention, hashtag, emoji/emoticon, number,
-all-caps, elongation, lowercase. Tag tokens come from a closed set; anything
+all-caps, lowercase, elongation. Tag tokens come from a closed set; anything
 unmappable passes through as its lowercase self.
 """
 
@@ -116,10 +116,13 @@ def _expand_token(token: str) -> tuple[str, ...]:
     trailing = ()
     if len(token) >= 2 and token.isalpha() and token.isupper():
         trailing += (ALLCAPS,)
-    collapsed = _ELONG_RE.sub(r"\1\1", token)
-    if collapsed != token:
+    # Runs are found in the lowercase form every plain token ends in, so a
+    # token and its own output expand alike ("HHh" and "hhh" both elongate).
+    lowered = token.lower()
+    collapsed = _ELONG_RE.sub(r"\1\1", lowered)
+    if collapsed != lowered:
         trailing += (ELONG,)
-    return (collapsed.lower(), *trailing)
+    return (collapsed, *trailing)
 
 
 def tokenize(text: str, repeat_tag: bool = False) -> TokenSequence:

@@ -127,7 +127,8 @@ def is_convex_combination(row, originals: np.ndarray, tol: float = 1e-9) -> bool
 
 def scalar_lstm_final(params: dict[str, np.ndarray], matrix: np.ndarray,
                       true_length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Naive per-step, per-unit LSTM recurrence; returns (final_h, all_h)."""
+    """Naive per-step, per-unit LSTM recurrence; returns (final_h, the
+    (true_length x hidden) states after each step)."""
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))

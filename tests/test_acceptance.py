@@ -34,12 +34,12 @@ from botdetect.ingest import (
 from botdetect.introspect import trace_tweet, unit_distributions
 from botdetect.metrics import auc, confusion_at
 from botdetect.nnet import ContextualLstmModel, NetConfig, train
-from botdetect.nnet.gradcheck import check_gradients
 from botdetect.nnet.layers import bce
 from botdetect.resample import ResampleConfig, Strategy, apply_strategy, smote, \
     enn_filter, tomek_links
 from botdetect.tokenizer import tokenize
 
+from gradcheck import check_gradients
 from golden_tokenizer import GOLDEN_CASES, REPEAT_CASES, REPEAT_OFF_CASES
 from helpers import split
 from oracles import brute_enn_keep, brute_tomek, is_convex_combination, pair_auc
@@ -363,6 +363,6 @@ def test_criterion_10_introspection_conservation():
 
         for i, tweet in enumerate(tweets[:25]):
             trace = trace_tweet(model, TweetPipeline(table), tweet)
-            _, _, hidden = model.forward(table.matrix, ids[i], lengths[i],
-                                         np.array(tweet.metadata, dtype=np.float64))
-            assert np.array_equal(trace.matrix, hidden)
+            _, _, hidden, cells = model.forward(table.matrix, ids[i], lengths[i],
+                                                np.array(tweet.metadata, dtype=np.float64))
+            assert np.array_equal(trace.matrix, hidden) and np.array_equal(trace.cells, cells)

@@ -20,8 +20,8 @@ from botdetect.baselines.forest import fit_forest, predict_forest
 from botdetect.baselines.mlp import init_mlp_params, mlp_forward, mlp_grads
 from botdetect.data import FeatureMatrix, Standardizer
 from botdetect.errors import DegenerateData, ParseError, SchemaMismatch
-from botdetect.nnet.gradcheck import check_gradients
-from botdetect.persist import load_model
+from botdetect.persist import load_model, save_model
+from gradcheck import check_gradients
 from helpers import mlp_loss
 from oracles import floyd_subsets, reference_forest, tree_votes
 
@@ -259,6 +259,14 @@ UNUSABLE = [
     ("forest", "tree_000", _with_cell(np.nan, (0, 3))),
     ("adaboost", "stumps", _with_cell(-1.0, (0, 0))),
     ("adaboost", "stumps", lambda a: a[:, :3]),
+    # Values no fit writes.
+    pytest.param("logreg", "b", _with_cell(np.inf, 0), id="logreg-b-inf"),
+    pytest.param("sgd", "platt", _with_cell(-np.inf, 2), id="sgd-platt-minus-inf"),
+    pytest.param("mlp", "W0", _with_cell(np.inf, (0, 1)), id="mlp-W0-inf"),
+    pytest.param("mlp", "b1", _with_cell(np.nan, 0), id="mlp-b1-nan"),
+    pytest.param("forest", "tree_000", _with_cell(np.inf, (0, 1)), id="forest-root-threshold-inf"),
+    pytest.param("forest", "tree_000", _with_cell(0.5, (-1, 4)), id="forest-leaf-vote-half"),
+    pytest.param("adaboost", "stumps", _with_cell(np.inf, (0, 3)), id="adaboost-alpha-inf"),
 ]
 
 
@@ -272,6 +280,17 @@ def test_load_refuses_tensors_that_cannot_score(tmp_path, kind, name, change):
     arrays[name] = change(arrays[name])
     with pytest.raises(ParseError, match=f"{kind} tensors cannot score 2-wide rows"):
         load_baseline(meta, arrays)
+
+
+def test_load_accepts_infinite_stump_thresholds(tmp_path):
+    # `_stump_candidates` writes -inf below the minimum and inf above the maximum.
+    cfg = BaselineConfig(seed=3, n_stumps=3)
+    path = tmp_path / "model.txt"
+    save_baseline(baselines.fit("adaboost", _xor(seed=16, per_cluster=20), cfg), path)
+    meta, arrays = load_model(path)
+    arrays["stumps"][:2, 1] = (-np.inf, np.inf)
+    save_model(path, meta, arrays)
+    assert np.array_equal(load_baseline(*load_model(path)).params["stumps"], arrays["stumps"])
 
 
 @pytest.mark.parametrize("name,kind", [("fit_forest", "forest"), ("fit_adaboost", "adaboost")])

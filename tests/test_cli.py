@@ -27,7 +27,7 @@ from botdetect.data import (
 )
 from botdetect.embedding import TweetPipeline, load_glove
 from botdetect.errors import ConfigError, ParseError
-from botdetect.nnet import ContextualLstmModel, NetConfig
+from botdetect.nnet import ContextualLstmModel, NetConfig, lstm
 from botdetect.persist import load_model, save_model
 
 
@@ -450,6 +450,12 @@ MALFORMED = {
     "forest_standardizer_mean_nan": (3, "eval", ("forest", "standardizer.mean",
                                                  lambda a: np.r_[np.nan, a[1:]])),
     "net_meta_standardizer_std_0": (3, "eval", ("net", "meta_standardizer.std", np.zeros_like)),
+    "forest_root_threshold_nan": (3, "eval", ("forest", "tree_000",
+                                              lambda a: np.vstack([[a[0, 0], np.nan, *a[0, 2:]],
+                                                                   a[1:]]))),
+    "adaboost_stump_alpha_inf": (3, "eval", ("adaboost", "stumps",
+                                             lambda a: np.vstack([[*a[0, :3], np.inf], a[1:]]))),
+    "net_U_i_inf": (3, "eval", ("net", "U_i", lambda a: np.where(a > 0, np.inf, a))),
     "net_no_lstm_tensor": (3, "eval", ("net", "U_f", None)),
     "net_no_dense_tensor": (3, "eval", ("net", "dense2.b", None)),
     "net_no_aux_tensor": (3, "inspect", ("net", "aux.W", None)),
@@ -607,6 +613,30 @@ def test_inspect_warns_on_pipeline_mismatch(corpus, tmp_path, capsys):
     assert main(["inspect", "--checkpoint", str(stale), *common]) == 0
     assert "differs from training" in capsys.readouterr().err
 
+
+
+def test_inspect_cell_state_runs_the_lstm_once_for_the_traced_tweet(corpus, tmp_path,
+                                                                     monkeypatch):
+    checkpoint = tmp_path / "net.txt"
+    checkpoint.write_text(_checkpoint_texts(corpus, tmp_path)["net"], encoding="utf-8")
+    batches = []
+    original = lstm.lstm_forward
+
+    def counted(params, x, lengths, keep_cache=False):
+        batches.append(x.shape[0])
+        return original(params, x, lengths, keep_cache)
+
+    # Every botdetect name bound to the recurrence is rebound, as a tracer does.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("botdetect") and getattr(module, "lstm_forward", None) is original:
+            monkeypatch.setattr(module, "lstm_forward", counted)
+    out = tmp_path / "ins"
+    assert main(["inspect", "--checkpoint", str(checkpoint), "--manifest",
+                 str(corpus / "manifest.txt"), "--embedding", str(corpus / "glove_25d.txt"),
+                 "--out", str(out), "--tweet-index", "7", "--cell-state"]) == 0
+    # The traced tweet's one batch-1 run, then the corpus's one batch.
+    assert len(batches) == 2 and batches[0] == 1 < batches[1]
+    assert (out / "trace_7.csv").exists() and (out / "cell_trace_7.csv").exists()
 
 
 def test_vocab_capped_checkpoint_scores_through_training_pipeline(corpus, tmp_path, capsys):

@@ -6,7 +6,6 @@ from botdetect.embedding import TweetPipeline, embed, fixture_table
 from botdetect.errors import SingleClass
 from botdetect.introspect import (
     ActivationTrace,
-    cell_states,
     cell_trace_csv_lines,
     distribution_csv_lines,
     ks_csv_lines,
@@ -48,7 +47,7 @@ def model():
 def test_empty_tweet_flagged(model, table):
     trace = trace_tweet(model, TweetPipeline(table), _tweet(""))
     assert trace.empty
-    assert trace.matrix.shape == (0, 8)
+    assert trace.matrix.shape == trace.cells.shape == (0, 8)
     assert trace.tokens == ()
 
 
@@ -57,8 +56,8 @@ def test_single_token_trace_equals_final_state(model, table):
     trace = trace_tweet(model, TweetPipeline(table), tweet)
     assert trace.matrix.shape == (1, 8)
     ids, length = _ids(tweet.text, table)
-    main, aux, hidden = model.forward(table.matrix, ids, length,
-                                      np.array(tweet.metadata, dtype=np.float64))
+    main, aux, hidden, _ = model.forward(table.matrix, ids, length,
+                                         np.array(tweet.metadata, dtype=np.float64))
     assert np.array_equal(trace.matrix[0], hidden[-1])
 
 
@@ -86,9 +85,10 @@ def test_trace_rows_match_forward_bitwise(model, table):
     tweet = _tweet("beta alpha gamma")
     trace = trace_tweet(model, TweetPipeline(table), tweet)
     ids, length = _ids(tweet.text, table)
-    _, _, hidden = model.forward(table.matrix, ids, length,
-                                 np.array(tweet.metadata, dtype=np.float64))
+    _, _, hidden, cells = model.forward(table.matrix, ids, length,
+                                        np.array(tweet.metadata, dtype=np.float64))
     assert np.array_equal(trace.matrix, hidden)
+    assert np.array_equal(trace.cells, cells)
 
 
 def test_ks_statistic_basics():
@@ -164,24 +164,27 @@ def test_csv_exports(model, table):
 
 def test_cell_state_export(model, table):
     tweet = _tweet("alpha beta gamma")
-    states = cell_states(model, table.matrix, *_ids(tweet.text, table))
-    assert states.shape == (3, 8)
-    lines = cell_trace_csv_lines(model, TweetPipeline(table), tweet)
+    trace = trace_tweet(model, TweetPipeline(table), tweet)
+    assert trace.cells.shape == (3, 8)
+    lines = cell_trace_csv_lines(trace)
     assert lines[1] == "token,alpha,beta,gamma"
     # cell states are the pre-output-gate memory; first row c_1 = i_1 * g_1
-    trace = trace_tweet(model, TweetPipeline(table), tweet)
-    assert not np.array_equal(states, trace.matrix)
+    assert not np.array_equal(trace.cells, trace.matrix)
 
 
 def test_activation_trace_validation():
     with pytest.raises(ValueError):
-        ActivationTrace(matrix=np.zeros((2, 4)), tokens=("a",), empty=False)
+        ActivationTrace(matrix=np.zeros((2, 4)), cells=np.zeros((2, 4)), tokens=("a",),
+                        empty=False)
+    with pytest.raises(ValueError):
+        ActivationTrace(matrix=np.zeros((1, 4)), cells=np.zeros((2, 4)), tokens=("a",),
+                        empty=False)
 
 
 def test_cell_states_match_scalar_oracle(model, table):
     for text in ("alpha beta gamma delta echo", "beta", ""):
         ids, length = _ids(text, table)
-        states = cell_states(model, table.matrix, ids, length)
+        states = trace_tweet(model, TweetPipeline(table), _tweet(text)).cells
         ref = scalar_lstm_cells(model.params, table.matrix[ids], length)
         assert states.shape == ref.shape == (length, 8)
         assert np.allclose(states, ref, rtol=0.0, atol=1e-12)
@@ -196,8 +199,8 @@ def test_distributions_use_batched_final_states(model, table):
     finals = {Label.HUMAN: [], Label.BOT: []}
     for tweet in tweets:
         ids, length = _ids(tweet.text, table)
-        _, _, hidden = model.forward(table.matrix, ids, length,
-                                     np.array(tweet.metadata, dtype=np.float64))
+        _, _, hidden, _ = model.forward(table.matrix, ids, length,
+                                        np.array(tweet.metadata, dtype=np.float64))
         finals[tweet.label].append(hidden[-1] if hidden.shape[0] else np.zeros(8))
     for dist in report.distributions:
         values = np.array(finals[dist.label])[:, dist.unit_index]

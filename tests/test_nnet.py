@@ -11,11 +11,11 @@ from botdetect.nnet import (
     init_lstm_params,
     train,
 )
-from botdetect.nnet.gradcheck import check_gradients
 from botdetect.nnet.layers import bce, sigmoid
 from botdetect.nnet.lstm import lstm_backward, lstm_forward
 from botdetect.persist import load_model
 
+from gradcheck import check_gradients
 from oracles import scalar_bce, scalar_contextual_forward, scalar_lstm_final
 
 
@@ -66,29 +66,48 @@ def test_lstm_zero_length_gives_zero_state():
     rng = np.random.Generator(np.random.PCG64(0))
     params = init_lstm_params(rng, 5, 32)
     x, length = _sequence(rng, 0, 5, max_len=4)
-    final_h, all_h, _ = lstm_forward(params, x[None], np.array([length]))
+    final_h, cache = lstm_forward(params, x[None], np.array([length]), keep_cache=True)
     assert np.all(final_h[0] == 0.0)
-    assert all_h[0, :length].shape == (0, 32)
-    assert np.all(all_h == 0.0)
+    assert np.stack(cache["h"])[1:, 0].shape == (0, 32)
+    assert np.all(np.stack(cache["h"]) == 0.0)
 
 
 def test_lstm_zero_weights_give_zero_output():
     rng = np.random.Generator(np.random.PCG64(1))
     params = _zero_cell(3)
     x, _ = _sequence(rng, 6, 3)
-    final_h, all_h, _ = lstm_forward(params, x[None], np.array([6]))
+    final_h, cache = lstm_forward(params, x[None], np.array([6]), keep_cache=True)
     assert np.all(final_h == 0.0)
-    assert np.all(all_h == 0.0)
+    assert np.all(np.stack(cache["h"]) == 0.0)
 
 
 def test_lstm_matches_scalar_reference():
     rng = np.random.Generator(np.random.PCG64(2))
     params = init_lstm_params(rng, 4, 8)
     x, length = _sequence(rng, 5, 4, max_len=7)
-    final_h, all_h, _ = lstm_forward(params, x[None], np.array([length]))
+    final_h, cache = lstm_forward(params, x[None], np.array([length]), keep_cache=True)
     ref_final, ref_all = scalar_lstm_final(params, x, length)
     assert np.allclose(final_h[0], ref_final, atol=1e-12)
-    assert np.allclose(all_h[0, :length], ref_all, atol=1e-12)
+    assert np.allclose(np.stack(cache["h"])[1:, 0], ref_all, atol=1e-12)
+
+
+@pytest.mark.parametrize("zero_weights", [False, True])
+def test_lstm_cache_states_match_scalar_reference(zero_weights):
+    # Each sample's cached hidden states are the oracle's per-step states up
+    # to its length, then its last state (zero for an empty sample).
+    rng = np.random.Generator(np.random.PCG64(42))
+    params = _zero_cell(3, hidden=6) if zero_weights else init_lstm_params(rng, 3, 6)
+    sequences = [_sequence(rng, n, 3, max_len=7) for n in (5, 0, 7, 2)]
+    x = np.stack([m for m, _ in sequences])
+    lengths = np.array([length for _, length in sequences])
+    final_h, cache = lstm_forward(params, x, lengths, keep_cache=True)
+    states = np.stack(cache["h"])
+    assert states.shape == (8, 4, 6) and np.all(states[0] == 0.0)
+    for i, (matrix, length) in enumerate(sequences):
+        ref_final, ref_all = scalar_lstm_final(params, matrix, length)
+        assert np.allclose(states[1:length + 1, i], ref_all, rtol=0.0, atol=1e-12)
+        assert np.all(states[length:, i] == final_h[i])
+        assert np.allclose(final_h[i], ref_final, rtol=0.0, atol=1e-12)
 
 
 def test_lstm_batch_masking_equals_per_sequence_runs():
@@ -97,9 +116,9 @@ def test_lstm_batch_masking_equals_per_sequence_runs():
     sequences = [_sequence(rng, n, 3, max_len=5) for n in (5, 2, 0, 4)]
     x = np.stack([m for m, _ in sequences])
     lengths = np.array([length for _, length in sequences])
-    batch_final, _, _ = lstm_forward(params, x, lengths)
+    batch_final, _ = lstm_forward(params, x, lengths)
     for i, (matrix, _) in enumerate(sequences):
-        solo_final, _, _ = lstm_forward(params, matrix[None], lengths[i : i + 1])
+        solo_final, _ = lstm_forward(params, matrix[None], lengths[i : i + 1])
         assert np.allclose(batch_final[i], solo_final[0], atol=1e-12)
 
 
@@ -134,19 +153,19 @@ def test_lstm_cache_does_not_change_outputs():
     params = init_lstm_params(rng, 4, 6)
     x = rng.standard_normal((5, 7, 4))
     lengths = np.array([7, 0, 3, 1, 6])
-    final_a, all_a, cache_a = lstm_forward(params, x, lengths)
-    final_b, all_b, cache_b = lstm_forward(params, x, lengths, keep_cache=True)
+    final_a, cache_a = lstm_forward(params, x, lengths)
+    final_b, cache_b = lstm_forward(params, x, lengths, keep_cache=True)
     assert cache_a is None and cache_b is not None
     assert np.array_equal(final_a, final_b)
-    assert np.array_equal(all_a, all_b)
+    assert np.array_equal(cache_b["h"][-1], final_b)
 
 
 def test_lstm_all_empty_batch_has_zero_gradients():
     rng = np.random.Generator(np.random.PCG64(41))
     params = init_lstm_params(rng, 4, 6)
-    final_h, all_h, cache = lstm_forward(params, rng.standard_normal((3, 5, 4)),
-                                         np.zeros(3, dtype=np.int64), keep_cache=True)
-    assert np.all(final_h == 0.0) and np.all(all_h == 0.0)
+    final_h, cache = lstm_forward(params, rng.standard_normal((3, 5, 4)),
+                                  np.zeros(3, dtype=np.int64), keep_cache=True)
+    assert np.all(final_h == 0.0) and np.all(np.stack(cache["h"]) == 0.0)
     grads = lstm_backward(params, cache, rng.standard_normal((3, 6)))
     assert set(grads) == set(params)
     for name, value in params.items():
@@ -160,9 +179,9 @@ def test_zero_model_outputs_half():
     for key in model.params:
         model.params[key] = np.zeros_like(model.params[key])
     rng = np.random.Generator(np.random.PCG64(5))
-    main, aux, trace = _forward(model, _sequence(rng, 4, 3), np.arange(6.0))
+    main, aux, trace, cells = _forward(model, _sequence(rng, 4, 3), np.arange(6.0))
     assert main == 0.5 and aux == 0.5
-    assert trace.shape == (4, 4)
+    assert trace.shape == cells.shape == (4, 4)
 
 
 def test_metadata_ignored_when_first_layer_weights_zeroed():
@@ -171,8 +190,8 @@ def test_metadata_ignored_when_first_layer_weights_zeroed():
     model.params["dense1.W"][:, 4:] = 0.0  # zero the metadata columns
     rng = np.random.Generator(np.random.PCG64(6))
     seq = _sequence(rng, 4, 3)
-    main_a, _, _ = _forward(model, seq, np.zeros(6))
-    main_b, _, _ = _forward(model, seq, np.array([9.0, -4.0, 2.0, 7.0, 1.0, 3.0]))
+    main_a = _forward(model, seq, np.zeros(6))[0]
+    main_b = _forward(model, seq, np.array([9.0, -4.0, 2.0, 7.0, 1.0, 3.0]))[0]
     assert main_a == main_b
 
 
@@ -185,7 +204,7 @@ def test_forward_matches_scalar_trace():
     rng = np.random.Generator(np.random.PCG64(10))
     seq = _sequence(rng, 5, 4)
     meta = rng.standard_normal(6)
-    main, aux, _ = _forward(model, seq, meta)
+    main, aux, _, _ = _forward(model, seq, meta)
     ref_main, ref_aux = scalar_contextual_forward(model, *seq, meta)
     assert main == pytest.approx(ref_main, abs=1e-12)
     assert aux == pytest.approx(ref_aux, abs=1e-12)
@@ -195,7 +214,7 @@ def test_tweet_only_forward_has_no_aux():
     config = NetConfig.tweet_only(embedding_dim=4, hidden_dim=5, dense_sizes=(7, 6), seed=11)
     model = ContextualLstmModel.initialize(config)
     rng = np.random.Generator(np.random.PCG64(12))
-    main, aux, _ = _forward(model, _sequence(rng, 3, 4))
+    main, aux, _, _ = _forward(model, _sequence(rng, 3, 4))
     assert aux is None
     assert "aux.W" not in model.params
     assert model.params["dense1.W"].shape == (7, 5)
@@ -413,6 +432,16 @@ def test_load_refuses_tensors_whose_shape_the_meta_does_not_give(tmp_path, key, 
     ContextualLstmModel.load(meta, arrays)
     (arrays if isinstance(value, np.ndarray) else meta)[key] = value
     with pytest.raises(ParseError, match=f"tensor '{tensor}' has shape"):
+        ContextualLstmModel.load(meta, arrays)
+
+
+@pytest.mark.parametrize("tensor", ["W_c", "aux.b", "dense2.W"])
+def test_load_refuses_an_infinite_weight(tmp_path, tensor):
+    model = ContextualLstmModel.initialize(NetConfig.contextual(embedding_dim=3, hidden_dim=2))
+    model.save(tmp_path / "net.txt")
+    meta, arrays = load_model(tmp_path / "net.txt")
+    arrays[tensor] = np.full_like(arrays[tensor], -np.inf)
+    with pytest.raises(ParseError, match=f"tensor '{tensor}' is not finite"):
         ContextualLstmModel.load(meta, arrays)
 
 

@@ -163,6 +163,17 @@ def test_malformed_tensor_body_is_a_parse_error(tmp_path, body):
         load_model(path)
 
 
+@pytest.mark.parametrize("body", ["tensor w 1 2\n1 nan\n", "tensor w 2 2 1\n0\n-nan\n"])
+def test_nan_in_a_tensor_is_a_parse_error(tmp_path, body):
+    # No fit writes a NaN weight; infinities are left to each kind's checks.
+    path = tmp_path / "model.txt"
+    path.write_text("botdetect-model v1\n" + body + "end\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="model.txt:2: tensor 'w' holds NaN"):
+        load_model(path)
+    path.write_text("botdetect-model v1\ntensor w 1 2\n-inf inf\nend\n", encoding="utf-8")
+    assert np.array_equal(load_model(path)[1]["w"], [-np.inf, np.inf])
+
+
 def test_missing_meta_key_is_a_parse_error(tmp_path):
     path = tmp_path / "model.txt"
     save_model(path, {"schema": "a"}, {})
