@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 training failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import math
@@ -514,6 +515,17 @@ def _load_net(path, meta, arrays, embedding):
     return model, pipeline
 
 
+@contextlib.contextmanager
+def _scoring():
+    """Scoring with float overflow and invalid values raised: a checkpoint
+    whose finite weights overflow is numerically broken, a data error."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DegenerateData(f"the model is numerically broken ({exc})") from None
+
+
 def _cmd_eval(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ConfigError("threshold must lie in (0, 1)")
@@ -526,16 +538,18 @@ def _cmd_eval(args) -> int:
         if not tweets:
             raise DegenerateData("corpus contains no tweets")
         model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
-        scores = model.predict_proba(pipeline.table.matrix, *pipeline.tensors(tweets))
-        report = evaluate(scores, np.array([t.label for t in tweets], dtype=np.int8),
-                          args.threshold)
+        with _scoring():
+            scores = model.predict_proba(pipeline.table.matrix, *pipeline.tensors(tweets))
+        labels = np.array([t.label for t in tweets], dtype=np.int8)
     elif kind in {k.value for k in baselines.REGISTRY}:
         model = baselines.load_baseline(meta, arrays)
         matrix = _baseline_matrix(model.schema == ACCOUNT_FEATURE_COLUMNS, accounts, tweets)
-        scores = baselines.predict_proba(model, matrix)
-        report = evaluate(scores, matrix.labels, args.threshold)
+        with _scoring():
+            scores = baselines.predict_proba(model, matrix)
+        labels = matrix.labels
     else:
         raise ParseError(f"{args.checkpoint}: unknown model kind {kind!r}")
+    report = evaluate(scores, labels, args.threshold)
     sys.stdout.write(report.to_text())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -554,14 +568,16 @@ def _cmd_inspect(args) -> int:
     index = args.tweet_index
     if not 0 <= index < len(tweets):
         raise ConfigError(f"tweet index {index} outside corpus of {len(tweets)}")
-    trace = trace_tweet(model, pipeline, tweets[index])
+    with _scoring():
+        trace = trace_tweet(model, pipeline, tweets[index])
     _write_lines(os.path.join(args.out, f"trace_{index}.csv"), trace_csv_lines(trace))
     if trace.empty:
         print(f"note: tweet {index} tokenizes to nothing; trace is empty")
     if args.cell_state:
         _write_lines(os.path.join(args.out, f"cell_trace_{index}.csv"), cell_trace_csv_lines(trace))
 
-    report = unit_distributions(model, pipeline, tweets)
+    with _scoring():
+        report = unit_distributions(model, pipeline, tweets)
     _write_lines(os.path.join(args.out, "distributions.csv"), distribution_csv_lines(report))
     _write_lines(os.path.join(args.out, "ks.csv"), ks_csv_lines(report))
     best = report.ranking[0]

@@ -93,7 +93,7 @@ def unit_distributions(
     if not np.any(labels == Label.HUMAN) or not np.any(labels == Label.BOT):
         raise SingleClass("unit distributions need tweets from both classes")
     ids, lengths, metadata = pipeline.tensors(tweets)
-    _, _, finals, _ = model.forward_batch(stack_sequences(pipeline.table.matrix, ids),
+    _, _, finals, _ = model.forward_batch(stack_sequences(pipeline.table.matrix, ids, lengths),
                                           lengths, metadata)
 
     edges = np.linspace(-1.0, 1.0, bins + 1)

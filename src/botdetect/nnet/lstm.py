@@ -5,12 +5,13 @@ for g in i, f, o, c), the layout checkpoints, Adam and the gradient check see.
 Each call joins them into fused W (4h x d), U (4h x h) and b (4h), held
 gate-major as (4, h, ...) so every gate block is contiguous; the backward pass
 hands back per-gate gradients by indexing that gate axis. Forward (Appleyard,
-Kočiský & Blunsom 2016): one matmul projects the inputs of all timesteps before
-the recurrence; each step runs one h·Uᵀ matmul for all gates, one sigmoid over
-the i, f, o blocks and one tanh over the candidate block. Padded steps keep a
-sample's state (``np.where``); state never carries across inputs. The pass
-returns the final states; only training and the single-tweet trace keep the
-per-step cache, which holds every step's hidden and cell states. Backward
+Kočiský & Blunsom 2016): one matmul projects the time-major inputs of all
+timesteps before the recurrence; each step runs one h·Uᵀ matmul for all gates,
+one in-place sigmoid over the i, f, o blocks and one tanh over the candidate
+block. Scoring sorts the rows longest first, as packed sequences do, and runs
+the gate and cell math on the rows still running only; training masks padded
+steps (``np.where``) and caches every step. Both keep every matmul at the full
+batch, so their bits agree. State never carries across inputs. Backward
 mirrors the forward: one (4, B, h) block dA per step, dh from one dA·U, and
 dW, dU, db each from one matmul or sum over the stacked blocks after the loop.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionMismatch
-from .layers import glorot_uniform, sigmoid
+from .layers import glorot_uniform
 
 GATES = ("i", "f", "o", "c")
 
@@ -45,45 +46,91 @@ def _joined(params: dict[str, np.ndarray], kind: str) -> np.ndarray:
     return np.stack([params[f"{kind}_{gate}"] for gate in GATES])
 
 
+def _activate(a: np.ndarray) -> None:
+    """Gate nonlinearities in place on a (4, n, h) pre-activation block: the
+    sigmoid on i, f, o by the operations of `layers.sigmoid` (so the bits
+    match) and tanh on the candidate."""
+    ifo = a[:3]
+    ifo *= 0.5
+    np.tanh(ifo, out=ifo)
+    ifo += 1.0
+    ifo *= 0.5
+    np.tanh(a[3], out=a[3])
+
+
 def lstm_forward(params: dict[str, np.ndarray], x: np.ndarray, lengths: np.ndarray,
                  keep_cache: bool = False):
     """Run the recurrence over a batch.
 
-    x: (B, T, d); lengths: (B,) true lengths. Returns (final_h (B, h), cache);
-    a sample's final state is its state after its last real step (zero for an
-    empty one). The cache is None unless ``keep_cache``; it holds the
-    time-major inputs ``x`` of the S = max(lengths) steps, per-step lists of
-    activations ``ifo`` (3, B, h) and ``cand``, and per-step lists of masked
-    hidden states ``h`` and cell states ``c`` (B, h), which start with the
-    zero initial state (entry t enters step t, entry t + 1 leaves it).
+    x: (T, B, d) time-major inputs with T >= S = max(lengths), the layout
+    `model.stack_sequences` gathers; lengths: (B,) true lengths. Returns
+    (final_h (B, h), cache); a sample's final state is its state after its
+    last real step (zero for an empty one).
+
+    Without ``keep_cache`` (scoring) the rows are sorted longest first, once,
+    so the rows still running at step t are a prefix; step t's gate and cell
+    math runs on that prefix only, in place in persistent h and c buffers,
+    and the final states go back to the caller's order. Every gemm still
+    runs on the full batch (the projection at M = S * B, each h·Uᵀ at M = B):
+    OpenBLAS gives other bits when M shrinks, but not when rows are reordered
+    at the same M, so both loops agree bit for bit. With ``keep_cache``
+    (training) the rows keep the caller's order and padded rows keep their
+    state by masking: the backward's dW, dU and db sums run in that order,
+    and un-permuting its blocks costs more than the skipped rows save at
+    training's batch size. The cache then holds the (S * B, d) inputs ``x``,
+    per-step lists of activations ``ifo`` (3, B, h) and ``cand``, and
+    per-step lists of masked hidden states ``h`` and cell states ``c``
+    (B, h), which start with the zero initial state (entry t enters step t,
+    entry t + 1 leaves it).
     """
     w, u, b = _joined(params, "W"), _joined(params, "U"), _joined(params, "b")
     hidden_dim = u.shape[1]
-    batch, _, input_dim = x.shape
+    _, batch, input_dim = x.shape
     if w.shape[2] != input_dim:
         raise DimensionMismatch(f"sequence dimension {input_dim} != cell input dim {w.shape[2]}")
     steps = int(lengths.max()) if batch else 0
-    live = (np.arange(steps)[:, None] < lengths)[:, :, None]
-    inputs = x[:, :steps, :].transpose(1, 0, 2).reshape(-1, input_dim)
+    inputs = x[:steps].reshape(-1, input_dim)
     projected = inputs @ w.transpose(0, 2, 1)
     projected += b[:, None, :]
     projected = projected.reshape(4, steps, batch, hidden_dim)
     u_t = u.transpose(0, 2, 1)
+    if not keep_cache:
+        return _live_prefix_loop(projected, u_t, lengths), None
+    live = (np.arange(steps)[:, None] < lengths)[:, :, None]
     h = c = np.zeros((batch, hidden_dim))
-    cache = dict(x=inputs, lengths=lengths, ifo=[], cand=[], h=[h], c=[c]) if keep_cache else None
+    cache = dict(x=inputs, lengths=lengths, ifo=[], cand=[], h=[h], c=[c])
     for t in range(steps):
         a = h @ u_t
         a += projected[:, t]
-        ifo = sigmoid(a[:3])
-        cand = np.tanh(a[3])
+        _activate(a)
+        ifo, cand = a[:3], a[3]
         c_raw = ifo[1] * c + ifo[0] * cand
-        c_tanh = np.tanh(c_raw)
-        h = np.where(live[t], ifo[2] * c_tanh, h)
+        h = np.where(live[t], ifo[2] * np.tanh(c_raw), h)
         c = np.where(live[t], c_raw, c)
-        if keep_cache:
-            for key, value in zip(("ifo", "cand", "h", "c"), (ifo, cand, h, c)):
-                cache[key].append(value)
+        for key, value in zip(("ifo", "cand", "h", "c"), (ifo, cand, h, c)):
+            cache[key].append(value)
     return h, cache
+
+
+def _live_prefix_loop(projected: np.ndarray, u_t: np.ndarray, lengths: np.ndarray):
+    """The scoring recurrence on rows sorted longest first; see `lstm_forward`."""
+    _, steps, batch, hidden_dim = projected.shape
+    order = np.argsort(-lengths, kind="stable")
+    running = np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0)
+    h, c = np.zeros((batch, hidden_dim)), np.zeros((batch, hidden_dim))
+    for t, n in enumerate(running.tolist()):
+        a = (h @ u_t)[:, :n]
+        a += projected[:, t][:, order[:n]]
+        _activate(a)
+        h_live, c_live = h[:n], c[:n]
+        c_live *= a[1]
+        a[0] *= a[3]
+        c_live += a[0]
+        np.tanh(c_live, out=h_live)
+        h_live *= a[2]
+    final_h = np.empty_like(h)
+    final_h[order] = h
+    return final_h
 
 
 def lstm_backward(params: dict[str, np.ndarray], cache, d_final_h: np.ndarray):

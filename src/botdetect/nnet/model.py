@@ -104,7 +104,8 @@ class ContextualLstmModel:
 
     def forward_batch(self, x: np.ndarray, lengths: np.ndarray,
                       metadata: np.ndarray | None, keep_cache: bool = False):
-        """Batched forward pass on raw metadata, which it standardizes.
+        """Batched forward pass on time-major (T, B, d) inputs and raw
+        metadata, which it standardizes.
 
         Returns (main_scores, aux_scores, final_h, cache); the cache is None
         unless ``keep_cache``.
@@ -155,8 +156,9 @@ class ContextualLstmModel:
         """
         if self.config.use_metadata:
             metadata = np.asarray(metadata, dtype=np.float64).reshape(1, METADATA_DIM)
-        main, aux, _, cache = self.forward_batch(stack_sequences(matrix, ids[None]),
-                                                 np.array([length]), metadata, keep_cache=True)
+        lengths = np.array([length])
+        main, aux, _, cache = self.forward_batch(stack_sequences(matrix, ids[None], lengths),
+                                                 lengths, metadata, keep_cache=True)
         hidden, cells = (np.stack(cache["lstm"][key])[1:, 0, :] for key in ("h", "c"))
         return float(main[0]), (float(aux[0]) if aux is not None else None), hidden, cells
 
@@ -164,7 +166,7 @@ class ContextualLstmModel:
                       metadata: np.ndarray | None = None) -> np.ndarray:
         """Main-head scores for (N, max_len) row ids (raw metadata accepted),
         in one full-batch forward pass."""
-        return self.forward_batch(stack_sequences(matrix, ids), lengths, metadata)[0]
+        return self.forward_batch(stack_sequences(matrix, ids, lengths), lengths, metadata)[0]
 
     # -- training --------------------------------------------------------
 
@@ -284,10 +286,12 @@ class TrainingTrace:
         return lines
 
 
-def stack_sequences(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The (B, max_len, d) vectors of a batch of row ids: the one gather from
-    the embedding matrix."""
-    return matrix[ids]
+def stack_sequences(matrix: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The time-major (S, B, d) vectors of a batch of (B, max_len) row ids,
+    S = max(lengths): the one gather from the embedding matrix, straight into
+    the layout the recurrence reads."""
+    steps = int(lengths.max()) if len(lengths) else 0
+    return matrix[ids[:, :steps].T]
 
 
 def train(
@@ -328,9 +332,9 @@ def train(
         epoch_main, epoch_aux, epoch_total, seen = 0.0, 0.0, 0.0, 0
         for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            xb, yb = stack_sequences(matrix, ids_all[idx]), targets[idx]
-            main, aux, _, cache = model.forward_batch(xb, lengths_all[idx], meta_all[idx],
-                                                      keep_cache=True)
+            lb, yb = lengths_all[idx], targets[idx]
+            main, aux, _, cache = model.forward_batch(stack_sequences(matrix, ids_all[idx], lb),
+                                                      lb, meta_all[idx], keep_cache=True)
             total, main_loss, aux_loss = blended_loss(main, aux, yb, config.loss_weights)
             if not np.isfinite(total):
                 raise TrainingError(f"loss is not finite at epoch {epoch}, step {step}")

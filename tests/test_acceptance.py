@@ -124,7 +124,7 @@ def test_criterion_4_gradient_verification():
             rng = np.random.Generator(np.random.PCG64(3000 + batch))
             config = NetConfig.contextual(embedding_dim=25, seed=4000 + batch)
             model = ContextualLstmModel.initialize(config)
-            x = rng.standard_normal((3, 6, 25))
+            x = rng.standard_normal((3, 6, 25)).transpose(1, 0, 2)
             lengths = np.array([6, int(rng.integers(2, 6)), int(rng.integers(1, 4))])
             metadata = rng.standard_normal((3, 6))
             targets = rng.integers(0, 2, 3).astype(np.float64)

@@ -378,8 +378,8 @@ def test_bench_exit_status(corpus, tmp_path, capsys):
 
 def _checkpoint_texts(corpus, tmp_path):
     """A contextual net checkpoint as `train` writes one (with its pipeline
-    meta and metadata standardizer), a forest and an adaboost checkpoint;
-    all as text, by name."""
+    meta and metadata standardizer), a forest, an adaboost and a logreg
+    checkpoint; all as text, by name."""
     table = load_glove(corpus / "glove_25d.txt", 25)
     net = ContextualLstmModel.initialize(NetConfig.contextual(embedding_dim=25, seed=1))
     net.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
@@ -387,11 +387,12 @@ def _checkpoint_texts(corpus, tmp_path):
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.standard_normal((20, 10))
     matrix = FeatureMatrix(x, ACCOUNT_FEATURE_COLUMNS, (x[:, 0] > 0).astype(np.int8))
-    for kind in ("forest", "adaboost"):
+    kinds = ("forest", "adaboost", "logreg")
+    for kind in kinds:
         model = baselines.fit(kind, matrix, BaselineConfig(n_trees=2, n_stumps=3))
         baselines.save_baseline(model, tmp_path / f"{kind}.txt")
     return {name: (tmp_path / f"{name}.txt").read_text(encoding="utf-8")
-            for name in ("net", "forest", "adaboost")}
+            for name in ("net", *kinds)}
 
 
 def _without_tensors(text, prefix):
@@ -456,6 +457,14 @@ MALFORMED = {
     "adaboost_stump_alpha_inf": (3, "eval", ("adaboost", "stumps",
                                              lambda a: np.vstack([[*a[0, :3], np.inf], a[1:]]))),
     "net_U_i_inf": (3, "eval", ("net", "U_i", lambda a: np.where(a > 0, np.inf, a))),
+    # Finite weights that overflow while scoring: numerically broken, exit 3.
+    "logreg_w_1e308": (3, "eval", ("logreg", "w", lambda a: np.full_like(a, 1e308))),
+    # The fixture's one perfect stump, twice: two agreeing votes overflow.
+    "adaboost_stump_alphas_1e308": (3, "eval", ("adaboost", "stumps", lambda a: np.tile(
+        np.c_[a[:, :3], np.full(len(a), 1e308)], (2, 1)))),
+    "net_W_i_1e308_eval": (3, "eval", ("net", "W_i", lambda a: np.full_like(a, 1e308))),
+    "net_dense1_W_1e308_inspect": (3, "inspect", ("net", "dense1.W",
+                                                  lambda a: np.full_like(a, 1e308))),
     "net_no_lstm_tensor": (3, "eval", ("net", "U_f", None)),
     "net_no_dense_tensor": (3, "eval", ("net", "dense2.b", None)),
     "net_no_aux_tensor": (3, "inspect", ("net", "aux.W", None)),
@@ -623,7 +632,7 @@ def test_inspect_cell_state_runs_the_lstm_once_for_the_traced_tweet(corpus, tmp_
     original = lstm.lstm_forward
 
     def counted(params, x, lengths, keep_cache=False):
-        batches.append(x.shape[0])
+        batches.append(x.shape[1])
         return original(params, x, lengths, keep_cache)
 
     # Every botdetect name bound to the recurrence is rebound, as a tracer does.

@@ -13,6 +13,7 @@ from botdetect.nnet import (
 )
 from botdetect.nnet.layers import bce, sigmoid
 from botdetect.nnet.lstm import lstm_backward, lstm_forward
+from botdetect.nnet.model import stack_sequences
 from botdetect.persist import load_model
 
 from gradcheck import check_gradients
@@ -66,7 +67,7 @@ def test_lstm_zero_length_gives_zero_state():
     rng = np.random.Generator(np.random.PCG64(0))
     params = init_lstm_params(rng, 5, 32)
     x, length = _sequence(rng, 0, 5, max_len=4)
-    final_h, cache = lstm_forward(params, x[None], np.array([length]), keep_cache=True)
+    final_h, cache = lstm_forward(params, x[:, None], np.array([length]), keep_cache=True)
     assert np.all(final_h[0] == 0.0)
     assert np.stack(cache["h"])[1:, 0].shape == (0, 32)
     assert np.all(np.stack(cache["h"]) == 0.0)
@@ -76,7 +77,7 @@ def test_lstm_zero_weights_give_zero_output():
     rng = np.random.Generator(np.random.PCG64(1))
     params = _zero_cell(3)
     x, _ = _sequence(rng, 6, 3)
-    final_h, cache = lstm_forward(params, x[None], np.array([6]), keep_cache=True)
+    final_h, cache = lstm_forward(params, x[:, None], np.array([6]), keep_cache=True)
     assert np.all(final_h == 0.0)
     assert np.all(np.stack(cache["h"]) == 0.0)
 
@@ -85,7 +86,7 @@ def test_lstm_matches_scalar_reference():
     rng = np.random.Generator(np.random.PCG64(2))
     params = init_lstm_params(rng, 4, 8)
     x, length = _sequence(rng, 5, 4, max_len=7)
-    final_h, cache = lstm_forward(params, x[None], np.array([length]), keep_cache=True)
+    final_h, cache = lstm_forward(params, x[:, None], np.array([length]), keep_cache=True)
     ref_final, ref_all = scalar_lstm_final(params, x, length)
     assert np.allclose(final_h[0], ref_final, atol=1e-12)
     assert np.allclose(np.stack(cache["h"])[1:, 0], ref_all, atol=1e-12)
@@ -98,7 +99,7 @@ def test_lstm_cache_states_match_scalar_reference(zero_weights):
     rng = np.random.Generator(np.random.PCG64(42))
     params = _zero_cell(3, hidden=6) if zero_weights else init_lstm_params(rng, 3, 6)
     sequences = [_sequence(rng, n, 3, max_len=7) for n in (5, 0, 7, 2)]
-    x = np.stack([m for m, _ in sequences])
+    x = np.stack([m for m, _ in sequences], axis=1)
     lengths = np.array([length for _, length in sequences])
     final_h, cache = lstm_forward(params, x, lengths, keep_cache=True)
     states = np.stack(cache["h"])
@@ -114,11 +115,11 @@ def test_lstm_batch_masking_equals_per_sequence_runs():
     rng = np.random.Generator(np.random.PCG64(3))
     params = init_lstm_params(rng, 3, 6)
     sequences = [_sequence(rng, n, 3, max_len=5) for n in (5, 2, 0, 4)]
-    x = np.stack([m for m, _ in sequences])
+    x = np.stack([m for m, _ in sequences], axis=1)
     lengths = np.array([length for _, length in sequences])
     batch_final, _ = lstm_forward(params, x, lengths)
     for i, (matrix, _) in enumerate(sequences):
-        solo_final, _ = lstm_forward(params, matrix[None], lengths[i : i + 1])
+        solo_final, _ = lstm_forward(params, matrix[:, None], lengths[i : i + 1])
         assert np.allclose(batch_final[i], solo_final[0], atol=1e-12)
 
 
@@ -126,7 +127,7 @@ def test_lstm_dimension_mismatch():
     rng = np.random.Generator(np.random.PCG64(4))
     params = init_lstm_params(rng, 4, 8)
     with pytest.raises(DimensionMismatch):
-        lstm_forward(params, _sequence(rng, 3, 5)[0][None], np.array([3]))
+        lstm_forward(params, _sequence(rng, 3, 5)[0][:, None], np.array([3]))
 
 
 def test_sigmoid_exact_at_zero_and_symmetric():
@@ -151,7 +152,7 @@ def test_sigmoid_matches_exp_form():
 def test_lstm_cache_does_not_change_outputs():
     rng = np.random.Generator(np.random.PCG64(40))
     params = init_lstm_params(rng, 4, 6)
-    x = rng.standard_normal((5, 7, 4))
+    x = rng.standard_normal((5, 7, 4)).transpose(1, 0, 2)
     lengths = np.array([7, 0, 3, 1, 6])
     final_a, cache_a = lstm_forward(params, x, lengths)
     final_b, cache_b = lstm_forward(params, x, lengths, keep_cache=True)
@@ -160,10 +161,66 @@ def test_lstm_cache_does_not_change_outputs():
     assert np.array_equal(cache_b["h"][-1], final_b)
 
 
+# Scoring batches as (hidden size, padded length, lengths): tied lengths,
+# several empty rows, one full-length row among short ones, an all-empty
+# batch, one row, and 300 rows at h = 32, past OpenBLAS's small-matrix sizes.
+SCORING_BATCHES = {
+    "tied": (6, 7, [3, 5, 3, 5, 3, 1, 5]),
+    "zeros": (6, 7, [0, 2, 0, 0, 4, 0]),
+    "one_full": (6, 7, [1, 7, 2, 1, 2]),
+    "all_empty": (6, 7, [0, 0, 0]),
+    "single": (6, 7, [4]),
+    "b300_h32": (32, 30, np.random.Generator(np.random.PCG64(51)).integers(0, 31, 300)),
+}
+
+
+def _scoring_batch(case):
+    hidden, max_len, lengths = SCORING_BATCHES[case]
+    rng = np.random.Generator(np.random.PCG64(50))
+    params = init_lstm_params(rng, 5, hidden)
+    lengths = np.asarray(lengths)
+    return params, rng.standard_normal((max_len, len(lengths), 5)), lengths, rng
+
+
+@pytest.mark.parametrize("case", sorted(SCORING_BATCHES))
+def test_scoring_loop_equals_training_loop_bitwise(case):
+    # The sorted live-prefix loop and the masked loop run the same gemms at
+    # the same row counts, so their final states agree to the bit.
+    params, x, lengths, _ = _scoring_batch(case)
+    scored, no_cache = lstm_forward(params, x, lengths)
+    trained, cache = lstm_forward(params, x, lengths, keep_cache=True)
+    assert no_cache is None and cache is not None
+    assert np.array_equal(scored, trained)
+
+
+@pytest.mark.parametrize("case", sorted(SCORING_BATCHES))
+def test_scoring_permuted_rows_permute_final_states_bitwise(case):
+    params, x, lengths, rng = _scoring_batch(case)
+    perm = rng.permutation(len(lengths))
+    scored, _ = lstm_forward(params, x, lengths)
+    permuted, _ = lstm_forward(params, x[:, perm], lengths[perm])
+    assert np.array_equal(permuted, scored[perm])
+
+
+@pytest.mark.parametrize("maker", [NetConfig.contextual, NetConfig.tweet_only])
+def test_predict_proba_equals_training_forward_scores(maker):
+    rng = np.random.Generator(np.random.PCG64(52))
+    matrix = rng.standard_normal((40, 5))
+    ids = rng.integers(0, 40, (300, 9)).astype(np.int32)
+    lengths = rng.integers(0, 10, 300)
+    metadata = rng.standard_normal((300, 6))
+    model = ContextualLstmModel.initialize(maker(embedding_dim=5, seed=53))
+    model.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
+    scores = model.predict_proba(matrix, ids, lengths, metadata)
+    main, _, _, _ = model.forward_batch(stack_sequences(matrix, ids, lengths), lengths,
+                                        metadata, keep_cache=True)
+    assert np.array_equal(scores, main)
+
+
 def test_lstm_all_empty_batch_has_zero_gradients():
     rng = np.random.Generator(np.random.PCG64(41))
     params = init_lstm_params(rng, 4, 6)
-    final_h, cache = lstm_forward(params, rng.standard_normal((3, 5, 4)),
+    final_h, cache = lstm_forward(params, rng.standard_normal((3, 5, 4)).transpose(1, 0, 2),
                                   np.zeros(3, dtype=np.int64), keep_cache=True)
     assert np.all(final_h == 0.0) and np.all(np.stack(cache["h"]) == 0.0)
     grads = lstm_backward(params, cache, rng.standard_normal((3, 6)))
@@ -280,7 +337,7 @@ def test_gradients_match_finite_differences_quick():
     rng = np.random.Generator(np.random.PCG64(16))
     config = NetConfig.contextual(embedding_dim=5, hidden_dim=6, dense_sizes=(8, 7), seed=17)
     model = ContextualLstmModel.initialize(config)
-    x = rng.standard_normal((3, 5, 5))
+    x = rng.standard_normal((3, 5, 5)).transpose(1, 0, 2)
     lengths = np.array([5, 3, 1])
     meta = rng.standard_normal((3, 6))
     y = np.array([1.0, 0.0, 1.0])
@@ -301,7 +358,7 @@ def test_gradients_match_finite_differences_with_empty_rows():
     rng = np.random.Generator(np.random.PCG64(42))
     config = NetConfig.contextual(embedding_dim=4, hidden_dim=5, dense_sizes=(6, 5), seed=43)
     model = ContextualLstmModel.initialize(config)
-    x = rng.standard_normal((5, 6, 4))
+    x = rng.standard_normal((5, 6, 4)).transpose(1, 0, 2)
     lengths = np.array([6, 0, 3, 1, 0])
     meta = rng.standard_normal((5, 6))
     y = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
@@ -473,6 +530,6 @@ def test_predict_proba_on_ids_equals_forward_batch_on_floats():
         model = ContextualLstmModel.initialize(maker(embedding_dim=5, seed=48))
         model.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
         scores = model.predict_proba(table.matrix, ids, lengths, metadata)
-        x = np.stack([[table.matrix[i] for i in row] for row in ids])
+        x = np.stack([[table.matrix[i] for i in row] for row in ids], axis=1)
         expected, _, _, _ = model.forward_batch(x, lengths, metadata)
         assert np.array_equal(scores, expected)
