@@ -2,7 +2,8 @@
 
 Layer sizes come from the config (e.g. 500,200,1 or 300,200,1); the last
 entry must be 1. Parameters live in a flat dict (W0, b0, W1, ...) so the
-generic gradient checker can walk them.
+generic gradient checker can walk them. The stack runs through
+`layers.dense_forward`/`dense_backward`, as the contextual net's head does.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ import numpy as np
 
 from ..nnet.layers import (
     Adam,
-    affine,
-    affine_backward,
     bce_grad_wrt_logit,
+    dense_backward,
+    dense_forward,
     glorot_uniform,
-    relu,
     sigmoid,
 )
 from .common import BaselineConfig
@@ -34,32 +34,12 @@ def init_mlp_params(rng: np.random.Generator, input_dim: int,
     return params
 
 
-def mlp_forward(params: dict, x: np.ndarray, keep_cache: bool = False):
-    n_layers = len([k for k in params if k.startswith("W")])
-    cache = []
-    h = x
-    for i in range(n_layers):
-        z = affine(h, params[f"W{i}"], params[f"b{i}"])
-        if keep_cache:
-            cache.append((h, z))
-        h = relu(z) if i < n_layers - 1 else z
-    scores = sigmoid(h)[:, 0]
-    return (scores, cache) if keep_cache else scores
+def _layers(params: dict) -> list[tuple[str, str]]:
+    return [(f"W{i}", f"b{i}") for i in range(len(params) // 2)]
 
 
-def mlp_grads(params: dict, cache, scores: np.ndarray, targets: np.ndarray) -> dict:
-    n_layers = len(cache)
-    grads: dict[str, np.ndarray] = {}
-    dout = bce_grad_wrt_logit(scores, targets)[:, None]
-    for i in range(n_layers - 1, -1, -1):
-        h_in, z = cache[i]
-        if i < n_layers - 1:
-            dout = dout * (z > 0)
-        dh, dw, db = affine_backward(dout, h_in, params[f"W{i}"])
-        grads[f"W{i}"] = dw
-        grads[f"b{i}"] = db
-        dout = dh
-    return grads
+def mlp_forward(params: dict, x: np.ndarray) -> np.ndarray:
+    return sigmoid(dense_forward(params, _layers(params), x)[0])[:, 0]
 
 
 def mlp_fits(params: dict, width: int) -> bool:
@@ -78,6 +58,7 @@ def mlp_fits(params: dict, width: int) -> bool:
 def fit_mlp(x: np.ndarray, y: np.ndarray, config: BaselineConfig,
             rng: np.random.Generator) -> dict:
     params = init_mlp_params(rng, x.shape[1], config.mlp_layers)
+    layers = _layers(params)
     optimizer = Adam(params, lr=config.mlp_lr, beta1=config.mlp_beta1,
                      beta2=config.mlp_beta2, eps=config.mlp_eps)
     n = x.shape[0]
@@ -85,7 +66,7 @@ def fit_mlp(x: np.ndarray, y: np.ndarray, config: BaselineConfig,
         order = rng.permutation(n)
         for start in range(0, n, config.mlp_batch):
             idx = order[start : start + config.mlp_batch]
-            scores, cache = mlp_forward(params, x[idx], keep_cache=True)
-            grads = mlp_grads(params, cache, scores, y[idx])
-            optimizer.step(grads)
+            logits, cache = dense_forward(params, layers, x[idx])
+            dlogits = bce_grad_wrt_logit(sigmoid(logits)[:, 0], y[idx])[:, None]
+            optimizer.step(dense_backward(params, layers, cache, dlogits)[1])
     return params

@@ -200,9 +200,12 @@ def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
     return FeatureMatrix(np.array(rows, dtype=np.float64), schema, labels)
 
 
-def _baseline_config(config: RunConfig) -> BaselineConfig:
-    return BaselineConfig(**{f.name: getattr(config, f.name) for f in fields(BaselineConfig)
-                             if hasattr(config, f.name)})
+def _part(cls, config: RunConfig, **given):
+    """A sub-config from the RunConfig fields it shares by name, and the given
+    values. cls is a dataclass, or a classmethod that builds one."""
+    shared = {f.name: getattr(config, f.name) for f in fields(getattr(cls, "__self__", cls))
+              if hasattr(config, f.name)}
+    return cls(**{**shared, **given})
 
 
 def _make_run_dir(config: RunConfig) -> str:
@@ -225,26 +228,20 @@ def _make_run_dir(config: RunConfig) -> str:
 
 
 def _run_baseline_experiment(config, matrix, run_dir, con_hash):
-    spec = SplitSpec(config.train_fraction, config.stratified, config.seed)
-    train_idx, test_idx = split_indices(matrix.labels, spec)
+    train_idx, test_idx = split_indices(matrix.labels, _part(SplitSpec, config))
     train_matrix = matrix.select(train_idx)
     test_matrix = matrix.select(test_idx)
 
-    resample_cfg = ResampleConfig(
-        strategy=Strategy(config.resample),
-        smote_k=config.smote_k,
-        enn_k=config.enn_k,
-        target_ratio=config.target_ratio,
-        seed=config.seed,
-    )
+    resample_cfg = _part(ResampleConfig, config, strategy=Strategy(config.resample))
     train_matrix, diag = apply_strategy(train_matrix, resample_cfg)
     _write_lines(
         os.path.join(run_dir, "resample.kv"),
         [f"config_hash = {con_hash}"] + diag.to_kv_lines(),
     )
 
-    model = baselines.fit(BaselineKind(config.model), train_matrix, _baseline_config(config))
-    scores = baselines.predict_proba(model, test_matrix)
+    model = baselines.fit(BaselineKind(config.model), train_matrix, _part(BaselineConfig, config))
+    with _scoring():
+        scores = baselines.predict_proba(model, test_matrix)
     report = evaluate(scores, test_matrix.labels, config.threshold, config.echo())
     baselines.save_baseline(model, os.path.join(run_dir, "model.txt"), {"config_hash": con_hash})
     return report
@@ -255,8 +252,7 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         raise DegenerateData("corpus contains no tweets")
     labels = np.array([t.label for t in tweets], dtype=np.int8)
     groups = [t.account_id for t in tweets] if config.group_by_account else None
-    spec = SplitSpec(config.train_fraction, config.stratified, config.seed)
-    train_idx, test_idx = split_indices(labels, spec, groups=groups)
+    train_idx, test_idx = split_indices(labels, _part(SplitSpec, config), groups=groups)
 
     restrict = None
     if config.vocab_cap > 0:
@@ -265,7 +261,7 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         )
         restrict = most_frequent_tokens(train_tokens, config.vocab_cap)
     table = load_glove(config.embedding, config.embedding_dim, restrict_to=restrict)
-    pipeline = TweetPipeline(table, config.max_len, config.truncation, config.repeat_tag)
+    pipeline = _part(TweetPipeline, config, table=table)
 
     ids, lengths, metadata = pipeline.tensors(tweets)
 
@@ -274,23 +270,18 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
 
     fit_idx, val_idx = train_idx, np.array([], dtype=np.int64)
     if config.val_fraction > 0.0:
-        inner = SplitSpec(1.0 - config.val_fraction, config.stratified, config.seed)
+        inner = _part(SplitSpec, config, train_fraction=1.0 - config.val_fraction)
         sub_fit, sub_val = split_indices(labels[train_idx], inner)
         fit_idx, val_idx = train_idx[sub_fit], train_idx[sub_val]
 
-    epochs = config.epochs if config.epochs > 0 else 30
-    net_config = NET_CONFIGS[config.model](
-        embedding_dim=table.dimension,
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        epochs=epochs,
-        seed=config.seed,
-    )
+    net_config = _part(NET_CONFIGS[config.model], config, embedding_dim=table.dimension,
+                       epochs=config.epochs or 30)
     model, trace = train_net(net_config, table.matrix, rows(fit_idx),
                              validation=rows(val_idx) if val_idx.size else None)
 
-    scores = model.predict_proba(table.matrix, ids[test_idx], lengths[test_idx],
-                                 metadata[test_idx])
+    with _scoring():
+        scores = model.predict_proba(table.matrix, ids[test_idx], lengths[test_idx],
+                                     metadata[test_idx])
     report = evaluate(scores, labels[test_idx], config.threshold, config.echo())
 
     _write_lines(

@@ -33,6 +33,31 @@ def affine_backward(dout, x, w):
     return dout @ w, dout.T @ x, dout.sum(axis=0)
 
 
+def dense_forward(params: dict, names, x: np.ndarray):
+    """Affine layers, each named by its (W key, b key), with ReLU after all but
+    the last: (output, cache), the cache holding each layer's (input,
+    pre-activation)."""
+    cache = []
+    for i, (w, b) in enumerate(names):
+        z = affine(x, params[w], params[b])
+        cache.append((x, z))
+        x = relu(z) if i < len(names) - 1 else z
+    return x, cache
+
+
+def dense_backward(params: dict, names, cache, dout: np.ndarray):
+    """Gradients of `dense_forward` given d(loss)/d(output): returns the
+    gradient at the stack's input and the parameter gradients, keyed by the
+    layers' own names."""
+    grads = {}
+    for i in reversed(range(len(names))):
+        (w, b), (x, z) = names[i], cache[i]
+        if i < len(names) - 1:
+            dout = dout * (z > 0)
+        dout, grads[w], grads[b] = affine_backward(dout, x, params[w])
+    return dout, grads
+
+
 def bce(scores: np.ndarray, targets: np.ndarray) -> float:
     """Mean binary cross-entropy with the documented clamp."""
     p = np.clip(scores, CLAMP, 1.0 - CLAMP)

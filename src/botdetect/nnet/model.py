@@ -11,6 +11,7 @@ tweet-only variant drops the metadata path and the auxiliary head.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,12 +21,14 @@ from ..data import Standardizer
 from ..errors import DegenerateData, DimensionMismatch, ParseError, TrainingError
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
-    glorot_uniform, relu, sigmoid
+    dense_backward, dense_forward, glorot_uniform, sigmoid
 from .lstm import GATES, init_lstm_params, lstm_backward, lstm_forward
 
 METADATA_DIM = 6
 # Checkpoint kinds of the contextual and the tweet-only model.
 CHECKPOINT_KINDS = ("contextual_lstm", "tweet_lstm")
+# The main head's layers, as (W key, b key): dense1 -> dense2 -> main.
+HEAD = (("dense1.W", "dense1.b"), ("dense2.W", "dense2.b"), ("main.W", "main.b"))
 
 
 @dataclass(frozen=True)
@@ -121,28 +124,14 @@ class ContextualLstmModel:
             u = np.concatenate([final_h, metadata], axis=1)
         else:
             u = final_h
-        z1 = affine(u, p["dense1.W"], p["dense1.b"])
-        r1 = relu(z1)
-        z2 = affine(r1, p["dense2.W"], p["dense2.b"])
-        r2 = relu(z2)
-        z_main = affine(r2, p["main.W"], p["main.b"])
+        z_main, head = dense_forward(p, HEAD, u)
         main_scores = sigmoid(z_main)[:, 0]
         if cfg.use_aux:
             z_aux = affine(final_h, p["aux.W"], p["aux.b"])
             aux_scores = sigmoid(z_aux)[:, 0]
         else:
             aux_scores = None
-        if not keep_cache:
-            return main_scores, aux_scores, final_h, None
-        cache = {
-            "lstm": lstm_cache,
-            "final_h": final_h,
-            "u": u,
-            "z1": z1,
-            "r1": r1,
-            "z2": z2,
-            "r2": r2,
-        }
+        cache = {"lstm": lstm_cache, "final_h": final_h, "head": head} if keep_cache else None
         return main_scores, aux_scores, final_h, cache
 
     def forward(self, matrix: np.ndarray, ids: np.ndarray, length: int,
@@ -176,22 +165,12 @@ class ContextualLstmModel:
         cfg = self.config
         w_main, w_aux = cfg.loss_weights
         dz_main = w_main * bce_grad_wrt_logit(main_scores, targets)[:, None]
-        dr2, dWm, dbm = affine_backward(dz_main, cache["r2"], p["main.W"])
-        dz2 = dr2 * (cache["z2"] > 0)
-        dr1, dW2, db2 = affine_backward(dz2, cache["r1"], p["dense2.W"])
-        dz1 = dr1 * (cache["z1"] > 0)
-        du, dW1, db1 = affine_backward(dz1, cache["u"], p["dense1.W"])
+        du, grads = dense_backward(p, HEAD, cache["head"], dz_main)
         d_final_h = du[:, : cfg.hidden_dim]
-        grads = {
-            "main.W": dWm, "main.b": dbm,
-            "dense2.W": dW2, "dense2.b": db2,
-            "dense1.W": dW1, "dense1.b": db1,
-        }
         if cfg.use_aux:
             dz_aux = w_aux * bce_grad_wrt_logit(aux_scores, targets)[:, None]
-            d_fh_aux, dWa, dba = affine_backward(dz_aux, cache["final_h"], p["aux.W"])
-            grads["aux.W"] = dWa
-            grads["aux.b"] = dba
+            d_fh_aux, grads["aux.W"], grads["aux.b"] = affine_backward(
+                dz_aux, cache["final_h"], p["aux.W"])
             d_final_h = d_final_h + d_fh_aux
         grads.update(lstm_backward(p, cache["lstm"], d_final_h))
         return grads
@@ -294,6 +273,16 @@ def stack_sequences(matrix: np.ndarray, ids: np.ndarray, lengths: np.ndarray) ->
     return matrix[ids[:, :steps].T]
 
 
+@contextlib.contextmanager
+def _finite(message: str):
+    """Float overflow and invalid values raised, as TrainingError(message)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise TrainingError(message) from None
+
+
 def train(
     config: NetConfig,
     matrix: np.ndarray,
@@ -306,8 +295,9 @@ def train(
     arrays; each batch gathers its vectors from the embedding ``matrix``.
     Embeddings are frozen (gradients stop at the sequence input). Metadata is
     standardized with training-set statistics; it is never resampled. The run
-    is bit-reproducible for a fixed config seed. A step whose loss is not
-    finite raises TrainingError.
+    is bit-reproducible for a fixed config seed. A step that overflows or
+    whose loss is not finite, and a validation pass that overflows, raise
+    TrainingError.
     """
     from ..metrics import auc as compute_auc  # local import avoids a cycle
 
@@ -333,13 +323,13 @@ def train(
         for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             lb, yb = lengths_all[idx], targets[idx]
-            main, aux, _, cache = model.forward_batch(stack_sequences(matrix, ids_all[idx], lb),
-                                                      lb, meta_all[idx], keep_cache=True)
-            total, main_loss, aux_loss = blended_loss(main, aux, yb, config.loss_weights)
-            if not np.isfinite(total):
-                raise TrainingError(f"loss is not finite at epoch {epoch}, step {step}")
-            grads = model.backward_batch(cache, main, aux, yb)
-            optimizer.step(grads)
+            xb = stack_sequences(matrix, ids_all[idx], lb)
+            with _finite(f"loss is not finite at epoch {epoch}, step {step}"):
+                main, aux, _, cache = model.forward_batch(xb, lb, meta_all[idx], keep_cache=True)
+                total, main_loss, aux_loss = blended_loss(main, aux, yb, config.loss_weights)
+                if not np.isfinite(total):
+                    raise FloatingPointError
+                optimizer.step(model.backward_batch(cache, main, aux, yb))
             trace.steps.append((epoch, step, main_loss, aux_loss, total))
             epoch_main += main_loss * len(idx)
             epoch_aux += aux_loss * len(idx)
@@ -353,7 +343,8 @@ def train(
         )
         if validation is not None:
             vids, vlen, vmeta, vlabels = validation
-            vmain = model.predict_proba(matrix, vids, vlen, vmeta)
+            with _finite(f"validation scores are not finite at epoch {epoch}"):
+                vmain = model.predict_proba(matrix, vids, vlen, vmeta)
             vy = np.asarray(vlabels, dtype=np.float64)
             record.val_accuracy = float(np.mean((vmain >= 0.5) == (vy == 1.0)))
             if len(set(vy.tolist())) == 2:

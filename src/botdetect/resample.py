@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import FeatureMatrix, Label, Standardizer
-from .errors import DegenerateMinority, InsufficientRows
+from .errors import ConfigError, DegenerateMinority, InsufficientRows
 
 # Size of one (block rows, n) float64 temporary in `neighbor_table`.
 _BLOCK_BYTES = 1 << 20
@@ -197,7 +197,11 @@ def smote(matrix: FeatureMatrix, config: ResampleConfig) -> FeatureMatrix:
         raise InsufficientRows(
             f"smote_k={config.smote_k} must be < minority size {n_min}"
         )
-    n_new = max(0, int(round(config.target_ratio * n_maj)) - n_min)
+    target = config.target_ratio * n_maj
+    if not np.isfinite(target):
+        raise ConfigError(f"target_ratio {config.target_ratio} times {n_maj} majority rows "
+                          "is not a finite row count")
+    n_new = max(0, int(round(target)) - n_min)
     if n_new == 0:
         return matrix
 

@@ -17,9 +17,10 @@ from botdetect.baselines import (
 from botdetect.baselines.boost import adaboost_margin, fit_adaboost
 from botdetect.baselines import forest
 from botdetect.baselines.forest import fit_forest, predict_forest
-from botdetect.baselines.mlp import init_mlp_params, mlp_forward, mlp_grads
+from botdetect.baselines.mlp import init_mlp_params
 from botdetect.data import FeatureMatrix, Standardizer
 from botdetect.errors import DegenerateData, ParseError, SchemaMismatch
+from botdetect.nnet.layers import bce_grad_wrt_logit, dense_backward, dense_forward, sigmoid
 from botdetect.persist import load_model, save_model
 from gradcheck import check_gradients
 from helpers import mlp_loss
@@ -192,8 +193,10 @@ def test_mlp_gradients_match_finite_differences():
     params = init_mlp_params(rng, 4, (8, 5, 1))
     x = rng.standard_normal((6, 4))
     y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-    scores, cache = mlp_forward(params, x, keep_cache=True)
-    grads = mlp_grads(params, cache, scores, y)
+    layers = [(f"W{i}", f"b{i}") for i in range(3)]
+    logits, cache = dense_forward(params, layers, x)
+    dlogits = bce_grad_wrt_logit(sigmoid(logits)[:, 0], y)[:, None]
+    _, grads = dense_backward(params, layers, cache, dlogits)
     errors = check_gradients(lambda: mlp_loss(params, x, y), params, grads, seed=0)
     assert max(errors.values()) < 1e-4
 

@@ -1,10 +1,15 @@
+from typing import get_type_hints
+
 import pytest
 
 from botdetect.baselines import BaselineConfig
-from botdetect.cli import RunConfig
+from botdetect.cli import NET_CONFIGS, RunConfig, _part
 from botdetect.config import BOOL_WORDS, from_strings, to_strings
+from botdetect.data import SplitSpec
+from botdetect.embedding import TweetPipeline
 from botdetect.errors import ConfigError
 from botdetect.nnet import NetConfig
+from botdetect.resample import ResampleConfig
 
 
 @pytest.mark.parametrize("word", sorted(BOOL_WORDS) + ["TRUE", "Off", " yes "])
@@ -28,6 +33,32 @@ def test_field_types():
     net = from_strings(NetConfig, {"embedding_dim": "5", "dense_sizes": "4,2",
                                    "loss_weights": "0.5,0.5"})
     assert net.dense_sizes == (4, 2) and net.loss_weights == (0.5, 0.5)
+
+
+# The CLI builds each sub-config from the RunConfig fields of the same name.
+SHARED_FIELDS = {
+    SplitSpec: {"train_fraction", "stratified", "seed"},
+    ResampleConfig: {"smote_k", "enn_k", "target_ratio", "seed"},
+    TweetPipeline: {"max_len", "truncation", "repeat_tag"},
+    BaselineConfig: {"seed", "logreg_epochs", "n_trees", "n_stumps", "mlp_layers"},
+    NetConfig: {"embedding_dim", "learning_rate", "batch_size", "epochs", "seed"},
+}
+
+
+@pytest.mark.parametrize("part", list(SHARED_FIELDS), ids=lambda part: part.__name__)
+def test_fields_shared_with_run_config_have_its_types(part):
+    run_types = get_type_hints(RunConfig)
+    shared = {name: kind for name, kind in get_type_hints(part).items() if name in run_types}
+    assert set(shared) == SHARED_FIELDS[part]
+    assert shared == {name: run_types[name] for name in shared}
+
+
+def test_part_takes_run_config_fields_and_given_values_over_them():
+    config = RunConfig(seed=7, train_fraction=0.6, learning_rate=0.01, batch_size=16)
+    assert _part(SplitSpec, config) == SplitSpec(0.6, True, 7)
+    assert _part(SplitSpec, config, train_fraction=0.9) == SplitSpec(0.9, True, 7)
+    assert _part(NET_CONFIGS["lstm"], config, embedding_dim=5, epochs=30) == \
+        NetConfig.tweet_only(embedding_dim=5, learning_rate=0.01, batch_size=16, epochs=30, seed=7)
 
 
 @pytest.mark.parametrize("key,value", [

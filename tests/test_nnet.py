@@ -3,7 +3,7 @@ import pytest
 
 from botdetect.data import Label, Standardizer, TweetRecord
 from botdetect.embedding import TweetPipeline, fixture_table
-from botdetect.errors import DegenerateData, DimensionMismatch, ParseError
+from botdetect.errors import DegenerateData, DimensionMismatch, ParseError, TrainingError
 from botdetect.nnet import (
     ContextualLstmModel,
     NetConfig,
@@ -384,6 +384,17 @@ def test_train_requires_both_classes():
     empty = (np.zeros((0, 2), dtype=np.int32), np.zeros(0), np.zeros((0, 6)), np.zeros(0))
     with pytest.raises(DegenerateData):
         train(NetConfig.contextual(embedding_dim=3, epochs=1), matrix, empty)
+
+
+def test_train_refuses_a_loss_that_is_not_finite():
+    # A NaN input raises no float error on its way through; the loss check
+    # is what stops it.
+    rng = np.random.Generator(np.random.PCG64(19))
+    matrix, (ids, lengths, metadata, labels) = _pack(_toy_corpus(rng, 24))
+    metadata[3, 0] = np.nan
+    with pytest.raises(TrainingError, match="loss is not finite at epoch 0, step 0"):
+        train(NetConfig.contextual(embedding_dim=5, epochs=1, batch_size=8), matrix,
+              (ids, lengths, metadata, labels))
 
 
 def test_train_deterministic_and_loss_identity():
