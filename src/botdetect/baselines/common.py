@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import FeatureMatrix, Standardizer
+from ..data import BaselineKind, FeatureMatrix, Standardizer
 from ..errors import DegenerateData, SchemaMismatch
-
-
-class BaselineKind(str, enum.Enum):
-    LOGREG = "logreg"
-    SGD = "sgd"
-    FOREST = "forest"
-    ADABOOST = "adaboost"
-    MLP = "mlp"
 
 
 @dataclass(frozen=True)

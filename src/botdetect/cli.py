@@ -3,12 +3,17 @@ inspect, bench, and synth.
 
 Every experiment is fully described by a RunConfig; config files, bench
 rows and the `train` flags (one per RunConfig field) are all typed by
-`config.from_strings`. Artifacts land in a timestamped run directory (with a
-`latest` link) and each artifact file carries the config hash. Artifact
-contents contain no wall-clock data, so a rerun with an identical config and
-seed reproduces them byte for byte. `eval` and `inspect` parse a checkpoint
-once and rebuild training's `TweetPipeline` from it, warning when the
-embedding or tokenizer settings differ.
+`config.from_strings`. Artifacts land in a timestamped run directory and each
+artifact file carries the config hash; a failed run removes its directory,
+and the `latest` link moves only once a run has written its last artifact.
+Artifact contents contain no wall-clock data, so a rerun with an identical
+config and seed reproduces them byte for byte. `eval` and `inspect` parse a
+checkpoint once and rebuild training's `TweetPipeline` from it, warning when
+the embedding or tokenizer settings differ.
+
+Each command imports the layer modules its own path needs inside its
+handler, so scoring a net loads no baseline or resampler and an account run
+loads no LSTM, tokenizer or embedding code.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 training failure.
 """
@@ -21,31 +26,26 @@ import functools
 import hashlib
 import math
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import baselines
-from .baselines import BaselineConfig, BaselineKind
 from .config import from_strings, to_strings
 from .data import (
     ACCOUNT_FEATURE_COLUMNS,
+    CANONICAL_DIMENSIONS,
+    CHECKPOINT_KINDS,
     TWEET_METADATA_COLUMNS,
+    BaselineKind,
     FeatureMatrix,
     SplitSpec,
+    Strategy,
     matrix_from_csv_lines,
     matrix_to_csv_lines,
     split_indices,
-)
-from .embedding import (
-    CANONICAL_DIMENSIONS,
-    TweetPipeline,
-    fixture_table,
-    load_glove,
-    most_frequent_tokens,
-    write_glove_file,
 )
 from .errors import BotDetectError, ConfigError, DataError, DegenerateData, ParseError
 from .ingest import (
@@ -56,23 +56,11 @@ from .ingest import (
     parse_manifest,
     write_corpus,
 )
-from .introspect import (
-    cell_trace_csv_lines,
-    distribution_csv_lines,
-    ks_csv_lines,
-    trace_csv_lines,
-    trace_tweet,
-    unit_distributions,
-)
 from .metrics import EvalReport, evaluate
-from .nnet import ContextualLstmModel, NetConfig, train as train_net
-from .nnet.model import CHECKPOINT_KINDS
-from .persist import load_model
-from .resample import ResampleConfig, Strategy, apply_strategy
-from .tokenizer import tokenize
 
-# The tweet-level net models, by RunConfig.model.
-NET_CONFIGS = {"lstm": NetConfig.tweet_only, "contextual": NetConfig.contextual}
+# The tweet-level net models, by RunConfig.model: the NetConfig classmethod
+# that builds each one's config.
+NET_CONFIGS = {"lstm": "tweet_only", "contextual": "contextual"}
 
 
 @dataclass(frozen=True)
@@ -110,8 +98,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.task not in ("account", "tweet"):
             raise ConfigError(f"task must be account or tweet, got {self.task!r}")
-        if self.model not in NET_CONFIGS and \
-                self.model not in {k.value for k in baselines.REGISTRY}:
+        if self.model not in NET_CONFIGS and self.model not in {k.value for k in BaselineKind}:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.model in NET_CONFIGS:
             if self.task != "tweet":
@@ -217,17 +204,13 @@ def _make_run_dir(config: RunConfig) -> str:
         suffix += 1
         run_dir = os.path.join(config.out_dir, f"run-{stamp}-{short}-{suffix}")
     os.makedirs(run_dir)
-    latest = os.path.join(config.out_dir, "latest")
-    try:
-        if os.path.islink(latest):
-            os.unlink(latest)
-        os.symlink(os.path.basename(run_dir), latest)
-    except OSError:
-        pass
     return run_dir
 
 
 def _run_baseline_experiment(config, matrix, run_dir, con_hash):
+    from . import baselines
+    from .resample import ResampleConfig, apply_strategy
+
     train_idx, test_idx = split_indices(matrix.labels, _part(SplitSpec, config))
     train_matrix = matrix.select(train_idx)
     test_matrix = matrix.select(test_idx)
@@ -239,7 +222,8 @@ def _run_baseline_experiment(config, matrix, run_dir, con_hash):
         [f"config_hash = {con_hash}"] + diag.to_kv_lines(),
     )
 
-    model = baselines.fit(BaselineKind(config.model), train_matrix, _part(BaselineConfig, config))
+    model = baselines.fit(BaselineKind(config.model), train_matrix,
+                          _part(baselines.BaselineConfig, config))
     with _scoring():
         scores = baselines.predict_proba(model, test_matrix)
     report = evaluate(scores, test_matrix.labels, config.threshold, config.echo())
@@ -248,6 +232,10 @@ def _run_baseline_experiment(config, matrix, run_dir, con_hash):
 
 
 def _run_net_experiment(config, tweets, run_dir, con_hash):
+    from .embedding import TweetPipeline, load_glove, most_frequent_tokens
+    from .nnet.model import NetConfig, train as train_net
+    from .tokenizer import tokenize
+
     if not tweets:
         raise DegenerateData("corpus contains no tweets")
     labels = np.array([t.label for t in tweets], dtype=np.int8)
@@ -274,8 +262,8 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         sub_fit, sub_val = split_indices(labels[train_idx], inner)
         fit_idx, val_idx = train_idx[sub_fit], train_idx[sub_val]
 
-    net_config = _part(NET_CONFIGS[config.model], config, embedding_dim=table.dimension,
-                       epochs=config.epochs or 30)
+    net_config = _part(getattr(NetConfig, NET_CONFIGS[config.model]), config,
+                       embedding_dim=table.dimension, epochs=config.epochs or 30)
     model, trace = train_net(net_config, table.matrix, rows(fit_idx),
                              validation=rows(val_idx) if val_idx.size else None)
 
@@ -310,20 +298,28 @@ def run_experiment(config: RunConfig, read_corpus=_read_corpus) -> ExperimentRes
     con_hash = config.config_hash()
     accounts, tweets, load_diag = read_corpus(config.manifest)
     run_dir = _make_run_dir(config)
+    try:
+        if config.model in NET_CONFIGS:
+            report = _run_net_experiment(config, tweets, run_dir, con_hash)
+        else:
+            matrix = _baseline_matrix(config.task == "account", accounts, tweets)
+            report = _run_baseline_experiment(config, matrix, run_dir, con_hash)
 
-    if config.model in NET_CONFIGS:
-        report = _run_net_experiment(config, tweets, run_dir, con_hash)
-    else:
-        matrix = _baseline_matrix(config.task == "account", accounts, tweets)
-        report = _run_baseline_experiment(config, matrix, run_dir, con_hash)
-
-    _write_report(run_dir, report, [f"config_hash = {con_hash}"],
-                  f"  config hash {con_hash}\n")
-    run_lines = [f"config_hash = {con_hash}"]
-    run_lines += [f"config.{line}" for line in config.to_kv_lines()]
-    run_lines += load_diag.to_kv_lines()
-    run_lines.append("rule.lstm_resampling = forbidden (metadata never oversampled)")
-    _write_lines(os.path.join(run_dir, "run.kv"), run_lines)
+        _write_report(run_dir, report, [f"config_hash = {con_hash}"],
+                      f"  config hash {con_hash}\n")
+        run_lines = [f"config_hash = {con_hash}"]
+        run_lines += [f"config.{line}" for line in config.to_kv_lines()]
+        run_lines += load_diag.to_kv_lines()
+        run_lines.append("rule.lstm_resampling = forbidden (metadata never oversampled)")
+        _write_lines(os.path.join(run_dir, "run.kv"), run_lines)
+    except BaseException:
+        shutil.rmtree(run_dir, ignore_errors=True)
+        raise
+    latest = os.path.join(config.out_dir, "latest")
+    with contextlib.suppress(OSError):
+        if os.path.islink(latest):
+            os.unlink(latest)
+        os.symlink(os.path.basename(run_dir), latest)
     return ExperimentResult(report, run_dir)
 
 
@@ -403,6 +399,8 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
 
 
 def _cmd_tokenize(args) -> int:
+    from .tokenizer import tokenize
+
     source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
         lines = [tokenize(line.rstrip("\n"), repeat_tag=args.repeat_tag)
@@ -431,6 +429,9 @@ def _cmd_synth(args) -> int:
     manifest_path = write_corpus(accounts, tweets, args.out)
     print(f"wrote {len(accounts)} accounts / {len(tweets)} tweets; manifest: {manifest_path}")
     if args.embedding_dim:
+        from .embedding import fixture_table, write_glove_file
+        from .tokenizer import tokenize
+
         vocab = set()
         for tweet in tweets:
             vocab.update(tokenize(tweet.text))
@@ -455,6 +456,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_resample(args) -> int:
+    from .resample import ResampleConfig, apply_strategy
+
     with open(args.input, encoding="utf-8") as fh:
         matrix = matrix_from_csv_lines(fh)
     config = from_strings(
@@ -494,6 +497,9 @@ def _load_net(path, meta, arrays, embedding):
     the embedding or tokenizer settings differ from training's. A checkpoint
     trained with a vocabulary cap lists its kept tokens, and only those are
     loaded."""
+    from .embedding import TweetPipeline, load_glove
+    from .nnet.model import ContextualLstmModel
+
     if meta["kind"] not in CHECKPOINT_KINDS:
         raise ParseError(f"{path}: kind {meta['kind']!r} is not a tweet-level net")
     model = ContextualLstmModel.load(meta, arrays)
@@ -520,6 +526,8 @@ def _scoring():
 def _cmd_eval(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ConfigError("threshold must lie in (0, 1)")
+    from .persist import load_model
+
     meta, arrays = load_model(args.checkpoint)
     kind = meta["kind"]
     accounts, tweets, _ = _read_corpus(args.manifest)
@@ -532,7 +540,9 @@ def _cmd_eval(args) -> int:
         with _scoring():
             scores = model.predict_proba(pipeline.table.matrix, *pipeline.tensors(tweets))
         labels = np.array([t.label for t in tweets], dtype=np.int8)
-    elif kind in {k.value for k in baselines.REGISTRY}:
+    elif kind in {k.value for k in BaselineKind}:
+        from . import baselines
+
         model = baselines.load_baseline(meta, arrays)
         matrix = _baseline_matrix(model.schema == ACCOUNT_FEATURE_COLUMNS, accounts, tweets)
         with _scoring():
@@ -549,6 +559,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    from . import introspect
+    from .persist import load_model
+
     meta, arrays = load_model(args.checkpoint)
     model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
     _, tweets, _ = _read_corpus(args.manifest)
@@ -560,17 +573,19 @@ def _cmd_inspect(args) -> int:
     if not 0 <= index < len(tweets):
         raise ConfigError(f"tweet index {index} outside corpus of {len(tweets)}")
     with _scoring():
-        trace = trace_tweet(model, pipeline, tweets[index])
-    _write_lines(os.path.join(args.out, f"trace_{index}.csv"), trace_csv_lines(trace))
+        trace = introspect.trace_tweet(model, pipeline, tweets[index])
+    _write_lines(os.path.join(args.out, f"trace_{index}.csv"), introspect.trace_csv_lines(trace))
     if trace.empty:
         print(f"note: tweet {index} tokenizes to nothing; trace is empty")
     if args.cell_state:
-        _write_lines(os.path.join(args.out, f"cell_trace_{index}.csv"), cell_trace_csv_lines(trace))
+        _write_lines(os.path.join(args.out, f"cell_trace_{index}.csv"),
+                     introspect.cell_trace_csv_lines(trace))
 
     with _scoring():
-        report = unit_distributions(model, pipeline, tweets)
-    _write_lines(os.path.join(args.out, "distributions.csv"), distribution_csv_lines(report))
-    _write_lines(os.path.join(args.out, "ks.csv"), ks_csv_lines(report))
+        report = introspect.unit_distributions(model, pipeline, tweets)
+    _write_lines(os.path.join(args.out, "distributions.csv"),
+                 introspect.distribution_csv_lines(report))
+    _write_lines(os.path.join(args.out, "ks.csv"), introspect.ks_csv_lines(report))
     best = report.ranking[0]
     print(f"most class-separating unit: {best} "
           f"(ks={report.ks_by_unit[best]:.3f}); outputs in {args.out}")
@@ -584,7 +599,9 @@ def _cmd_bench(args) -> int:
     return failures[0]["exit_code"] if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `botdetect` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="botdetect",
         description="Tweet-level and account-level bot detection experiments.",

@@ -1,4 +1,5 @@
-"""Core domain types: labels, feature schemas, feature matrices, seeded splits.
+"""Core domain types: labels, feature schemas, feature matrices, seeded splits,
+and the names the CLI checks before it loads the layer that owns them.
 
 All types are immutable after construction; every randomized operation takes
 an explicit seed and is bit-reproducible given it.
@@ -46,6 +47,32 @@ TWEET_METADATA_COLUMNS: tuple[str, ...] = (
 
 ACCOUNT_COUNT_COLUMNS = ACCOUNT_FEATURE_COLUMNS[:5]
 ACCOUNT_BOOL_COLUMNS = ACCOUNT_FEATURE_COLUMNS[5:]
+
+# Dimensions of the published Twitter GloVe releases. Other dimensions are
+# accepted (small fixtures use d=2); the CLI restricts itself to these four.
+CANONICAL_DIMENSIONS = (25, 50, 100, 200)
+
+# Checkpoint kinds of the contextual and the tweet-only net (`nnet.model`).
+CHECKPOINT_KINDS = ("contextual_lstm", "tweet_lstm")
+
+
+class BaselineKind(str, enum.Enum):
+    """The classical baselines (`baselines.REGISTRY`)."""
+
+    LOGREG = "logreg"
+    SGD = "sgd"
+    FOREST = "forest"
+    ADABOOST = "adaboost"
+    MLP = "mlp"
+
+
+class Strategy(str, enum.Enum):
+    """The resampling strategies (`resample.apply_strategy`)."""
+
+    NONE = "none"
+    SMOTE = "smote"
+    SMOTENN = "smotenn"
+    SMOTOMEK = "smotomek"
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,17 @@ gathered only where a batch enters the LSTM. `TweetPipeline` is the one path
 from a tweet to model input (tokenize, then map tokens to row ids, then
 encode the metadata); checkpoints record its settings and fingerprint, and
 `eval` and `inspect` rebuild it from them.
+
+Ids are packed in one pass: the pipeline tokenizes and truncates every tweet
+first, then `embed` maps all kept tokens to ids at once and scatters them
+into one pad-filled (N, max_len) int32 block. A single tweet goes through
+the same `embed` call, as a batch of one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -23,10 +29,6 @@ from .config import from_strings
 from .data import TweetRecord
 from .errors import DimensionMismatch, ParseError
 from .tokenizer import tokenize
-
-# Dimensions of the published Twitter GloVe releases. Other dimensions are
-# accepted (small fixtures use d=2); the CLI restricts itself to these four.
-CANONICAL_DIMENSIONS = (25, 50, 100, 200)
 
 DEFAULT_MAX_LEN = 30
 
@@ -136,21 +138,25 @@ def truncate(tokens, max_len: int, truncation: str = "tail"):
 
 
 def embed(
-    tokens: list[str],
+    sequences: list[list[str]],
     table: EmbeddingTable,
     max_len: int = DEFAULT_MAX_LEN,
-    truncation: str = "tail",
-) -> np.ndarray:
-    """Map tokens to a fixed-length row of `table.matrix` ids.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map token sequences, each already cut to max_len by `truncate`, to
+    rows of `table.matrix` ids: an (N, max_len) int32 block and the (N,)
+    int64 true lengths.
 
-    Out-of-vocabulary tokens map to the unknown row. Sequences longer than
-    max_len are cut by `truncate`; shorter ones are padded at the end with
-    the pad row, so the ids before the first pad are the tokens read.
+    Out-of-vocabulary tokens map to the unknown row. Each row is padded at
+    the end with the pad row, so the ids before its first pad are the tokens
+    read.
     """
-    kept = truncate(tokens, max_len, truncation)
-    ids = np.full(max_len, table.pad_id, dtype=np.int32)
-    ids[: len(kept)] = [table.vocabulary.get(tok, table.unknown_id) for tok in kept]
-    return ids
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    tokens = itertools.chain.from_iterable(sequences)
+    flat = np.fromiter(map(table.vocabulary.get, tokens, itertools.repeat(table.unknown_id)),
+                       dtype=np.int32, count=int(lengths.sum()))
+    ids = np.full((len(sequences), max_len), table.pad_id, dtype=np.int32)
+    ids[np.arange(max_len) < lengths[:, None]] = flat
+    return ids, lengths
 
 
 def most_frequent_tokens(sequences: Iterable[list[str]], n: int) -> set[str]:
@@ -196,20 +202,21 @@ class TweetPipeline:
     def __post_init__(self):
         truncate((), self.max_len, self.truncation)  # rejects bad settings
 
+    def _kept(self, tweet: TweetRecord) -> list[str]:
+        return truncate(tokenize(tweet.text, repeat_tag=self.repeat_tag),
+                        self.max_len, self.truncation)
+
     def embed_tweet(self, tweet: TweetRecord) -> tuple[tuple[str, ...], np.ndarray]:
         """The tokens the model reads, after truncation, and their row ids."""
-        kept = truncate(tokenize(tweet.text, repeat_tag=self.repeat_tag),
-                        self.max_len, self.truncation)
-        return tuple(kept), embed(kept, self.table, self.max_len, self.truncation)
+        kept = self._kept(tweet)
+        ids, _ = embed([kept], self.table, self.max_len)
+        return tuple(kept), ids[0]
 
     def tensors(self, tweets: list[TweetRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(N, max_len) int32 row ids, (N,) true lengths and raw (N, 6)
-        metadata for a list of tweets."""
-        ids = np.empty((len(tweets), self.max_len), dtype=np.int32)
-        lengths = np.empty(len(tweets), dtype=np.int64)
-        for i, tweet in enumerate(tweets):
-            tokens, ids[i] = self.embed_tweet(tweet)
-            lengths[i] = len(tokens)
+        """(N, max_len) int32 row ids, (N,) int64 true lengths and raw (N, 6)
+        metadata for a list of tweets, with every tweet's ids from one
+        `embed` pass."""
+        ids, lengths = embed([self._kept(tweet) for tweet in tweets], self.table, self.max_len)
         metadata = np.array([tweet.metadata for tweet in tweets], dtype=np.float64)
         return ids, lengths, metadata
 

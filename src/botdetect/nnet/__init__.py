@@ -1,20 +1,6 @@
-"""From-scratch dense and LSTM layers and the contextual tweet classifier."""
+"""From-scratch dense and LSTM layers and the contextual tweet classifier.
 
-from .lstm import init_lstm_params, lstm_forward
-from .model import (
-    ContextualLstmModel,
-    NetConfig,
-    TrainingTrace,
-    blended_loss,
-    train,
-)
-
-__all__ = [
-    "ContextualLstmModel",
-    "NetConfig",
-    "TrainingTrace",
-    "blended_loss",
-    "init_lstm_params",
-    "lstm_forward",
-    "train",
-]
+The package re-exports nothing, so that a baseline importing `nnet.layers`
+loads no recurrence and no model: import from `nnet.layers`, `nnet.lstm` and
+`nnet.model` directly.
+"""

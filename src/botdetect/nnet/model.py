@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..config import from_strings, to_strings
-from ..data import Standardizer
+from ..data import CHECKPOINT_KINDS, Standardizer
 from ..errors import DegenerateData, DimensionMismatch, ParseError, TrainingError
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
@@ -25,8 +25,6 @@ from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
 from .lstm import GATES, init_lstm_params, lstm_backward, lstm_forward
 
 METADATA_DIM = 6
-# Checkpoint kinds of the contextual and the tweet-only model.
-CHECKPOINT_KINDS = ("contextual_lstm", "tweet_lstm")
 # The main head's layers, as (W key, b key): dense1 -> dense2 -> main.
 HEAD = (("dense1.W", "dense1.b"), ("dense2.W", "dense2.b"), ("main.W", "main.b"))
 

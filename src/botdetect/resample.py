@@ -20,24 +20,16 @@ equals a `knn_indices` call per row, ties included.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import FeatureMatrix, Label, Standardizer
+from .data import FeatureMatrix, Label, Standardizer, Strategy
 from .errors import ConfigError, DegenerateMinority, InsufficientRows
 
 # Size of one (block rows, n) float64 temporary in `neighbor_table`.
 _BLOCK_BYTES = 1 << 20
 _UNIT_ROUNDOFF = 2.0 ** -53
-
-
-class Strategy(str, enum.Enum):
-    NONE = "none"
-    SMOTE = "smote"
-    SMOTENN = "smotenn"
-    SMOTOMEK = "smotomek"
 
 
 @dataclass(frozen=True)

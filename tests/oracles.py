@@ -11,6 +11,7 @@ import numpy as np
 
 from botdetect.baselines import BaselineConfig
 from botdetect.data import FeatureMatrix, Standardizer
+from botdetect.tokenizer import tokenize
 
 
 def standardized_copy(matrix: FeatureMatrix) -> np.ndarray:
@@ -352,3 +353,25 @@ def floyd_subsets(values, d: int, n_sub: int, count: int) -> list[list[int]]:
             _lemire_draw(values, i)
         subsets.append(sorted(chosen))
     return subsets
+
+
+# -- tweet ids -------------------------------------------------------------
+
+
+def per_tweet_tensors(pipeline, tweets):
+    """`TweetPipeline.tensors`, one tweet and one token at a time: tokenize,
+    keep the first max_len tokens ("tail") or the last ("head"), and look
+    each kept token up in the vocabulary, unknown tokens to the unknown row,
+    in a row that starts as all pad ids."""
+    table, max_len = pipeline.table, pipeline.max_len
+    ids = np.full((len(tweets), max_len), table.pad_id, dtype=np.int32)
+    lengths = np.zeros(len(tweets), dtype=np.int64)
+    for i, tweet in enumerate(tweets):
+        tokens = tokenize(tweet.text, repeat_tag=pipeline.repeat_tag)
+        start = 0 if pipeline.truncation == "tail" else max(0, len(tokens) - max_len)
+        kept = tokens[start:start + max_len]
+        for j, token in enumerate(kept):
+            ids[i, j] = table.vocabulary.get(token, table.unknown_id)
+        lengths[i] = len(kept)
+    metadata = np.array([tweet.metadata for tweet in tweets], dtype=np.float64)
+    return ids, lengths, metadata

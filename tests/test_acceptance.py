@@ -33,7 +33,7 @@ from botdetect.ingest import (
 )
 from botdetect.introspect import trace_tweet, unit_distributions
 from botdetect.metrics import auc, confusion_at
-from botdetect.nnet import ContextualLstmModel, NetConfig, train
+from botdetect.nnet.model import ContextualLstmModel, NetConfig, train
 from botdetect.nnet.layers import bce
 from botdetect.resample import ResampleConfig, Strategy, apply_strategy, smote, \
     enn_filter, tomek_links

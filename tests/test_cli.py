@@ -27,7 +27,8 @@ from botdetect.data import (
 )
 from botdetect.embedding import TweetPipeline, load_glove
 from botdetect.errors import ConfigError, ParseError
-from botdetect.nnet import ContextualLstmModel, NetConfig, lstm
+from botdetect.nnet import lstm
+from botdetect.nnet.model import ContextualLstmModel, NetConfig
 from botdetect.persist import load_model, save_model
 
 
@@ -592,6 +593,22 @@ def test_diverging_training_exits_4(corpus, tmp_path, model):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 4
     assert proc.stderr.splitlines() == ["error: loss is not finite at epoch 0, step 1"]
+
+
+def test_failed_runs_leave_no_run_directory(corpus, tmp_path, capsys):
+    out = tmp_path / "runs"
+    argv = ["train", "--task", "account", "--model", "forest", "--n-trees", "4",
+            "--manifest", str(corpus / "manifest.txt"), "--out", str(out)]
+    assert main(argv) == 0
+    (finished,) = [p.name for p in out.glob("run-*")]
+    report = (out / "latest" / "report.kv").read_bytes()
+    assert main([*argv, "--resample", "smote", "--target-ratio", "1e308"]) == 2
+    assert main(_diverging_train_argv(corpus, out, "contextual")) == 4
+    # Only the finished run is left, and `latest` still names it.
+    assert [p.name for p in out.glob("run-*")] == [finished]
+    assert os.readlink(out / "latest") == finished
+    assert (out / "latest" / "report.kv").read_bytes() == report
+    assert len(capsys.readouterr().err.splitlines()) == 2
 
 
 def test_bench_row_that_diverges_records_exit_4(corpus, tmp_path):

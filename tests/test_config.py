@@ -8,7 +8,7 @@ from botdetect.config import BOOL_WORDS, from_strings, to_strings
 from botdetect.data import SplitSpec
 from botdetect.embedding import TweetPipeline
 from botdetect.errors import ConfigError
-from botdetect.nnet import NetConfig
+from botdetect.nnet.model import NetConfig
 from botdetect.resample import ResampleConfig
 
 
@@ -57,7 +57,7 @@ def test_part_takes_run_config_fields_and_given_values_over_them():
     config = RunConfig(seed=7, train_fraction=0.6, learning_rate=0.01, batch_size=16)
     assert _part(SplitSpec, config) == SplitSpec(0.6, True, 7)
     assert _part(SplitSpec, config, train_fraction=0.9) == SplitSpec(0.9, True, 7)
-    assert _part(NET_CONFIGS["lstm"], config, embedding_dim=5, epochs=30) == \
+    assert _part(getattr(NetConfig, NET_CONFIGS["lstm"]), config, embedding_dim=5, epochs=30) == \
         NetConfig.tweet_only(embedding_dim=5, learning_rate=0.01, batch_size=16, epochs=30, seed=7)
 
 

@@ -12,9 +12,12 @@ from botdetect.embedding import (
     fixture_table,
     load_glove,
     most_frequent_tokens,
+    truncate,
     write_glove_file,
 )
 from botdetect.errors import DimensionMismatch, ParseError
+
+from oracles import per_tweet_tensors
 
 FIXTURE = "alpha 1.0 0.0\nbeta 0.0 1.0\ngamma 2.0 3.0\n"
 
@@ -66,15 +69,21 @@ def test_restricted_load(tmp_path):
     assert table.matrix[table.unknown_id].tolist() == [1.5, 1.5]
 
 
+def _embed_one(tokens, table, max_len, truncation="tail"):
+    """One sequence's row ids, cut by `truncate` as the pipeline cuts it."""
+    ids, _ = embed([truncate(tokens, max_len, truncation)], table, max_len)
+    return ids[0]
+
+
 def test_embed_empty(table):
-    ids = embed([], table, max_len=4)
+    ids = _embed_one([], table, max_len=4)
     assert ids.dtype == np.int32 and ids.shape == (4,)
     assert np.all(ids == table.pad_id)
     assert np.all(table.matrix[ids] == 0.0)
 
 
 def test_embed_single_token_pads(table):
-    ids = embed(["alpha"], table, max_len=3)
+    ids = _embed_one(["alpha"], table, max_len=3)
     assert np.count_nonzero(ids != table.pad_id) == 1
     assert table.matrix[ids][0].tolist() == [1.0, 0.0]
     assert np.all(table.matrix[ids][1:] == 0.0)
@@ -82,18 +91,18 @@ def test_embed_single_token_pads(table):
 
 def test_embed_truncates_tail(table):
     tokens = ["alpha"] * 25 + ["beta"] * 15
-    seq = table.matrix[embed(tokens, table, max_len=30)]
+    seq = table.matrix[_embed_one(tokens, table, max_len=30)]
     assert seq[29].tolist() == [1.0, 0.0][:2] or seq[29].tolist() == [0.0, 1.0]
     # tail truncation keeps the head: rows 0..24 alpha, 25..29 beta
     assert seq[0].tolist() == [1.0, 0.0]
     assert seq[25].tolist() == [0.0, 1.0]
-    head = table.matrix[embed(tokens, table, max_len=30, truncation="head")]
+    head = table.matrix[_embed_one(tokens, table, max_len=30, truncation="head")]
     assert head[0].tolist() == [0.0, 1.0] or head[0].tolist() == [1.0, 0.0]
     assert head[29].tolist() == [0.0, 1.0]
 
 
 def test_embed_oov_rows_equal_unknown(table):
-    seq = table.matrix[embed(["nope", "alpha", "missing"], table, max_len=4)]
+    seq = table.matrix[_embed_one(["nope", "alpha", "missing"], table, max_len=4)]
     assert np.array_equal(seq[0], table.matrix[table.unknown_id])
     assert np.array_equal(seq[2], table.matrix[table.unknown_id])
     assert np.array_equal(seq[1], table.matrix[table.vocabulary["alpha"]])
@@ -104,7 +113,7 @@ def test_embed_oov_rows_equal_unknown(table):
 @settings(max_examples=80, deadline=None)
 def test_true_length_exact(tokens, max_len):
     table = fixture_table(["alpha", "beta"], 4, seed=0)
-    ids = embed(tokens, table, max_len=max_len)
+    ids = _embed_one(tokens, table, max_len=max_len)
     true_length = min(len(tokens), max_len)
     assert np.all(ids[:true_length] != table.pad_id)
     assert np.all(table.matrix[ids][true_length:] == 0.0)
@@ -130,6 +139,43 @@ def test_tensors_are_ids_lengths_and_metadata(table):
     assert metadata.shape == (3, 6)
     assert ids[0, :3].tolist() == [0, table.unknown_id, 1]
     assert np.all(ids[0, 3:] == table.pad_id) and np.all(ids[1] == table.pad_id)
+
+
+PACKING_TEXTS = (
+    "",  # tokenizes to nothing
+    "alpha beta gamma alpha",  # exactly max_len tokens
+    "alpha beta gamma nope beta alpha",  # longer than max_len
+    "nope missing unseen",  # all out of vocabulary
+    "alpha!!! beta?? gamma",  # <repeat> tags when repeat_tag is on
+)
+
+
+@pytest.mark.parametrize("truncation", ["tail", "head"])
+@pytest.mark.parametrize("repeat_tag", [False, True])
+def test_tensors_equal_per_tweet_reference(table, truncation, repeat_tag):
+    pipeline = TweetPipeline(table, max_len=4, truncation=truncation, repeat_tag=repeat_tag)
+    tweets = [_tweet(text) for text in PACKING_TEXTS]
+    ids, lengths, metadata = pipeline.tensors(tweets)
+    ref_ids, ref_lengths, ref_metadata = per_tweet_tensors(pipeline, tweets)
+    assert ids.dtype == np.int32 and lengths.dtype == np.int64
+    assert ids.tobytes() == ref_ids.tobytes() and ids.shape == ref_ids.shape
+    assert lengths.tobytes() == ref_lengths.tobytes()
+    assert metadata.tobytes() == ref_metadata.tobytes()
+    assert lengths.tolist()[:4] == [0, 4, 4, 3]
+    assert ids[3, :3].tolist() == [table.unknown_id] * 3
+    # The single-tweet path reads each tweet exactly as the batch does.
+    for i, tweet in enumerate(tweets):
+        tokens, row = pipeline.embed_tweet(tweet)
+        assert len(tokens) == lengths[i]
+        assert row.dtype == np.int32 and row.tobytes() == ids[i].tobytes()
+
+
+def test_tensors_of_no_tweets(table):
+    ids, lengths, metadata = TweetPipeline(table, max_len=4).tensors([])
+    ref_ids, ref_lengths, ref_metadata = per_tweet_tensors(TweetPipeline(table, max_len=4), [])
+    assert ids.dtype == np.int32 and ids.shape == ref_ids.shape == (0, 4)
+    assert lengths.dtype == np.int64 and lengths.shape == ref_lengths.shape == (0,)
+    assert metadata.shape == ref_metadata.shape
 
 
 def test_tensors_allocate_far_less_than_float_sequences():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from botdetect.data import Label, TweetRecord
-from botdetect.embedding import TweetPipeline, embed, fixture_table
+from botdetect.embedding import TweetPipeline, embed, fixture_table, truncate
 from botdetect.errors import SingleClass
 from botdetect.introspect import (
     ActivationTrace,
@@ -14,7 +14,7 @@ from botdetect.introspect import (
     trace_tweet,
     unit_distributions,
 )
-from botdetect.nnet import ContextualLstmModel, NetConfig, train
+from botdetect.nnet.model import ContextualLstmModel, NetConfig, train
 from botdetect.tokenizer import tokenize
 
 from oracles import scalar_lstm_cells, scalar_lstm_final
@@ -29,7 +29,8 @@ def _tweet(text, label=Label.HUMAN):
 def _ids(text, table):
     """A tweet's row ids at max_len 30 and its true length."""
     tokens = tokenize(text)
-    return embed(tokens, table, max_len=30), min(len(tokens), 30)
+    ids, lengths = embed([truncate(tokens, 30)], table, max_len=30)
+    return ids[0], int(lengths[0])
 
 
 @pytest.fixture(scope="module")

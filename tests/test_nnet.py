@@ -4,16 +4,15 @@ import pytest
 from botdetect.data import Label, Standardizer, TweetRecord
 from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import DegenerateData, DimensionMismatch, ParseError, TrainingError
-from botdetect.nnet import (
+from botdetect.nnet.layers import bce, sigmoid
+from botdetect.nnet.lstm import init_lstm_params, lstm_backward, lstm_forward
+from botdetect.nnet.model import (
     ContextualLstmModel,
     NetConfig,
     blended_loss,
-    init_lstm_params,
+    stack_sequences,
     train,
 )
-from botdetect.nnet.layers import bce, sigmoid
-from botdetect.nnet.lstm import lstm_backward, lstm_forward
-from botdetect.nnet.model import stack_sequences
 from botdetect.persist import load_model
 
 from gradcheck import check_gradients

@@ -6,7 +6,7 @@ from botdetect.baselines import BaselineConfig
 from botdetect.data import FeatureMatrix
 from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import ParseError
-from botdetect.nnet import ContextualLstmModel, NetConfig
+from botdetect.nnet.model import ContextualLstmModel, NetConfig
 from botdetect.persist import load_model, save_model
 
 
