@@ -16,6 +16,11 @@ handler, so scoring a net loads no baseline or resampler and an account run
 loads no LSTM, tokenizer or embedding code.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 training failure.
+Each command, and each bench row, runs with float overflow and invalid
+values raised. Outside a training step or validation pass (a training
+failure), such an error is a data error: numbers too large for float64
+arithmetic come from an input, such as a count, an embedding vector or a
+checkpoint's weights.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .data import (
     matrix_to_csv_lines,
     split_indices,
 )
-from .errors import BotDetectError, ConfigError, DataError, DegenerateData, ParseError
+from .errors import BotDetectError, ConfigError, DataError, DegenerateData, ParseError, float_errors
 from .ingest import (
     SyntheticCorpusSpec,
     generate_synthetic,
@@ -61,6 +66,8 @@ from .metrics import EvalReport, evaluate
 # The tweet-level net models, by RunConfig.model: the NetConfig classmethod
 # that builds each one's config.
 NET_CONFIGS = {"lstm": "tweet_only", "contextual": "contextual"}
+# The data error of a float overflow or invalid value (see above).
+FLOAT_ERROR = "float arithmetic failed ({})"
 
 
 @dataclass(frozen=True)
@@ -224,8 +231,7 @@ def _run_baseline_experiment(config, matrix, run_dir, con_hash):
 
     model = baselines.fit(BaselineKind(config.model), train_matrix,
                           _part(baselines.BaselineConfig, config))
-    with _scoring():
-        scores = baselines.predict_proba(model, test_matrix)
+    scores = baselines.predict_proba(model, test_matrix)
     report = evaluate(scores, test_matrix.labels, config.threshold, config.echo())
     baselines.save_baseline(model, os.path.join(run_dir, "model.txt"), {"config_hash": con_hash})
     return report
@@ -267,9 +273,8 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
     model, trace = train_net(net_config, table.matrix, rows(fit_idx),
                              validation=rows(val_idx) if val_idx.size else None)
 
-    with _scoring():
-        scores = model.predict_proba(table.matrix, ids[test_idx], lengths[test_idx],
-                                     metadata[test_idx])
+    scores = model.predict_proba(table.matrix, ids[test_idx], lengths[test_idx],
+                                 metadata[test_idx])
     report = evaluate(scores, labels[test_idx], config.threshold, config.echo())
 
     _write_lines(
@@ -366,7 +371,8 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
                 task=config.task, model=config.model, resample=config.resample,
                 embedding_dim=str(config.embedding_dim),
             )
-            result = run_experiment(config, read_corpus)
+            with float_errors(DataError, FLOAT_ERROR):
+                result = run_experiment(config, read_corpus)
             rep = result.report
             row.update(
                 precision=f"{rep.precision:.4f}", recall=f"{rep.recall:.4f}",
@@ -512,17 +518,6 @@ def _load_net(path, meta, arrays, embedding):
     return model, pipeline
 
 
-@contextlib.contextmanager
-def _scoring():
-    """Scoring with float overflow and invalid values raised: a checkpoint
-    whose finite weights overflow is numerically broken, a data error."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise DegenerateData(f"the model is numerically broken ({exc})") from None
-
-
 def _cmd_eval(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ConfigError("threshold must lie in (0, 1)")
@@ -537,16 +532,14 @@ def _cmd_eval(args) -> int:
         if not tweets:
             raise DegenerateData("corpus contains no tweets")
         model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
-        with _scoring():
-            scores = model.predict_proba(pipeline.table.matrix, *pipeline.tensors(tweets))
+        scores = model.predict_proba(pipeline.table.matrix, *pipeline.tensors(tweets))
         labels = np.array([t.label for t in tweets], dtype=np.int8)
     elif kind in {k.value for k in BaselineKind}:
         from . import baselines
 
         model = baselines.load_baseline(meta, arrays)
         matrix = _baseline_matrix(model.schema == ACCOUNT_FEATURE_COLUMNS, accounts, tweets)
-        with _scoring():
-            scores = baselines.predict_proba(model, matrix)
+        scores = baselines.predict_proba(model, matrix)
         labels = matrix.labels
     else:
         raise ParseError(f"{args.checkpoint}: unknown model kind {kind!r}")
@@ -572,8 +565,7 @@ def _cmd_inspect(args) -> int:
     index = args.tweet_index
     if not 0 <= index < len(tweets):
         raise ConfigError(f"tweet index {index} outside corpus of {len(tweets)}")
-    with _scoring():
-        trace = introspect.trace_tweet(model, pipeline, tweets[index])
+    trace = introspect.trace_tweet(model, pipeline, tweets[index])
     _write_lines(os.path.join(args.out, f"trace_{index}.csv"), introspect.trace_csv_lines(trace))
     if trace.empty:
         print(f"note: tweet {index} tokenizes to nothing; trace is empty")
@@ -581,8 +573,7 @@ def _cmd_inspect(args) -> int:
         _write_lines(os.path.join(args.out, f"cell_trace_{index}.csv"),
                      introspect.cell_trace_csv_lines(trace))
 
-    with _scoring():
-        report = introspect.unit_distributions(model, pipeline, tweets)
+    report = introspect.unit_distributions(model, pipeline, tweets)
     _write_lines(os.path.join(args.out, "distributions.csv"),
                  introspect.distribution_csv_lines(report))
     _write_lines(os.path.join(args.out, "ks.csv"), introspect.ks_csv_lines(report))
@@ -685,7 +676,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with float_errors(DataError, FLOAT_ERROR):
+            return args.func(args)
     except (BotDetectError, OSError) as exc:
         code = _exit_code(exc)
         kind = {ConfigError.exit_code: "config error", DataError.exit_code: "data error"}

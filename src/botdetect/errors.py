@@ -1,4 +1,9 @@
-"""Exception hierarchy. The CLI maps the three base classes to exit codes."""
+"""Exception hierarchy. The CLI maps the three base classes to exit codes, and
+`float_errors` turns a float overflow or invalid value into one of them."""
+
+import contextlib
+
+import numpy as np
 
 
 class BotDetectError(Exception):
@@ -65,3 +70,14 @@ class DegenerateMinority(DataError):
 
 class DegenerateData(DataError):
     pass
+
+
+@contextlib.contextmanager
+def float_errors(error: type[BotDetectError], message: str):
+    """Run a block with float overflow and invalid values raised, as
+    error(message); a `{}` in message stands for numpy's own text."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise error(message.format(exc)) from None

@@ -11,14 +11,13 @@ tweet-only variant drops the metadata path and the auxiliary head.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..config import from_strings, to_strings
 from ..data import CHECKPOINT_KINDS, Standardizer
-from ..errors import DegenerateData, DimensionMismatch, ParseError, TrainingError
+from ..errors import DegenerateData, DimensionMismatch, ParseError, TrainingError, float_errors
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
     dense_backward, dense_forward, glorot_uniform, sigmoid
@@ -271,16 +270,6 @@ def stack_sequences(matrix: np.ndarray, ids: np.ndarray, lengths: np.ndarray) ->
     return matrix[ids[:, :steps].T]
 
 
-@contextlib.contextmanager
-def _finite(message: str):
-    """Float overflow and invalid values raised, as TrainingError(message)."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise TrainingError(message) from None
-
-
 def train(
     config: NetConfig,
     matrix: np.ndarray,
@@ -322,7 +311,7 @@ def train(
             idx = order[start : start + config.batch_size]
             lb, yb = lengths_all[idx], targets[idx]
             xb = stack_sequences(matrix, ids_all[idx], lb)
-            with _finite(f"loss is not finite at epoch {epoch}, step {step}"):
+            with float_errors(TrainingError, f"loss is not finite at epoch {epoch}, step {step}"):
                 main, aux, _, cache = model.forward_batch(xb, lb, meta_all[idx], keep_cache=True)
                 total, main_loss, aux_loss = blended_loss(main, aux, yb, config.loss_weights)
                 if not np.isfinite(total):
@@ -341,7 +330,8 @@ def train(
         )
         if validation is not None:
             vids, vlen, vmeta, vlabels = validation
-            with _finite(f"validation scores are not finite at epoch {epoch}"):
+            with float_errors(TrainingError,
+                              f"validation scores are not finite at epoch {epoch}"):
                 vmain = model.predict_proba(matrix, vids, vlen, vmeta)
             vy = np.asarray(vlabels, dtype=np.float64)
             record.val_accuracy = float(np.mean((vmain >= 0.5) == (vy == 1.0)))

@@ -120,31 +120,26 @@ def knn_indices(
     return _nearest(matrix.features, query_index, candidates, k)
 
 
-def neighbor_table(std_features: np.ndarray, k: int, labels=None) -> np.ndarray:
+def neighbor_table(std_features: np.ndarray, k: int) -> np.ndarray:
     """(n, k) table whose row i lists the k nearest rows to row i, nearest
-    first, row i itself excluded; with labels, only rows of row i's label.
+    first, row i itself excluded. A same-class table is the table of one
+    class's rows, mapped back: `rows[neighbor_table(features[rows], k)]`.
 
-    Row i equals `knn_indices(matrix, i, k, same_class_only=labels is not
-    None)`. Screen bound: for a query q and a candidate x, the screen
-    g = |x|^2 - 2 q.x (the Gram form less |q|^2, the same for the whole row)
-    and the exact distance r = sum((x - q)^2) are float64 sums whose terms'
-    magnitudes add up to at most (|q| + |x|)^2, each term rounded at most
-    d + 2 times. So |q|^2 + g and r both lie within gamma (|q| + |x|)^2 of the
-    true squared distance, with gamma = m u / (1 - m u), u = 2^-53, m = d + 2
-    (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1). If t
-    is the k-th smallest g of q, k candidates have r <= |q|^2 + t + E with
-    E = 2 gamma (|q| + M)^2 and M the largest row norm; so every one of q's k
-    nearest has g <= t + 2E and survives the screen. The code takes m = d + 3,
-    which covers the rounding of the norms and of t + 2E.
+    Row i equals `knn_indices(matrix, i, k)`. Screen bound: for a query q and
+    a candidate x, the screen g = |x|^2 - 2 q.x (the Gram form less |q|^2, the
+    same for the whole row) and the exact distance r = sum((x - q)^2) are
+    float64 sums whose terms' magnitudes add up to at most (|q| + |x|)^2, each
+    term rounded at most d + 2 times. So |q|^2 + g and r both lie within gamma
+    (|q| + |x|)^2 of the true squared distance, with gamma = m u / (1 - m u),
+    u = 2^-53, m = d + 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, Lemma 3.1). If t is the k-th smallest g of q, k candidates
+    have r <= |q|^2 + t + E with E = 2 gamma (|q| + M)^2 and M the largest row
+    norm; so every one of q's k nearest has g <= t + 2E and survives the
+    screen. The code takes m = d + 3, which covers the rounding of the norms
+    and of t + 2E.
     """
     features = np.asarray(std_features, dtype=np.float64)
     n, d = features.shape
-    if labels is not None:
-        table = np.empty((n, k), dtype=np.int64)
-        for label in np.unique(labels):
-            rows = np.flatnonzero(labels == label)
-            table[rows] = rows[neighbor_table(features[rows], k)]
-        return table
     if k > n - 1:
         raise InsufficientRows(f"need {k} neighbors but only {max(n - 1, 0)} eligible rows")
     sq = np.sum(features * features, axis=1)

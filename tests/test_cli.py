@@ -1,5 +1,6 @@
 import copy
 import os
+import shutil
 import subprocess
 import sys
 
@@ -486,11 +487,14 @@ MALFORMED = {
     "resample_target_ratio_1e308": (2, "cli", ["resample", "--input", "{tmp}/m.csv",
                                                "--output", "{tmp}/o.csv", "--strategy", "smote",
                                                "--target-ratio", "1e308"]),
-    # m_nan.csv and m_inf.csv are m.csv with its first cell replaced.
+    # m_nan.csv, m_inf.csv and m_1e300.csv are m.csv with its first cell replaced.
     "resample_nan_cell": (3, "cli", ["resample", "--input", "{tmp}/m_nan.csv", "--output",
                                      "{tmp}/o.csv", "--strategy", "smote"]),
     "resample_inf_cell": (3, "cli", ["resample", "--input", "{tmp}/m_inf.csv", "--output",
                                      "{tmp}/o.csv", "--strategy", "smote"]),
+    # A finite cell whose square overflows while the columns are z-scored.
+    "resample_1e300_cell": (3, "cli", ["resample", "--input", "{tmp}/m_1e300.csv", "--output",
+                                       "{tmp}/o.csv", "--strategy", "smotenn"]),
 }
 
 
@@ -512,7 +516,7 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         matrix = FeatureMatrix(rng.standard_normal((20, 3)), ("a", "b", "c"), [0] * 14 + [1] * 6)
         lines = matrix_to_csv_lines(matrix)
         (tmp_path / "m.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for cell in ("nan", "inf"):
+        for cell in ("nan", "inf", "1e300"):
             bad = [lines[0], cell + lines[1][lines[1].index(","):], *lines[2:]]
             (tmp_path / f"m_{cell}.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in spec]
@@ -627,6 +631,94 @@ def test_bench_row_that_diverges_records_exit_4(corpus, tmp_path):
         results = benchmark_suite(str(bench), str(tmp_path / "b"))
     assert results[0]["exit_code"] == 4
     assert results[0]["error"] == "loss is not finite at epoch 0; step 1"
+
+
+@pytest.fixture(scope="module")
+def seed0(tmp_path_factory):
+    root = tmp_path_factory.mktemp("seed0")
+    assert main(["synth", "--out", str(root), "--seed", "0", "--accounts", "30",
+                 "--embedding-dim", "25"]) == 0
+    return root
+
+
+def _huge_cell(corpus, out, rel, column):
+    """A copy of corpus whose CSV rel holds 1e300 in column of its first row.
+    The column comes after the tweet text, so it is counted from the end."""
+    shutil.copytree(corpus, out)
+    path = out / rel
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    names = header.split(",")
+    parts = first.rsplit(",", len(names) - names.index(column))
+    parts[1] = "1e300"
+    path.write_text("\n".join([header, ",".join(parts), *rest]) + "\n", encoding="utf-8")
+    return out
+
+
+def _run_cli(argv):
+    src = os.path.dirname(os.path.dirname(botdetect.__file__))
+    return subprocess.run([sys.executable, "-m", "botdetect.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+
+
+def _huge_glove(seed0, tmp_path):
+    """The seed-0 GloVe file with its first two vectors all 1e308: their
+    sum, and so the unknown-token mean, overflows."""
+    lines = (seed0 / "glove_25d.txt").read_text(encoding="utf-8").splitlines()
+    for i in (0, 1):
+        lines[i] = " ".join([lines[i].split()[0]] + ["1e308"] * 25)
+    (tmp_path / "glove.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["--manifest", seed0 / "manifest.txt", "--embedding", tmp_path / "glove.txt"]
+
+
+# id -> argv (after `train` ... `--out`) for a float overflow that is finite in
+# the input: each is a data error, and the run leaves no run directory.
+HUGE_VALUES = {
+    "account_forest_statuses_count_1e300": lambda seed0, tmp: [
+        "--task", "account", "--model", "forest", "--n-trees", "4", "--manifest",
+        _huge_cell(seed0, tmp / "c", "human/users.csv", "statuses_count") / "manifest.txt"],
+    "contextual_retweet_count_1e300": lambda seed0, tmp: [
+        "--task", "tweet", "--model", "contextual", "--epochs", "1", "--embedding-dim", "25",
+        "--embedding", seed0 / "glove_25d.txt", "--manifest",
+        _huge_cell(seed0, tmp / "c", "human/tweets.csv", "retweet_count") / "manifest.txt"],
+    "lstm_glove_vectors_1e308": lambda seed0, tmp: [
+        "--task", "tweet", "--model", "lstm", "--epochs", "1", "--embedding-dim", "25",
+        *_huge_glove(seed0, tmp)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_VALUES))
+def test_train_on_values_too_large_for_float64_ends_in_one_line(seed0, tmp_path, case):
+    proc = _run_cli(["train", *HUGE_VALUES[case](seed0, tmp_path), "--out", tmp_path / "r"])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("data error: float arithmetic failed (")
+    assert not list(tmp_path.glob("r/run-*"))
+
+
+def test_bench_row_on_a_value_too_large_for_float64_records_exit_3(seed0, tmp_path):
+    huge = _huge_cell(seed0, tmp_path / "c", "human/users.csv", "statuses_count")
+    bench = tmp_path / "huge.kv"
+    bench.write_text(
+        "default.task = account\n"
+        "default.model = forest\n"
+        "default.n_trees = 4\n"
+        f"row.huge.manifest = {huge / 'manifest.txt'}\n"
+        f"row.clean.manifest = {seed0 / 'manifest.txt'}\n",
+        encoding="utf-8",
+    )
+    proc = _run_cli(["bench", "--config", bench, "--out", tmp_path / "b"])
+    # bench exits with its first failed row's code, and the suite goes on.
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    header, huge_row, clean_row = (tmp_path / "b" / "bench.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), huge_row.split(",")))
+    assert row["status"] == "error"
+    assert row["error"].startswith("float arithmetic failed (")
+    assert dict(zip(header.split(","), clean_row.split(",")))["status"] == "ok"
+    assert not list(tmp_path.glob("b/rows/huge/run-*"))
+    assert len(list(tmp_path.glob("b/rows/clean/run-*"))) == 1
 
 
 def test_inspect_warns_on_pipeline_mismatch(corpus, tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from typing import get_type_hints
 
 import pytest
@@ -51,6 +52,13 @@ def test_fields_shared_with_run_config_have_its_types(part):
     shared = {name: kind for name, kind in get_type_hints(part).items() if name in run_types}
     assert set(shared) == SHARED_FIELDS[part]
     assert shared == {name: run_types[name] for name in shared}
+    # The CLI lets RunConfig's values win, while tests build sub-configs from
+    # their own defaults; the two must agree. NetConfig.embedding_dim has no
+    # default, and RunConfig's epochs of 0 means the net's 30.
+    run_defaults = {f.name: f.default for f in fields(RunConfig)}
+    defaults = {f.name: f.default for f in fields(part) if f.name in shared
+                and (part, f.name) not in {(NetConfig, "embedding_dim"), (NetConfig, "epochs")}}
+    assert defaults == {name: run_defaults[name] for name in defaults}
 
 
 def test_part_takes_run_config_fields_and_given_values_over_them():

@@ -85,6 +85,16 @@ def _duplicate_heavy(seed, n, d, high):
     return FeatureMatrix(features, tuple(f"c{i}" for i in range(d)), labels)
 
 
+def _same_class_table(features, k, labels):
+    """Each class's neighbor table, mapped back to row numbers, as `smote`
+    builds the minority's."""
+    table = np.empty((len(features), k), dtype=np.int64)
+    for label in np.unique(labels):
+        peers = np.flatnonzero(labels == label)
+        table[peers] = peers[neighbor_table(features[peers], k)]
+    return table
+
+
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("seed,n,d,high", [(1, 60, 1, 4), (2, 90, 3, 3), (3, 120, 10, 2),
                                            (4, 80, 4, 10), (5, 100, 8, 7), (6, 70, 16, 40)])
@@ -93,7 +103,7 @@ def test_neighbor_table_matches_brute_force(seed, n, d, high, k):
     # so the oracle's left-to-right sum holds at 8 columns and more too.
     m = _duplicate_heavy(seed, n, d, high)
     table = neighbor_table(m.features, k)
-    same = neighbor_table(m.features, k, m.labels)
+    same = _same_class_table(m.features, k, m.labels)
     assert table.shape == same.shape == (n, k)
     for q in range(n):
         assert table[q].tolist() == brute_knn(m.features, q, k, range(n))
@@ -110,7 +120,7 @@ def test_neighbor_table_matches_knn_indices_on_standardized_rows(seed, n, d, hig
     m = _duplicate_heavy(seed, n, d, high)
     std = FeatureMatrix(standardized_copy(m), m.schema, m.labels)
     table = neighbor_table(std.features, k)
-    same = neighbor_table(std.features, k, m.labels)
+    same = _same_class_table(std.features, k, m.labels)
     for q in range(n):
         assert table[q].tolist() == knn_indices(std, q, k).tolist()
         assert same[q].tolist() == knn_indices(std, q, k, same_class_only=True).tolist()
@@ -130,7 +140,7 @@ def test_neighbor_table_insufficient_rows():
     with pytest.raises(InsufficientRows):
         neighbor_table(m.features, 4)
     with pytest.raises(InsufficientRows):
-        neighbor_table(m.features, 1, m.labels)  # the lone human has no peer
+        _same_class_table(m.features, 1, m.labels)  # the lone human has no peer
 
 
 # -- smote -----------------------------------------------------------------
