@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -10,8 +10,7 @@ from ..data import BaselineKind, FeatureMatrix, Standardizer
 from ..errors import DegenerateData, SchemaMismatch
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
+class BaselineConfig(NamedTuple):
     """Hyperparameters for all five baselines; only the relevant ones apply.
 
     Defaults are library-conventional and echoed into every report, since no
@@ -37,8 +36,7 @@ class BaselineConfig:
     mlp_epochs: int = 50
 
 
-@dataclass
-class BaselineModel:
+class BaselineModel(NamedTuple):
     kind: BaselineKind
     schema: tuple[str, ...]
     standardizer: Standardizer

@@ -34,7 +34,7 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ NET_CONFIGS = {"lstm": "tweet_only", "contextual": "contextual"}
 FLOAT_ERROR = "float arithmetic failed ({})"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything an experiment needs; flags and config files both map here."""
 
     task: str = "account"  # account | tweet
@@ -159,8 +158,7 @@ class RunConfig:
 # -- experiment pipeline ---------------------------------------------------
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     report: EvalReport
     run_dir: str
 
@@ -196,9 +194,9 @@ def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
 
 def _part(cls, config: RunConfig, **given):
     """A sub-config from the RunConfig fields it shares by name, and the given
-    values. cls is a dataclass, or a classmethod that builds one."""
-    shared = {f.name: getattr(config, f.name) for f in fields(getattr(cls, "__self__", cls))
-              if hasattr(config, f.name)}
+    values. cls is a record, or a classmethod that builds one."""
+    shared = {name: getattr(config, name) for name in getattr(cls, "__self__", cls)._fields
+              if name in config._fields}
     return cls(**{**shared, **given})
 
 
@@ -489,9 +487,9 @@ def _cmd_train(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values.update(parse_kv_lines(fh))
-    for f in fields(RunConfig):
-        if getattr(args, f.name) is not None:
-            values[f.name] = getattr(args, f.name)
+    for name in RunConfig._fields:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     result = run_experiment(from_strings(RunConfig, values))
     sys.stdout.write(result.report.to_text())
     print(f"artifacts: {result.run_dir}")
@@ -637,12 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run a full experiment")
     p.add_argument("--config", default="", help="key = value config file")
     # One flag per RunConfig field; values are strings, typed by from_strings.
-    for f in fields(RunConfig):
-        flag = "--out" if f.name == "out_dir" else "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            p.add_argument(flag, dest=f.name, action="store_const", const="true")
+    for name, default in RunConfig._field_defaults.items():
+        flag = "--out" if name == "out_dir" else "--" + name.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, dest=name, action="store_const", const="true")
         else:
-            p.add_argument(flag, dest=f.name)
+            p.add_argument(flag, dest=name)
     p.add_argument("--no-stratified", dest="stratified", action="store_const",
                    const="false")
     p.set_defaults(func=_cmd_train)

@@ -1,17 +1,16 @@
-"""The one conversion between strings and typed config dataclasses.
+"""The one conversion between strings and typed config records.
 
 Config files, bench rows, `train` flags and checkpoint meta lines all carry
-strings. `from_strings` types each value by its dataclass field: int, float,
+strings. `from_strings` types each value by its record field: int, float,
 str, bool, or a tuple written as a comma list. A bool is exactly one of
 1/0, true/false, yes/no or on/off, in any case. Every other value, and every
-ValueError the dataclass itself raises, is a ConfigError naming the key.
+ValueError the record itself raises, is a ConfigError naming the key.
 `to_strings` writes the fields back in forms `from_strings` reads.
 """
 
 from __future__ import annotations
 
 import typing
-from dataclasses import fields
 
 from .errors import ConfigError
 
@@ -40,13 +39,13 @@ def _describe(kind) -> str:
 
 
 def from_strings(cls, values: dict[str, str], **typed):
-    """Build the dataclass `cls` from string values. `typed` gives fields
-    that need no parsing (such as an embedding table) and wins over `values`."""
+    """Build the record `cls` (a NamedTuple) from string values. `typed`
+    gives fields that need no parsing (such as an embedding table) and wins
+    over `values`."""
     hints = typing.get_type_hints(cls)
-    names = {f.name for f in fields(cls)}
     kwargs = {}
     for key, text in values.items():
-        if key not in names:
+        if key not in cls._fields:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             kwargs[key] = _parse(hints[key], text)
@@ -63,8 +62,5 @@ def from_strings(cls, values: dict[str, str], **typed):
 
 def to_strings(obj) -> dict[str, str]:
     """Field name -> string, in field order; tuples become comma lists."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        out[f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-    return out
+    return {name: ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            for name, value in zip(obj._fields, obj)}

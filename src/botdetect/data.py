@@ -1,14 +1,15 @@
 """Core domain types: labels, feature schemas, feature matrices, seeded splits,
 and the names the CLI checks before it loads the layer that owns them.
 
-All types are immutable after construction; every randomized operation takes
-an explicit seed and is bit-reproducible given it.
+Records are NamedTuples, immutable after construction, and a FeatureMatrix
+freezes its arrays; every randomized operation takes an explicit seed and is
+bit-reproducible given it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,22 +76,35 @@ class Strategy(str, enum.Enum):
     SMOTOMEK = "smotomek"
 
 
-@dataclass(frozen=True)
-class TweetRecord:
+def checked(cls):
+    """Make the NamedTuple `cls` run its `_check` method, which raises on
+    values the record refuses, on every instance its constructor builds (a
+    NamedTuple body cannot define `__new__`). `_make` and `_replace` skip
+    the check; the package calls neither."""
+    new = cls.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = staticmethod(__new__)
+    return cls
+
+
+class TweetRecord(NamedTuple):
     text: str
     metadata: tuple[int, ...]  # counts in TWEET_METADATA_COLUMNS order
     label: Label
     account_id: str
 
 
-@dataclass(frozen=True)
-class AccountRecord:
+class AccountRecord(NamedTuple):
     account_id: str
     features: tuple[int, ...]  # ACCOUNT_FEATURE_COLUMNS order, flags as 0/1
     label: Label
 
 
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Dense numeric matrix with a per-column schema and parallel labels.
 
@@ -99,14 +113,12 @@ class FeatureMatrix:
     frozen after construction.
     """
 
-    features: np.ndarray
-    schema: tuple[str, ...]
-    labels: np.ndarray
+    __slots__ = ("features", "schema", "labels")
 
-    def __post_init__(self):
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        labs = np.asarray(self.labels, dtype=np.int8)
-        schema = tuple(self.schema)
+    def __init__(self, features, schema, labels):
+        feats = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
+        labs = np.asarray(labels, dtype=np.int8)
+        schema = tuple(schema)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-d, got ndim={feats.ndim}")
         if feats.shape[1] != len(schema):
@@ -121,9 +133,7 @@ class FeatureMatrix:
             raise ValueError("labels must be 0 (human) or 1 (bot)")
         feats.setflags(write=False)
         labs.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "schema", schema)
+        self.features, self.schema, self.labels = feats, schema, labs
 
     @property
     def n_rows(self) -> int:
@@ -184,8 +194,7 @@ def matrix_from_csv_lines(lines) -> FeatureMatrix:
     return FeatureMatrix(np.array(feats, dtype=np.float64), schema, labels)
 
 
-@dataclass(frozen=True)
-class Standardizer:
+class Standardizer(NamedTuple):
     """Per-column z-score transform; zero-variance columns get std 1.0."""
 
     mean: np.ndarray
@@ -218,13 +227,13 @@ class Standardizer:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+@checked
+class SplitSpec(NamedTuple):
     train_fraction: float = 0.8
     stratified: bool = True
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
 

@@ -20,21 +20,20 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .config import from_strings
-from .data import TweetRecord
+from .data import TweetRecord, checked
 from .errors import DimensionMismatch, ParseError
 from .tokenizer import tokenize
 
 DEFAULT_MAX_LEN = 30
 
 
-@dataclass(frozen=True)
-class EmbeddingTable:
+@checked
+class EmbeddingTable(NamedTuple):
     """Frozen word vectors as one (V + 2, d) matrix: the V vocabulary rows,
     then the unknown-token row (their mean), then the all-zero pad row. A
     tweet travels as row ids into it."""
@@ -42,7 +41,7 @@ class EmbeddingTable:
     vocabulary: dict[str, int]
     matrix: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.pad_id + 1:
             raise ValueError("matrix shape does not match vocabulary")
         if self.dimension < 1:
@@ -185,8 +184,8 @@ def write_glove_file(table: EmbeddingTable, path) -> None:
             fh.write(f"{token} {comps}\n")
 
 
-@dataclass(frozen=True)
-class TweetPipeline:
+@checked
+class TweetPipeline(NamedTuple):
     """A model's tweet preprocessing: tokenize, embed, encode the metadata.
 
     Training fixes the settings and writes them into the checkpoint with a
@@ -199,7 +198,7 @@ class TweetPipeline:
     truncation: str = "tail"
     repeat_tag: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         truncate((), self.max_len, self.truncation)  # rejects bad settings
 
     def _kept(self, tweet: TweetRecord) -> list[str]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .data import (
     AccountRecord,
     Label,
     TweetRecord,
+    checked,
 )
 from .errors import ConfigError, ExcessiveBadRows, HeaderMismatch, ParseError
 
@@ -49,8 +50,7 @@ _TRUE_VALUES = {"1", "true", "t", "yes", "y"}
 _FALSE_VALUES = {"0", "false", "f", "no", "n", "", "nan", "null", "none"}
 
 
-@dataclass(frozen=True)
-class ManifestGroup:
+class ManifestGroup(NamedTuple):
     name: str
     path: str
     label: Label
@@ -58,11 +58,11 @@ class ManifestGroup:
     expected_tweets: int | None = None
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
+@checked
+class CorpusManifest(NamedTuple):
     groups: tuple[ManifestGroup, ...]
 
-    def __post_init__(self):
+    def _check(self):
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise ConfigError("manifest group names must be unique")
@@ -117,30 +117,28 @@ def parse_manifest(path) -> CorpusManifest:
     return CorpusManifest(groups=tuple(built))
 
 
-@dataclass
-class GroupDiagnostics:
+class GroupDiagnostics(NamedTuple):
     """One group's load accounting; the four counters run in `run.kv` order."""
 
     name: str
-    accounts_loaded: int = 0
-    tweets_loaded: int = 0
-    accounts_skipped: int = 0
-    tweets_skipped: int = 0
-    filled_cells: dict[str, int] = field(default_factory=dict)
-    fallback_columns: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    accounts_loaded: int
+    tweets_loaded: int
+    accounts_skipped: int
+    tweets_skipped: int
+    filled_cells: dict[str, int]
+    fallback_columns: list[str]
+    notes: list[str]
 
 
-@dataclass
-class LoadDiagnostics:
-    groups: list[GroupDiagnostics] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class LoadDiagnostics(NamedTuple):
+    groups: list[GroupDiagnostics]
+    warnings: list[str]
 
     def to_kv_lines(self) -> list[str]:
         lines = []
         for g in self.groups:
             p = f"group.{g.name}"
-            lines += [f"{p}.{f.name} = {getattr(g, f.name)}" for f in fields(g)[1:5]]
+            lines += [f"{p}.{name} = {value}" for name, value in zip(g._fields[1:5], g[1:5])]
             for col in sorted(g.filled_cells):
                 lines.append(f"{p}.filled.{col} = {g.filled_cells[col]}")
             for col in g.fallback_columns:
@@ -152,11 +150,11 @@ class LoadDiagnostics:
         return lines
 
 
-def _parse_count(cell: str, column: str, diag: GroupDiagnostics) -> int | None:
-    """None means the row must be skipped."""
+def _parse_count(cell: str, column: str, filled: dict[str, int]) -> int | None:
+    """None means the row must be skipped; `filled` counts empty cells."""
     text = cell.strip()
     if text == "" or text.lower() in ("nan", "null", "none"):
-        diag.filled_cells[column] = diag.filled_cells.get(column, 0) + 1
+        filled[column] = filled.get(column, 0) + 1
         return 0
     try:
         value = float(text)
@@ -167,13 +165,13 @@ def _parse_count(cell: str, column: str, diag: GroupDiagnostics) -> int | None:
     return int(value)
 
 
-def _parse_flag(cell: str, column: str, diag: GroupDiagnostics) -> int | None:
+def _parse_flag(cell: str, column: str, filled: dict[str, int]) -> int | None:
     text = cell.strip().lower()
     if text in _TRUE_VALUES:
         return 1
     if text in _FALSE_VALUES:
         if text == "":
-            diag.filled_cells[column] = diag.filled_cells.get(column, 0) + 1
+            filled[column] = filled.get(column, 0) + 1
         return 0
     return None
 
@@ -192,12 +190,12 @@ def _cell(row: list[str], index: int | None) -> str:
     return row[index]
 
 
-def _parse_cells(row, cells, diag) -> tuple[int, ...] | None:
+def _parse_cells(row, cells, filled) -> tuple[int, ...] | None:
     """The parsed `(column, index, parser)` cells of a row, in order; None
     at the first cell that fails."""
     values = []
     for column, index, parse in cells:
-        value = parse(_cell(row, index), column, diag)
+        value = parse(_cell(row, index), column, filled)
         if value is None:
             return None
         values.append(value)
@@ -239,20 +237,17 @@ def _load_rows(path, group: ManifestGroup, mandatory, id_column, row_parser) -> 
     return records, skipped
 
 
-def _load_users(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[AccountRecord]:
+def _load_users(path, group: ManifestGroup, filled) -> tuple[list[AccountRecord], int]:
     def row_parser(columns):
         cells = [(col, columns[col], _parse_count) for col in ACCOUNT_COUNT_COLUMNS]
         cells += [(col, columns[col], _parse_flag) for col in ACCOUNT_BOOL_COLUMNS]
 
         def parse(account_id, row):
-            features = _parse_cells(row, cells, diag)
+            features = _parse_cells(row, cells, filled)
             return None if features is None else AccountRecord(account_id, features, group.label)
         return parse
 
-    accounts, diag.accounts_skipped = _load_rows(
-        path, group, ACCOUNT_FEATURE_COLUMNS, "id", row_parser)
-    diag.accounts_loaded = len(accounts)
-    return accounts
+    return _load_rows(path, group, ACCOUNT_FEATURE_COLUMNS, "id", row_parser)
 
 
 _ENTITY_COLUMNS = ("num_hashtags", "num_urls", "num_mentions")
@@ -271,21 +266,22 @@ def _fallback_entity_counts(text: str) -> tuple[int, int, int]:
     return hashtags, urls, mentions
 
 
-def _load_tweets(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[TweetRecord]:
+def _load_tweets(path, group: ManifestGroup, filled, fallback_columns,
+                 notes) -> tuple[list[TweetRecord], int]:
     def row_parser(columns):
         # Entity columns absent from this dump are recovered from the text,
         # and the substitution is flagged.
         fallback = [c for c in _ENTITY_COLUMNS if c not in columns]
-        diag.fallback_columns.extend(fallback)
+        fallback_columns.extend(fallback)
         for col in TWEET_METADATA_COLUMNS:
             if col not in columns and col not in fallback:
-                diag.notes.append(f"column {col} absent; filled with 0")
+                notes.append(f"column {col} absent; filled with 0")
         present = [col for col in TWEET_METADATA_COLUMNS if col in columns]
         cells = [(col, columns[col], _parse_count) for col in present]
         text_index = columns["text"]
 
         def parse(account_id, row):
-            counts = _parse_cells(row, cells, diag)
+            counts = _parse_cells(row, cells, filled)
             if counts is None:
                 return None
             text = _cell(row, text_index)
@@ -298,9 +294,7 @@ def _load_tweets(path, group: ManifestGroup, diag: GroupDiagnostics) -> list[Twe
             return TweetRecord(text, counts, group.label, account_id)
         return parse
 
-    tweets, diag.tweets_skipped = _load_rows(path, group, ("text",), "user_id", row_parser)
-    diag.tweets_loaded = len(tweets)
-    return tweets
+    return _load_rows(path, group, ("text",), "user_id", row_parser)
 
 
 def load_corpus(
@@ -311,11 +305,10 @@ def load_corpus(
     Rows with unparseable mandatory fields are counted and skipped. Expected
     counts, when present, are verified and mismatches reported as warnings.
     """
-    diagnostics = LoadDiagnostics()
     accounts: list[AccountRecord] = []
     tweets: list[TweetRecord] = []
+    groups, warnings = [], []
     for group in manifest.groups:
-        diag = GroupDiagnostics(name=group.name)
         users_path = os.path.join(group.path, "users.csv")
         tweets_path = os.path.join(group.path, "tweets.csv")
         has_users = os.path.isfile(users_path)
@@ -324,26 +317,28 @@ def load_corpus(
             raise FileNotFoundError(
                 f"group {group.name!r}: neither {users_path} nor {tweets_path} exists"
             )
+        filled, fallback, notes = {}, [], []
+        group_accounts, accounts_skipped = [], 0
         if has_users:
-            accounts.extend(_load_users(users_path, group, diag))
+            group_accounts, accounts_skipped = _load_users(users_path, group, filled)
         else:
-            diag.notes.append("users.csv absent")
+            notes.append("users.csv absent")
+        group_tweets, tweets_skipped = [], 0
         if has_tweets:
-            tweets.extend(_load_tweets(tweets_path, group, diag))
+            group_tweets, tweets_skipped = _load_tweets(tweets_path, group, filled, fallback,
+                                                        notes)
         else:
-            diag.notes.append("tweets.csv absent")
-        if group.expected_accounts is not None and diag.accounts_loaded != group.expected_accounts:
-            diagnostics.warnings.append(
-                f"group {group.name}: expected {group.expected_accounts} accounts, "
-                f"loaded {diag.accounts_loaded}"
-            )
-        if group.expected_tweets is not None and diag.tweets_loaded != group.expected_tweets:
-            diagnostics.warnings.append(
-                f"group {group.name}: expected {group.expected_tweets} tweets, "
-                f"loaded {diag.tweets_loaded}"
-            )
-        diagnostics.groups.append(diag)
-    return accounts, tweets, diagnostics
+            notes.append("tweets.csv absent")
+        for kind, expected, loaded in (("accounts", group.expected_accounts, group_accounts),
+                                       ("tweets", group.expected_tweets, group_tweets)):
+            if expected is not None and len(loaded) != expected:
+                warnings.append(f"group {group.name}: expected {expected} {kind}, "
+                                f"loaded {len(loaded)}")
+        accounts += group_accounts
+        tweets += group_tweets
+        groups.append(GroupDiagnostics(group.name, len(group_accounts), len(group_tweets),
+                                       accounts_skipped, tweets_skipped, filled, fallback, notes))
+    return accounts, tweets, LoadDiagnostics(groups, warnings)
 
 
 # -- synthetic corpora ----------------------------------------------------
@@ -378,14 +373,14 @@ _ACCOUNT_BOOL_DIRECTIONS = (1.0, -1.0, 1.0, -1.0, 1.0)
 _EMOTICONS = (":)", ":(", ":D", "<3", ":p", ":|")
 
 
-@dataclass(frozen=True)
-class SyntheticCorpusSpec:
+@checked
+class SyntheticCorpusSpec(NamedTuple):
     n_accounts_per_class: int
     tweets_per_account: int
     seed: int
     separation: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_accounts_per_class < 1 or self.tweets_per_account < 1:
             raise ValueError("corpus sizes must be positive")
         if not 0.0 <= self.separation <= 1.0:

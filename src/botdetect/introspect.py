@@ -10,11 +10,11 @@ from one batched forward pass, bit-identical to ``predict_proba``'s batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import Label, TweetRecord
+from .data import Label, TweetRecord, checked
 from .embedding import TweetPipeline
 from .errors import SingleClass
 from .nnet.model import ContextualLstmModel, stack_sequences
@@ -22,8 +22,8 @@ from .nnet.model import ContextualLstmModel, stack_sequences
 DEFAULT_BINS = 50
 
 
-@dataclass(frozen=True)
-class ActivationTrace:
+@checked
+class ActivationTrace(NamedTuple):
     """LSTM outputs and cell states c_t (unbounded, unlike outputs) per
     timestep (true_length x 32 each), aligned with tokens."""
 
@@ -32,20 +32,18 @@ class ActivationTrace:
     tokens: tuple[str, ...]
     empty: bool
 
-    def __post_init__(self):
+    def _check(self):
         if not self.matrix.shape[0] == self.cells.shape[0] == len(self.tokens):
             raise ValueError("trace rows must align with tokens")
 
 
-@dataclass(frozen=True)
-class UnitDistribution:
+class UnitDistribution(NamedTuple):
     unit_index: int
     label: Label
     counts: np.ndarray
 
 
-@dataclass(frozen=True)
-class UnitDistributionReport:
+class UnitDistributionReport(NamedTuple):
     bin_edges: np.ndarray  # shared by every distribution
     distributions: tuple[UnitDistribution, ...]
     ks_by_unit: np.ndarray

@@ -7,7 +7,7 @@ macro average over both classes is included for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def auc(scores, labels) -> float:
     return _area(roc_points(scores, labels))
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """One evaluation. The fields before `roc_points` are the scalars in
     `report.kv` order: `to_kv_lines` writes them as declared, then the
     config echo."""
@@ -99,10 +98,10 @@ class EvalReport:
     precision_defined: bool
     recall_defined: bool
     roc_points: tuple[tuple[float, float], ...]
-    config_echo: dict[str, str] = field(default_factory=dict)
+    config_echo: dict[str, str]
 
     def to_kv_lines(self) -> list[str]:
-        lines = [f"{f.name} = {getattr(self, f.name)!r}" for f in fields(self)[:-2]]
+        lines = [f"{name} = {value!r}" for name, value in zip(self._fields[:-2], self)]
         lines += [f"config.{key} = {self.config_echo[key]}" for key in sorted(self.config_echo)]
         return lines
 

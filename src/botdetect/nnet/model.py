@@ -11,12 +11,12 @@ tweet-only variant drops the metadata path and the auxiliary head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from ..config import from_strings, to_strings
-from ..data import CHECKPOINT_KINDS, Standardizer
+from ..data import CHECKPOINT_KINDS, Standardizer, checked
 from ..errors import DegenerateData, DimensionMismatch, ParseError, TrainingError, float_errors
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
@@ -28,8 +28,8 @@ METADATA_DIM = 6
 HEAD = (("dense1.W", "dense1.b"), ("dense2.W", "dense2.b"), ("main.W", "main.b"))
 
 
-@dataclass(frozen=True)
-class NetConfig:
+@checked
+class NetConfig(NamedTuple):
     embedding_dim: int
     hidden_dim: int = 32
     dense_sizes: tuple[int, int] = (128, 64)
@@ -44,7 +44,7 @@ class NetConfig:
     epochs: int = 30
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be positive")
         w_main, w_aux = self.loss_weights
@@ -197,7 +197,7 @@ class ContextualLstmModel:
         missing tensor is a ParseError naming it, and so are a tensor of
         another shape or with an infinite weight and a standardizer
         `Standardizer.load` refuses."""
-        values = {f.name: meta[f.name] for f in fields(NetConfig) if f.name != "loss_weights"}
+        values = {name: meta[name] for name in NetConfig._fields if name != "loss_weights"}
         values["loss_weights"] = f"{meta['loss_weight_main']},{meta['loss_weight_aux']}"
         config = from_strings(NetConfig, values)
         # Shapes come from the meta, and are checked before any is used.
@@ -233,8 +233,7 @@ def blended_loss(main_score, aux_score, label,
     return w_main * main_part + w_aux * aux_part, main_part, aux_part
 
 
-@dataclass
-class EpochRecord:
+class EpochRecord(NamedTuple):
     epoch: int
     main_loss: float
     aux_loss: float
@@ -243,10 +242,9 @@ class EpochRecord:
     val_auc: float | None = None
 
 
-@dataclass
-class TrainingTrace:
-    steps: list[tuple[int, int, float, float, float]] = field(default_factory=list)
-    epochs: list[EpochRecord] = field(default_factory=list)
+class TrainingTrace(NamedTuple):
+    steps: list[tuple[int, int, float, float, float]]
+    epochs: list[EpochRecord]
 
     def to_csv_lines(self) -> list[str]:
         lines = ["record,epoch,step,main_loss,aux_loss,total_loss,val_accuracy,val_auc"]
@@ -300,7 +298,7 @@ def train(
         model.metadata_standardizer = Standardizer.fit(meta_all)
     optimizer = Adam(model.params, lr=config.learning_rate, beta1=config.beta1,
                      beta2=config.beta2, eps=config.adam_eps)
-    trace = TrainingTrace()
+    trace = TrainingTrace(steps=[], epochs=[])
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = len(ids_all)
@@ -322,20 +320,16 @@ def train(
             epoch_aux += aux_loss * len(idx)
             epoch_total += total * len(idx)
             seen += len(idx)
-        record = EpochRecord(
-            epoch=epoch,
-            main_loss=epoch_main / seen,
-            aux_loss=epoch_aux / seen,
-            total_loss=epoch_total / seen,
-        )
+        val_accuracy = val_auc = None
         if validation is not None:
             vids, vlen, vmeta, vlabels = validation
             with float_errors(TrainingError,
                               f"validation scores are not finite at epoch {epoch}"):
                 vmain = model.predict_proba(matrix, vids, vlen, vmeta)
             vy = np.asarray(vlabels, dtype=np.float64)
-            record.val_accuracy = float(np.mean((vmain >= 0.5) == (vy == 1.0)))
+            val_accuracy = float(np.mean((vmain >= 0.5) == (vy == 1.0)))
             if len(set(vy.tolist())) == 2:
-                record.val_auc = compute_auc(vmain, vy.astype(np.int8))
-        trace.epochs.append(record)
+                val_auc = compute_auc(vmain, vy.astype(np.int8))
+        trace.epochs.append(EpochRecord(epoch, epoch_main / seen, epoch_aux / seen,
+                                        epoch_total / seen, val_accuracy, val_auc))
     return model, trace

@@ -20,11 +20,11 @@ equals a `knn_indices` call per row, ties included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import FeatureMatrix, Label, Standardizer, Strategy
+from .data import FeatureMatrix, Label, Standardizer, Strategy, checked
 from .errors import ConfigError, DegenerateMinority, InsufficientRows
 
 # Size of one (block rows, n) float64 temporary in `neighbor_table`.
@@ -32,23 +32,22 @@ _BLOCK_BYTES = 1 << 20
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class ResampleConfig:
+@checked
+class ResampleConfig(NamedTuple):
     strategy: Strategy = Strategy.NONE
     smote_k: int = 5
     enn_k: int = 3
     target_ratio: float = 1.0
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if self.smote_k < 1 or self.enn_k < 1:
             raise ValueError("neighbor counts must be >= 1")
         if self.target_ratio <= 0.0:
             raise ValueError("target_ratio must be positive")
 
 
-@dataclass
-class StageRecord:
+class StageRecord(NamedTuple):
     """One stage's row accounting; the fields after `name` run in
     `resample.kv` order."""
 
@@ -61,11 +60,10 @@ class StageRecord:
     bot: int
 
 
-@dataclass
-class ResampleDiagnostics:
+class ResampleDiagnostics(NamedTuple):
     strategy: Strategy
-    stages: list[StageRecord] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
+    stages: list[StageRecord]
+    assumptions: list[str]
 
     def record(self, name: str, before: FeatureMatrix, after: FeatureMatrix) -> None:
         n_in, n_out = before.n_rows, after.n_rows
@@ -75,7 +73,7 @@ class ResampleDiagnostics:
     def to_kv_lines(self) -> list[str]:
         lines = [f"strategy = {self.strategy.value}"]
         for s in self.stages:
-            lines += [f"stage.{s.name}.{f.name} = {getattr(s, f.name)}" for f in fields(s)[1:]]
+            lines += [f"stage.{s.name}.{k} = {v}" for k, v in zip(s._fields[1:], s[1:])]
         lines += [f"assumption.{i} = {note}" for i, note in enumerate(self.assumptions)]
         return lines
 
@@ -234,15 +232,16 @@ def apply_strategy(
     matrix: FeatureMatrix, config: ResampleConfig
 ) -> tuple[FeatureMatrix, ResampleDiagnostics]:
     """Run the configured pipeline and report per-stage row accounting."""
-    diag = ResampleDiagnostics(strategy=config.strategy)
     defaults = ResampleConfig()
+    assumptions = []
     if config.strategy != Strategy.NONE:
         if config.smote_k == defaults.smote_k:
-            diag.assumptions.append("smote_k defaulted to 5")
+            assumptions.append("smote_k defaulted to 5")
         if config.target_ratio == defaults.target_ratio:
-            diag.assumptions.append("target_ratio defaulted to 1.0 (full balance)")
+            assumptions.append("target_ratio defaulted to 1.0 (full balance)")
     if config.strategy in (Strategy.SMOTENN,) and config.enn_k == defaults.enn_k:
-        diag.assumptions.append("enn_k defaulted to 3")
+        assumptions.append("enn_k defaulted to 3")
+    diag = ResampleDiagnostics(config.strategy, [], assumptions)
 
     if config.strategy == Strategy.NONE:
         diag.record("none", matrix, matrix)

@@ -43,8 +43,10 @@ TAG_SET = frozenset(
 TokenSequence = list[str]
 
 _URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)", re.IGNORECASE)
-_USER_RE = re.compile(r"(?<!\w)@\w+")
-_HASHTAG_RE = re.compile(r"(?<!\S)#(\w+)")
+# Each pattern opens with its literal character, so `re` searches for it
+# first; the lookbehind after it then checks the character before it.
+_USER_RE = re.compile(r"@(?<!\w@)\w+")
+_HASHTAG_RE = re.compile(r"#(?<!\S#)(\w+)")
 # Repeated sentence punctuation; only applied when the <repeat> tag is enabled.
 _PUNCT_REPEAT_RE = re.compile(r"([!?.])[!?.]+")
 

@@ -7,8 +7,11 @@ conventions (z-scored distances, lower-index tie breaks).
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
+from botdetect import tokenizer
 from botdetect.baselines import BaselineConfig
 from botdetect.data import FeatureMatrix, Standardizer
 from botdetect.tokenizer import tokenize
@@ -375,3 +378,22 @@ def per_tweet_tensors(pipeline, tweets):
         lengths[i] = len(kept)
     metadata = np.array([tweet.metadata for tweet in tweets], dtype=np.float64)
     return ids, lengths, metadata
+
+
+# -- tokenizer ---------------------------------------------------------------
+
+# The mention and hashtag patterns as the tokenizer first wrote them, each
+# opening with its lookbehind, so that `re` tries a match at every position.
+LOOKBEHIND_USER_RE = re.compile(r"(?<!\w)@\w+")
+LOOKBEHIND_HASHTAG_RE = re.compile(r"(?<!\S)#(\w+)")
+
+
+def lookbehind_tokenize(text: str, repeat_tag: bool = False) -> list[str]:
+    """`tokenize`, with the lookbehind-first mention and hashtag patterns in
+    place of the library's literal-first ones."""
+    s = tokenizer._URL_RE.sub(f" {tokenizer.URL} ", text)
+    s = LOOKBEHIND_USER_RE.sub(f" {tokenizer.USER} ", s)
+    s = LOOKBEHIND_HASHTAG_RE.sub(lambda m: f" {tokenizer.HASHTAG} {m.group(1)} ", s)
+    if repeat_tag:
+        s = tokenizer._PUNCT_REPEAT_RE.sub(lambda m: f" {m.group(1)} {tokenizer.REPEAT} ", s)
+    return [token for raw in s.split() for token in tokenizer._expand_token(raw)]

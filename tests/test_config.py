@@ -1,8 +1,10 @@
-from dataclasses import fields
+import importlib
+import pkgutil
 from typing import get_type_hints
 
 import pytest
 
+import botdetect
 from botdetect.baselines import BaselineConfig
 from botdetect.cli import NET_CONFIGS, RunConfig, _part
 from botdetect.config import BOOL_WORDS, from_strings, to_strings
@@ -55,10 +57,35 @@ def test_fields_shared_with_run_config_have_its_types(part):
     # The CLI lets RunConfig's values win, while tests build sub-configs from
     # their own defaults; the two must agree. NetConfig.embedding_dim has no
     # default, and RunConfig's epochs of 0 means the net's 30.
-    run_defaults = {f.name: f.default for f in fields(RunConfig)}
-    defaults = {f.name: f.default for f in fields(part) if f.name in shared
-                and (part, f.name) not in {(NetConfig, "embedding_dim"), (NetConfig, "epochs")}}
+    run_defaults = RunConfig._field_defaults
+    defaults = {name: default for name, default in part._field_defaults.items() if name in shared
+                and (part, name) not in {(NetConfig, "embedding_dim"), (NetConfig, "epochs")}}
     assert defaults == {name: run_defaults[name] for name in defaults}
+
+
+def _records():
+    """Every record class the package defines: each NamedTuple in each of
+    its modules."""
+    found = set()
+    for info in pkgutil.walk_packages(botdetect.__path__, "botdetect."):
+        module = importlib.import_module(info.name)
+        found.update(value for value in vars(module).values()
+                     if isinstance(value, type) and issubclass(value, tuple)
+                     and hasattr(value, "_fields") and value.__module__ == info.name)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def test_no_record_defaults_to_a_mutable_container():
+    # A default is one object shared by every instance built without the
+    # field; a list, dict or set there would carry one instance's changes
+    # into the next.
+    records = _records()
+    assert {"EvalReport", "TrainingTrace", "GroupDiagnostics", "LoadDiagnostics",
+            "ResampleDiagnostics", "RunConfig", "NetConfig"} <= {r.__name__ for r in records}
+    for record in records:
+        mutable = {name: default for name, default in record._field_defaults.items()
+                   if isinstance(default, (list, dict, set))}
+        assert mutable == {}, record.__name__
 
 
 def test_part_takes_run_config_fields_and_given_values_over_them():

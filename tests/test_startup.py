@@ -1,5 +1,6 @@
-"""Each command loads only the layer modules its own path needs, and one
-process builds the argument parser once.
+"""Each command loads only the layer modules its own path needs, defines
+its records without `dataclasses`, and one process builds the argument
+parser once.
 
 Every check runs `main` in a fresh interpreter and reads `sys.modules`
 after it returns, so no module that another test imported can hide a load.
@@ -17,12 +18,13 @@ from botdetect.cli import build_parser, main
 
 SRC = os.path.dirname(os.path.dirname(botdetect.__file__))
 # Runs each argv list of argv[1] (JSON) through one `main`, then prints the
-# exit codes, the parser builds and the loaded botdetect modules.
+# exit codes, the parser builds and the loaded botdetect modules, with
+# `dataclasses` among them if it was imported.
 PROBE = """
 import json, sys
 from botdetect.cli import build_parser, main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-mods = sorted(m for m in sys.modules if m.startswith("botdetect"))
+mods = sorted(m for m in sys.modules if m.startswith("botdetect") or m == "dataclasses")
 print(json.dumps([codes, build_parser.cache_info().misses, mods]))
 """
 
@@ -31,8 +33,9 @@ NET_CODE = ("botdetect.nnet.model", "botdetect.nnet.lstm", "botdetect.embedding"
 
 
 def _probe(commands, cwd):
-    """(exit codes, parser builds, loaded botdetect modules, stdout) of the
-    commands run in order in one fresh process."""
+    """(exit codes, parser builds, loaded botdetect modules and
+    `dataclasses`, stdout) of the commands run in order in one fresh
+    process."""
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)], cwd=cwd,
                           capture_output=True, text=True, timeout=300,
                           env=dict(os.environ, PYTHONPATH=SRC))
@@ -108,6 +111,7 @@ def test_account_runs_load_no_net_code(work, tmp_path, command):
     assert codes == [0]
     assert {"botdetect.baselines.boost", "botdetect.resample"} <= mods
     assert sorted(mods.intersection(NET_CODE)) == []
+    assert "dataclasses" not in mods
 
 
 def test_tweet_training_loads_no_baseline_resampler_or_introspection(work, tmp_path):
@@ -117,6 +121,7 @@ def test_tweet_training_loads_no_baseline_resampler_or_introspection(work, tmp_p
     assert codes == [0]
     assert "botdetect.nnet.lstm" in mods
     assert _baseline_or_resampler(mods) == [] and "botdetect.introspect" not in mods
+    assert "dataclasses" not in mods
 
 
 def test_one_process_builds_one_parser():
@@ -127,8 +132,9 @@ def test_two_commands_in_one_process_match_two_processes(work, tmp_path):
     commands = [_scoring_argv(work, "eval", "e"), _scoring_argv(work, "inspect", "i")]
     (tmp_path / "one").mkdir()
     (tmp_path / "two").mkdir()
-    codes, builds, _, printed = _probe(commands, tmp_path / "one")
+    codes, builds, mods, printed = _probe(commands, tmp_path / "one")
     assert codes == [0, 0] and builds == 1
+    assert "dataclasses" not in mods
     apart = []
     for argv in commands:
         codes, builds, _, lines = _probe([argv], tmp_path / "two")

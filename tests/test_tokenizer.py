@@ -10,6 +10,7 @@ from botdetect.tokenizer import TAG_SET, tokenize
 
 from golden_tokenizer import GOLDEN_CASES, REPEAT_CASES, REPEAT_OFF_CASES
 from helpers import plain_words
+from oracles import lookbehind_tokenize
 
 
 @pytest.mark.parametrize("text,expected", GOLDEN_CASES, ids=lambda v: repr(v)[:40])
@@ -54,6 +55,28 @@ def test_closure(text):
 def test_idempotent_on_plain_words(text):
     words = plain_words(tokenize(text))
     assert tokenize(" ".join(words)) == words
+
+
+# Pieces of text around which the mention and hashtag lookbehinds decide:
+# word and non-word characters, whitespace, letters that are unusual in
+# case or class (ß, the long s ſ, the Arabic-Indic digit ١), a combining
+# mark, an emoji, and the URL openings that the pass before them removes.
+_EDGE_PIECES = list("@#_09aZ.:/ \t\né١ßſ\u0301\U0001f602") + ["http://", "www."]
+
+
+def test_literal_first_patterns_match_the_oracle_on_golden_texts():
+    texts = [text for text, _ in GOLDEN_CASES + REPEAT_CASES + REPEAT_OFF_CASES
+             if isinstance(text, str)]
+    for repeat_tag in (False, True):
+        assert [tokenize(t, repeat_tag=repeat_tag) for t in texts] == \
+            [lookbehind_tokenize(t, repeat_tag) for t in texts]
+
+
+@given(st.lists(st.sampled_from(_EDGE_PIECES), max_size=40).map("".join), st.booleans())
+@example("a@b @c #d e#f @@g ##h _@i ١#j", False)
+@settings(max_examples=500, deadline=None)
+def test_literal_first_patterns_match_the_lookbehind_oracle(text, repeat_tag):
+    assert tokenize(text, repeat_tag=repeat_tag) == lookbehind_tokenize(text, repeat_tag)
 
 
 def test_word_order_preserved():
