@@ -45,7 +45,7 @@ class Entry(NamedTuple):
     predict: Callable  # (params, x) -> bot probabilities
     fields: tuple[str, ...]  # config fields echoed into checkpoints
     tensors: Callable  # config -> names of the params' tensors
-    fits: Callable  # (params, width) -> whether the params score width-wide rows
+    fits: Callable  # (params, config, width) -> whether the params score width-wide rows
 
 
 # Every entry calls through this module's globals, so rebinding a name here
@@ -56,28 +56,28 @@ REGISTRY = {
         lambda params, x: predict_logreg(params, x),
         ("logreg_epochs", "logreg_lr"),
         lambda config: ("w", "b"),
-        lambda params, width: linear_fits(params, width),
+        lambda params, config, width: linear_fits(params, width),
     ),
     BaselineKind.SGD: Entry(
         lambda x, y, config, rng: fit_sgd(x, y, config, rng),
         lambda params, x: predict_sgd(params, x),
         ("sgd_epochs", "sgd_lr", "sgd_l2"),
         lambda config: ("w", "b", "platt"),
-        lambda params, width: linear_fits(params, width),
+        lambda params, config, width: linear_fits(params, width),
     ),
     BaselineKind.FOREST: Entry(
         lambda x, y, config, rng: fit_forest(x, y, config),
         lambda params, x: predict_forest(params, x),
         ("n_trees", "max_depth", "min_leaf"),
         lambda config: tree_names(config.n_trees),
-        lambda params, width: trees_fit(params, width),
+        lambda params, config, width: trees_fit(params, width),
     ),
     BaselineKind.ADABOOST: Entry(
         lambda x, y, config, rng: fit_adaboost(x, y, config),
         lambda params, x: predict_adaboost(params, x),
         ("n_stumps",),
         lambda config: ("stumps",),
-        lambda params, width: stumps_fit(params, width),
+        lambda params, config, width: stumps_fit(params, width),
     ),
     BaselineKind.MLP: Entry(
         lambda x, y, config, rng: fit_mlp(x, y, config, rng),
@@ -85,7 +85,7 @@ REGISTRY = {
         ("mlp_layers", "mlp_lr", "mlp_beta1", "mlp_beta2", "mlp_eps", "mlp_batch",
          "mlp_epochs"),
         lambda config: tuple(f"{p}{i}" for i in range(len(config.mlp_layers)) for p in "Wb"),
-        lambda params, width: mlp_fits(params, width),
+        lambda params, config, width: mlp_fits(params, config.mlp_layers, width),
     ),
 }
 
@@ -138,11 +138,9 @@ def load_baseline(meta, arrays) -> BaselineModel:
     })
     kind = BaselineKind(meta["kind"])
     schema = tuple(meta["schema"].split(","))
-    standardizer = Standardizer.load(arrays, "standardizer")
+    standardizer = Standardizer.load(arrays, "standardizer", len(schema))
     params = {name: arrays[name] for name in REGISTRY[kind].tensors(config)}
-    if standardizer.mean.shape != (len(schema),) or standardizer.std.shape != (len(schema),):
-        raise ParseError(f"{arrays.path}: the standardizer is not {len(schema)} wide")
-    if not REGISTRY[kind].fits(params, len(schema)):
+    if not REGISTRY[kind].fits(params, config, len(schema)):
         raise ParseError(f"{arrays.path}: the {kind.value} tensors cannot score "
                          f"{len(schema)}-wide rows")
     return BaselineModel(kind, schema, standardizer, config, params)

@@ -42,16 +42,16 @@ def mlp_forward(params: dict, x: np.ndarray) -> np.ndarray:
     return sigmoid(dense_forward(params, _layers(params), x)[0])[:, 0]
 
 
-def mlp_fits(params: dict, width: int) -> bool:
-    """Whether the layers chain from width inputs to one output, with finite
-    weights."""
+def mlp_fits(params: dict, layers: tuple[int, ...], width: int) -> bool:
+    """Whether W{i} and b{i} have the shapes that layers of the given sizes
+    take from width inputs, end in one output, and hold finite weights."""
     fan_in = width
-    for i in range(len(params) // 2):
+    for i, size in enumerate(layers):
         w, b = params[f"W{i}"], params[f"b{i}"]
-        if w.ndim != 2 or w.shape[1] != fan_in or b.shape != w.shape[:1] \
+        if w.shape != (size, fan_in) or b.shape != (size,) \
                 or not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             return False
-        fan_in = w.shape[0]
+        fan_in = size
     return fan_in == 1
 
 

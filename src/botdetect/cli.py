@@ -63,9 +63,10 @@ from .ingest import (
 )
 from .metrics import EvalReport, evaluate
 
-# The tweet-level net models, by RunConfig.model: the NetConfig classmethod
-# that builds each one's config.
-NET_CONFIGS = {"lstm": "tweet_only", "contextual": "contextual"}
+# The tweet-level net models, by RunConfig.model: the NetConfig values that
+# set each apart.
+NET_CONFIGS = {"lstm": {"use_metadata": False, "use_aux": False, "loss_weights": (1.0, 0.0)},
+               "contextual": {}}
 # The data error of a float overflow or invalid value (see above).
 FLOAT_ERROR = "float arithmetic failed ({})"
 
@@ -194,9 +195,8 @@ def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
 
 def _part(cls, config: RunConfig, **given):
     """A sub-config from the RunConfig fields it shares by name, and the given
-    values. cls is a record, or a classmethod that builds one."""
-    shared = {name: getattr(config, name) for name in getattr(cls, "__self__", cls)._fields
-              if name in config._fields}
+    values."""
+    shared = {name: getattr(config, name) for name in cls._fields if name in config._fields}
     return cls(**{**shared, **given})
 
 
@@ -266,7 +266,7 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
         sub_fit, sub_val = split_indices(labels[train_idx], inner)
         fit_idx, val_idx = train_idx[sub_fit], train_idx[sub_val]
 
-    net_config = _part(getattr(NetConfig, NET_CONFIGS[config.model]), config,
+    net_config = _part(NetConfig, config, **NET_CONFIGS[config.model],
                        embedding_dim=table.dimension, epochs=config.epochs or 30)
     model, trace = train_net(net_config, table.matrix, rows(fit_idx),
                              validation=rows(val_idx) if val_idx.size else None)

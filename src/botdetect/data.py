@@ -211,12 +211,13 @@ class Standardizer(NamedTuple):
         return cls(mean=mean, std=std)
 
     @classmethod
-    def load(cls, arrays, prefix: str) -> Standardizer:
-        """The standardizer a checkpoint's tensors (`persist.load_model`)
-        hold as `<prefix>.mean` and `<prefix>.std`. A mean that is not finite,
-        or a std that is not positive and finite, is a ParseError: `fit`
-        writes neither, and scoring would divide by it."""
-        mean, std = arrays[f"{prefix}.mean"], arrays[f"{prefix}.std"]
+    def load(cls, arrays, prefix: str, width: int) -> Standardizer:
+        """The width-wide standardizer a checkpoint's tensors
+        (`persist.load_model`) hold as `<prefix>.mean` and `<prefix>.std`. A
+        tensor of another shape, a mean that is not finite, or a std that is
+        not positive and finite, is a ParseError: `fit` writes none of them,
+        and scoring would divide by such a std."""
+        mean, std = (arrays.shaped(f"{prefix}.{name}", (width,)) for name in ("mean", "std"))
         if not np.all(np.isfinite(mean)):
             raise ParseError(f"{arrays.path}: tensor '{prefix}.mean' is not finite")
         if not np.all(np.isfinite(std) & (std > 0.0)):

@@ -16,14 +16,15 @@ from typing import NamedTuple
 import numpy as np
 
 from ..config import from_strings, to_strings
-from ..data import CHECKPOINT_KINDS, Standardizer, checked
+from ..data import CHECKPOINT_KINDS, TWEET_METADATA_COLUMNS, Standardizer, checked
 from ..errors import DegenerateData, DimensionMismatch, ParseError, TrainingError, float_errors
+from ..metrics import auc
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
     dense_backward, dense_forward, glorot_uniform, sigmoid
 from .lstm import GATES, init_lstm_params, lstm_backward, lstm_forward
 
-METADATA_DIM = 6
+METADATA_DIM = len(TWEET_METADATA_COLUMNS)
 # The main head's layers, as (W key, b key): dense1 -> dense2 -> main.
 HEAD = (("dense1.W", "dense1.b"), ("dense2.W", "dense2.b"), ("main.W", "main.b"))
 
@@ -67,38 +68,27 @@ class NetConfig(NamedTuple):
                        "main.W": (1, d2), "main.b": (1,)})
         return shapes
 
-    @classmethod
-    def contextual(cls, embedding_dim: int, **overrides) -> NetConfig:
-        return cls(embedding_dim=embedding_dim, **overrides)
-
-    @classmethod
-    def tweet_only(cls, embedding_dim: int, **overrides) -> NetConfig:
-        overrides.setdefault("loss_weights", (1.0, 0.0))
-        return cls(
-            embedding_dim=embedding_dim,
-            use_metadata=False,
-            use_aux=False,
-            **overrides,
-        )
-
 
 class ContextualLstmModel:
     """All learned parameters plus the hyperparameters that produced them."""
 
     def __init__(self, config: NetConfig, params: dict[str, np.ndarray],
-                 metadata_standardizer: Standardizer | None = None):
+                 metadata_standardizer: Standardizer | None):
         self.config = config
         self.params = params
         self.metadata_standardizer = metadata_standardizer
 
     @classmethod
     def initialize(cls, config: NetConfig) -> ContextualLstmModel:
+        """Fresh parameters; a net that reads metadata starts with the
+        identity standardizer (mean 0, std 1), which `train` replaces."""
         rng = np.random.Generator(np.random.PCG64(config.seed))
         params = init_lstm_params(rng, config.embedding_dim, config.hidden_dim)
         # The heads follow the LSTM's tensors.
         for name, shape in list(config.param_shapes().items())[len(params):]:
             params[name] = glorot_uniform(rng, shape) if name.endswith(".W") else np.zeros(shape)
-        return cls(config, params)
+        identity = Standardizer(mean=np.zeros(METADATA_DIM), std=np.ones(METADATA_DIM))
+        return cls(config, params, identity if config.use_metadata else None)
 
     # -- forward ---------------------------------------------------------
 
@@ -116,9 +106,7 @@ class ContextualLstmModel:
         if cfg.use_metadata:
             if metadata is None or metadata.shape[1] != METADATA_DIM:
                 raise DimensionMismatch("metadata must be a (B, 6) array")
-            if self.metadata_standardizer is not None:
-                metadata = self.metadata_standardizer.transform(metadata)
-            u = np.concatenate([final_h, metadata], axis=1)
+            u = np.concatenate([final_h, self.metadata_standardizer.transform(metadata)], axis=1)
         else:
             u = final_h
         z_main, head = dense_forward(p, HEAD, u)
@@ -186,7 +174,7 @@ class ContextualLstmModel:
         meta.update(use_metadata=int(cfg.use_metadata), use_aux=int(cfg.use_aux))
         meta.update(extra_meta or {})
         arrays = dict(self.params)
-        if self.metadata_standardizer is not None:
+        if cfg.use_metadata:
             arrays["meta_standardizer.mean"] = self.metadata_standardizer.mean
             arrays["meta_standardizer.std"] = self.metadata_standardizer.std
         save_model(path, meta, arrays)
@@ -195,25 +183,23 @@ class ContextualLstmModel:
     def load(cls, meta, arrays) -> ContextualLstmModel:
         """Rebuild a model from a parsed checkpoint (`persist.load_model`); a
         missing tensor is a ParseError naming it, and so are a tensor of
-        another shape or with an infinite weight and a standardizer
-        `Standardizer.load` refuses."""
+        another shape or with an infinite weight, a standardizer
+        `Standardizer.load` refuses, and a kind that `use_metadata` does not
+        give."""
         values = {name: meta[name] for name in NetConfig._fields if name != "loss_weights"}
         values["loss_weights"] = f"{meta['loss_weight_main']},{meta['loss_weight_aux']}"
         config = from_strings(NetConfig, values)
         # Shapes come from the meta, and are checked before any is used.
         shapes = config.param_shapes()
-        standardizer = None
-        if "meta_standardizer.mean" in arrays:
-            standardizer = Standardizer.load(arrays, "meta_standardizer")
-            shapes.update({f"meta_standardizer.{s}": (METADATA_DIM,) for s in ("mean", "std")})
         for name, shape in shapes.items():
-            if arrays[name].shape != shape:
-                raise ParseError(f"{arrays.path}: tensor {name!r} has shape "
-                                 f"{arrays[name].shape}, expected {shape}")
-            if not np.all(np.isfinite(arrays[name])):
+            if not np.all(np.isfinite(arrays.shaped(name, shape))):
                 raise ParseError(f"{arrays.path}: tensor {name!r} is not finite")
-        params = {name: arrays[name] for name in shapes if not name.startswith("meta_")}
-        return cls(config, params, standardizer)
+        standardizer = Standardizer.load(arrays, "meta_standardizer", METADATA_DIM) \
+            if config.use_metadata else None
+        if (meta["kind"] == CHECKPOINT_KINDS[0]) != config.use_metadata:
+            raise ParseError(f"{arrays.path}: kind {meta['kind']!r} disagrees with "
+                             f"use_metadata = {meta['use_metadata']}")
+        return cls(config, {name: arrays[name] for name in shapes}, standardizer)
 
 
 def blended_loss(main_score, aux_score, label,
@@ -284,8 +270,6 @@ def train(
     whose loss is not finite, and a validation pass that overflows, raise
     TrainingError.
     """
-    from ..metrics import auc as compute_auc  # local import avoids a cycle
-
     ids_all, lengths_all, meta_all, labels = corpus
     if len(ids_all) == 0:
         raise DegenerateData("training corpus is empty")
@@ -329,7 +313,7 @@ def train(
             vy = np.asarray(vlabels, dtype=np.float64)
             val_accuracy = float(np.mean((vmain >= 0.5) == (vy == 1.0)))
             if len(set(vy.tolist())) == 2:
-                val_auc = compute_auc(vmain, vy.astype(np.int8))
+                val_auc = auc(vmain, vy.astype(np.int8))
         trace.epochs.append(EpochRecord(epoch, epoch_main / seen, epoch_aux / seen,
                                         epoch_total / seen, val_accuracy, val_auc))
     return model, trace

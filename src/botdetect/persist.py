@@ -34,24 +34,35 @@ class Entries(dict):
     def __missing__(self, key):
         raise ParseError(f"{self.path}: missing {self.sort} {key!r}")
 
+    def shaped(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The tensor `name`; another shape is a ParseError naming both."""
+        if self[name].shape != shape:
+            raise ParseError(f"{self.path}: tensor {name!r} has shape {self[name].shape}, "
+                             f"expected {shape}")
+        return self[name]
+
 
 def save_model(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    lines = [FORMAT_HEADER]
+    """Write the checkpoint row by row, so that no copy of the whole text is
+    held; a meta entry with a newline is refused before the file is opened."""
+    meta_lines = []
     for key, value in meta.items():
         text = str(value)
         if "\n" in text or "\n" in str(key):
             raise ValueError(f"meta entry {key!r} contains a newline")
-        lines.append(f"meta {key} = {text}")
-    for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        dims = " ".join(str(d) for d in arr.shape)
-        lines.append(f"tensor {name} {arr.ndim} {dims}".rstrip())
-        # A 2-D tensor is one line per row; any other rank is one line.
-        rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
-        lines.extend(" ".join(map(repr, row)) for row in rows.tolist())
-    lines.append("end")
+        meta_lines.append(f"meta {key} = {text}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(FORMAT_HEADER + "\n")
+        fh.writelines(meta_lines)
+        for name, arr in arrays.items():
+            arr = np.asarray(arr, dtype=np.float64)
+            dims = " ".join(str(d) for d in arr.shape)
+            fh.write(f"tensor {name} {arr.ndim} {dims}".rstrip() + "\n")
+            # A 2-D tensor is one line per row; any other rank is one line.
+            rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
+            for row in rows.tolist():
+                fh.write(" ".join(map(repr, row)) + "\n")
+        fh.write("end\n")
 
 
 def load_model(path) -> tuple[Entries, Entries]:

@@ -174,9 +174,7 @@ def scalar_contextual_forward(model, x: np.ndarray, true_length: int,
     p = model.params
     final_h, _ = scalar_lstm_final(p, x, true_length)
     if model.config.use_metadata:
-        meta = model.metadata_standardizer.transform(metadata) \
-            if model.metadata_standardizer is not None else metadata
-        u = np.concatenate([final_h, meta])
+        u = np.concatenate([final_h, model.metadata_standardizer.transform(metadata)])
     else:
         u = final_h
     r1 = np.array([max(0.0, float(p["dense1.W"][i] @ u) + p["dense1.b"][i])

@@ -14,7 +14,7 @@ import pytest
 
 from botdetect import baselines
 from botdetect.baselines import BaselineConfig, BaselineKind
-from botdetect.cli import RunConfig, run_experiment
+from botdetect.cli import NET_CONFIGS, RunConfig, run_experiment
 from botdetect.data import (
     ACCOUNT_FEATURE_COLUMNS,
     FeatureMatrix,
@@ -122,7 +122,7 @@ def test_criterion_4_gradient_verification():
         worst = 0.0
         for batch in range(5):
             rng = np.random.Generator(np.random.PCG64(3000 + batch))
-            config = NetConfig.contextual(embedding_dim=25, seed=4000 + batch)
+            config = NetConfig(embedding_dim=25, seed=4000 + batch)
             model = ContextualLstmModel.initialize(config)
             x = rng.standard_normal((3, 6, 25)).transpose(1, 0, 2)
             lengths = np.array([6, int(rng.integers(2, 6)), int(rng.integers(1, 4))])
@@ -164,7 +164,7 @@ def test_criterion_5_loss_identity():
             vocab.update(tokenize(tweet.text))
         table = fixture_table(vocab, 25, seed=51)
         dataset = _tweet_dataset(spec, table)
-        config = NetConfig.contextual(embedding_dim=25, epochs=10, batch_size=32, seed=52)
+        config = NetConfig(embedding_dim=25, epochs=10, batch_size=32, seed=52)
         _, trace = train(config, table.matrix, dataset)
         assert trace.steps, "no steps recorded"
         assert len({epoch for epoch, *_ in trace.steps}) == 10
@@ -191,11 +191,12 @@ def test_criterion_6_tweet_level_desk_benchmark():
             train_idx, test_idx = split_indices(labels, SplitSpec(0.8, True, seed))
             fit_set = tuple(a[train_idx] for a in dataset)
             test_ids, test_lengths, test_meta, _ = (a[test_idx] for a in dataset)
-            for maker, bucket in (
-                (NetConfig.contextual, contextual_aucs),
-                (NetConfig.tweet_only, tweet_only_aucs),
+            for variant, bucket in (
+                (NET_CONFIGS["contextual"], contextual_aucs),
+                (NET_CONFIGS["lstm"], tweet_only_aucs),
             ):
-                config = maker(embedding_dim=25, epochs=12, batch_size=64, seed=seed)
+                config = NetConfig(embedding_dim=25, epochs=12, batch_size=64, seed=seed,
+                                   **variant)
                 model, _ = train(config, table.matrix, fit_set)
                 scores = model.predict_proba(table.matrix, test_ids, test_lengths, test_meta)
                 bucket.append(auc(scores, labels[test_idx]))
@@ -351,7 +352,7 @@ def test_criterion_10_introspection_conservation():
         table = fixture_table(vocab, 25, seed=101)
         ids, lengths, metadata = TweetPipeline(table).tensors(tweets)
         labels = np.array([t.label for t in tweets])
-        config = NetConfig.contextual(embedding_dim=25, epochs=2, batch_size=32, seed=102)
+        config = NetConfig(embedding_dim=25, epochs=2, batch_size=32, seed=102)
         model, _ = train(config, table.matrix, (ids, lengths, metadata, labels))
 
         report = unit_distributions(model, TweetPipeline(table), tweets)

@@ -270,6 +270,8 @@ UNUSABLE = [
     pytest.param("forest", "tree_000", _with_cell(np.inf, (0, 1)), id="forest-root-threshold-inf"),
     pytest.param("forest", "tree_000", _with_cell(0.5, (-1, 4)), id="forest-leaf-vote-half"),
     pytest.param("adaboost", "stumps", _with_cell(np.inf, (0, 3)), id="adaboost-alpha-inf"),
+    # A meta entry, edited in place of a tensor: layers the tensors do not have.
+    pytest.param("mlp", "config.mlp_layers", lambda text: "9,1", id="mlp-layers-9-1"),
 ]
 
 
@@ -280,7 +282,8 @@ def test_load_refuses_tensors_that_cannot_score(tmp_path, kind, name, change):
     save_baseline(baselines.fit(kind, _xor(seed=16, per_cluster=20), cfg), path)
     meta, arrays = load_model(path)
     load_baseline(meta, arrays)
-    arrays[name] = change(arrays[name])
+    entries = meta if name in meta else arrays
+    entries[name] = change(entries[name])
     with pytest.raises(ParseError, match=f"{kind} tensors cannot score 2-wide rows"):
         load_baseline(meta, arrays)
 

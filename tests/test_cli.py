@@ -383,7 +383,7 @@ def _checkpoint_texts(corpus, tmp_path):
     meta and metadata standardizer), a forest, an adaboost and a logreg
     checkpoint; all as text, by name."""
     table = load_glove(corpus / "glove_25d.txt", 25)
-    net = ContextualLstmModel.initialize(NetConfig.contextual(embedding_dim=25, seed=1))
+    net = ContextualLstmModel.initialize(NetConfig(embedding_dim=25, seed=1))
     net.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
     net.save(tmp_path / "net.txt", {"config_hash": "0" * 8, **TweetPipeline(table).meta()})
     rng = np.random.Generator(np.random.PCG64(0))
@@ -473,6 +473,9 @@ MALFORMED = {
     "net_no_lstm_tensor": (3, "eval", ("net", "U_f", None)),
     "net_no_dense_tensor": (3, "eval", ("net", "dense2.b", None)),
     "net_no_aux_tensor": (3, "inspect", ("net", "aux.W", None)),
+    "net_no_meta_standardizer": (3, "eval", ("net", "meta_standardizer", None)),
+    "net_kind_tweet_lstm": (3, "eval", ("net", "meta kind = contextual_lstm",
+                                        "meta kind = tweet_lstm")),
     # Extra argv after a checkpoint edit is appended to the command.
     "eval_threshold_7": (2, "eval", ("forest", "", "", "--threshold", "7")),
     # Any other argv runs as given; {tmp} is the test's directory, which

@@ -92,8 +92,9 @@ def test_part_takes_run_config_fields_and_given_values_over_them():
     config = RunConfig(seed=7, train_fraction=0.6, learning_rate=0.01, batch_size=16)
     assert _part(SplitSpec, config) == SplitSpec(0.6, True, 7)
     assert _part(SplitSpec, config, train_fraction=0.9) == SplitSpec(0.9, True, 7)
-    assert _part(getattr(NetConfig, NET_CONFIGS["lstm"]), config, embedding_dim=5, epochs=30) == \
-        NetConfig.tweet_only(embedding_dim=5, learning_rate=0.01, batch_size=16, epochs=30, seed=7)
+    assert _part(NetConfig, config, **NET_CONFIGS["lstm"], embedding_dim=5, epochs=30) == \
+        NetConfig(embedding_dim=5, use_metadata=False, use_aux=False, loss_weights=(1.0, 0.0),
+                  learning_rate=0.01, batch_size=16, epochs=30, seed=7)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -125,7 +126,7 @@ def test_typed_values_win():
 @pytest.mark.parametrize("config", [
     RunConfig(seed=4, stratified=False, mlp_layers=(8, 1), learning_rate=2e-3),
     BaselineConfig(seed=2, mlp_layers=(3, 1), sgd_l2=1e-5),
-    NetConfig.tweet_only(embedding_dim=7, dense_sizes=(5, 3), adam_eps=1e-7),
+    NetConfig(embedding_dim=7, dense_sizes=(5, 3), adam_eps=1e-7, **NET_CONFIGS["lstm"]),
 ])
 def test_round_trip(config):
     assert from_strings(type(config), to_strings(config)) == config

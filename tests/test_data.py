@@ -103,11 +103,11 @@ def test_standardizer_load_refuses_what_fit_never_writes(tensor, value):
     s = Standardizer.fit(np.arange(12.0).reshape(4, 3))
     arrays = Entries("model.txt", "tensor")
     arrays.update({"s.mean": s.mean, "s.std": s.std})
-    loaded = Standardizer.load(arrays, "s")
+    loaded = Standardizer.load(arrays, "s", 3)
     assert loaded.mean is s.mean and loaded.std is s.std
     arrays[f"s.{tensor}"] = np.array([1.0, value, 1.0])
     with pytest.raises(ParseError, match=f"model.txt: tensor 's.{tensor}' is not"):
-        Standardizer.load(arrays, "s")
+        Standardizer.load(arrays, "s", 3)
 
 
 def test_matrix_csv_round_trip():

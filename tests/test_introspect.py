@@ -41,7 +41,7 @@ def table():
 
 @pytest.fixture(scope="module")
 def model():
-    config = NetConfig.contextual(embedding_dim=5, hidden_dim=8, dense_sizes=(6, 4), seed=2)
+    config = NetConfig(embedding_dim=5, hidden_dim=8, dense_sizes=(6, 4), seed=2)
     return ContextualLstmModel.initialize(config)
 
 
@@ -105,7 +105,7 @@ def test_unit_distributions_require_both_classes(model, table):
 
 
 def test_zero_model_concentrates_mass_at_zero(table):
-    config = NetConfig.contextual(embedding_dim=5, hidden_dim=8, dense_sizes=(6, 4))
+    config = NetConfig(embedding_dim=5, hidden_dim=8, dense_sizes=(6, 4))
     zero = ContextualLstmModel.initialize(config)
     for key in zero.params:
         zero.params[key] = np.zeros_like(zero.params[key])
@@ -141,7 +141,7 @@ def test_trained_model_separates_units():
     table = fixture_table(vocab, 25, seed=3)
     ids, lengths, metadata = TweetPipeline(table).tensors(tweets)
     labels = np.array([t.label for t in tweets])
-    config = NetConfig.contextual(embedding_dim=25, epochs=6, batch_size=32, seed=9)
+    config = NetConfig(embedding_dim=25, epochs=6, batch_size=32, seed=9)
     model, _ = train(config, table.matrix, (ids, lengths, metadata, labels))
     report = unit_distributions(model, TweetPipeline(table), tweets)
     assert report.ks_by_unit.max() >= 0.5

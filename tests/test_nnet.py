@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from botdetect.cli import NET_CONFIGS
 from botdetect.data import Label, Standardizer, TweetRecord
 from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import DegenerateData, DimensionMismatch, ParseError, TrainingError
@@ -201,14 +202,15 @@ def test_scoring_permuted_rows_permute_final_states_bitwise(case):
     assert np.array_equal(permuted, scored[perm])
 
 
-@pytest.mark.parametrize("maker", [NetConfig.contextual, NetConfig.tweet_only])
-def test_predict_proba_equals_training_forward_scores(maker):
+@pytest.mark.parametrize("variant", [pytest.param(NET_CONFIGS["contextual"], id="contextual"),
+                                     pytest.param(NET_CONFIGS["lstm"], id="tweet_only")])
+def test_predict_proba_equals_training_forward_scores(variant):
     rng = np.random.Generator(np.random.PCG64(52))
     matrix = rng.standard_normal((40, 5))
     ids = rng.integers(0, 40, (300, 9)).astype(np.int32)
     lengths = rng.integers(0, 10, 300)
     metadata = rng.standard_normal((300, 6))
-    model = ContextualLstmModel.initialize(maker(embedding_dim=5, seed=53))
+    model = ContextualLstmModel.initialize(NetConfig(embedding_dim=5, seed=53, **variant))
     model.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
     scores = model.predict_proba(matrix, ids, lengths, metadata)
     main, _, _, _ = model.forward_batch(stack_sequences(matrix, ids, lengths), lengths,
@@ -230,7 +232,7 @@ def test_lstm_all_empty_batch_has_zero_gradients():
 
 
 def test_zero_model_outputs_half():
-    config = NetConfig.contextual(embedding_dim=3, hidden_dim=4, dense_sizes=(6, 5))
+    config = NetConfig(embedding_dim=3, hidden_dim=4, dense_sizes=(6, 5))
     model = ContextualLstmModel.initialize(config)
     for key in model.params:
         model.params[key] = np.zeros_like(model.params[key])
@@ -241,7 +243,7 @@ def test_zero_model_outputs_half():
 
 
 def test_metadata_ignored_when_first_layer_weights_zeroed():
-    config = NetConfig.contextual(embedding_dim=3, hidden_dim=4, dense_sizes=(6, 5), seed=8)
+    config = NetConfig(embedding_dim=3, hidden_dim=4, dense_sizes=(6, 5), seed=8)
     model = ContextualLstmModel.initialize(config)
     model.params["dense1.W"][:, 4:] = 0.0  # zero the metadata columns
     rng = np.random.Generator(np.random.PCG64(6))
@@ -252,7 +254,7 @@ def test_metadata_ignored_when_first_layer_weights_zeroed():
 
 
 def test_forward_matches_scalar_trace():
-    config = NetConfig.contextual(embedding_dim=4, hidden_dim=5, dense_sizes=(7, 6), seed=9)
+    config = NetConfig(embedding_dim=4, hidden_dim=5, dense_sizes=(7, 6), seed=9)
     model = ContextualLstmModel.initialize(config)
     model.metadata_standardizer = Standardizer(
         mean=np.arange(6.0), std=np.linspace(1.0, 2.0, 6)
@@ -267,7 +269,8 @@ def test_forward_matches_scalar_trace():
 
 
 def test_tweet_only_forward_has_no_aux():
-    config = NetConfig.tweet_only(embedding_dim=4, hidden_dim=5, dense_sizes=(7, 6), seed=11)
+    config = NetConfig(embedding_dim=4, hidden_dim=5, dense_sizes=(7, 6), seed=11,
+                       **NET_CONFIGS["lstm"])
     model = ContextualLstmModel.initialize(config)
     rng = np.random.Generator(np.random.PCG64(12))
     main, aux, _, _ = _forward(model, _sequence(rng, 3, 4))
@@ -320,7 +323,7 @@ def _toy_corpus(rng, n, dim=5, max_len=6, sep=2.0):
 
 
 def test_state_resets_between_sequences():
-    config = NetConfig.contextual(embedding_dim=5, seed=14)
+    config = NetConfig(embedding_dim=5, seed=14)
     model = ContextualLstmModel.initialize(config)
     rng = np.random.Generator(np.random.PCG64(15))
     seq_a = _sequence(rng, 4, 5, max_len=6)
@@ -334,7 +337,7 @@ def test_state_resets_between_sequences():
 
 def test_gradients_match_finite_differences_quick():
     rng = np.random.Generator(np.random.PCG64(16))
-    config = NetConfig.contextual(embedding_dim=5, hidden_dim=6, dense_sizes=(8, 7), seed=17)
+    config = NetConfig(embedding_dim=5, hidden_dim=6, dense_sizes=(8, 7), seed=17)
     model = ContextualLstmModel.initialize(config)
     x = rng.standard_normal((3, 5, 5)).transpose(1, 0, 2)
     lengths = np.array([5, 3, 1])
@@ -355,7 +358,7 @@ def test_gradients_match_finite_differences_quick():
 
 def test_gradients_match_finite_differences_with_empty_rows():
     rng = np.random.Generator(np.random.PCG64(42))
-    config = NetConfig.contextual(embedding_dim=4, hidden_dim=5, dense_sizes=(6, 5), seed=43)
+    config = NetConfig(embedding_dim=4, hidden_dim=5, dense_sizes=(6, 5), seed=43)
     model = ContextualLstmModel.initialize(config)
     x = rng.standard_normal((5, 6, 4)).transpose(1, 0, 2)
     lengths = np.array([6, 0, 3, 1, 0])
@@ -379,10 +382,10 @@ def test_train_requires_both_classes():
     corpus = [(*_sequence(rng, 2, 3), np.zeros(6), Label.BOT) for _ in range(4)]
     matrix, arrays = _pack(corpus)
     with pytest.raises(DegenerateData):
-        train(NetConfig.contextual(embedding_dim=3, epochs=1), matrix, arrays)
+        train(NetConfig(embedding_dim=3, epochs=1), matrix, arrays)
     empty = (np.zeros((0, 2), dtype=np.int32), np.zeros(0), np.zeros((0, 6)), np.zeros(0))
     with pytest.raises(DegenerateData):
-        train(NetConfig.contextual(embedding_dim=3, epochs=1), matrix, empty)
+        train(NetConfig(embedding_dim=3, epochs=1), matrix, empty)
 
 
 def test_train_refuses_a_loss_that_is_not_finite():
@@ -392,14 +395,14 @@ def test_train_refuses_a_loss_that_is_not_finite():
     matrix, (ids, lengths, metadata, labels) = _pack(_toy_corpus(rng, 24))
     metadata[3, 0] = np.nan
     with pytest.raises(TrainingError, match="loss is not finite at epoch 0, step 0"):
-        train(NetConfig.contextual(embedding_dim=5, epochs=1, batch_size=8), matrix,
+        train(NetConfig(embedding_dim=5, epochs=1, batch_size=8), matrix,
               (ids, lengths, metadata, labels))
 
 
 def test_train_deterministic_and_loss_identity():
     rng = np.random.Generator(np.random.PCG64(19))
     matrix, corpus = _pack(_toy_corpus(rng, 24))
-    config = NetConfig.contextual(embedding_dim=5, epochs=3, batch_size=8, seed=20)
+    config = NetConfig(embedding_dim=5, epochs=3, batch_size=8, seed=20)
     model_a, trace_a = train(config, matrix, corpus)
     model_b, trace_b = train(config, matrix, corpus)
     for key in model_a.params:
@@ -420,7 +423,7 @@ def test_train_outputs_byte_identical_across_runs(tmp_path):
     corpus[0] = (np.zeros_like(x), 0, meta, label)
     val = _toy_corpus(np.random.Generator(np.random.PCG64(45)), 8)
     matrix, corpus, val = _pack(corpus, val)
-    config = NetConfig.contextual(embedding_dim=5, epochs=2, batch_size=8, seed=46)
+    config = NetConfig(embedding_dim=5, epochs=2, batch_size=8, seed=46)
     outputs = []
     for run in range(2):
         model, trace = train(config, matrix, corpus, validation=val)
@@ -434,7 +437,7 @@ def test_training_reduces_loss_and_tracks_validation():
     rng = np.random.Generator(np.random.PCG64(21))
     matrix, corpus, val = _pack(_toy_corpus(rng, 40),
                                 _toy_corpus(np.random.Generator(np.random.PCG64(22)), 12))
-    config = NetConfig.contextual(embedding_dim=5, epochs=12, batch_size=8, seed=23)
+    config = NetConfig(embedding_dim=5, epochs=12, batch_size=8, seed=23)
     model, trace = train(config, matrix, corpus, validation=val)
     assert trace.epochs[-1].total_loss < trace.epochs[0].total_loss
     assert trace.epochs[-1].val_accuracy is not None
@@ -444,7 +447,7 @@ def test_training_reduces_loss_and_tracks_validation():
 def test_scores_stay_in_unit_interval():
     rng = np.random.Generator(np.random.PCG64(24))
     matrix, corpus = _pack(_toy_corpus(rng, 20))
-    config = NetConfig.contextual(embedding_dim=5, epochs=2, batch_size=8, seed=25)
+    config = NetConfig(embedding_dim=5, epochs=2, batch_size=8, seed=25)
     model, _ = train(config, matrix, corpus)
     scores = model.predict_proba(matrix, *corpus[:3])
     assert np.all((scores > 0.0) & (scores < 1.0))
@@ -457,8 +460,9 @@ def test_contextual_with_zero_metadata_no_better_than_tweet_only():
     rng = np.random.Generator(np.random.PCG64(26))
     matrix, corpus = _pack([(x, length, np.zeros(6), label)
                             for x, length, _, label in _toy_corpus(rng, 40)])
-    ctx_config = NetConfig.contextual(embedding_dim=5, epochs=10, batch_size=8, seed=27)
-    tweet_config = NetConfig.tweet_only(embedding_dim=5, epochs=10, batch_size=8, seed=27)
+    ctx_config = NetConfig(embedding_dim=5, epochs=10, batch_size=8, seed=27)
+    tweet_config = NetConfig(embedding_dim=5, epochs=10, batch_size=8, seed=27,
+                             **NET_CONFIGS["lstm"])
     _, ctx_trace = train(ctx_config, matrix, corpus)
     _, tweet_trace = train(tweet_config, matrix, corpus)
     ctx_main = ctx_trace.epochs[-1].main_loss
@@ -469,8 +473,8 @@ def test_contextual_with_zero_metadata_no_better_than_tweet_only():
 def test_save_load_round_trip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(28))
     matrix, corpus = _pack(_toy_corpus(rng, 16))
-    for maker in (NetConfig.contextual, NetConfig.tweet_only):
-        config = maker(embedding_dim=5, epochs=2, batch_size=8, seed=29)
+    for variant in NET_CONFIGS.values():
+        config = NetConfig(embedding_dim=5, epochs=2, batch_size=8, seed=29, **variant)
         model, _ = train(config, matrix, corpus)
         path = tmp_path / f"net_{config.use_metadata}.txt"
         model.save(path, {"pipeline_hash": "abc123"})
@@ -491,9 +495,8 @@ def test_save_load_round_trip(tmp_path):
     ("main.W", np.zeros((1, 63)), "main.W"),
 ])
 def test_load_refuses_tensors_whose_shape_the_meta_does_not_give(tmp_path, key, value, tensor):
-    config = NetConfig.contextual(embedding_dim=3, hidden_dim=2, dense_sizes=(4, 64))
+    config = NetConfig(embedding_dim=3, hidden_dim=2, dense_sizes=(4, 64))
     model = ContextualLstmModel.initialize(config)
-    model.metadata_standardizer = Standardizer(mean=np.zeros(6), std=np.ones(6))
     model.save(tmp_path / "net.txt")
     meta, arrays = load_model(tmp_path / "net.txt")
     ContextualLstmModel.load(meta, arrays)
@@ -502,9 +505,27 @@ def test_load_refuses_tensors_whose_shape_the_meta_does_not_give(tmp_path, key, 
         ContextualLstmModel.load(meta, arrays)
 
 
+def test_a_net_holds_a_metadata_standardizer_exactly_when_it_reads_metadata(tmp_path):
+    # A fresh contextual net holds the identity, which changes no bit.
+    contextual = ContextualLstmModel.initialize(NetConfig(embedding_dim=3, hidden_dim=2))
+    x = np.random.Generator(np.random.PCG64(44)).standard_normal((5, 6)) * 1e3
+    x[0, 0] = -0.0
+    assert contextual.metadata_standardizer.transform(x).tobytes() == x.tobytes()
+    tweet_only = ContextualLstmModel.initialize(
+        NetConfig(embedding_dim=3, hidden_dim=2, **NET_CONFIGS["lstm"]))
+    assert tweet_only.metadata_standardizer is None
+    for model, expected in ((contextual, True), (tweet_only, False)):
+        model.save(tmp_path / "net.txt")
+        meta, arrays = load_model(tmp_path / "net.txt")
+        assert sorted(name for name in arrays if name.startswith("meta_")) == \
+            (["meta_standardizer.mean", "meta_standardizer.std"] if expected else [])
+        loaded = ContextualLstmModel.load(meta, arrays)
+        assert (loaded.metadata_standardizer is not None) is expected
+
+
 @pytest.mark.parametrize("tensor", ["W_c", "aux.b", "dense2.W"])
 def test_load_refuses_an_infinite_weight(tmp_path, tensor):
-    model = ContextualLstmModel.initialize(NetConfig.contextual(embedding_dim=3, hidden_dim=2))
+    model = ContextualLstmModel.initialize(NetConfig(embedding_dim=3, hidden_dim=2))
     model.save(tmp_path / "net.txt")
     meta, arrays = load_model(tmp_path / "net.txt")
     arrays[tensor] = np.full_like(arrays[tensor], -np.inf)
@@ -515,7 +536,7 @@ def test_load_refuses_an_infinite_weight(tmp_path, tensor):
 def test_trace_csv_has_step_and_epoch_rows():
     rng = np.random.Generator(np.random.PCG64(30))
     matrix, corpus = _pack(_toy_corpus(rng, 16))
-    config = NetConfig.contextual(embedding_dim=5, epochs=2, batch_size=8, seed=31)
+    config = NetConfig(embedding_dim=5, epochs=2, batch_size=8, seed=31)
     _, trace = train(config, matrix, corpus)
     lines = trace.to_csv_lines()
     assert lines[0].startswith("record,epoch,step")
@@ -536,8 +557,8 @@ def test_predict_proba_on_ids_equals_forward_batch_on_floats():
     ids, lengths, metadata = pipeline.tensors(tweets)
     assert lengths.tolist() == [3, 0, 3, 6, 3]
     assert np.all(ids[2, :3] == table.unknown_id)
-    for maker in (NetConfig.contextual, NetConfig.tweet_only):
-        model = ContextualLstmModel.initialize(maker(embedding_dim=5, seed=48))
+    for variant in NET_CONFIGS.values():
+        model = ContextualLstmModel.initialize(NetConfig(embedding_dim=5, seed=48, **variant))
         model.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
         scores = model.predict_proba(table.matrix, ids, lengths, metadata)
         x = np.stack([[table.matrix[i] for i in row] for row in ids], axis=1)

@@ -3,6 +3,7 @@ import pytest
 
 from botdetect import baselines
 from botdetect.baselines import BaselineConfig
+from botdetect.cli import NET_CONFIGS
 from botdetect.data import FeatureMatrix
 from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import ParseError
@@ -123,9 +124,9 @@ def test_checkpoint_meta_lines_are_pinned(tmp_path, kind):
     path = tmp_path / "model.txt"
     extra = {"config_hash": "0" * 8}
     if kind in ("contextual_lstm", "tweet_lstm"):
-        maker = NetConfig.contextual if kind == "contextual_lstm" else NetConfig.tweet_only
-        config = maker(embedding_dim=3, hidden_dim=2, dense_sizes=(4, 2), epochs=3, seed=5,
-                       learning_rate=0.002)
+        variant = NET_CONFIGS["contextual" if kind == "contextual_lstm" else "lstm"]
+        config = NetConfig(embedding_dim=3, hidden_dim=2, dense_sizes=(4, 2), epochs=3, seed=5,
+                           learning_rate=0.002, **variant)
         table = fixture_table(["alpha", "beta", "<hashtag>"], 3, seed=0)
         extra.update(TweetPipeline(table, 12, "head", True).meta())
         ContextualLstmModel.initialize(config).save(path, extra)
