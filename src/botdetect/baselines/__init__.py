@@ -129,9 +129,9 @@ def save_baseline(model: BaselineModel, path, extra_meta: dict | None = None) ->
 
 def load_baseline(meta, arrays) -> BaselineModel:
     """Rebuild a baseline from a parsed checkpoint (`persist.load_model`); a
-    missing tensor is a ParseError naming it, and so are tensors that cannot
-    score rows of the schema's width and a standardizer `Standardizer.load`
-    refuses."""
+    missing or unexpected tensor is a ParseError naming it, and so are tensors
+    that cannot score rows of the schema's width and a standardizer
+    `Standardizer.load` refuses."""
     prefix = "config."
     config = from_strings(BaselineConfig, {
         key[len(prefix):]: value for key, value in meta.items() if key.startswith(prefix)
@@ -140,6 +140,7 @@ def load_baseline(meta, arrays) -> BaselineModel:
     schema = tuple(meta["schema"].split(","))
     standardizer = Standardizer.load(arrays, "standardizer", len(schema))
     params = {name: arrays[name] for name in REGISTRY[kind].tensors(config)}
+    arrays.only({*params, "standardizer.mean", "standardizer.std"})
     if not REGISTRY[kind].fits(params, config, len(schema)):
         raise ParseError(f"{arrays.path}: the {kind.value} tensors cannot score "
                          f"{len(schema)}-wide rows")

@@ -371,6 +371,7 @@ _ACCOUNT_COUNT_SPECS = (
 _ACCOUNT_BOOL_DIRECTIONS = (1.0, -1.0, 1.0, -1.0, 1.0)
 
 _EMOTICONS = (":)", ":(", ":D", "<3", ":p", ":|")
+_URL_CHARS = "abcdefghij0123456789"
 
 
 @checked
@@ -394,54 +395,6 @@ def _count_params(base: float, cap: int, separation: float, label: Label):
     return base * (1.0 + separation), cap, offset
 
 
-def _draw_count(rng, base, cap, separation, label) -> int:
-    lam, cap, offset = _count_params(base, cap, separation, label)
-    return offset + int(min(rng.poisson(lam), cap))
-
-
-def _draw_word(rng, separation: float, label: Label) -> str:
-    class_words = BOT_WORDS if label == Label.BOT else HUMAN_WORDS
-    if rng.uniform() < separation:
-        return class_words[rng.integers(0, len(class_words))]
-    return SHARED_WORDS[rng.integers(0, len(SHARED_WORDS))]
-
-
-def _make_tweet_text(rng, separation, label, metadata: tuple[int, ...]) -> str:
-    hashtags, urls, mentions = metadata[3:]  # the entity columns
-    n_words = 4 + int(rng.poisson(4.0))
-    n_words = min(max(n_words, 2), 16)
-    words = [_draw_word(rng, separation, label) for _ in range(n_words)]
-    if rng.uniform() < 0.10:
-        words[0] = words[0].upper()
-    if rng.uniform() < 0.10:
-        words[-1] = words[-1] + words[-1][-1] * 3
-    extras = []
-    for _ in range(hashtags):
-        extras.append("#" + _draw_word(rng, separation, label))
-    for _ in range(urls):
-        tail = "".join(rng.choice(list("abcdefghij0123456789"), size=6))
-        extras.append("https://t.co/" + tail)
-    for _ in range(mentions):
-        extras.append("@user" + str(rng.integers(1000, 9999)))
-    if rng.uniform() < 0.25:
-        extras.append(str(rng.integers(0, 10000)))
-    if rng.uniform() < 0.20:
-        extras.append(_EMOTICONS[rng.integers(0, len(_EMOTICONS))])
-    for extra in extras:
-        words.insert(int(rng.integers(0, len(words) + 1)), extra)
-    return " ".join(words)
-
-
-def _make_account(rng, spec, label, account_id) -> AccountRecord:
-    features = [_draw_count(rng, base, cap, spec.separation, label)
-                for _, base, cap in _ACCOUNT_COUNT_SPECS]
-    for direction in _ACCOUNT_BOOL_DIRECTIONS:
-        drift = 0.35 * spec.separation * direction
-        p = 0.5 + (drift if label == Label.BOT else -drift)
-        features.append(int(rng.uniform() < p))
-    return AccountRecord(account_id, tuple(features), label)
-
-
 def generate_synthetic(
     spec: SyntheticCorpusSpec,
 ) -> tuple[list[AccountRecord], list[TweetRecord]]:
@@ -450,19 +403,62 @@ def generate_synthetic(
     At separation 0 the two classes are identically distributed; at
     separation 1 plain-word vocabularies are disjoint and every metadata
     column's range is disjoint between classes.
+
+    The sequence of RNG calls is part of the corpus format: drawing the same
+    numbers in another order, or through a call that consumes the stream
+    differently, changes every corpus and so every benchmark input. Two
+    substitutions are bit-identical and are used for speed: `rng.random()`
+    for `rng.uniform()` (which returns `0.0 + 1.0 * random()`), and
+    `rng.integers(0, 20, size=6)` indexing `_URL_CHARS` for
+    `rng.choice(list(_URL_CHARS), size=6)` (which draws through that call).
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
+    random, integers, poisson = rng.random, rng.integers, rng.poisson
+    separation = spec.separation
     accounts: list[AccountRecord] = []
     tweets: list[TweetRecord] = []
     for label, prefix in ((Label.HUMAN, "h"), (Label.BOT, "b")):
+        class_words = BOT_WORDS if label == Label.BOT else HUMAN_WORDS
+        account_params = [_count_params(base, cap, separation, label)
+                          for _, base, cap in _ACCOUNT_COUNT_SPECS]
+        tweet_params = [_count_params(base, cap, separation, label)
+                        for _, base, cap in _TWEET_COUNT_SPECS]
+        flag_probs = [0.5 + (drift if label == Label.BOT else -drift)
+                      for drift in (0.35 * separation * d for d in _ACCOUNT_BOOL_DIRECTIONS)]
+
+        def counts(params) -> list[int]:
+            return [offset + int(min(poisson(lam), cap)) for lam, cap, offset in params]
+
+        def word() -> str:
+            if random() < separation:
+                return class_words[integers(0, len(class_words))]
+            return SHARED_WORDS[integers(0, len(SHARED_WORDS))]
+
         for a in range(spec.n_accounts_per_class):
             account_id = f"{prefix}{a:05d}"
-            accounts.append(_make_account(rng, spec, label, account_id))
+            features = counts(account_params) + [int(random() < p) for p in flag_probs]
+            accounts.append(AccountRecord(account_id, tuple(features), label))
             for _ in range(spec.tweets_per_account):
-                metadata = tuple(_draw_count(rng, base, cap, spec.separation, label)
-                                 for _, base, cap in _TWEET_COUNT_SPECS)
-                text = _make_tweet_text(rng, spec.separation, label, metadata)
-                tweets.append(TweetRecord(text, metadata, label, account_id))
+                metadata = tuple(counts(tweet_params))
+                hashtags, urls, mentions = metadata[3:]  # the entity columns
+                words = [word() for _ in range(min(4 + int(poisson(4.0)), 16))]
+                if random() < 0.10:
+                    words[0] = words[0].upper()
+                if random() < 0.10:
+                    words[-1] = words[-1] + words[-1][-1] * 3
+                extras = ["#" + word() for _ in range(hashtags)]
+                for _ in range(urls):
+                    extras.append("https://t.co/"
+                                  + "".join(_URL_CHARS[i]
+                                            for i in integers(0, len(_URL_CHARS), size=6)))
+                extras += ["@user" + str(integers(1000, 9999)) for _ in range(mentions)]
+                if random() < 0.25:
+                    extras.append(str(integers(0, 10000)))
+                if random() < 0.20:
+                    extras.append(_EMOTICONS[integers(0, len(_EMOTICONS))])
+                for extra in extras:
+                    words.insert(int(integers(0, len(words) + 1)), extra)
+                tweets.append(TweetRecord(" ".join(words), metadata, label, account_id))
     return accounts, tweets
 
 

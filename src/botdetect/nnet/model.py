@@ -182,8 +182,8 @@ class ContextualLstmModel:
     @classmethod
     def load(cls, meta, arrays) -> ContextualLstmModel:
         """Rebuild a model from a parsed checkpoint (`persist.load_model`); a
-        missing tensor is a ParseError naming it, and so are a tensor of
-        another shape or with an infinite weight, a standardizer
+        missing or unexpected tensor is a ParseError naming it, and so are a
+        tensor of another shape or with an infinite weight, a standardizer
         `Standardizer.load` refuses, and a kind that `use_metadata` does not
         give."""
         values = {name: meta[name] for name in NetConfig._fields if name != "loss_weights"}
@@ -196,6 +196,8 @@ class ContextualLstmModel:
                 raise ParseError(f"{arrays.path}: tensor {name!r} is not finite")
         standardizer = Standardizer.load(arrays, "meta_standardizer", METADATA_DIM) \
             if config.use_metadata else None
+        arrays.only({*shapes, *(("meta_standardizer.mean", "meta_standardizer.std")
+                                if config.use_metadata else ())})
         if (meta["kind"] == CHECKPOINT_KINDS[0]) != config.use_metadata:
             raise ParseError(f"{arrays.path}: kind {meta['kind']!r} disagrees with "
                              f"use_metadata = {meta['use_metadata']}")

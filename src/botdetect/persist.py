@@ -41,6 +41,12 @@ class Entries(dict):
                              f"expected {shape}")
         return self[name]
 
+    def only(self, names) -> None:
+        """An entry outside `names` is a ParseError naming it."""
+        extra = [name for name in self if name not in names]
+        if extra:
+            raise ParseError(f"{self.path}: unexpected {self.sort} {extra[0]!r}")
+
 
 def save_model(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write the checkpoint row by row, so that no copy of the whole text is
@@ -99,6 +105,8 @@ def load_model(path) -> tuple[Entries, Entries]:
                 i += count
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{header}: bad tensor: {exc}") from exc
+            if name in arrays:
+                raise ParseError(f"{path}:{header}: repeated tensor {name!r}")
             if np.isnan(arr).any():  # no fit writes one
                 raise ParseError(f"{path}:{header}: tensor {name!r} holds NaN")
             arrays[name] = arr

@@ -11,6 +11,7 @@ import botdetect
 from botdetect import baselines
 from botdetect.baselines import BaselineConfig
 from botdetect.cli import (
+    NET_CONFIGS,
     RunConfig,
     _load_net,
     benchmark_suite,
@@ -380,12 +381,16 @@ def test_bench_exit_status(corpus, tmp_path, capsys):
 
 def _checkpoint_texts(corpus, tmp_path):
     """A contextual net checkpoint as `train` writes one (with its pipeline
-    meta and metadata standardizer), a forest, an adaboost and a logreg
-    checkpoint; all as text, by name."""
+    meta and metadata standardizer), a tweet-only net, a forest, an adaboost
+    and a logreg checkpoint; all as text, by name."""
     table = load_glove(corpus / "glove_25d.txt", 25)
+    pipeline_meta = {"config_hash": "0" * 8, **TweetPipeline(table).meta()}
     net = ContextualLstmModel.initialize(NetConfig(embedding_dim=25, seed=1))
     net.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
-    net.save(tmp_path / "net.txt", {"config_hash": "0" * 8, **TweetPipeline(table).meta()})
+    net.save(tmp_path / "net.txt", pipeline_meta)
+    lstm = ContextualLstmModel.initialize(NetConfig(embedding_dim=25, seed=1,
+                                                    **NET_CONFIGS["lstm"]))
+    lstm.save(tmp_path / "lstm.txt", pipeline_meta)
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.standard_normal((20, 10))
     matrix = FeatureMatrix(x, ACCOUNT_FEATURE_COLUMNS, (x[:, 0] > 0).astype(np.int8))
@@ -394,7 +399,7 @@ def _checkpoint_texts(corpus, tmp_path):
         model = baselines.fit(kind, matrix, BaselineConfig(n_trees=2, n_stumps=3))
         baselines.save_baseline(model, tmp_path / f"{kind}.txt")
     return {name: (tmp_path / f"{name}.txt").read_text(encoding="utf-8")
-            for name in ("net", *kinds)}
+            for name in ("net", "lstm", *kinds)}
 
 
 def _without_tensors(text, prefix):
@@ -476,6 +481,17 @@ MALFORMED = {
     "net_no_meta_standardizer": (3, "eval", ("net", "meta_standardizer", None)),
     "net_kind_tweet_lstm": (3, "eval", ("net", "meta kind = contextual_lstm",
                                         "meta kind = tweet_lstm")),
+    # A tensor the config does not name, or one named twice.
+    "net_extra_tensor": (3, "eval", ("net", "\ntensor ", "\ntensor bogus 1 1\n0.0\ntensor ")),
+    "forest_extra_tensor": (3, "eval", ("forest", "\ntensor ",
+                                        "\ntensor bogus 1 1\n0.0\ntensor ")),
+    "lstm_meta_standardizer": (3, "eval", ("lstm", "\nend\n",
+                                           "\ntensor meta_standardizer.mean 1 6\n0 0 0 0 0 0"
+                                           "\ntensor meta_standardizer.std 1 6\n1 1 1 1 1 1"
+                                           "\nend\n")),
+    "net_repeated_tensor": (3, "eval", ("net", "tensor meta_standardizer.mean 1 6\n",
+                                        "tensor meta_standardizer.mean 1 6\n0.5 0.5 0.5 0.5 0.5 0.5"
+                                        "\ntensor meta_standardizer.mean 1 6\n")),
     # Extra argv after a checkpoint edit is appended to the command.
     "eval_threshold_7": (2, "eval", ("forest", "", "", "--threshold", "7")),
     # Any other argv runs as given; {tmp} is the test's directory, which

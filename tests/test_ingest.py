@@ -245,6 +245,28 @@ def test_synthetic_corpus_bytes_are_pinned(tmp_path):
     assert digests == SYNTHETIC_CORPUS_SHA256
 
 
+# sha256 of the five files above, concatenated in that order, at benchmark
+# scale: the set-up corpora of account-table, tweet-train and tweet-score (its
+# scored corpus) at seed 1, and the two separation extremes. A reordered or
+# substituted RNG call in the generator changes these.
+BENCHMARK_CORPUS_SHA256 = {
+    (2000, 1, 1, 0.02): "b1a7a7c180159263f5c8fb2a3e8438594321b862e9507c8ba8e079ee67b591ba",
+    (200, 10, 1, 0.15): "4e4961dfc4d36f384d34168df14c08bdb78a6dc40225a449310e8b98d5bdcef2",
+    (50, 10, 2, 0.15): "aef236f3468684039271f38d2f70542d67fad80881ec37cc9676e3aaba0bf964",
+    (40, 5, 7, 0.0): "4f9bf5d7538c28971ac11811ec05d78ae7dfb383bdb1a0e7eab1f1b212e40f85",
+    (40, 5, 8, 1.0): "576093ab1d92debd21ca8bd04d381fe2fd6c67a57def17c4da01f97edac2849f",
+}
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_CORPUS_SHA256)
+def test_benchmark_scale_corpus_bytes_are_pinned(tmp_path, spec):
+    write_corpus(*generate_synthetic(SyntheticCorpusSpec(*spec)), tmp_path)
+    digest = hashlib.sha256()
+    for rel in SYNTHETIC_CORPUS_SHA256:
+        digest.update((tmp_path / rel).read_bytes())
+    assert digest.hexdigest() == BENCHMARK_CORPUS_SHA256[spec]
+
+
 def test_synthetic_round_trips_through_loader(tmp_path):
     spec = SyntheticCorpusSpec(8, 4, seed=3, separation=0.7)
     accounts, tweets = generate_synthetic(spec)
