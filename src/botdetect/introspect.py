@@ -17,7 +17,7 @@ import numpy as np
 from .data import Label, TweetRecord, checked
 from .embedding import TweetPipeline
 from .errors import SingleClass
-from .nnet.model import ContextualLstmModel, stack_sequences
+from .nnet.model import ContextualLstmModel
 
 DEFAULT_BINS = 50
 
@@ -91,8 +91,7 @@ def unit_distributions(
     if not np.any(labels == Label.HUMAN) or not np.any(labels == Label.BOT):
         raise SingleClass("unit distributions need tweets from both classes")
     ids, lengths, metadata = pipeline.tensors(tweets)
-    _, _, finals, _ = model.forward_batch(stack_sequences(pipeline.table.matrix, ids, lengths),
-                                          lengths, metadata)
+    _, _, finals, _ = model.forward_batch(pipeline.table.matrix, ids, lengths, metadata)
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
     distributions = []
@@ -128,13 +127,12 @@ def cell_trace_csv_lines(trace: ActivationTrace) -> list[str]:
 
 
 def distribution_csv_lines(report: UnitDistributionReport) -> list[str]:
+    edges = report.bin_edges.tolist()
+    bins = [f"{low!r},{high!r}" for low, high in zip(edges[:-1], edges[1:])]
     lines = ["unit,class,bin_low,bin_high,count"]
     for dist in report.distributions:
-        name = dist.label.name.lower()
-        for low, high, count in zip(report.bin_edges[:-1], report.bin_edges[1:], dist.counts):
-            lines.append(
-                f"{dist.unit_index},{name},{float(low)!r},{float(high)!r},{int(count)}"
-            )
+        head = f"{dist.unit_index},{dist.label.name.lower()}"
+        lines.extend(f"{head},{edge},{count}" for edge, count in zip(bins, dist.counts.tolist()))
     return lines
 
 

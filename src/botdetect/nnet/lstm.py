@@ -4,16 +4,18 @@ Parameters stay in the dict as 12 per-gate tensors (``W_g``, ``U_g``, ``b_g``
 for g in i, f, o, c), the layout checkpoints, Adam and the gradient check see.
 Each call joins them into fused W (4h x d), U (4h x h) and b (4h), held
 gate-major as (4, h, ...) so every gate block is contiguous; the backward pass
-hands back per-gate gradients by indexing that gate axis. Forward (Appleyard,
-Kočiský & Blunsom 2016): one matmul projects the time-major inputs of all
-timesteps before the recurrence; each step runs one h·Uᵀ matmul for all gates,
-one in-place sigmoid over the i, f, o blocks and one tanh over the candidate
+hands back per-gate gradients by indexing that gate axis. Forward: the input
+projection leaves the recurrence (Appleyard, Kočiský & Blunsom 2016) and, as
+the embeddings are frozen, runs once per distinct token of the batch; each
+step adds its rows of that table, runs one h·Uᵀ matmul for all gates, one
+in-place sigmoid over the i, f, o blocks and one tanh over the candidate
 block. Scoring sorts the rows longest first, as packed sequences do, and runs
 the gate and cell math on the rows still running only; training masks padded
-steps (``np.where``) and caches every step. Both keep every matmul at the full
-batch, so their bits agree. State never carries across inputs. Backward
-mirrors the forward: one (4, B, h) block dA per step, dh from one dA·U, and
-dW, dU, db each from one matmul or sum over the stacked blocks after the loop.
+steps (``np.where``) and caches every step. Both read the one table and run
+every h·Uᵀ at the full batch, so their bits agree. State never carries across
+inputs. Backward mirrors the forward: one (4, B, h) block dA per step, dh
+from one dA·U, and dW, dU, db each from one matmul or sum over the stacked
+blocks after the loop.
 """
 
 from __future__ import annotations
@@ -58,50 +60,58 @@ def _activate(a: np.ndarray) -> None:
     np.tanh(a[3], out=a[3])
 
 
-def lstm_forward(params: dict[str, np.ndarray], x: np.ndarray, lengths: np.ndarray,
-                 keep_cache: bool = False):
+def stack_sequences(matrix: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The time-major (S, B, d) vectors of a batch of (B, max_len) row ids,
+    S = max(lengths): the gather the training cache keeps for dW."""
+    steps = int(lengths.max()) if len(lengths) else 0
+    return matrix[ids[:, :steps].T]
+
+
+def lstm_forward(params: dict[str, np.ndarray], ids: np.ndarray, lengths: np.ndarray,
+                 matrix: np.ndarray, keep_cache: bool = False):
     """Run the recurrence over a batch.
 
-    x: (T, B, d) time-major inputs with T >= S = max(lengths), the layout
-    `model.stack_sequences` gathers; lengths: (B,) true lengths. Returns
+    ids: (B, max_len) row ids into the frozen (V, d) embedding ``matrix``,
+    max_len >= S = max(lengths); lengths: (B,) true lengths. Returns
     (final_h (B, h), cache); a sample's final state is its state after its
-    last real step (zero for an empty one).
+    last real step (zero for an empty one). Each of the U distinct ids of
+    ``ids[:, :S]`` is projected once (``@ Wᵀ``, then ``+= b``) into a (4, U, h)
+    table, with the bits a projection of every padded position gives where
+    OpenBLAS runs both gemms past its small-matrix sizes.
 
     Without ``keep_cache`` (scoring) the rows are sorted longest first, once,
     so the rows still running at step t are a prefix; step t's gate and cell
     math runs on that prefix only, in place in persistent h and c buffers,
-    and the final states go back to the caller's order. Every gemm still
-    runs on the full batch (the projection at M = S * B, each h·Uᵀ at M = B):
-    OpenBLAS gives other bits when M shrinks, but not when rows are reordered
-    at the same M, so both loops agree bit for bit. With ``keep_cache``
-    (training) the rows keep the caller's order and padded rows keep their
-    state by masking: the backward's dW, dU and db sums run in that order,
-    and un-permuting its blocks costs more than the skipped rows save at
-    training's batch size. The cache then holds the (S * B, d) inputs ``x``,
-    per-step lists of activations ``ifo`` (3, B, h) and ``cand``, and
-    per-step lists of masked hidden states ``h`` and cell states ``c``
-    (B, h), which start with the zero initial state (entry t enters step t,
-    entry t + 1 leaves it).
+    and the final states go back to the caller's order. Each h·Uᵀ still runs
+    on the full batch: OpenBLAS gives other bits when M shrinks, but not
+    when rows are reordered at the same M, so both loops agree bit for bit.
+    With ``keep_cache`` (training) the rows keep the caller's order and
+    padded rows keep their state by masking: the backward's dW, dU and db
+    sums run in that order, and un-permuting its blocks costs more than the
+    skipped rows save at training's batch size. The cache then holds the
+    (S * B, d) inputs ``x`` of `stack_sequences`, per-step lists of
+    activations ``ifo`` (3, B, h) and ``cand``, and per-step lists of masked
+    hidden states ``h`` and cell states ``c`` (B, h), which start with the
+    zero initial state (entry t enters step t, entry t + 1 leaves it).
     """
     w, u, b = _joined(params, "W"), _joined(params, "U"), _joined(params, "b")
-    hidden_dim = u.shape[1]
-    _, batch, input_dim = x.shape
+    batch, hidden_dim, input_dim = len(ids), u.shape[1], matrix.shape[1]
     if w.shape[2] != input_dim:
         raise DimensionMismatch(f"sequence dimension {input_dim} != cell input dim {w.shape[2]}")
     steps = int(lengths.max()) if batch else 0
-    inputs = x[:steps].reshape(-1, input_dim)
-    projected = inputs @ w.transpose(0, 2, 1)
-    projected += b[:, None, :]
-    projected = projected.reshape(4, steps, batch, hidden_dim)
-    u_t = u.transpose(0, 2, 1)
+    tokens, rows = np.unique(ids[:, :steps], return_inverse=True)
+    table = matrix[tokens] @ w.transpose(0, 2, 1)
+    table += b[:, None, :]
+    rows, u_t = rows.reshape(batch, steps), u.transpose(0, 2, 1)
     if not keep_cache:
-        return _live_prefix_loop(projected, u_t, lengths), None
+        return _live_prefix_loop(table, rows, u_t, lengths), None
     live = (np.arange(steps)[:, None] < lengths)[:, :, None]
     h = c = np.zeros((batch, hidden_dim))
-    cache = dict(x=inputs, lengths=lengths, ifo=[], cand=[], h=[h], c=[c])
-    for t in range(steps):
+    cache = dict(x=stack_sequences(matrix, ids, lengths).reshape(-1, input_dim),
+                 lengths=lengths, ifo=[], cand=[], h=[h], c=[c])
+    for t, step_rows in enumerate(rows.T):
         a = h @ u_t
-        a += projected[:, t]
+        a += table[:, step_rows]
         _activate(a)
         ifo, cand = a[:3], a[3]
         c_raw = ifo[1] * c + ifo[0] * cand
@@ -112,15 +122,15 @@ def lstm_forward(params: dict[str, np.ndarray], x: np.ndarray, lengths: np.ndarr
     return h, cache
 
 
-def _live_prefix_loop(projected: np.ndarray, u_t: np.ndarray, lengths: np.ndarray):
+def _live_prefix_loop(table: np.ndarray, rows: np.ndarray, u_t: np.ndarray,
+                      lengths: np.ndarray):
     """The scoring recurrence on rows sorted longest first; see `lstm_forward`."""
-    _, steps, batch, hidden_dim = projected.shape
     order = np.argsort(-lengths, kind="stable")
-    running = np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0)
-    h, c = np.zeros((batch, hidden_dim)), np.zeros((batch, hidden_dim))
+    running = np.count_nonzero(lengths[:, None] > np.arange(rows.shape[1]), axis=0)
+    h, c = np.zeros((2, len(rows), table.shape[2]))
     for t, n in enumerate(running.tolist()):
         a = (h @ u_t)[:, :n]
-        a += projected[:, t][:, order[:n]]
+        a += table[:, rows[order[:n], t]]
         _activate(a)
         h_live, c_live = h[:n], c[:n]
         c_live *= a[1]
@@ -128,9 +138,7 @@ def _live_prefix_loop(projected: np.ndarray, u_t: np.ndarray, lengths: np.ndarra
         c_live += a[0]
         np.tanh(c_live, out=h_live)
         h_live *= a[2]
-    final_h = np.empty_like(h)
-    final_h[order] = h
-    return final_h
+    return h[np.argsort(order)]  # back to the caller's row order
 
 
 def lstm_backward(params: dict[str, np.ndarray], cache, d_final_h: np.ndarray):

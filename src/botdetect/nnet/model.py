@@ -1,7 +1,7 @@
 """The contextual tweet classifier and its tweet-only variant.
 
-A tweet arrives as row ids into the frozen embedding matrix; its vectors are
-gathered when its batch enters a 32-unit LSTM, and the final state is
+A tweet arrives as row ids into the frozen embedding matrix, which its batch
+hands to a 32-unit LSTM together with the matrix; the final state is
 concatenated with the six standardized metadata counters before two ReLU
 layers (128, 64) and a sigmoid output. An auxiliary sigmoid head reads the
 LSTM state directly; it exists for training regularization only and its loss
@@ -23,6 +23,7 @@ from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
     dense_backward, dense_forward, glorot_uniform, sigmoid
 from .lstm import GATES, init_lstm_params, lstm_backward, lstm_forward
+from .lstm import stack_sequences  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 
 METADATA_DIM = len(TWEET_METADATA_COLUMNS)
 # The main head's layers, as (W key, b key): dense1 -> dense2 -> main.
@@ -92,17 +93,17 @@ class ContextualLstmModel:
 
     # -- forward ---------------------------------------------------------
 
-    def forward_batch(self, x: np.ndarray, lengths: np.ndarray,
+    def forward_batch(self, matrix: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
                       metadata: np.ndarray | None, keep_cache: bool = False):
-        """Batched forward pass on time-major (T, B, d) inputs and raw
-        metadata, which it standardizes.
+        """Batched forward pass on (B, max_len) row ids into the embedding
+        matrix and raw metadata, which it standardizes.
 
         Returns (main_scores, aux_scores, final_h, cache); the cache is None
         unless ``keep_cache``.
         """
         p = self.params
         cfg = self.config
-        final_h, lstm_cache = lstm_forward(p, x, lengths, keep_cache)
+        final_h, lstm_cache = lstm_forward(p, ids, lengths, matrix, keep_cache)
         if cfg.use_metadata:
             if metadata is None or metadata.shape[1] != METADATA_DIM:
                 raise DimensionMismatch("metadata must be a (B, 6) array")
@@ -130,9 +131,8 @@ class ContextualLstmModel:
         """
         if self.config.use_metadata:
             metadata = np.asarray(metadata, dtype=np.float64).reshape(1, METADATA_DIM)
-        lengths = np.array([length])
-        main, aux, _, cache = self.forward_batch(stack_sequences(matrix, ids[None], lengths),
-                                                 lengths, metadata, keep_cache=True)
+        main, aux, _, cache = self.forward_batch(matrix, ids[None], np.array([length]), metadata,
+                                                 keep_cache=True)
         hidden, cells = (np.stack(cache["lstm"][key])[1:, 0, :] for key in ("h", "c"))
         return float(main[0]), (float(aux[0]) if aux is not None else None), hidden, cells
 
@@ -140,7 +140,7 @@ class ContextualLstmModel:
                       metadata: np.ndarray | None = None) -> np.ndarray:
         """Main-head scores for (N, max_len) row ids (raw metadata accepted),
         in one full-batch forward pass."""
-        return self.forward_batch(stack_sequences(matrix, ids, lengths), lengths, metadata)[0]
+        return self.forward_batch(matrix, ids, lengths, metadata)[0]
 
     # -- training --------------------------------------------------------
 
@@ -248,14 +248,6 @@ class TrainingTrace(NamedTuple):
         return lines
 
 
-def stack_sequences(matrix: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The time-major (S, B, d) vectors of a batch of (B, max_len) row ids,
-    S = max(lengths): the one gather from the embedding matrix, straight into
-    the layout the recurrence reads."""
-    steps = int(lengths.max()) if len(lengths) else 0
-    return matrix[ids[:, :steps].T]
-
-
 def train(
     config: NetConfig,
     matrix: np.ndarray,
@@ -265,7 +257,7 @@ def train(
     """Mini-batch Adam over full backpropagation through time.
 
     ``corpus`` and ``validation`` are (ids, lengths, raw metadata, labels)
-    arrays; each batch gathers its vectors from the embedding ``matrix``.
+    arrays; each batch reads its rows of the embedding ``matrix``.
     Embeddings are frozen (gradients stop at the sequence input). Metadata is
     standardized with training-set statistics; it is never resampled. The run
     is bit-reproducible for a fixed config seed. A step that overflows or
@@ -294,9 +286,9 @@ def train(
         for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             lb, yb = lengths_all[idx], targets[idx]
-            xb = stack_sequences(matrix, ids_all[idx], lb)
             with float_errors(TrainingError, f"loss is not finite at epoch {epoch}, step {step}"):
-                main, aux, _, cache = model.forward_batch(xb, lb, meta_all[idx], keep_cache=True)
+                main, aux, _, cache = model.forward_batch(matrix, ids_all[idx], lb, meta_all[idx],
+                                                          keep_cache=True)
                 total, main_loss, aux_loss = blended_loss(main, aux, yb, config.loss_weights)
                 if not np.isfinite(total):
                     raise FloatingPointError

@@ -88,6 +88,8 @@ def load_model(path) -> tuple[Entries, Entries]:
             key, sep, value = body.partition(" = ")
             if not sep:
                 raise ParseError(f"{path}:{i + 1}: malformed meta line")
+            if key in meta:
+                raise ParseError(f"{path}:{i + 1}: repeated meta {key!r}")
             meta[key] = value
             i += 1
             continue

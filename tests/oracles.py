@@ -213,6 +213,38 @@ def scalar_lstm_cells(params: dict[str, np.ndarray], matrix: np.ndarray,
     return cells
 
 
+def padded_lstm_forward(params: dict[str, np.ndarray], x: np.ndarray,
+                        lengths: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The masked training recurrence without an input table, on time-major
+    (T, B, d) floats: every position of every row, padding included, is
+    projected on its own (``inputs @ Wᵀ``, then ``+= b``) before the loop.
+    Returns (final_h, cache) in `lstm_forward`'s cache layout, so
+    `lstm_backward` reads either. Its float operations are the library's,
+    in the same order, so a table whose gemm runs outside OpenBLAS's
+    small-matrix sizes gives the same bits."""
+    w, u, b = (np.stack([params[f"{kind}_{gate}"] for gate in "ifoc"]) for kind in "WUb")
+    steps = int(lengths.max()) if len(lengths) else 0
+    _, batch, dim = x.shape
+    hidden = u.shape[1]
+    inputs = x[:steps].reshape(-1, dim)
+    projected = inputs @ w.transpose(0, 2, 1)
+    projected += b[:, None, :]
+    projected = projected.reshape(4, steps, batch, hidden)
+    h = c = np.zeros((batch, hidden))
+    cache = dict(x=inputs, lengths=lengths, ifo=[], cand=[], h=[h], c=[c])
+    for t in range(steps):
+        a = h @ u.transpose(0, 2, 1) + projected[:, t]
+        ifo = (np.tanh(a[:3] * 0.5) + 1.0) * 0.5  # `layers.sigmoid`'s operations
+        cand = np.tanh(a[3])
+        c_raw = ifo[1] * c + ifo[0] * cand
+        live = (t < lengths)[:, None]
+        h = np.where(live, ifo[2] * np.tanh(c_raw), h)
+        c = np.where(live, c_raw, c)
+        for key, value in zip(("ifo", "cand", "h", "c"), (ifo, cand, h, c)):
+            cache[key].append(value)
+    return h, cache
+
+
 # -- reference forest ------------------------------------------------------
 # The per-node CART grower that `baselines.forest` replaced with lockstep
 # rounds, kept as it was: one tree at a time, one split search per node.

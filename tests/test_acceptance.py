@@ -41,7 +41,7 @@ from botdetect.tokenizer import tokenize
 
 from gradcheck import check_gradients
 from golden_tokenizer import GOLDEN_CASES, REPEAT_CASES, REPEAT_OFF_CASES
-from helpers import split
+from helpers import embedded, split
 from oracles import brute_enn_keep, brute_tomek, is_convex_combination, pair_auc
 
 
@@ -124,17 +124,18 @@ def test_criterion_4_gradient_verification():
             rng = np.random.Generator(np.random.PCG64(3000 + batch))
             config = NetConfig(embedding_dim=25, seed=4000 + batch)
             model = ContextualLstmModel.initialize(config)
-            x = rng.standard_normal((3, 6, 25)).transpose(1, 0, 2)
+            matrix, ids = embedded(rng.standard_normal((3, 6, 25)).transpose(1, 0, 2))
             lengths = np.array([6, int(rng.integers(2, 6)), int(rng.integers(1, 4))])
             metadata = rng.standard_normal((3, 6))
             targets = rng.integers(0, 2, 3).astype(np.float64)
             w_main, w_aux = config.loss_weights
 
             def loss_fn():
-                main, aux, _, _ = model.forward_batch(x, lengths, metadata)
+                main, aux, _, _ = model.forward_batch(matrix, ids, lengths, metadata)
                 return w_main * bce(main, targets) + w_aux * bce(aux, targets)
 
-            main, aux, _, cache = model.forward_batch(x, lengths, metadata, keep_cache=True)
+            main, aux, _, cache = model.forward_batch(matrix, ids, lengths, metadata,
+                                                      keep_cache=True)
             grads = model.backward_batch(cache, main, aux, targets)
             errors = check_gradients(
                 loss_fn, model.params, grads, seed=batch, eps=1e-5,

@@ -492,6 +492,8 @@ MALFORMED = {
     "net_repeated_tensor": (3, "eval", ("net", "tensor meta_standardizer.mean 1 6\n",
                                         "tensor meta_standardizer.mean 1 6\n0.5 0.5 0.5 0.5 0.5 0.5"
                                         "\ntensor meta_standardizer.mean 1 6\n")),
+    "net_repeated_meta": (3, "eval", ("net", "meta max_len = 30\n",
+                                      "meta max_len = 30\nmeta max_len = 2\n")),
     # Extra argv after a checkpoint edit is appended to the command.
     "eval_threshold_7": (2, "eval", ("forest", "", "", "--threshold", "7")),
     # Any other argv runs as given; {tmp} is the test's directory, which
@@ -763,9 +765,9 @@ def test_inspect_cell_state_runs_the_lstm_once_for_the_traced_tweet(corpus, tmp_
     batches = []
     original = lstm.lstm_forward
 
-    def counted(params, x, lengths, keep_cache=False):
-        batches.append(x.shape[1])
-        return original(params, x, lengths, keep_cache)
+    def counted(params, ids, lengths, matrix, keep_cache=False):
+        batches.append(len(ids))
+        return original(params, ids, lengths, matrix, keep_cache)
 
     # Every botdetect name bound to the recurrence is rebound, as a tracer does.
     for name, module in list(sys.modules.items()):

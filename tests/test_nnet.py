@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,12 @@ from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import DegenerateData, DimensionMismatch, ParseError, TrainingError
 from botdetect.nnet.layers import bce, sigmoid
 from botdetect.nnet.lstm import init_lstm_params, lstm_backward, lstm_forward
-from botdetect.nnet.model import (
-    ContextualLstmModel,
-    NetConfig,
-    blended_loss,
-    stack_sequences,
-    train,
-)
+from botdetect.nnet.model import ContextualLstmModel, NetConfig, blended_loss, train
 from botdetect.persist import load_model
 
 from gradcheck import check_gradients
-from oracles import scalar_bce, scalar_contextual_forward, scalar_lstm_final
+from helpers import embedded, scoring_peak
+from oracles import padded_lstm_forward, scalar_bce, scalar_contextual_forward, scalar_lstm_final
 
 
 def _sequence(rng, length, dim, max_len=None):
@@ -67,7 +64,8 @@ def test_lstm_zero_length_gives_zero_state():
     rng = np.random.Generator(np.random.PCG64(0))
     params = init_lstm_params(rng, 5, 32)
     x, length = _sequence(rng, 0, 5, max_len=4)
-    final_h, cache = lstm_forward(params, x[:, None], np.array([length]), keep_cache=True)
+    matrix, ids = embedded(x[:, None])
+    final_h, cache = lstm_forward(params, ids, np.array([length]), matrix, keep_cache=True)
     assert np.all(final_h[0] == 0.0)
     assert np.stack(cache["h"])[1:, 0].shape == (0, 32)
     assert np.all(np.stack(cache["h"]) == 0.0)
@@ -77,7 +75,8 @@ def test_lstm_zero_weights_give_zero_output():
     rng = np.random.Generator(np.random.PCG64(1))
     params = _zero_cell(3)
     x, _ = _sequence(rng, 6, 3)
-    final_h, cache = lstm_forward(params, x[:, None], np.array([6]), keep_cache=True)
+    matrix, ids = embedded(x[:, None])
+    final_h, cache = lstm_forward(params, ids, np.array([6]), matrix, keep_cache=True)
     assert np.all(final_h == 0.0)
     assert np.all(np.stack(cache["h"]) == 0.0)
 
@@ -86,7 +85,8 @@ def test_lstm_matches_scalar_reference():
     rng = np.random.Generator(np.random.PCG64(2))
     params = init_lstm_params(rng, 4, 8)
     x, length = _sequence(rng, 5, 4, max_len=7)
-    final_h, cache = lstm_forward(params, x[:, None], np.array([length]), keep_cache=True)
+    matrix, ids = embedded(x[:, None])
+    final_h, cache = lstm_forward(params, ids, np.array([length]), matrix, keep_cache=True)
     ref_final, ref_all = scalar_lstm_final(params, x, length)
     assert np.allclose(final_h[0], ref_final, atol=1e-12)
     assert np.allclose(np.stack(cache["h"])[1:, 0], ref_all, atol=1e-12)
@@ -99,9 +99,9 @@ def test_lstm_cache_states_match_scalar_reference(zero_weights):
     rng = np.random.Generator(np.random.PCG64(42))
     params = _zero_cell(3, hidden=6) if zero_weights else init_lstm_params(rng, 3, 6)
     sequences = [_sequence(rng, n, 3, max_len=7) for n in (5, 0, 7, 2)]
-    x = np.stack([m for m, _ in sequences], axis=1)
+    matrix, ids = embedded(np.stack([m for m, _ in sequences], axis=1))
     lengths = np.array([length for _, length in sequences])
-    final_h, cache = lstm_forward(params, x, lengths, keep_cache=True)
+    final_h, cache = lstm_forward(params, ids, lengths, matrix, keep_cache=True)
     states = np.stack(cache["h"])
     assert states.shape == (8, 4, 6) and np.all(states[0] == 0.0)
     for i, (matrix, length) in enumerate(sequences):
@@ -115,19 +115,21 @@ def test_lstm_batch_masking_equals_per_sequence_runs():
     rng = np.random.Generator(np.random.PCG64(3))
     params = init_lstm_params(rng, 3, 6)
     sequences = [_sequence(rng, n, 3, max_len=5) for n in (5, 2, 0, 4)]
-    x = np.stack([m for m, _ in sequences], axis=1)
+    matrix, ids = embedded(np.stack([m for m, _ in sequences], axis=1))
     lengths = np.array([length for _, length in sequences])
-    batch_final, _ = lstm_forward(params, x, lengths)
-    for i, (matrix, _) in enumerate(sequences):
-        solo_final, _ = lstm_forward(params, matrix[:, None], lengths[i : i + 1])
+    batch_final, _ = lstm_forward(params, ids, lengths, matrix)
+    for i, (sequence, _) in enumerate(sequences):
+        solo_matrix, solo_ids = embedded(sequence[:, None])
+        solo_final, _ = lstm_forward(params, solo_ids, lengths[i : i + 1], solo_matrix)
         assert np.allclose(batch_final[i], solo_final[0], atol=1e-12)
 
 
 def test_lstm_dimension_mismatch():
     rng = np.random.Generator(np.random.PCG64(4))
     params = init_lstm_params(rng, 4, 8)
+    matrix, ids = embedded(_sequence(rng, 3, 5)[0][:, None])
     with pytest.raises(DimensionMismatch):
-        lstm_forward(params, _sequence(rng, 3, 5)[0][:, None], np.array([3]))
+        lstm_forward(params, ids, np.array([3]), matrix)
 
 
 def test_sigmoid_exact_at_zero_and_symmetric():
@@ -152,10 +154,10 @@ def test_sigmoid_matches_exp_form():
 def test_lstm_cache_does_not_change_outputs():
     rng = np.random.Generator(np.random.PCG64(40))
     params = init_lstm_params(rng, 4, 6)
-    x = rng.standard_normal((5, 7, 4)).transpose(1, 0, 2)
+    matrix, ids = embedded(rng.standard_normal((5, 7, 4)).transpose(1, 0, 2))
     lengths = np.array([7, 0, 3, 1, 6])
-    final_a, cache_a = lstm_forward(params, x, lengths)
-    final_b, cache_b = lstm_forward(params, x, lengths, keep_cache=True)
+    final_a, cache_a = lstm_forward(params, ids, lengths, matrix)
+    final_b, cache_b = lstm_forward(params, ids, lengths, matrix, keep_cache=True)
     assert cache_a is None and cache_b is not None
     assert np.array_equal(final_a, final_b)
     assert np.array_equal(cache_b["h"][-1], final_b)
@@ -179,26 +181,28 @@ def _scoring_batch(case):
     rng = np.random.Generator(np.random.PCG64(50))
     params = init_lstm_params(rng, 5, hidden)
     lengths = np.asarray(lengths)
-    return params, rng.standard_normal((max_len, len(lengths), 5)), lengths, rng
+    matrix, ids = embedded(rng.standard_normal((max_len, len(lengths), 5)))
+    return params, ids, lengths, matrix, rng
 
 
 @pytest.mark.parametrize("case", sorted(SCORING_BATCHES))
 def test_scoring_loop_equals_training_loop_bitwise(case):
-    # The sorted live-prefix loop and the masked loop run the same gemms at
-    # the same row counts, so their final states agree to the bit.
-    params, x, lengths, _ = _scoring_batch(case)
-    scored, no_cache = lstm_forward(params, x, lengths)
-    trained, cache = lstm_forward(params, x, lengths, keep_cache=True)
+    # The sorted live-prefix loop and the masked loop read one input table
+    # and run each h·Uᵀ at the same row count, so their final states agree
+    # to the bit.
+    params, ids, lengths, matrix, _ = _scoring_batch(case)
+    scored, no_cache = lstm_forward(params, ids, lengths, matrix)
+    trained, cache = lstm_forward(params, ids, lengths, matrix, keep_cache=True)
     assert no_cache is None and cache is not None
     assert np.array_equal(scored, trained)
 
 
 @pytest.mark.parametrize("case", sorted(SCORING_BATCHES))
 def test_scoring_permuted_rows_permute_final_states_bitwise(case):
-    params, x, lengths, rng = _scoring_batch(case)
+    params, ids, lengths, matrix, rng = _scoring_batch(case)
     perm = rng.permutation(len(lengths))
-    scored, _ = lstm_forward(params, x, lengths)
-    permuted, _ = lstm_forward(params, x[:, perm], lengths[perm])
+    scored, _ = lstm_forward(params, ids, lengths, matrix)
+    permuted, _ = lstm_forward(params, ids[perm], lengths[perm], matrix)
     assert np.array_equal(permuted, scored[perm])
 
 
@@ -213,16 +217,68 @@ def test_predict_proba_equals_training_forward_scores(variant):
     model = ContextualLstmModel.initialize(NetConfig(embedding_dim=5, seed=53, **variant))
     model.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
     scores = model.predict_proba(matrix, ids, lengths, metadata)
-    main, _, _, _ = model.forward_batch(stack_sequences(matrix, ids, lengths), lengths,
-                                        metadata, keep_cache=True)
+    main, _, _, _ = model.forward_batch(matrix, ids, lengths, metadata, keep_cache=True)
     assert np.array_equal(scores, main)
+
+
+# Batches for the input table against the padded projection, as (lengths,
+# ids, whether the bits must match): 300 rows of length <= 30 over a 420-row
+# vocabulary (d 50, h 32), past OpenBLAS's small-matrix sizes in both gemms.
+# The last vocabulary row is the zero pad row and the one before it the
+# unknown row. A table of one token is a 1-row gemm, which OpenBLAS runs
+# through its small-matrix kernel: its last bits may differ from the
+# projection's, and only the two loops must still agree to the bit.
+TABLE_VOCAB, TABLE_ROWS, TABLE_LEN = 420, 300, 30
+_TABLE_RNG = np.random.Generator(np.random.PCG64(54))
+_TABLE_LENGTHS = _TABLE_RNG.integers(0, TABLE_LEN + 1, TABLE_ROWS)
+_TABLE_IDS = _TABLE_RNG.integers(0, TABLE_VOCAB, (TABLE_ROWS, TABLE_LEN))
+_PADDED = np.where(np.arange(TABLE_LEN) < _TABLE_LENGTHS[:, None],
+                   np.where(_TABLE_RNG.random(_TABLE_IDS.shape) < 0.1, TABLE_VOCAB - 2, _TABLE_IDS),
+                   TABLE_VOCAB - 1)
+TABLE_BATCHES = {
+    "random_ids": (_TABLE_LENGTHS, _TABLE_IDS, True),
+    "pad_and_unknown": (_TABLE_LENGTHS, _PADDED, True),
+    "zero_length_rows": (np.where(np.arange(TABLE_ROWS) % 3 == 0, 0, _TABLE_LENGTHS), _PADDED,
+                         True),
+    "all_empty": (np.zeros(TABLE_ROWS, dtype=np.int64), _PADDED, True),
+    "one_token": (_TABLE_LENGTHS, np.full_like(_TABLE_IDS, 7), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_BATCHES))
+def test_lstm_table_equals_padded_projection_bitwise(case):
+    # One table row per distinct id gives the bits of projecting every padded
+    # position, in both loops' final states and in every gradient.
+    lengths, ids, exact = TABLE_BATCHES[case]
+    rng = np.random.Generator(np.random.PCG64(55))
+    params = init_lstm_params(rng, 50, 32)
+    matrix = rng.standard_normal((TABLE_VOCAB, 50))
+    matrix[-2], matrix[-1] = matrix[:-2].mean(axis=0), 0.0
+    expected, oracle_cache = padded_lstm_forward(params, matrix[ids.T], lengths)
+    scored, _ = lstm_forward(params, ids, lengths, matrix)
+    trained, cache = lstm_forward(params, ids, lengths, matrix, keep_cache=True)
+    d_final_h = rng.standard_normal(expected.shape)
+    grads = lstm_backward(params, cache, d_final_h)
+    oracle_grads = lstm_backward(params, oracle_cache, d_final_h)
+    assert np.array_equal(scored, trained)
+    same = np.array_equal if exact else partial(np.allclose, rtol=1e-12, atol=1e-12)
+    assert same(trained, expected)
+    for name in params:
+        assert same(grads[name], oracle_grads[name]), name
+
+
+def test_predict_proba_peak_memory_stays_below_a_quarter_of_the_padded_projection():
+    # The per-position projection alone would take S * B * 4h * 8 bytes.
+    peak, bound = scoring_peak()
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
 def test_lstm_all_empty_batch_has_zero_gradients():
     rng = np.random.Generator(np.random.PCG64(41))
     params = init_lstm_params(rng, 4, 6)
-    final_h, cache = lstm_forward(params, rng.standard_normal((3, 5, 4)).transpose(1, 0, 2),
-                                  np.zeros(3, dtype=np.int64), keep_cache=True)
+    matrix, ids = embedded(rng.standard_normal((3, 5, 4)).transpose(1, 0, 2))
+    final_h, cache = lstm_forward(params, ids, np.zeros(3, dtype=np.int64), matrix,
+                                  keep_cache=True)
     assert np.all(final_h == 0.0) and np.all(np.stack(cache["h"]) == 0.0)
     grads = lstm_backward(params, cache, rng.standard_normal((3, 6)))
     assert set(grads) == set(params)
@@ -339,17 +395,17 @@ def test_gradients_match_finite_differences_quick():
     rng = np.random.Generator(np.random.PCG64(16))
     config = NetConfig(embedding_dim=5, hidden_dim=6, dense_sizes=(8, 7), seed=17)
     model = ContextualLstmModel.initialize(config)
-    x = rng.standard_normal((3, 5, 5)).transpose(1, 0, 2)
+    matrix, ids = embedded(rng.standard_normal((3, 5, 5)).transpose(1, 0, 2))
     lengths = np.array([5, 3, 1])
     meta = rng.standard_normal((3, 6))
     y = np.array([1.0, 0.0, 1.0])
     w_main, w_aux = config.loss_weights
 
     def loss_fn():
-        main, aux, _, _ = model.forward_batch(x, lengths, meta)
+        main, aux, _, _ = model.forward_batch(matrix, ids, lengths, meta)
         return w_main * bce(main, y) + w_aux * bce(aux, y)
 
-    main, aux, _, cache = model.forward_batch(x, lengths, meta, keep_cache=True)
+    main, aux, _, cache = model.forward_batch(matrix, ids, lengths, meta, keep_cache=True)
     grads = model.backward_batch(cache, main, aux, y)
     errors = check_gradients(loss_fn, model.params, grads, seed=0, coords_per_group=48)
     assert set(errors) == set(model.params)
@@ -360,17 +416,17 @@ def test_gradients_match_finite_differences_with_empty_rows():
     rng = np.random.Generator(np.random.PCG64(42))
     config = NetConfig(embedding_dim=4, hidden_dim=5, dense_sizes=(6, 5), seed=43)
     model = ContextualLstmModel.initialize(config)
-    x = rng.standard_normal((5, 6, 4)).transpose(1, 0, 2)
+    matrix, ids = embedded(rng.standard_normal((5, 6, 4)).transpose(1, 0, 2))
     lengths = np.array([6, 0, 3, 1, 0])
     meta = rng.standard_normal((5, 6))
     y = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
     w_main, w_aux = config.loss_weights
 
     def loss_fn():
-        main, aux, _, _ = model.forward_batch(x, lengths, meta)
+        main, aux, _, _ = model.forward_batch(matrix, ids, lengths, meta)
         return w_main * bce(main, y) + w_aux * bce(aux, y)
 
-    main, aux, _, cache = model.forward_batch(x, lengths, meta, keep_cache=True)
+    main, aux, _, cache = model.forward_batch(matrix, ids, lengths, meta, keep_cache=True)
     grads = model.backward_batch(cache, main, aux, y)
     errors = check_gradients(loss_fn, model.params, grads, seed=1, coords_per_group=48)
     assert set(errors) == set(model.params)
@@ -562,5 +618,5 @@ def test_predict_proba_on_ids_equals_forward_batch_on_floats():
         model.metadata_standardizer = Standardizer(mean=np.full(6, 0.5), std=np.full(6, 2.0))
         scores = model.predict_proba(table.matrix, ids, lengths, metadata)
         x = np.stack([[table.matrix[i] for i in row] for row in ids], axis=1)
-        expected, _, _, _ = model.forward_batch(x, lengths, metadata)
+        expected, _, _, _ = model.forward_batch(*embedded(x), lengths, metadata)
         assert np.array_equal(scores, expected)
