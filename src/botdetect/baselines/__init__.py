@@ -15,7 +15,7 @@ import numpy as np
 
 from ..config import from_strings, to_strings
 from ..data import FeatureMatrix, Standardizer
-from ..errors import ParseError
+from ..errors import DataError
 from ..persist import save_model
 from .boost import fit_adaboost, predict_adaboost, stumps_fit
 from .common import (
@@ -129,7 +129,7 @@ def save_baseline(model: BaselineModel, path, extra_meta: dict | None = None) ->
 
 def load_baseline(meta, arrays) -> BaselineModel:
     """Rebuild a baseline from a parsed checkpoint (`persist.load_model`); a
-    missing or unexpected tensor is a ParseError naming it, and so are tensors
+    missing or unexpected tensor is a DataError naming it, and so are tensors
     that cannot score rows of the schema's width and a standardizer
     `Standardizer.load` refuses."""
     prefix = "config."
@@ -142,6 +142,6 @@ def load_baseline(meta, arrays) -> BaselineModel:
     params = {name: arrays[name] for name in REGISTRY[kind].tensors(config)}
     arrays.only({*params, "standardizer.mean", "standardizer.std"})
     if not REGISTRY[kind].fits(params, config, len(schema)):
-        raise ParseError(f"{arrays.path}: the {kind.value} tensors cannot score "
-                         f"{len(schema)}-wide rows")
+        raise DataError(f"{arrays.path}: the {kind.value} tensors cannot score "
+                        f"{len(schema)}-wide rows")
     return BaselineModel(kind, schema, standardizer, config, params)

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..data import BaselineKind, FeatureMatrix, Standardizer
-from ..errors import DegenerateData, SchemaMismatch
+from ..errors import DataError
 
 
 class BaselineConfig(NamedTuple):
@@ -46,22 +46,18 @@ class BaselineModel(NamedTuple):
 
 def validate_training_matrix(matrix: FeatureMatrix) -> None:
     if matrix.n_rows < 2:
-        raise DegenerateData(f"need at least 2 training rows, got {matrix.n_rows}")
+        raise DataError(f"need at least 2 training rows, got {matrix.n_rows}")
 
 
 def rows_for_prediction(model: BaselineModel, rows) -> np.ndarray:
     """Standardized feature rows, checked against the training schema."""
     if isinstance(rows, FeatureMatrix):
         if rows.schema != model.schema:
-            raise SchemaMismatch(
-                f"schema {rows.schema} does not match training schema {model.schema}"
-            )
+            raise DataError(f"schema {rows.schema} does not match training schema {model.schema}")
         rows = rows.features
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[None, :]
     if rows.shape[1] != len(model.schema):
-        raise SchemaMismatch(
-            f"row width {rows.shape[1]} != training width {len(model.schema)}"
-        )
+        raise DataError(f"row width {rows.shape[1]} != training width {len(model.schema)}")
     return model.standardizer.transform(rows)

@@ -52,7 +52,7 @@ from .data import (
     matrix_to_csv_lines,
     split_indices,
 )
-from .errors import BotDetectError, ConfigError, DataError, DegenerateData, ParseError, float_errors
+from .errors import BotDetectError, ConfigError, DataError, float_errors
 from .ingest import (
     SyntheticCorpusSpec,
     generate_synthetic,
@@ -188,7 +188,7 @@ def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
         records, schema = tweets, TWEET_METADATA_COLUMNS
         rows = [r.metadata for r in records]
     if not records:
-        raise DegenerateData(f"corpus contains no {'accounts' if on_accounts else 'tweets'}")
+        raise DataError(f"corpus contains no {'accounts' if on_accounts else 'tweets'}")
     labels = np.array([r.label for r in records], dtype=np.int8)
     return FeatureMatrix(np.array(rows, dtype=np.float64), schema, labels)
 
@@ -212,11 +212,15 @@ def _make_run_dir(config: RunConfig) -> str:
     return run_dir
 
 
-def _run_baseline_experiment(config, matrix, run_dir, con_hash):
+def _run_baseline_experiment(config, accounts, tweets, run_dir, con_hash):
     from . import baselines
     from .resample import ResampleConfig, apply_strategy
 
-    train_idx, test_idx = split_indices(matrix.labels, _part(SplitSpec, config))
+    on_accounts = config.task == "account"
+    matrix = _baseline_matrix(on_accounts, accounts, tweets)
+    records = accounts if on_accounts else tweets
+    groups = [r.account_id for r in records] if config.group_by_account else None
+    train_idx, test_idx = split_indices(matrix.labels, _part(SplitSpec, config), groups=groups)
     train_matrix = matrix.select(train_idx)
     test_matrix = matrix.select(test_idx)
 
@@ -241,7 +245,7 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
     from .tokenizer import tokenize
 
     if not tweets:
-        raise DegenerateData("corpus contains no tweets")
+        raise DataError("corpus contains no tweets")
     labels = np.array([t.label for t in tweets], dtype=np.int8)
     groups = [t.account_id for t in tweets] if config.group_by_account else None
     train_idx, test_idx = split_indices(labels, _part(SplitSpec, config), groups=groups)
@@ -305,8 +309,7 @@ def run_experiment(config: RunConfig, read_corpus=_read_corpus) -> ExperimentRes
         if config.model in NET_CONFIGS:
             report = _run_net_experiment(config, tweets, run_dir, con_hash)
         else:
-            matrix = _baseline_matrix(config.task == "account", accounts, tweets)
-            report = _run_baseline_experiment(config, matrix, run_dir, con_hash)
+            report = _run_baseline_experiment(config, accounts, tweets, run_dir, con_hash)
 
         _write_report(run_dir, report, [f"config_hash = {con_hash}"],
                       f"  config hash {con_hash}\n")
@@ -326,8 +329,13 @@ def run_experiment(config: RunConfig, read_corpus=_read_corpus) -> ExperimentRes
     return ExperimentResult(report, run_dir)
 
 
-def _exit_code(exc: BotDetectError | OSError) -> int:
-    """The exit code of an error: its own, or a data error's for an OSError."""
+# The errors that `main` and each bench row report in one line.
+FAILURES = (BotDetectError, OSError, UnicodeDecodeError)
+
+
+def _exit_code(exc: BotDetectError | OSError | UnicodeDecodeError) -> int:
+    """The exit code of an error: its own, or a data error's for a file that
+    cannot be read or is not UTF-8."""
     return exc.exit_code if isinstance(exc, BotDetectError) else DataError.exit_code
 
 
@@ -345,7 +353,7 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
     for key, value in entries.items():
         if key.startswith("default."):
             defaults[key[len("default."):]] = value
-        elif key.startswith("row."):
+        elif key.startswith("row.") and key.count(".") >= 2:
             _, name, field = key.split(".", 2)
             row_values.setdefault(name, {})[field] = value
         else:
@@ -377,7 +385,7 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
                 f1=f"{rep.f1:.4f}", accuracy=f"{rep.accuracy:.4f}",
                 auc=f"{rep.auc:.4f}", status="ok", error="",
             )
-        except (BotDetectError, OSError) as exc:
+        except FAILURES as exc:
             for key in ("task", "model", "resample", "embedding_dim"):
                 row.setdefault(key, merged.get(key, ""))
             message = str(exc).replace(",", ";").replace("\n", " ")
@@ -505,7 +513,7 @@ def _load_net(path, meta, arrays, embedding):
     from .nnet.model import ContextualLstmModel
 
     if meta["kind"] not in CHECKPOINT_KINDS:
-        raise ParseError(f"{path}: kind {meta['kind']!r} is not a tweet-level net")
+        raise DataError(f"{path}: kind {meta['kind']!r} is not a tweet-level net")
     model = ContextualLstmModel.load(meta, arrays)
     vocabulary = meta["vocabulary"].split() if "vocabulary" in meta else None
     table = load_glove(embedding, model.config.embedding_dim, restrict_to=vocabulary)
@@ -528,7 +536,7 @@ def _cmd_eval(args) -> int:
         if not args.embedding:
             raise ConfigError("net checkpoints need --embedding for evaluation")
         if not tweets:
-            raise DegenerateData("corpus contains no tweets")
+            raise DataError("corpus contains no tweets")
         model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
         scores = model.predict_proba(pipeline.table.matrix, *pipeline.tensors(tweets))
         labels = np.array([t.label for t in tweets], dtype=np.int8)
@@ -540,7 +548,7 @@ def _cmd_eval(args) -> int:
         scores = baselines.predict_proba(model, matrix)
         labels = matrix.labels
     else:
-        raise ParseError(f"{args.checkpoint}: unknown model kind {kind!r}")
+        raise DataError(f"{args.checkpoint}: unknown model kind {kind!r}")
     report = evaluate(scores, labels, args.threshold)
     sys.stdout.write(report.to_text())
     if args.out:
@@ -557,7 +565,7 @@ def _cmd_inspect(args) -> int:
     model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
     _, tweets, _ = _read_corpus(args.manifest)
     if not tweets:
-        raise DegenerateData("corpus contains no tweets")
+        raise DataError("corpus contains no tweets")
     os.makedirs(args.out, exist_ok=True)
 
     index = args.tweet_index
@@ -676,7 +684,7 @@ def main(argv=None) -> int:
     try:
         with float_errors(DataError, FLOAT_ERROR):
             return args.func(args)
-    except (BotDetectError, OSError) as exc:
+    except FAILURES as exc:
         code = _exit_code(exc)
         kind = {ConfigError.exit_code: "config error", DataError.exit_code: "data error"}
         print(f"{kind.get(code, 'error')}: {exc}", file=sys.stderr)

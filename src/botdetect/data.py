@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyClass, EmptyInput, HeaderMismatch, ParseError
+from .errors import DataError
 
 
 class Label(enum.IntEnum):
@@ -171,25 +171,25 @@ def matrix_to_csv_lines(matrix: FeatureMatrix) -> list[str]:
 def matrix_from_csv_lines(lines) -> FeatureMatrix:
     rows = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
     if not rows:
-        raise EmptyInput("matrix CSV has no content")
+        raise DataError("matrix CSV has no content")
     header = rows[0].split(",")
     if len(header) < 2 or header[-1] != "label":
-        raise HeaderMismatch("matrix CSV must end with a `label` column")
+        raise DataError("matrix CSV must end with a `label` column")
     schema = tuple(h.strip() for h in header[:-1])
     feats, labels = [], []
     for lineno, line in enumerate(rows[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ParseError(f"line {lineno}: expected {len(header)} cells")
+            raise DataError(f"line {lineno}: expected {len(header)} cells")
         name = cells[-1].strip().lower()
         if name not in ("human", "bot"):
-            raise ParseError(f"line {lineno}: unknown label {cells[-1]!r}")
+            raise DataError(f"line {lineno}: unknown label {cells[-1]!r}")
         try:
             feats.append([float(c) for c in cells[:-1]])
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise DataError(f"line {lineno}: {exc}") from exc
         if not np.all(np.isfinite(feats[-1])):
-            raise ParseError(f"line {lineno}: a feature cell is NaN or infinite")
+            raise DataError(f"line {lineno}: a feature cell is NaN or infinite")
         labels.append(Label.BOT if name == "bot" else Label.HUMAN)
     return FeatureMatrix(np.array(feats, dtype=np.float64), schema, labels)
 
@@ -215,13 +215,13 @@ class Standardizer(NamedTuple):
         """The width-wide standardizer a checkpoint's tensors
         (`persist.load_model`) hold as `<prefix>.mean` and `<prefix>.std`. A
         tensor of another shape, a mean that is not finite, or a std that is
-        not positive and finite, is a ParseError: `fit` writes none of them,
+        not positive and finite, is a DataError: `fit` writes none of them,
         and scoring would divide by such a std."""
         mean, std = (arrays.shaped(f"{prefix}.{name}", (width,)) for name in ("mean", "std"))
         if not np.all(np.isfinite(mean)):
-            raise ParseError(f"{arrays.path}: tensor '{prefix}.mean' is not finite")
+            raise DataError(f"{arrays.path}: tensor '{prefix}.mean' is not finite")
         if not np.all(np.isfinite(std) & (std > 0.0)):
-            raise ParseError(f"{arrays.path}: tensor '{prefix}.std' is not positive and finite")
+            raise DataError(f"{arrays.path}: tensor '{prefix}.std' is not positive and finite")
         return cls(mean=mean, std=std)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
@@ -253,7 +253,7 @@ def split_indices(
     labels = np.asarray(labels, dtype=np.int8)
     n = labels.shape[0]
     if n == 0:
-        raise EmptyInput("cannot split an empty matrix")
+        raise DataError("cannot split an empty matrix")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
 
     if groups is not None:
@@ -274,9 +274,7 @@ def _split_units(n, labels, spec, rng):
         for cls in (Label.HUMAN, Label.BOT):
             members = np.flatnonzero(labels == cls)
             if members.size == 0:
-                raise EmptyClass(
-                    f"stratified split requires both classes; {cls.name} absent"
-                )
+                raise DataError(f"stratified split requires both classes; {cls.name} absent")
             k = int(round(spec.train_fraction * members.size))
             k = min(max(k, 0), members.size)
             perm = rng.permutation(members.size)

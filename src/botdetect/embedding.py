@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import from_strings
 from .data import TweetRecord, checked
-from .errors import DimensionMismatch, ParseError
+from .errors import DataError
 from .tokenizer import tokenize
 
 DEFAULT_MAX_LEN = 30
@@ -93,7 +93,8 @@ def load_glove(
     Duplicate tokens keep their first occurrence. The unknown-token vector is
     the component-wise mean of all loaded vectors (distinct from the all-zero
     padding vector). ``restrict_to`` keeps memory bounded by loading only the
-    given tokens.
+    given tokens. A file that yields no vector (none at all, or none of
+    ``restrict_to``) is a data error: every token would embed as zeros.
     """
     keep = set(restrict_to) if restrict_to is not None else None
     tokens: list[str] = []
@@ -105,24 +106,24 @@ def load_glove(
             if not parts:
                 continue
             if len(parts) != expected_dimension + 1:
-                raise DimensionMismatch(
-                    f"line {lineno}: expected {expected_dimension + 1} fields, "
-                    f"got {len(parts)}"
-                )
+                raise DataError(f"line {lineno}: expected {expected_dimension + 1} fields, "
+                                f"got {len(parts)}")
             token = parts[0]
             if token in seen:
                 continue
             try:
                 vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise DataError(f"line {lineno}: {exc}") from exc
             if not np.all(np.isfinite(vec)):
-                raise ParseError(f"line {lineno}: non-finite component")
+                raise DataError(f"line {lineno}: non-finite component")
             seen.add(token)
             if keep is not None and token not in keep:
                 continue
             tokens.append(token)
             rows.append(vec)
+    if not tokens:
+        raise DataError(f"{path}: no embedding vector loaded")
     return _build_table(tokens, rows, expected_dimension)
 
 

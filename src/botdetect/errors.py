@@ -1,5 +1,7 @@
-"""Exception hierarchy. The CLI maps the three base classes to exit codes, and
-`float_errors` turns a float overflow or invalid value into one of them."""
+"""Exceptions: one class per exit code. The CLI prints the message of a
+ConfigError (2), DataError (3) or TrainingError (4) as one line and exits with
+its code; `float_errors` turns a float overflow or invalid value into one of
+them."""
 
 import contextlib
 
@@ -26,50 +28,6 @@ class TrainingError(BotDetectError):
     """Training could not produce a model."""
 
     exit_code = 4
-
-
-class EmptyInput(DataError):
-    pass
-
-
-class EmptyClass(DataError):
-    pass
-
-
-class SingleClass(DataError):
-    pass
-
-
-class HeaderMismatch(DataError):
-    pass
-
-
-class ExcessiveBadRows(DataError):
-    pass
-
-
-class ParseError(DataError):
-    pass
-
-
-class DimensionMismatch(DataError):
-    pass
-
-
-class SchemaMismatch(DataError):
-    pass
-
-
-class InsufficientRows(DataError):
-    pass
-
-
-class DegenerateMinority(DataError):
-    pass
-
-
-class DegenerateData(DataError):
-    pass
 
 
 @contextlib.contextmanager

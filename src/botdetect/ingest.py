@@ -8,6 +8,8 @@ Real corpora arrive as per-group directories of ``users.csv`` and
     group.<name>.accounts = <expected count>   # optional
     group.<name>.tweets = <expected count>     # optional
 
+Any other key, or a count that is not a whole number, is a data error.
+
 Both files go through one row reader, `_load_rows`. It checks that the
 header names the file's mandatory columns, gives a row without an id the id
 `<group>:<row index>`, and hands each row to the file's row parser. A row
@@ -38,13 +40,16 @@ from .data import (
     TweetRecord,
     checked,
 )
-from .errors import ConfigError, ExcessiveBadRows, HeaderMismatch, ParseError
+from .errors import ConfigError, DataError
 
 # Skip-and-count tolerates stray corruption up to this fraction of a file;
 # beyond it the file is considered schema-drifted and loading fails. Tiny
 # fixture files are exempt from the percentage rule.
 BAD_ROW_FRACTION = 0.10
 BAD_ROW_MIN_ROWS = 20
+
+# The attributes a manifest group may set.
+GROUP_ATTRS = ("path", "label", "accounts", "tweets")
 
 _TRUE_VALUES = {"1", "true", "t", "yes", "y"}
 _FALSE_VALUES = {"0", "false", "f", "no", "n", "", "nan", "null", "none"}
@@ -79,7 +84,7 @@ def parse_kv_lines(lines) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ParseError(f"line {lineno}: expected `key = value`, got {raw!r}")
+            raise DataError(f"line {lineno}: expected `key = value`, got {raw!r}")
         out[key.strip()] = value.strip()
     return out
 
@@ -91,27 +96,32 @@ def parse_manifest(path) -> CorpusManifest:
     groups: dict[str, dict] = {}
     for key, value in entries.items():
         parts = key.split(".")
-        if len(parts) != 3 or parts[0] != "group":
-            raise ParseError(f"unrecognized manifest key {key!r}")
+        if len(parts) != 3 or parts[0] != "group" or parts[2] not in GROUP_ATTRS:
+            raise DataError(f"unrecognized manifest key {key!r}")
         _, name, attr = parts
         groups.setdefault(name, {})[attr] = value
     built = []
     for name, attrs in groups.items():
         if "path" not in attrs or "label" not in attrs:
-            raise ParseError(f"group {name!r} needs both path and label")
+            raise DataError(f"group {name!r} needs both path and label")
         label_text = attrs["label"].lower()
         if label_text not in ("human", "bot"):
-            raise ParseError(f"group {name!r}: label must be human or bot")
+            raise DataError(f"group {name!r}: label must be human or bot")
         group_path = attrs["path"]
         if not os.path.isabs(group_path):
             group_path = os.path.normpath(os.path.join(base, group_path))
+        counts = {}
+        for attr in ("accounts", "tweets"):
+            text = attrs.get(attr)
+            if text is not None and not text.isdecimal():
+                raise DataError(f"group {name!r}: {attr} must be a whole number, got {text!r}")
+            counts[f"expected_{attr}"] = None if text is None else int(text)
         built.append(
             ManifestGroup(
                 name=name,
                 path=group_path,
                 label=Label.BOT if label_text == "bot" else Label.HUMAN,
-                expected_accounts=int(attrs["accounts"]) if "accounts" in attrs else None,
-                expected_tweets=int(attrs["tweets"]) if "tweets" in attrs else None,
+                **counts,
             )
         )
     return CorpusManifest(groups=tuple(built))
@@ -178,10 +188,8 @@ def _parse_flag(cell: str, column: str, filled: dict[str, int]) -> int | None:
 
 def _check_bad_rows(path, skipped: int, total: int) -> None:
     if total >= BAD_ROW_MIN_ROWS and skipped > BAD_ROW_FRACTION * total:
-        raise ExcessiveBadRows(
-            f"{path}: {skipped} of {total} rows unparseable "
-            f"(> {BAD_ROW_FRACTION:.0%} threshold)"
-        )
+        raise DataError(f"{path}: {skipped} of {total} rows unparseable "
+                        f"(> {BAD_ROW_FRACTION:.0%} threshold)")
 
 
 def _cell(row: list[str], index: int | None) -> str:
@@ -215,11 +223,11 @@ def _load_rows(path, group: ManifestGroup, mandatory, id_column, row_parser) -> 
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise HeaderMismatch(f"{path}: file has no header row")
+            raise DataError(f"{path}: file has no header row")
         columns = {name.strip(): i for i, name in enumerate(header)}
         missing = [c for c in mandatory if c not in columns]
         if missing:
-            raise HeaderMismatch(f"{path}: missing mandatory columns {missing}")
+            raise DataError(f"{path}: missing mandatory columns {missing}")
         parse = row_parser(columns)
         id_index = columns.get(id_column)
         records = []

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Label, TweetRecord, checked
 from .embedding import TweetPipeline
-from .errors import SingleClass
+from .errors import DataError
 from .nnet.model import ContextualLstmModel
 
 DEFAULT_BINS = 50
@@ -89,7 +89,7 @@ def unit_distributions(
     hidden_dim = model.config.hidden_dim
     labels = np.array([tweet.label for tweet in tweets])
     if not np.any(labels == Label.HUMAN) or not np.any(labels == Label.BOT):
-        raise SingleClass("unit distributions need tweets from both classes")
+        raise DataError("unit distributions need tweets from both classes")
     ids, lengths, metadata = pipeline.tensors(tweets)
     _, _, finals, _ = model.forward_batch(pipeline.table.matrix, ids, lengths, metadata)
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Label
-from .errors import DegenerateData, EmptyInput, SingleClass
+from .errors import DataError
 
 
 def confusion_at(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:
@@ -20,7 +20,7 @@ def confusion_at(scores, labels, threshold: float = 0.5) -> tuple[int, int, int,
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int8)
     if scores.size == 0 or scores.shape != labels.shape:
-        raise EmptyInput("scores and labels must be equal-length and non-empty")
+        raise DataError("scores and labels must be equal-length and non-empty")
     predicted = scores >= threshold
     actual = labels == Label.BOT
     tp = int(np.sum(predicted & actual))
@@ -51,10 +51,10 @@ def roc_points(scores, labels) -> list[tuple[float, float]]:
     n_pos = int(np.sum(labels == Label.BOT))
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("ROC requires both classes present")
+        raise DataError("ROC requires both classes present")
     if np.isnan(scores).any():
         # NaN has no rank; such scores come from a numerically broken model.
-        raise DegenerateData("scores contain NaN; the model is numerically broken")
+        raise DataError("scores contain NaN; the model is numerically broken")
     order = np.argsort(-scores, kind="stable")
     ranked = scores[order]
     # The last position of each run of equal scores closes one step.

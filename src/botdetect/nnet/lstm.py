@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import DataError
 from .layers import glorot_uniform
 
 GATES = ("i", "f", "o", "c")
@@ -97,7 +97,7 @@ def lstm_forward(params: dict[str, np.ndarray], ids: np.ndarray, lengths: np.nda
     w, u, b = _joined(params, "W"), _joined(params, "U"), _joined(params, "b")
     batch, hidden_dim, input_dim = len(ids), u.shape[1], matrix.shape[1]
     if w.shape[2] != input_dim:
-        raise DimensionMismatch(f"sequence dimension {input_dim} != cell input dim {w.shape[2]}")
+        raise DataError(f"sequence dimension {input_dim} != cell input dim {w.shape[2]}")
     steps = int(lengths.max()) if batch else 0
     tokens, rows = np.unique(ids[:, :steps], return_inverse=True)
     table = matrix[tokens] @ w.transpose(0, 2, 1)

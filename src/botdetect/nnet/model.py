@@ -17,7 +17,7 @@ import numpy as np
 
 from ..config import from_strings, to_strings
 from ..data import CHECKPOINT_KINDS, TWEET_METADATA_COLUMNS, Standardizer, checked
-from ..errors import DegenerateData, DimensionMismatch, ParseError, TrainingError, float_errors
+from ..errors import DataError, TrainingError, float_errors
 from ..metrics import auc
 from ..persist import save_model
 from .layers import Adam, affine, affine_backward, bce, bce_grad_wrt_logit, \
@@ -106,7 +106,7 @@ class ContextualLstmModel:
         final_h, lstm_cache = lstm_forward(p, ids, lengths, matrix, keep_cache)
         if cfg.use_metadata:
             if metadata is None or metadata.shape[1] != METADATA_DIM:
-                raise DimensionMismatch("metadata must be a (B, 6) array")
+                raise DataError("metadata must be a (B, 6) array")
             u = np.concatenate([final_h, self.metadata_standardizer.transform(metadata)], axis=1)
         else:
             u = final_h
@@ -182,7 +182,7 @@ class ContextualLstmModel:
     @classmethod
     def load(cls, meta, arrays) -> ContextualLstmModel:
         """Rebuild a model from a parsed checkpoint (`persist.load_model`); a
-        missing or unexpected tensor is a ParseError naming it, and so are a
+        missing or unexpected tensor is a DataError naming it, and so are a
         tensor of another shape or with an infinite weight, a standardizer
         `Standardizer.load` refuses, and a kind that `use_metadata` does not
         give."""
@@ -193,14 +193,14 @@ class ContextualLstmModel:
         shapes = config.param_shapes()
         for name, shape in shapes.items():
             if not np.all(np.isfinite(arrays.shaped(name, shape))):
-                raise ParseError(f"{arrays.path}: tensor {name!r} is not finite")
+                raise DataError(f"{arrays.path}: tensor {name!r} is not finite")
         standardizer = Standardizer.load(arrays, "meta_standardizer", METADATA_DIM) \
             if config.use_metadata else None
         arrays.only({*shapes, *(("meta_standardizer.mean", "meta_standardizer.std")
                                 if config.use_metadata else ())})
         if (meta["kind"] == CHECKPOINT_KINDS[0]) != config.use_metadata:
-            raise ParseError(f"{arrays.path}: kind {meta['kind']!r} disagrees with "
-                             f"use_metadata = {meta['use_metadata']}")
+            raise DataError(f"{arrays.path}: kind {meta['kind']!r} disagrees with "
+                            f"use_metadata = {meta['use_metadata']}")
         return cls(config, {name: arrays[name] for name in shapes}, standardizer)
 
 
@@ -266,10 +266,10 @@ def train(
     """
     ids_all, lengths_all, meta_all, labels = corpus
     if len(ids_all) == 0:
-        raise DegenerateData("training corpus is empty")
+        raise DataError("training corpus is empty")
     targets = np.asarray(labels, dtype=np.float64)
     if len(set(targets.tolist())) < 2:
-        raise DegenerateData("training corpus must contain both classes")
+        raise DataError("training corpus must contain both classes")
 
     model = ContextualLstmModel.initialize(config)
     if config.use_metadata:

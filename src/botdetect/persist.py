@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DataError
 
 FORMAT_HEADER = "botdetect-model v1"
 
 
 class Entries(dict):
     """A checkpoint's meta entries or its tensors; reading a missing key is a
-    ParseError naming the file and the entry."""
+    DataError naming the file and the entry."""
 
     def __init__(self, path, sort: str):
         super().__init__()
@@ -32,20 +32,20 @@ class Entries(dict):
         self.sort = sort
 
     def __missing__(self, key):
-        raise ParseError(f"{self.path}: missing {self.sort} {key!r}")
+        raise DataError(f"{self.path}: missing {self.sort} {key!r}")
 
     def shaped(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The tensor `name`; another shape is a ParseError naming both."""
+        """The tensor `name`; another shape is a DataError naming both."""
         if self[name].shape != shape:
-            raise ParseError(f"{self.path}: tensor {name!r} has shape {self[name].shape}, "
-                             f"expected {shape}")
+            raise DataError(f"{self.path}: tensor {name!r} has shape {self[name].shape}, "
+                            f"expected {shape}")
         return self[name]
 
     def only(self, names) -> None:
-        """An entry outside `names` is a ParseError naming it."""
+        """An entry outside `names` is a DataError naming it."""
         extra = [name for name in self if name not in names]
         if extra:
-            raise ParseError(f"{self.path}: unexpected {self.sort} {extra[0]!r}")
+            raise DataError(f"{self.path}: unexpected {self.sort} {extra[0]!r}")
 
 
 def save_model(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -75,7 +75,7 @@ def load_model(path) -> tuple[Entries, Entries]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
-        raise ParseError(f"{path}: not a {FORMAT_HEADER!r} file")
+        raise DataError(f"{path}: not a {FORMAT_HEADER!r} file")
     meta = Entries(path, "meta")
     arrays = Entries(path, "tensor")
     i = 1
@@ -87,9 +87,9 @@ def load_model(path) -> tuple[Entries, Entries]:
             body = line[len("meta "):]
             key, sep, value = body.partition(" = ")
             if not sep:
-                raise ParseError(f"{path}:{i + 1}: malformed meta line")
+                raise DataError(f"{path}:{i + 1}: malformed meta line")
             if key in meta:
-                raise ParseError(f"{path}:{i + 1}: repeated meta {key!r}")
+                raise DataError(f"{path}:{i + 1}: repeated meta {key!r}")
             meta[key] = value
             i += 1
             continue
@@ -106,12 +106,12 @@ def load_model(path) -> tuple[Entries, Entries]:
                 arr = np.array(rows, dtype=np.float64).reshape(shape)
                 i += count
             except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{header}: bad tensor: {exc}") from exc
+                raise DataError(f"{path}:{header}: bad tensor: {exc}") from exc
             if name in arrays:
-                raise ParseError(f"{path}:{header}: repeated tensor {name!r}")
+                raise DataError(f"{path}:{header}: repeated tensor {name!r}")
             if np.isnan(arr).any():  # no fit writes one
-                raise ParseError(f"{path}:{header}: tensor {name!r} holds NaN")
+                raise DataError(f"{path}:{header}: tensor {name!r} holds NaN")
             arrays[name] = arr
             continue
-        raise ParseError(f"{path}:{i + 1}: unexpected line {line!r}")
-    raise ParseError(f"{path}: missing end marker")
+        raise DataError(f"{path}:{i + 1}: unexpected line {line!r}")
+    raise DataError(f"{path}: missing end marker")

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import FeatureMatrix, Label, Standardizer, Strategy, checked
-from .errors import ConfigError, DegenerateMinority, InsufficientRows
+from .errors import ConfigError, DataError
 
 # Size of one (block rows, n) float64 temporary in `neighbor_table`.
 _BLOCK_BYTES = 1 << 20
@@ -112,9 +112,7 @@ def knn_indices(
         mask &= matrix.labels == matrix.labels[query_index]
     candidates = np.flatnonzero(mask)
     if k > candidates.size:
-        raise InsufficientRows(
-            f"need {k} neighbors but only {candidates.size} eligible rows"
-        )
+        raise DataError(f"need {k} neighbors but only {candidates.size} eligible rows")
     return _nearest(matrix.features, query_index, candidates, k)
 
 
@@ -139,7 +137,7 @@ def neighbor_table(std_features: np.ndarray, k: int) -> np.ndarray:
     features = np.asarray(std_features, dtype=np.float64)
     n, d = features.shape
     if k > n - 1:
-        raise InsufficientRows(f"need {k} neighbors but only {max(n - 1, 0)} eligible rows")
+        raise DataError(f"need {k} neighbors but only {max(n - 1, 0)} eligible rows")
     sq = np.sum(features * features, axis=1)
     norms = np.sqrt(sq)
     m = d + 3
@@ -177,11 +175,9 @@ def smote(matrix: FeatureMatrix, config: ResampleConfig) -> FeatureMatrix:
     minority = Label.BOT if bot <= human else Label.HUMAN
     n_min, n_maj = (bot, human) if minority == Label.BOT else (human, bot)
     if n_min < 2:
-        raise DegenerateMinority(f"minority class has {n_min} row(s); need >= 2")
+        raise DataError(f"minority class has {n_min} row(s); need >= 2")
     if config.smote_k >= n_min:
-        raise InsufficientRows(
-            f"smote_k={config.smote_k} must be < minority size {n_min}"
-        )
+        raise DataError(f"smote_k={config.smote_k} must be < minority size {n_min}")
     target = config.target_ratio * n_maj
     if not np.isfinite(target):
         raise ConfigError(f"target_ratio {config.target_ratio} times {n_maj} majority rows "
@@ -222,7 +218,7 @@ def enn_filter(matrix: FeatureMatrix, enn_k: int = 3) -> FeatureMatrix:
     """
     n = matrix.n_rows
     if enn_k >= n:
-        raise InsufficientRows(f"enn_k={enn_k} must be < row count {n}")
+        raise DataError(f"enn_k={enn_k} must be < row count {n}")
     neighbors = neighbor_table(_standardized(matrix), enn_k)
     opposite = np.count_nonzero(matrix.labels[neighbors] != matrix.labels[:, None], axis=1)
     return matrix.select(np.flatnonzero(opposite * 2 <= enn_k))

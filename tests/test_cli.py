@@ -26,9 +26,11 @@ from botdetect.data import (
     Standardizer,
     matrix_from_csv_lines,
     matrix_to_csv_lines,
+    split_indices,
 )
 from botdetect.embedding import TweetPipeline, load_glove
-from botdetect.errors import ConfigError, ParseError
+from botdetect.errors import ConfigError, DataError
+from botdetect.ingest import load_corpus, parse_manifest
 from botdetect.nnet import lstm
 from botdetect.nnet.model import ContextualLstmModel, NetConfig
 from botdetect.persist import load_model, save_model
@@ -187,6 +189,43 @@ def test_train_cli_exit_codes(corpus, tmp_path):
     assert bad_config == 2
 
 
+def test_group_by_account_keeps_each_account_on_one_side_for_baselines(corpus, tmp_path,
+                                                                       monkeypatch):
+    splits = []
+
+    def recorded(labels, spec, groups=None):
+        splits.append(split_indices(labels, spec, groups=groups))
+        return splits[-1]
+
+    monkeypatch.setattr(botdetect.cli, "split_indices", recorded)
+    _, tweets, _ = load_corpus(parse_manifest(corpus / "manifest.txt"))
+    owners = np.array([t.account_id for t in tweets])
+    for grouped in (True, False):
+        run_experiment(_base_config(corpus, tmp_path / str(grouped), task="tweet",
+                                    group_by_account=grouped))
+    (train, test), (mixed_train, mixed_test) = splits
+    assert len(train) and len(test)
+    assert not set(owners[train]) & set(owners[test])
+    # Without the flag, one account's tweets sit on both sides.
+    assert set(owners[mixed_train]) & set(owners[mixed_test])
+
+
+def test_embedding_file_without_vectors_is_a_data_error(corpus, tmp_path, capsys):
+    unseen = tmp_path / "unseen.txt"
+    unseen.write_text("zzunseen " + " ".join(["0.5"] * 25) + "\n", encoding="utf-8")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    train = ["train", "--task", "tweet", "--model", "lstm", "--embedding-dim", "25",
+             "--manifest", str(corpus / "manifest.txt"), "--epochs", "1",
+             "--out", str(tmp_path / "r")]
+    # No vector at all, or none for the vocabulary cap's kept tokens.
+    for embedding, extra in ((empty, []), (unseen, ["--vocab-cap", "50"])):
+        assert main([*train, "--embedding", str(embedding), *extra]) == 3
+        assert capsys.readouterr().err == f"data error: {embedding}: no embedding vector loaded\n"
+    assert not list((tmp_path / "r").glob("run-*"))
+    assert main([*train, "--embedding", str(unseen)]) == 0
+
+
 def test_lstm_config_rules():
     with pytest.raises(ConfigError):
         RunConfig(task="account", model="contextual", manifest="m").validate()
@@ -315,6 +354,22 @@ def test_bench_parses_each_manifest_once(corpus, tmp_path, monkeypatch):
     assert results[3]["error"] == results[4]["error"]
 
 
+def test_bench_row_on_a_manifest_that_is_not_utf8_records_exit_3(corpus, tmp_path):
+    (tmp_path / "ff.txt").write_bytes(b"\xffgroup.human.path = human\n")
+    bench = tmp_path / "bench.kv"
+    bench.write_text(
+        "default.task = account\n"
+        f"default.manifest = {corpus / 'manifest.txt'}\n"
+        "default.n_trees = 4\n"
+        f"row.latin.manifest = {tmp_path / 'ff.txt'}\n"
+        "row.forest.model = forest\n",
+        encoding="utf-8",
+    )
+    results = benchmark_suite(str(bench), str(tmp_path / "out"))
+    assert [(r["status"], r.get("exit_code")) for r in results] == [("error", 3), ("ok", None)]
+    assert "can't decode byte 0xff" in results[0]["error"]
+
+
 def test_bench_tweet_level_net_rows(corpus, tmp_path):
     bench = tmp_path / "bench_net.kv"
     bench.write_text(
@@ -422,6 +477,15 @@ def _edit(text, old, new):
     return text.replace(old, new, 1)
 
 
+def _absolute_manifest(corpus):
+    """The corpus manifest's text with each group path made absolute, so that
+    a copy of it reads the same corpus from any directory."""
+    text = (corpus / "manifest.txt").read_text(encoding="utf-8")
+    for name in ("human", "bot"):
+        text = _edit(text, f".path = {name}\n", f".path = {corpus / name}\n")
+    return text
+
+
 # id -> (expected exit code, what to run). Config files and checkpoints are
 # written from the given text; "net"/"forest" are edited checkpoint texts.
 MALFORMED = {
@@ -497,7 +561,8 @@ MALFORMED = {
     # Extra argv after a checkpoint edit is appended to the command.
     "eval_threshold_7": (2, "eval", ("forest", "", "", "--threshold", "7")),
     # Any other argv runs as given; {tmp} is the test's directory, which
-    # holds a valid feature-matrix CSV at {tmp}/m.csv.
+    # holds a valid feature-matrix CSV at {tmp}/m.csv, and {corpus} is the
+    # synthetic corpus.
     "synth_separation_2": (2, "cli", ["synth", "--out", "{tmp}/c", "--separation", "2"]),
     "synth_accounts_0": (2, "cli", ["synth", "--out", "{tmp}/c", "--accounts", "0"]),
     "resample_smote_k_0": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
@@ -516,6 +581,22 @@ MALFORMED = {
     # A finite cell whose square overflows while the columns are z-scored.
     "resample_1e300_cell": (3, "cli", ["resample", "--input", "{tmp}/m_1e300.csv", "--output",
                                        "{tmp}/o.csv", "--strategy", "smotenn"]),
+    # {tmp}/ff.txt is not UTF-8: its first byte is 0xff.
+    "tokenize_not_utf8": (3, "cli", ["tokenize", "--input", "{tmp}/ff.txt"]),
+    "resample_not_utf8": (3, "cli", ["resample", "--input", "{tmp}/ff.txt", "--output",
+                                     "{tmp}/o.csv", "--strategy", "smote"]),
+    "ingest_not_utf8": (3, "cli", ["ingest", "--manifest", "{tmp}/ff.txt"]),
+    "eval_not_utf8": (3, "cli", ["eval", "--checkpoint", "{tmp}/ff.txt",
+                                 "--manifest", "{corpus}/manifest.txt"]),
+    "train_config_not_utf8": (3, "cli", ["train", "--config", "{tmp}/ff.txt"]),
+    "bench_config_not_utf8": (3, "cli", ["bench", "--config", "{tmp}/ff.txt", "--out", "{tmp}/b"]),
+    # A line appended to the corpus manifest, which `ingest` then reads.
+    "manifest_accounts_abc": (3, "manifest", "group.human.accounts = abc\n"),
+    "manifest_accounts_1.5": (3, "manifest", "group.human.accounts = 1.5\n"),
+    "manifest_tweets_abc": (3, "manifest", "group.bot.tweets = abc\n"),
+    "manifest_misspelt_attribute": (3, "manifest", "group.human.acounts = 5\n"),
+    # A line appended to a one-row bench config.
+    "bench_row_key_without_field": (2, "bench_config", "row.x = 1\n"),
 }
 
 
@@ -532,6 +613,14 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     elif command == "train_flags":
         argv = ["train", "--task", "account", "--model", "mlp", "--manifest", manifest,
                 "--out", str(tmp_path / "r"), *spec]
+    elif command == "manifest":
+        (tmp_path / "manifest.txt").write_text(_absolute_manifest(corpus) + spec, encoding="utf-8")
+        argv = ["ingest", "--manifest", str(tmp_path / "manifest.txt")]
+    elif command == "bench_config":
+        (tmp_path / "bench.kv").write_text(
+            f"default.manifest = {manifest}\nrow.forest.model = forest\n" + spec, encoding="utf-8"
+        )
+        argv = ["bench", "--config", str(tmp_path / "bench.kv"), "--out", str(tmp_path / "b")]
     elif command == "cli":
         rng = np.random.Generator(np.random.PCG64(0))
         matrix = FeatureMatrix(rng.standard_normal((20, 3)), ("a", "b", "c"), [0] * 14 + [1] * 6)
@@ -540,7 +629,9 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         for cell in ("nan", "inf", "1e300"):
             bad = [lines[0], cell + lines[1][lines[1].index(","):], *lines[2:]]
             (tmp_path / f"m_{cell}.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
-        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in spec]
+        (tmp_path / "ff.txt").write_bytes(b"\xffa = b\n")
+        argv = [arg.replace("{tmp}", str(tmp_path)).replace("{corpus}", str(corpus))
+                for arg in spec]
     else:
         which, old, new, *extra = spec
         text = _checkpoint_texts(corpus, tmp_path)[which]
@@ -561,6 +652,15 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     assert proc.returncode == expected
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_absolute_manifest_reads_the_corpus(corpus, tmp_path, capsys):
+    # The "manifest" cases above fail on their appended line alone.
+    (tmp_path / "manifest.txt").write_text(_absolute_manifest(corpus), encoding="utf-8")
+    assert main(["ingest", "--manifest", str(tmp_path / "manifest.txt")]) == 0
+    copied = capsys.readouterr().out
+    assert main(["ingest", "--manifest", str(corpus / "manifest.txt")]) == 0
+    assert copied == capsys.readouterr().out
 
 
 # id -> (checkpoint, tensor, the edit that makes it unusable).
@@ -597,7 +697,7 @@ def test_cyclic_tree_is_refused_on_load(corpus, tmp_path):
     assert nodes[0, 0] != -1.0  # the root splits
     nodes[0, 2:4] = 0.0
     arrays["tree_000"] = nodes
-    with pytest.raises(ParseError, match="forest"):
+    with pytest.raises(DataError, match="the forest tensors cannot score 10-wide rows"):
         baselines.load_baseline(meta, arrays)
 
 

@@ -10,7 +10,7 @@ from botdetect.data import (
     matrix_to_csv_lines,
     split_indices,
 )
-from botdetect.errors import EmptyClass, EmptyInput, ParseError
+from botdetect.errors import DataError
 from botdetect.persist import Entries
 
 from helpers import split
@@ -69,9 +69,9 @@ def test_split_partition_property():
 
 def test_split_stratified_requires_both_classes():
     m = FeatureMatrix(np.ones((4, 1)), ("a",), [1, 1, 1, 1])
-    with pytest.raises(EmptyClass):
+    with pytest.raises(DataError, match="stratified split requires both classes; HUMAN absent"):
         split(m, SplitSpec(0.5, True, 0))
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="cannot split an empty matrix"):
         split_indices(np.array([], dtype=np.int8), SplitSpec(0.5, False, 0))
 
 
@@ -106,7 +106,7 @@ def test_standardizer_load_refuses_what_fit_never_writes(tensor, value):
     loaded = Standardizer.load(arrays, "s", 3)
     assert loaded.mean is s.mean and loaded.std is s.std
     arrays[f"s.{tensor}"] = np.array([1.0, value, 1.0])
-    with pytest.raises(ParseError, match=f"model.txt: tensor 's.{tensor}' is not"):
+    with pytest.raises(DataError, match=f"model.txt: tensor 's.{tensor}' is not"):
         Standardizer.load(arrays, "s", 3)
 
 

@@ -15,7 +15,7 @@ from botdetect.embedding import (
     truncate,
     write_glove_file,
 )
-from botdetect.errors import DimensionMismatch, ParseError
+from botdetect.errors import DataError
 
 from oracles import per_tweet_tensors
 
@@ -43,14 +43,24 @@ def test_unknown_vector_is_mean(table):
 def test_dimension_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("alpha 1.0 0.0\nbeta 0.5 0.5 0.5\n", encoding="utf-8")
-    with pytest.raises(DimensionMismatch, match="line 2"):
+    with pytest.raises(DataError, match="line 2: expected 3 fields, got 4"):
         load_glove(path, 2)
+
+
+def test_file_without_vectors_is_a_data_error(tmp_path):
+    path = tmp_path / "glove.txt"
+    path.write_text("\n", encoding="utf-8")
+    with pytest.raises(DataError, match="glove.txt: no embedding vector loaded"):
+        load_glove(path, 2)
+    path.write_text("alpha 1.0 0.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match="glove.txt: no embedding vector loaded"):
+        load_glove(path, 2, restrict_to={"beta"})
 
 
 def test_parse_error_with_line_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("alpha 1.0 0.0\nbeta 0.5 oops\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(DataError, match="line 2: could not convert string to float: 'oops'"):
         load_glove(path, 2)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from botdetect.data import (
     SplitSpec,
     TWEET_METADATA_COLUMNS,
 )
-from botdetect.errors import ExcessiveBadRows, HeaderMismatch, ParseError
+from botdetect.errors import DataError
 from botdetect.ingest import (
     BAD_ROW_MIN_ROWS,
     CorpusManifest,
@@ -70,7 +71,21 @@ def test_manifest_parsing(tmp_path):
 def test_manifest_rejects_bad_label(tmp_path):
     manifest_file = tmp_path / "manifest.txt"
     manifest_file.write_text("group.g.path = x\ngroup.g.label = cyborg\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="group 'g': label must be human or bot"):
+        parse_manifest(manifest_file)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("group.g.accounts = abc", "group 'g': accounts must be a whole number, got 'abc'"),
+    ("group.g.accounts = 1.5", "group 'g': accounts must be a whole number, got '1.5'"),
+    ("group.g.tweets = -3", "group 'g': tweets must be a whole number, got '-3'"),
+    ("group.g.acounts = 5", "unrecognized manifest key 'group.g.acounts'"),
+])
+def test_manifest_rejects_bad_counts_and_unknown_attributes(tmp_path, line, message):
+    manifest_file = tmp_path / "manifest.txt"
+    manifest_file.write_text(f"group.g.path = x\ngroup.g.label = human\n{line}\n",
+                             encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(message)):
         parse_manifest(manifest_file)
 
 
@@ -99,10 +114,10 @@ def test_corrupt_numeric_row_skipped_and_counted(tmp_path):
 
 def test_missing_mandatory_column_is_header_mismatch(tmp_path):
     group = _group(tmp_path, "humans", ["id,statuses_count"], None)
-    with pytest.raises(HeaderMismatch):
+    with pytest.raises(DataError, match=r"users\.csv: missing mandatory columns"):
         load_corpus(CorpusManifest(groups=(group,)))
     group2 = _group(tmp_path, "humans2", None, ["user_id,retweet_count"])
-    with pytest.raises(HeaderMismatch):
+    with pytest.raises(DataError, match=r"tweets\.csv: missing mandatory columns"):
         load_corpus(CorpusManifest(groups=(group2,)))
 
 
@@ -187,7 +202,7 @@ def test_excessive_bad_rows_fail(tmp_path):
         value = "oops" if i % 3 == 0 else "1"  # ~33% corrupt
         rows.append(f"u{i},text,{value},0,0,0,0,0")
     group = _group(tmp_path, "humans", None, rows)
-    with pytest.raises(ExcessiveBadRows):
+    with pytest.raises(DataError, match=r"14 of 40 rows unparseable \(> 10% threshold\)"):
         load_corpus(CorpusManifest(groups=(group,)))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from botdetect.data import Label, TweetRecord
 from botdetect.embedding import TweetPipeline, embed, fixture_table, truncate
-from botdetect.errors import SingleClass
+from botdetect.errors import DataError
 from botdetect.introspect import (
     ActivationTrace,
     cell_trace_csv_lines,
@@ -100,7 +100,7 @@ def test_ks_statistic_basics():
 
 
 def test_unit_distributions_require_both_classes(model, table):
-    with pytest.raises(SingleClass):
+    with pytest.raises(DataError, match="unit distributions need tweets from both classes"):
         unit_distributions(model, TweetPipeline(table), [_tweet("alpha")])
 
 

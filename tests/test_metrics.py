@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botdetect.errors import DegenerateData, EmptyInput, SingleClass
+from botdetect.errors import DataError
 from botdetect.metrics import auc, confusion_at, evaluate, roc_points
 
 from oracles import loop_roc_points, pair_auc
@@ -37,7 +37,7 @@ def test_threshold_rule_is_inclusive():
 
 
 def test_empty_input_rejected():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="scores and labels must be equal-length and non-empty"):
         confusion_at([], [], 0.5)
 
 
@@ -46,7 +46,7 @@ def test_constant_scores_auc_half():
 
 
 def test_single_class_rejected():
-    with pytest.raises(SingleClass):
+    with pytest.raises(DataError, match="ROC requires both classes present"):
         auc([0.1, 0.9], [1, 1])
 
 
@@ -155,5 +155,5 @@ def test_report_serialization_deterministic():
 
 
 def test_nan_scores_are_rejected():
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DataError, match="scores contain NaN; the model is numerically broken"):
         evaluate(np.array([0.2, np.nan, 0.9]), np.array([0, 1, 1]))

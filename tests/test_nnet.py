@@ -6,7 +6,7 @@ import pytest
 from botdetect.cli import NET_CONFIGS
 from botdetect.data import Label, Standardizer, TweetRecord
 from botdetect.embedding import TweetPipeline, fixture_table
-from botdetect.errors import DegenerateData, DimensionMismatch, ParseError, TrainingError
+from botdetect.errors import DataError, TrainingError
 from botdetect.nnet.layers import bce, sigmoid
 from botdetect.nnet.lstm import init_lstm_params, lstm_backward, lstm_forward
 from botdetect.nnet.model import ContextualLstmModel, NetConfig, blended_loss, train
@@ -128,7 +128,7 @@ def test_lstm_dimension_mismatch():
     rng = np.random.Generator(np.random.PCG64(4))
     params = init_lstm_params(rng, 4, 8)
     matrix, ids = embedded(_sequence(rng, 3, 5)[0][:, None])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="sequence dimension 5 != cell input dim 4"):
         lstm_forward(params, ids, np.array([3]), matrix)
 
 
@@ -437,10 +437,10 @@ def test_train_requires_both_classes():
     rng = np.random.Generator(np.random.PCG64(18))
     corpus = [(*_sequence(rng, 2, 3), np.zeros(6), Label.BOT) for _ in range(4)]
     matrix, arrays = _pack(corpus)
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DataError, match="training corpus must contain both classes"):
         train(NetConfig(embedding_dim=3, epochs=1), matrix, arrays)
     empty = (np.zeros((0, 2), dtype=np.int32), np.zeros(0), np.zeros((0, 6)), np.zeros(0))
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DataError, match="training corpus is empty"):
         train(NetConfig(embedding_dim=3, epochs=1), matrix, empty)
 
 
@@ -557,7 +557,7 @@ def test_load_refuses_tensors_whose_shape_the_meta_does_not_give(tmp_path, key, 
     meta, arrays = load_model(tmp_path / "net.txt")
     ContextualLstmModel.load(meta, arrays)
     (arrays if isinstance(value, np.ndarray) else meta)[key] = value
-    with pytest.raises(ParseError, match=f"tensor '{tensor}' has shape"):
+    with pytest.raises(DataError, match=f"tensor '{tensor}' has shape"):
         ContextualLstmModel.load(meta, arrays)
 
 
@@ -585,7 +585,7 @@ def test_load_refuses_an_infinite_weight(tmp_path, tensor):
     model.save(tmp_path / "net.txt")
     meta, arrays = load_model(tmp_path / "net.txt")
     arrays[tensor] = np.full_like(arrays[tensor], -np.inf)
-    with pytest.raises(ParseError, match=f"tensor '{tensor}' is not finite"):
+    with pytest.raises(DataError, match=f"tensor '{tensor}' is not finite"):
         ContextualLstmModel.load(meta, arrays)
 
 

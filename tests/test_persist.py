@@ -6,7 +6,7 @@ from botdetect.baselines import BaselineConfig
 from botdetect.cli import NET_CONFIGS
 from botdetect.data import FeatureMatrix
 from botdetect.embedding import TweetPipeline, fixture_table
-from botdetect.errors import ParseError
+from botdetect.errors import DataError
 from botdetect.nnet.model import ContextualLstmModel, NetConfig
 from botdetect.persist import load_model, save_model
 
@@ -66,7 +66,7 @@ def test_identical_models_serialize_identically(tmp_path):
 def test_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not a model\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match=r"junk\.txt: not a '.+' file"):
         load_model(path)
 
 
@@ -75,7 +75,7 @@ def test_rejects_truncated_file(tmp_path):
     save_model(path, {}, {"w": np.ones(3)})
     content = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(content[:-1]) + "\n", encoding="utf-8")  # drop "end"
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match=r"model\.txt: missing end marker"):
         load_model(path)
 
 
@@ -145,7 +145,8 @@ def test_checkpoint_meta_lines_are_pinned(tmp_path, kind):
 def test_malformed_tensor_header_is_a_parse_error(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text("botdetect-model v1\ntensor w 1 three\n1 2 3\nend\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="model.txt:2"):
+    with pytest.raises(DataError,
+                       match="model.txt:2: bad tensor: invalid literal for int"):
         load_model(path)
 
 
@@ -160,7 +161,7 @@ def test_malformed_tensor_header_is_a_parse_error(tmp_path):
 def test_malformed_tensor_body_is_a_parse_error(tmp_path, body):
     path = tmp_path / "model.txt"
     path.write_text("botdetect-model v1\n" + body, encoding="utf-8")
-    with pytest.raises(ParseError, match="model.txt:2: bad tensor"):
+    with pytest.raises(DataError, match="model.txt:2: bad tensor"):
         load_model(path)
 
 
@@ -169,7 +170,7 @@ def test_nan_in_a_tensor_is_a_parse_error(tmp_path, body):
     # No fit writes a NaN weight; infinities are left to each kind's checks.
     path = tmp_path / "model.txt"
     path.write_text("botdetect-model v1\n" + body + "end\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="model.txt:2: tensor 'w' holds NaN"):
+    with pytest.raises(DataError, match="model.txt:2: tensor 'w' holds NaN"):
         load_model(path)
     path.write_text("botdetect-model v1\ntensor w 1 2\n-inf inf\nend\n", encoding="utf-8")
     assert np.array_equal(load_model(path)[1]["w"], [-np.inf, np.inf])
@@ -180,5 +181,5 @@ def test_missing_meta_key_is_a_parse_error(tmp_path):
     save_model(path, {"schema": "a"}, {})
     meta, _ = load_model(path)
     assert meta.get("kind") is None
-    with pytest.raises(ParseError, match="missing meta 'kind'"):
+    with pytest.raises(DataError, match="missing meta 'kind'"):
         meta["kind"]

@@ -3,7 +3,7 @@ import pytest
 
 from botdetect.data import FeatureMatrix, Label
 from botdetect import resample
-from botdetect.errors import DegenerateMinority, InsufficientRows
+from botdetect.errors import DataError
 from botdetect.resample import (
     ResampleConfig,
     Strategy,
@@ -62,7 +62,7 @@ def test_knn_same_class_only():
 
 def test_knn_insufficient_rows():
     m = _matrix([[0.0], [1.0]], [0, 1])
-    with pytest.raises(InsufficientRows):
+    with pytest.raises(DataError, match="need 2 neighbors but only 1 eligible rows"):
         knn_indices(m, 0, 2)
 
 
@@ -137,9 +137,9 @@ def test_neighbor_table_blocks_agree_with_one_block(monkeypatch):
 def test_neighbor_table_insufficient_rows():
     m = _matrix([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 1])
     assert neighbor_table(m.features, 3).tolist() == [[1, 2, 3], [0, 2, 3], [1, 3, 0], [2, 1, 0]]
-    with pytest.raises(InsufficientRows):
+    with pytest.raises(DataError, match="need 4 neighbors but only 3 eligible rows"):
         neighbor_table(m.features, 4)
-    with pytest.raises(InsufficientRows):
+    with pytest.raises(DataError, match="need 1 neighbors but only 0 eligible rows"):
         _same_class_table(m.features, 1, m.labels)  # the lone human has no peer
 
 
@@ -192,13 +192,13 @@ def test_smote_originals_untouched_and_deterministic():
 
 def test_smote_degenerate_minority():
     m = _matrix([[0.0], [1.0], [2.0], [3.0]], [1, 0, 0, 0])
-    with pytest.raises(DegenerateMinority):
+    with pytest.raises(DataError, match=r"minority class has 1 row\(s\); need >= 2"):
         smote(m, ResampleConfig(strategy=Strategy.SMOTE, smote_k=1))
 
 
 def test_smote_k_must_be_below_minority_size():
     m = _matrix([[0.0], [1.0], [2.0], [3.0]], [1, 1, 0, 0])
-    with pytest.raises(InsufficientRows):
+    with pytest.raises(DataError, match="smote_k=2 must be < minority size 2"):
         smote(m, ResampleConfig(strategy=Strategy.SMOTE, smote_k=2))
 
 
@@ -263,7 +263,7 @@ def test_enn_never_invents_rows():
 
 def test_enn_requires_enough_rows():
     m = _matrix([[0.0], [1.0]], [0, 1])
-    with pytest.raises(InsufficientRows):
+    with pytest.raises(DataError, match="enn_k=2 must be < row count 2"):
         enn_filter(m, 2)
 
 
