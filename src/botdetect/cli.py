@@ -52,13 +52,13 @@ from .data import (
     matrix_to_csv_lines,
     split_indices,
 )
-from .errors import BotDetectError, ConfigError, DataError, float_errors
+from .errors import BotDetectError, ConfigError, DataError, float_errors, text_file
 from .ingest import (
     SyntheticCorpusSpec,
     generate_synthetic,
     load_corpus,
-    parse_kv_lines,
     parse_manifest,
+    read_kv_file,
     write_corpus,
 )
 from .metrics import EvalReport, evaluate
@@ -330,12 +330,12 @@ def run_experiment(config: RunConfig, read_corpus=_read_corpus) -> ExperimentRes
 
 
 # The errors that `main` and each bench row report in one line.
-FAILURES = (BotDetectError, OSError, UnicodeDecodeError)
+FAILURES = (BotDetectError, OSError)
 
 
-def _exit_code(exc: BotDetectError | OSError | UnicodeDecodeError) -> int:
+def _exit_code(exc: BotDetectError | OSError) -> int:
     """The exit code of an error: its own, or a data error's for a file that
-    cannot be read or is not UTF-8."""
+    cannot be read."""
     return exc.exit_code if isinstance(exc, BotDetectError) else DataError.exit_code
 
 
@@ -346,8 +346,7 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
     """Run every row of a bench config; rows keep file order, failures are
     recorded (with the exit code `main` would give them) and do not stop the
     suite."""
-    with open(bench_path, encoding="utf-8") as fh:
-        entries = parse_kv_lines(fh)
+    entries = read_kv_file(bench_path)
     defaults: dict[str, str] = {}
     row_values: dict[str, dict[str, str]] = {}
     for key, value in entries.items():
@@ -413,13 +412,9 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
 def _cmd_tokenize(args) -> int:
     from .tokenizer import tokenize
 
-    source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
-    try:
+    with text_file(args.input) as source:
         lines = [tokenize(line.rstrip("\n"), repeat_tag=args.repeat_tag)
                  for line in source]
-    finally:
-        if source is not sys.stdin:
-            source.close()
     rendered = [" ".join(tokens) for tokens in lines]
     if args.output == "-":
         for line in rendered:
@@ -470,7 +465,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_resample(args) -> int:
     from .resample import ResampleConfig, apply_strategy
 
-    with open(args.input, encoding="utf-8") as fh:
+    with text_file(args.input) as fh:
         matrix = matrix_from_csv_lines(fh)
     config = from_strings(
         ResampleConfig, {},
@@ -491,10 +486,7 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    values: dict[str, str] = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            values.update(parse_kv_lines(fh))
+    values = read_kv_file(args.config) if args.config else {}
     for name in RunConfig._fields:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)

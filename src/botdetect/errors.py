@@ -1,9 +1,10 @@
 """Exceptions: one class per exit code. The CLI prints the message of a
 ConfigError (2), DataError (3) or TrainingError (4) as one line and exits with
 its code; `float_errors` turns a float overflow or invalid value into one of
-them."""
+them, and `text_file` a byte that is not UTF-8."""
 
 import contextlib
+import sys
 
 import numpy as np
 
@@ -39,3 +40,17 @@ def float_errors(error: type[BotDetectError], message: str):
             yield
     except FloatingPointError as exc:
         raise error(message.format(exc)) from None
+
+
+@contextlib.contextmanager
+def text_file(path):
+    """The UTF-8 text file at `path` open for reading, or stdin for "-"; a
+    byte that does not decode is a DataError naming the file."""
+    try:
+        if path == "-":
+            yield sys.stdin
+        else:
+            with open(path, encoding="utf-8") as fh:
+                yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{'<stdin>' if path == '-' else path}: {exc}") from None

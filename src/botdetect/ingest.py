@@ -8,7 +8,8 @@ Real corpora arrive as per-group directories of ``users.csv`` and
     group.<name>.accounts = <expected count>   # optional
     group.<name>.tweets = <expected count>     # optional
 
-Any other key, or a count that is not a whole number, is a data error.
+Any other key, a key set twice, or a count that is not a whole number, is a
+data error.
 
 Both files go through one row reader, `_load_rows`. It checks that the
 header names the file's mandatory columns, gives a row without an id the id
@@ -40,7 +41,7 @@ from .data import (
     TweetRecord,
     checked,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, text_file
 
 # Skip-and-count tolerates stray corruption up to this fraction of a file;
 # beyond it the file is considered schema-drifted and loading fails. Tiny
@@ -75,23 +76,28 @@ class CorpusManifest(NamedTuple):
             raise ConfigError("manifest defines no groups")
 
 
-def parse_kv_lines(lines) -> dict[str, str]:
-    """Shared `key = value` grammar used by manifests and config files."""
+def read_kv_file(path) -> dict[str, str]:
+    """The entries of a `key = value` file: the grammar of manifests and
+    config files. A line without `=`, or a key set twice, is a DataError
+    naming the file and the line."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DataError(f"line {lineno}: expected `key = value`, got {raw!r}")
-        out[key.strip()] = value.strip()
+    with text_file(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise DataError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
+            key = key.strip()
+            if key in out:
+                raise DataError(f"{path}:{lineno}: repeated key {key!r}")
+            out[key] = value.strip()
     return out
 
 
 def parse_manifest(path) -> CorpusManifest:
-    with open(path, encoding="utf-8") as fh:
-        entries = parse_kv_lines(fh)
+    entries = read_kv_file(path)
     base = os.path.dirname(os.path.abspath(path))
     groups: dict[str, dict] = {}
     for key, value in entries.items():
@@ -403,6 +409,43 @@ def _count_params(base: float, cap: int, separation: float, label: Label):
     return base * (1.0 + separation), cap, offset
 
 
+def raw_integers(bit_generator):
+    """An `integers(low, high, size=None)` that returns what
+    `Generator(bit_generator).integers` would, as Python ints (a list for
+    `size`), for ranges of 1 to 2**32 - 1 values, computed from the raw words
+    with Lemire's draw (see `forest.feature_subsets`).
+
+    It takes over the generator's 32-bit stream: the half a word left
+    pending is held here, so from then on draw every bounded integer through
+    it. Draws that read whole words, as `random` and `poisson` do, may come
+    in between."""
+    raw = bit_generator.random_raw
+    state = bit_generator.state
+    pending = state["uinteger"] if state["has_uint32"] else None
+
+    def integers(low, high, size=None):
+        nonlocal pending
+        if size is not None:
+            return [integers(low, high) for _ in range(size)]
+        n = high - low
+        if n == 1:
+            return low
+        if not 1 < n < 1 << 32:
+            raise ValueError(f"integers({low}, {high}) needs 1 to 2**32 - 1 values")
+        threshold = (1 << 32) % n
+        while True:
+            if pending is None:
+                word = raw()
+                value, pending = word & 0xFFFFFFFF, word >> 32
+            else:
+                value, pending = pending, None
+            product = value * n
+            if product & 0xFFFFFFFF >= threshold:
+                return low + (product >> 32)
+
+    return integers
+
+
 def generate_synthetic(
     spec: SyntheticCorpusSpec,
 ) -> tuple[list[AccountRecord], list[TweetRecord]]:
@@ -414,14 +457,17 @@ def generate_synthetic(
 
     The sequence of RNG calls is part of the corpus format: drawing the same
     numbers in another order, or through a call that consumes the stream
-    differently, changes every corpus and so every benchmark input. Two
+    differently, changes every corpus and so every benchmark input. Three
     substitutions are bit-identical and are used for speed: `rng.random()`
-    for `rng.uniform()` (which returns `0.0 + 1.0 * random()`), and
+    for `rng.uniform()` (which returns `0.0 + 1.0 * random()`),
     `rng.integers(0, 20, size=6)` indexing `_URL_CHARS` for
-    `rng.choice(list(_URL_CHARS), size=6)` (which draws through that call).
+    `rng.choice(list(_URL_CHARS), size=6)` (which draws through that call),
+    and `raw_integers` for `rng.integers` (the same draw from the raw words,
+    as `forest.feature_subsets` makes it, without numpy's per-call cost).
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    random, integers, poisson = rng.random, rng.integers, rng.poisson
+    random, poisson = rng.random, rng.poisson
+    integers = raw_integers(rng.bit_generator)
     separation = spec.separation
     accounts: list[AccountRecord] = []
     tweets: list[TweetRecord] = []
@@ -465,7 +511,7 @@ def generate_synthetic(
                 if random() < 0.20:
                     extras.append(_EMOTICONS[integers(0, len(_EMOTICONS))])
                 for extra in extras:
-                    words.insert(int(integers(0, len(words) + 1)), extra)
+                    words.insert(integers(0, len(words) + 1), extra)
                 tweets.append(TweetRecord(" ".join(words), metadata, label, account_id))
     return accounts, tweets
 

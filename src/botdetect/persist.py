@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, text_file
 
 FORMAT_HEADER = "botdetect-model v1"
 
@@ -72,7 +72,7 @@ def save_model(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_model(path) -> tuple[Entries, Entries]:
-    with open(path, encoding="utf-8") as fh:
+    with text_file(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise DataError(f"{path}: not a {FORMAT_HEADER!r} file")

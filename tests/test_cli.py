@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -490,6 +491,7 @@ def _absolute_manifest(corpus):
 # written from the given text; "net"/"forest" are edited checkpoint texts.
 MALFORMED = {
     "config_seed_abc": (2, "train_config", "seed = abc\n"),
+    "config_repeated_key": (3, "train_config", "seed = 1\nseed = 2\n"),
     "config_stratified_maybe": (2, "train_config", "stratified = maybe\n"),
     "flag_mlp_layers": (2, "train_flags", ["--mlp-layers", "5,x"]),
     "net_hidden_dim_x": (2, "eval", ("net", "meta hidden_dim = 32", "meta hidden_dim = x")),
@@ -590,13 +592,17 @@ MALFORMED = {
                                  "--manifest", "{corpus}/manifest.txt"]),
     "train_config_not_utf8": (3, "cli", ["train", "--config", "{tmp}/ff.txt"]),
     "bench_config_not_utf8": (3, "cli", ["bench", "--config", "{tmp}/ff.txt", "--out", "{tmp}/b"]),
-    # A line appended to the corpus manifest, which `ingest` then reads.
+    # Lines in place of the corpus manifest's line for their key (appended
+    # when it sets no such key), which `ingest` then reads.
     "manifest_accounts_abc": (3, "manifest", "group.human.accounts = abc\n"),
     "manifest_accounts_1.5": (3, "manifest", "group.human.accounts = 1.5\n"),
     "manifest_tweets_abc": (3, "manifest", "group.bot.tweets = abc\n"),
     "manifest_misspelt_attribute": (3, "manifest", "group.human.acounts = 5\n"),
+    "manifest_repeated_key": (3, "manifest",
+                              "group.human.label = human\ngroup.human.label = human\n"),
     # A line appended to a one-row bench config.
     "bench_row_key_without_field": (2, "bench_config", "row.x = 1\n"),
+    "bench_config_repeated_key": (3, "bench_config", "row.forest.model = forest\n"),
 }
 
 
@@ -614,7 +620,10 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         argv = ["train", "--task", "account", "--model", "mlp", "--manifest", manifest,
                 "--out", str(tmp_path / "r"), *spec]
     elif command == "manifest":
-        (tmp_path / "manifest.txt").write_text(_absolute_manifest(corpus) + spec, encoding="utf-8")
+        key = spec.partition("=")[0]
+        text, found = re.subn(f"^{re.escape(key)}=.*\n", lambda _: spec, _absolute_manifest(corpus),
+                              count=1, flags=re.M)
+        (tmp_path / "manifest.txt").write_text(text if found else text + spec, encoding="utf-8")
         argv = ["ingest", "--manifest", str(tmp_path / "manifest.txt")]
     elif command == "bench_config":
         (tmp_path / "bench.kv").write_text(
@@ -652,10 +661,25 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     assert proc.returncode == expected
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    if case.endswith("_not_utf8"):
+        assert proc.stderr.startswith(f"data error: {tmp_path / 'ff.txt'}: 'utf-8' codec")
+    if case.endswith("_repeated_key"):
+        assert ": repeated key " in proc.stderr
+
+
+def test_tokenize_stdin_that_is_not_utf8_is_named():
+    src = os.path.dirname(os.path.dirname(botdetect.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
+    proc = subprocess.run([sys.executable, "-m", "botdetect.cli", "tokenize", "--input", "-"],
+                          input=b"\xffa\n", capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.decode().splitlines() == [
+        "data error: <stdin>: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"]
 
 
 def test_absolute_manifest_reads_the_corpus(corpus, tmp_path, capsys):
-    # The "manifest" cases above fail on their appended line alone.
+    # The "manifest" cases above fail on their own line alone.
     (tmp_path / "manifest.txt").write_text(_absolute_manifest(corpus), encoding="utf-8")
     assert main(["ingest", "--manifest", str(tmp_path / "manifest.txt")]) == 0
     copied = capsys.readouterr().out

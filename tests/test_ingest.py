@@ -22,6 +22,7 @@ from botdetect.ingest import (
     generate_synthetic,
     load_corpus,
     parse_manifest,
+    raw_integers,
     write_corpus,
 )
 from botdetect.metrics import auc
@@ -80,6 +81,7 @@ def test_manifest_rejects_bad_label(tmp_path):
     ("group.g.accounts = 1.5", "group 'g': accounts must be a whole number, got '1.5'"),
     ("group.g.tweets = -3", "group 'g': tweets must be a whole number, got '-3'"),
     ("group.g.acounts = 5", "unrecognized manifest key 'group.g.acounts'"),
+    ("group.g.label = human", "manifest.txt:3: repeated key 'group.g.label'"),
 ])
 def test_manifest_rejects_bad_counts_and_unknown_attributes(tmp_path, line, message):
     manifest_file = tmp_path / "manifest.txt"
@@ -280,6 +282,37 @@ def test_benchmark_scale_corpus_bytes_are_pinned(tmp_path, spec):
     for rel in SYNTHETIC_CORPUS_SHA256:
         digest.update((tmp_path / rel).read_bytes())
     assert digest.hexdigest() == BENCHMARK_CORPUS_SHA256[spec]
+
+
+RAW_RANGES = (1, 6, 20, 60, 120, 8999, 10000, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seeds", [range(0, 150), range(150, 300)])
+def test_raw_integers_equal_generator_integers(seeds):
+    # Two generators from one seed: `Generator.integers` on one, the raw-word
+    # draw on the other. Whole-word draws come in between and scalar draws
+    # flip which half is next, so the pending half carries across every
+    # kind of call; at odd seeds numpy leaves a half pending before the
+    # raw-word draw takes over. 2**31 + 1 and 3 * 2**30 reject about half
+    # and a quarter of their values.
+    for seed in seeds:
+        mirror, rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        if seed % 2:
+            assert mirror.integers(0, 6) == rng.integers(0, 6)
+        integers = raw_integers(rng.bit_generator)
+        for low, n in enumerate(RAW_RANGES * 2, start=-3):
+            assert integers(low, low + n) == mirror.integers(low, low + n)
+            assert rng.random() == mirror.random()
+            assert integers(low, low + n, size=6) == mirror.integers(low, low + n, size=6).tolist()
+            assert rng.poisson(4.0) == mirror.poisson(4.0)
+            assert integers(low, low + n) == mirror.integers(low, low + n)
+        assert rng.bit_generator.random_raw() == mirror.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("low,high", [(0, 0), (5, 4), (0, 2**32), (-1, 2**32)])
+def test_raw_integers_refuse_ranges_outside_one_to_two_to_the_32(low, high):
+    with pytest.raises(ValueError, match="needs 1 to 2\\*\\*32 - 1 values"):
+        raw_integers(np.random.PCG64(0))(low, high)
 
 
 def test_synthetic_round_trips_through_loader(tmp_path):
