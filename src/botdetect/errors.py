@@ -4,6 +4,7 @@ its code; `float_errors` turns a float overflow or invalid value into one of
 them, and `text_file` a byte that is not UTF-8."""
 
 import contextlib
+import io
 import sys
 
 import numpy as np
@@ -45,10 +46,16 @@ def float_errors(error: type[BotDetectError], message: str):
 @contextlib.contextmanager
 def text_file(path):
     """The UTF-8 text file at `path` open for reading, or stdin for "-"; a
-    byte that does not decode is a DataError naming the file."""
+    byte that does not decode is a DataError naming the file. Stdin's bytes
+    go through a strict UTF-8 reader of their own, whatever the locale or
+    UTF-8 mode, split at "\n" only as POSIX stdin is; stdin stays open."""
     try:
         if path == "-":
-            yield sys.stdin
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
+            try:
+                yield fh
+            finally:
+                fh.detach()
         else:
             with open(path, encoding="utf-8") as fh:
                 yield fh

@@ -133,7 +133,7 @@ class ContextualLstmModel:
             metadata = np.asarray(metadata, dtype=np.float64).reshape(1, METADATA_DIM)
         main, aux, _, cache = self.forward_batch(matrix, ids[None], np.array([length]), metadata,
                                                  keep_cache=True)
-        hidden, cells = (np.stack(cache["lstm"][key])[1:, 0, :] for key in ("h", "c"))
+        hidden, cells = (cache["lstm"][key][1:, 0] for key in ("h", "c"))
         return float(main[0]), (float(aux[0]) if aux is not None else None), hidden, cells
 
     def predict_proba(self, matrix: np.ndarray, ids: np.ndarray, lengths: np.ndarray,

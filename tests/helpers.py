@@ -1,11 +1,12 @@
 """Test-side helpers that no library path calls: a FeatureMatrix split, the
 non-tag words of a token sequence, the MLP baseline's loss, the exact
-metadata means of a synthetic class, float sequences as row ids, and the
-traced memory peak of one scoring batch."""
+metadata means of a synthetic class, float sequences as row ids, the traced
+memory peak of one scoring batch, and the time of one LSTM training pass."""
 
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from botdetect.baselines.mlp import mlp_forward
 from botdetect.data import FeatureMatrix, Label, SplitSpec, split_indices
 from botdetect.ingest import _TWEET_COUNT_SPECS, SyntheticCorpusSpec, _count_params
 from botdetect.nnet.layers import bce
+from botdetect.nnet.lstm import init_lstm_params, lstm_backward, lstm_forward
 from botdetect.nnet.model import ContextualLstmModel, NetConfig
 from botdetect.tokenizer import TAG_SET
 
@@ -85,3 +87,24 @@ def scoring_peak(rows: int = 1000, max_len: int = 30, vocab: int = 2000, dim: in
     finally:
         tracemalloc.stop()
     return peak, int(lengths.max()) * rows * 4 * hidden * 8 // 4
+
+
+def lstm_training_ms(batch: int = 64, max_len: int = 30, vocab: int = 2000, dim: int = 50,
+                     hidden: int = 32, repeats: int = 101) -> float:
+    """Median milliseconds of one `lstm_forward(keep_cache=True)` plus
+    `lstm_backward` on a fixed seeded batch x max_len of random ids into a
+    vocab x dim matrix, the last row the pad row, with lengths 1 to max_len."""
+    rng = np.random.Generator(np.random.PCG64(62))
+    params = init_lstm_params(rng, dim, hidden)
+    matrix = rng.standard_normal((vocab, dim))
+    lengths = rng.integers(1, max_len + 1, batch)
+    ids = np.where(np.arange(max_len) < lengths[:, None],
+                   rng.integers(0, vocab - 1, (batch, max_len)), vocab - 1)
+    d_final_h = rng.standard_normal((batch, hidden))
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        _, cache = lstm_forward(params, ids, lengths, matrix, keep_cache=True)
+        lstm_backward(params, cache, d_final_h)
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)) * 1e3

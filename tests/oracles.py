@@ -217,11 +217,13 @@ def padded_lstm_forward(params: dict[str, np.ndarray], x: np.ndarray,
                         lengths: np.ndarray) -> tuple[np.ndarray, dict]:
     """The masked training recurrence without an input table, on time-major
     (T, B, d) floats: every position of every row, padding included, is
-    projected on its own (``inputs @ Wᵀ``, then ``+= b``) before the loop.
-    Returns (final_h, cache) in `lstm_forward`'s cache layout, so
-    `lstm_backward` reads either. Its float operations are the library's,
-    in the same order, so a table whose gemm runs outside OpenBLAS's
-    small-matrix sizes gives the same bits."""
+    projected on its own (``inputs @ Wᵀ``, then ``+= b``) before the loop,
+    and a padded row keeps its last state (``np.where``). Returns (final_h,
+    cache) in `lstm_forward`'s cache layout, so `lstm_backward` reads
+    either; its ``c_tanh`` block is the tanh of its masked cell states. Its
+    float operations at live steps are the library's, in the same order, so
+    a table whose gemm runs outside OpenBLAS's small-matrix sizes gives the
+    same bits."""
     w, u, b = (np.stack([params[f"{kind}_{gate}"] for gate in "ifoc"]) for kind in "WUb")
     steps = int(lengths.max()) if len(lengths) else 0
     _, batch, dim = x.shape
@@ -231,7 +233,7 @@ def padded_lstm_forward(params: dict[str, np.ndarray], x: np.ndarray,
     projected += b[:, None, :]
     projected = projected.reshape(4, steps, batch, hidden)
     h = c = np.zeros((batch, hidden))
-    cache = dict(x=inputs, lengths=lengths, ifo=[], cand=[], h=[h], c=[c])
+    gates, hs, cs = np.empty((steps, 4, batch, hidden)), [h], [c]
     for t in range(steps):
         a = h @ u.transpose(0, 2, 1) + projected[:, t]
         ifo = (np.tanh(a[:3] * 0.5) + 1.0) * 0.5  # `layers.sigmoid`'s operations
@@ -240,8 +242,12 @@ def padded_lstm_forward(params: dict[str, np.ndarray], x: np.ndarray,
         live = (t < lengths)[:, None]
         h = np.where(live, ifo[2] * np.tanh(c_raw), h)
         c = np.where(live, c_raw, c)
-        for key, value in zip(("ifo", "cand", "h", "c"), (ifo, cand, h, c)):
-            cache[key].append(value)
+        gates[t, :3], gates[t, 3] = ifo, cand
+        hs.append(h)
+        cs.append(c)
+    cells = np.stack(cs)
+    cache = dict(x=inputs, lengths=lengths, gates=gates, h=np.stack(hs), c=cells,
+                 c_tanh=np.tanh(cells[1:]))
     return h, cache
 
 

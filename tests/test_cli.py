@@ -667,15 +667,48 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         assert ": repeated key " in proc.stderr
 
 
-def test_tokenize_stdin_that_is_not_utf8_is_named():
+def _tokenize_stdin(data, env, *output):
     src = os.path.dirname(os.path.dirname(botdetect.__file__))
-    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
-    proc = subprocess.run([sys.executable, "-m", "botdetect.cli", "tokenize", "--input", "-"],
-                          input=b"\xffa\n", capture_output=True, env=env, timeout=120)
+    env = {key: value for key, value in {**os.environ, **env, "PYTHONPATH": src}.items()
+           if value is not None}
+    return subprocess.run([sys.executable, "-m", "botdetect.cli", "tokenize", "--input", "-",
+                           *output], input=data, capture_output=True, env=env, timeout=120)
+
+
+# Stdin's decoding must not depend on how Python set sys.stdin up: UTF-8
+# mode (PYTHONUTF8=1, the default in the C or POSIX locale) reads it with
+# surrogateescape unless PYTHONIOENCODING says otherwise.
+STDIN_ENVIRONMENTS = {
+    "ioencoding_strict": {"PYTHONIOENCODING": "utf-8:strict"},
+    "utf8_mode": {"PYTHONUTF8": "1", "PYTHONIOENCODING": None},
+}
+STDIN_NOT_UTF8 = ["data error: <stdin>: 'utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte"]
+
+
+def test_tokenize_stdin_that_is_not_utf8_is_named():
+    proc = _tokenize_stdin(b"\xffa\n", STDIN_ENVIRONMENTS["ioencoding_strict"])
     assert proc.returncode == 3
-    assert proc.stderr.decode().splitlines() == [
-        "data error: <stdin>: 'utf-8' codec can't decode byte 0xff in position 0: "
-        "invalid start byte"]
+    assert proc.stderr.decode().splitlines() == STDIN_NOT_UTF8
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output_file"])
+def test_tokenize_stdin_that_is_not_utf8_is_named_in_utf8_mode(tmp_path, to_file):
+    output = ["--output", str(tmp_path / "out.txt")] if to_file else []
+    proc = _tokenize_stdin(b"\xffa b\n", STDIN_ENVIRONMENTS["utf8_mode"], *output)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == STDIN_NOT_UTF8
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("environment", sorted(STDIN_ENVIRONMENTS))
+def test_tokenize_stdin_splits_lines_at_newline_only(environment):
+    # CRLF ends a line with its "\r" kept, and a lone "\r" ends none; the
+    # tokenizer reads "\r" as a space.
+    proc = _tokenize_stdin(b"a b\r\nc\rd\n\r\nlast", STDIN_ENVIRONMENTS[environment])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"a b\nc d\n\nlast\n"
 
 
 def test_absolute_manifest_reads_the_corpus(corpus, tmp_path, capsys):

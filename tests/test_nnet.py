@@ -2,6 +2,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdetect.cli import NET_CONFIGS
 from botdetect.data import Label, Standardizer, TweetRecord
@@ -95,7 +97,8 @@ def test_lstm_matches_scalar_reference():
 @pytest.mark.parametrize("zero_weights", [False, True])
 def test_lstm_cache_states_match_scalar_reference(zero_weights):
     # Each sample's cached hidden states are the oracle's per-step states up
-    # to its length, then its last state (zero for an empty sample).
+    # to its length, and the state at its length is its final state (zero
+    # for an empty sample).
     rng = np.random.Generator(np.random.PCG64(42))
     params = _zero_cell(3, hidden=6) if zero_weights else init_lstm_params(rng, 3, 6)
     sequences = [_sequence(rng, n, 3, max_len=7) for n in (5, 0, 7, 2)]
@@ -107,7 +110,7 @@ def test_lstm_cache_states_match_scalar_reference(zero_weights):
     for i, (matrix, length) in enumerate(sequences):
         ref_final, ref_all = scalar_lstm_final(params, matrix, length)
         assert np.allclose(states[1:length + 1, i], ref_all, rtol=0.0, atol=1e-12)
-        assert np.all(states[length:, i] == final_h[i])
+        assert np.all(states[length, i] == final_h[i])
         assert np.allclose(final_h[i], ref_final, rtol=0.0, atol=1e-12)
 
 
@@ -160,7 +163,7 @@ def test_lstm_cache_does_not_change_outputs():
     final_b, cache_b = lstm_forward(params, ids, lengths, matrix, keep_cache=True)
     assert cache_a is None and cache_b is not None
     assert np.array_equal(final_a, final_b)
-    assert np.array_equal(cache_b["h"][-1], final_b)
+    assert np.array_equal(cache_b["h"][lengths, np.arange(len(lengths))], final_b)
 
 
 # Scoring batches as (hidden size, padded length, lengths): tied lengths,
@@ -248,7 +251,8 @@ TABLE_BATCHES = {
 @pytest.mark.parametrize("case", sorted(TABLE_BATCHES))
 def test_lstm_table_equals_padded_projection_bitwise(case):
     # One table row per distinct id gives the bits of projecting every padded
-    # position, in both loops' final states and in every gradient.
+    # position, and the unmasked training loop the masked oracle's, in both
+    # loops' final states and in every gradient.
     lengths, ids, exact = TABLE_BATCHES[case]
     rng = np.random.Generator(np.random.PCG64(55))
     params = init_lstm_params(rng, 50, 32)
@@ -265,6 +269,71 @@ def test_lstm_table_equals_padded_projection_bitwise(case):
     assert same(trained, expected)
     for name in params:
         assert same(grads[name], oracle_grads[name]), name
+
+
+def _table_gives_projection_bits(params, ids, lengths, matrix):
+    """Whether the per-token table holds the padded projection's bits at
+    every position: where it does, both recurrences read the same inputs."""
+    w = np.stack([params[f"W_{gate}"] for gate in "ifoc"]).transpose(0, 2, 1)
+    steps = int(lengths.max())
+    tokens, rows = np.unique(ids[:, :steps], return_inverse=True)
+    per_token = (matrix[tokens] @ w)[:, rows.reshape(ids[:, :steps].shape).T.ravel()]
+    return np.array_equal(per_token, matrix[ids[:, :steps].T].reshape(-1, matrix.shape[1]) @ w)
+
+
+@given(batch=st.integers(1, 130), hidden=st.integers(3, 32), dim=st.integers(1, 60),
+       max_len=st.integers(1, 30), rows=st.sampled_from(["random", "some_empty", "all_empty",
+                                                         "all_full"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_lstm_unmasked_training_equals_masked_oracle(batch, hidden, dim, max_len, rows, seed):
+    # Padded steps run unmasked in training; the masked oracle gives the
+    # same final states and all 12 gradients, to the bit where the table
+    # gemm gives the projection's bits (past OpenBLAS's small-matrix sizes).
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = init_lstm_params(rng, dim, hidden)
+    vocab = int(rng.integers(2, 3 * batch * max_len))
+    matrix = rng.standard_normal((vocab, dim))
+    ids = rng.integers(0, vocab, (batch, max_len))
+    lengths = {"random": rng.integers(0, max_len + 1, batch),
+               "some_empty": rng.integers(0, max_len + 1, batch) * rng.integers(0, 2, batch),
+               "all_empty": np.zeros(batch, dtype=np.int64),
+               "all_full": np.full(batch, max_len)}[rows]
+    expected, oracle_cache = padded_lstm_forward(params, matrix[ids.T], lengths)
+    trained, cache = lstm_forward(params, ids, lengths, matrix, keep_cache=True)
+    d_final_h = rng.standard_normal(expected.shape)
+    grads = lstm_backward(params, cache, d_final_h)
+    oracle_grads = lstm_backward(params, oracle_cache, d_final_h)
+    exact = _table_gives_projection_bits(params, ids, lengths, matrix)
+    same = np.array_equal if exact else partial(np.allclose, rtol=1e-12, atol=1e-12)
+    assert same(trained, expected)
+    for name in params:
+        assert same(grads[name], oracle_grads[name]), name
+
+
+def test_lstm_padded_ids_change_no_state_or_gradient_bits():
+    # Shuffling the ids among the padded positions refills them with ids the
+    # batch already uses and keeps its distinct ids, so the table: it changes
+    # only what the unmasked loop computes at padded steps.
+    lengths, _, _ = TABLE_BATCHES["zero_length_rows"]
+    ids = _TABLE_IDS
+    rng = np.random.Generator(np.random.PCG64(56))
+    params = init_lstm_params(rng, 50, 32)
+    matrix = rng.standard_normal((TABLE_VOCAB, 50))
+    live = np.arange(TABLE_LEN) < lengths[:, None]
+    refilled = ids.copy()
+    refilled[~live] = rng.permutation(ids[~live])
+    assert not np.array_equal(refilled, ids)
+    assert np.array_equal(np.unique(refilled), np.unique(ids))
+    d_final_h = rng.standard_normal((TABLE_ROWS, 32))
+    runs = [lstm_forward(params, batch_ids, lengths, matrix, keep_cache=True)
+            for batch_ids in (ids, refilled)]
+    (final, cache), (final_refilled, cache_refilled) = runs
+    assert final.tobytes() == final_refilled.tobytes()
+    grads = lstm_backward(params, cache, d_final_h)
+    grads_refilled = lstm_backward(params, cache_refilled, d_final_h)
+    for name in params:
+        assert grads[name].tobytes() == grads_refilled[name].tobytes(), name
 
 
 def test_predict_proba_peak_memory_stays_below_a_quarter_of_the_padded_projection():
