@@ -2,7 +2,7 @@
 inspect, bench, and synth.
 
 Every experiment is fully described by a RunConfig; config files, bench
-rows and the `train` flags (one per RunConfig field) are all typed by
+rows and each flag that fills a record field are all typed by
 `config.from_strings`. Artifacts land in a timestamped run directory and each
 artifact file carries the config hash; a failed run removes its directory,
 and the `latest` link moves only once a run has written its last artifact.
@@ -129,9 +129,9 @@ class RunConfig(NamedTuple):
             raise ConfigError("threshold must lie in (0, 1)")
         if self.truncation not in ("tail", "head"):
             raise ConfigError("truncation must be tail or head")
-        for name, least in (("max_len", 1), ("batch_size", 1), ("n_trees", 1),
-                            ("n_stumps", 1), ("embedding_dim", 1), ("logreg_epochs", 1),
-                            ("smote_k", 1), ("enn_k", 1), ("epochs", 0), ("vocab_cap", 0)):
+        for name, least in (("max_len", 1), ("batch_size", 1), ("n_trees", 1), ("n_stumps", 1),
+                            ("embedding_dim", 1), ("logreg_epochs", 1), ("smote_k", 1),
+                            ("enn_k", 1), ("epochs", 0), ("vocab_cap", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 < self.target_ratio < math.inf:
@@ -424,14 +424,16 @@ def _cmd_tokenize(args) -> int:
     return 0
 
 
+def _given(args, cls) -> dict[str, str]:
+    """The record `cls`'s fields that the command line set, as strings for `from_strings`."""
+    return {name: getattr(args, name) for name in cls._fields
+            if getattr(args, name) is not None}
+
+
 def _cmd_synth(args) -> int:
-    spec = from_strings(
-        SyntheticCorpusSpec, {},
-        n_accounts_per_class=args.accounts,
-        tweets_per_account=args.tweets_per_account,
-        seed=args.seed,
-        separation=args.separation,
-    )
+    spec = from_strings(SyntheticCorpusSpec, _given(args, SyntheticCorpusSpec))
+    if args.embedding_seed < 0:
+        raise ConfigError(f"embedding_seed must be >= 0, got {args.embedding_seed}")
     accounts, tweets = generate_synthetic(spec)
     manifest_path = write_corpus(accounts, tweets, args.out)
     print(f"wrote {len(accounts)} accounts / {len(tweets)} tweets; manifest: {manifest_path}")
@@ -465,16 +467,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_resample(args) -> int:
     from .resample import ResampleConfig, apply_strategy
 
+    config = from_strings(ResampleConfig, _given(args, ResampleConfig))
     with text_file(args.input) as fh:
         matrix = matrix_from_csv_lines(fh)
-    config = from_strings(
-        ResampleConfig, {},
-        strategy=Strategy(args.strategy),
-        smote_k=args.smote_k,
-        enn_k=args.enn_k,
-        target_ratio=args.target_ratio,
-        seed=args.seed,
-    )
     result, diag = apply_strategy(matrix, config)
     _write_lines(args.output, matrix_to_csv_lines(result))
     diag_lines = diag.to_kv_lines()
@@ -487,10 +482,7 @@ def _cmd_resample(args) -> int:
 
 def _cmd_train(args) -> int:
     values = read_kv_file(args.config) if args.config else {}
-    for name in RunConfig._fields:
-        if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
-    result = run_experiment(from_strings(RunConfig, values))
+    result = run_experiment(from_strings(RunConfig, {**values, **_given(args, RunConfig)}))
     sys.stdout.write(result.report.to_text())
     print(f"artifacts: {result.run_dir}")
     return 0
@@ -588,10 +580,15 @@ def _cmd_bench(args) -> int:
     return failures[0]["exit_code"] if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error, reported in one line
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `botdetect` parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="botdetect",
         description="Tweet-level and account-level bot detection experiments.",
     )
@@ -605,10 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--accounts", type=int, default=50)
-    p.add_argument("--tweets-per-account", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--separation", type=float, default=0.8)
+    for name in SyntheticCorpusSpec._fields:
+        p.add_argument("--" + name.replace("_", "-"))
     p.add_argument("--embedding-dim", type=int, default=0,
                    choices=(0,) + CANONICAL_DIMENSIONS,
                    help="also write fixture embeddings of this dimension")
@@ -623,12 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resample", help="resample a feature-matrix CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
+    # ResampleConfig's fields, named here so that the parser imports no resampler.
     p.add_argument("--strategy", required=True,
-                   choices=tuple(s.value for s in Strategy))
-    p.add_argument("--smote-k", type=int, default=5)
-    p.add_argument("--enn-k", type=int, default=3)
-    p.add_argument("--target-ratio", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+                   help="one of " + "/".join(s.value for s in Strategy))
+    for flag in ("--smote-k", "--enn-k", "--target-ratio", "--seed"):
+        p.add_argument(flag)
     p.add_argument("--diagnostics", default="")
     p.set_defaults(func=_cmd_resample)
 
@@ -641,8 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, dest=name, action="store_const", const="true")
         else:
             p.add_argument(flag, dest=name)
-    p.add_argument("--no-stratified", dest="stratified", action="store_const",
-                   const="false")
+    p.add_argument("--no-stratified", dest="stratified", action="store_const", const="false")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
@@ -671,9 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with float_errors(DataError, FLOAT_ERROR):
             return args.func(args)
     except FAILURES as exc:

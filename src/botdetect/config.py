@@ -1,15 +1,16 @@
 """The one conversion between strings and typed config records.
 
-Config files, bench rows, `train` flags and checkpoint meta lines all carry
+Config files, bench rows, CLI flags and checkpoint meta lines all carry
 strings. `from_strings` types each value by its record field: int, float,
-str, bool, or a tuple written as a comma list. A bool is exactly one of
-1/0, true/false, yes/no or on/off, in any case. Every other value, and every
+str, bool, an enum's value, or a tuple written as a comma list. A bool is
+exactly one of 1/0, true/false, yes/no or on/off, in any case. Every other value, and every
 ValueError the record itself raises, is a ConfigError naming the key.
 `to_strings` writes the fields back in forms `from_strings` reads.
 """
 
 from __future__ import annotations
 
+import enum
 import typing
 
 from .errors import ConfigError
@@ -33,6 +34,8 @@ def _parse(kind, text: str):
 def _describe(kind) -> str:
     if kind is bool:
         return "one of " + "/".join(BOOL_WORDS)
+    if isinstance(kind, enum.EnumMeta):
+        return "one of " + "/".join(member.value for member in kind)
     if typing.get_origin(kind) is tuple:
         return f"comma-separated {typing.get_args(kind)[0].__name__} values"
     return kind.__name__

@@ -49,8 +49,8 @@ TWEET_METADATA_COLUMNS: tuple[str, ...] = (
 ACCOUNT_COUNT_COLUMNS = ACCOUNT_FEATURE_COLUMNS[:5]
 ACCOUNT_BOOL_COLUMNS = ACCOUNT_FEATURE_COLUMNS[5:]
 
-# Dimensions of the published Twitter GloVe releases. Other dimensions are
-# accepted (small fixtures use d=2); the CLI restricts itself to these four.
+# Dimensions of the published Twitter GloVe releases: `synth --embedding-dim`
+# writes only these, and `train` takes any positive one (fixtures use d=2).
 CANONICAL_DIMENSIONS = (25, 50, 100, 200)
 
 # Checkpoint kinds of the contextual and the tweet-only net (`nnet.model`).

@@ -390,14 +390,16 @@ _URL_CHARS = "abcdefghij0123456789"
 
 @checked
 class SyntheticCorpusSpec(NamedTuple):
-    n_accounts_per_class: int
-    tweets_per_account: int
-    seed: int
-    separation: float
+    accounts: int = 50  # per class
+    tweets_per_account: int = 10
+    seed: int = 0
+    separation: float = 0.8
 
     def _check(self):
-        if self.n_accounts_per_class < 1 or self.tweets_per_account < 1:
+        if self.accounts < 1 or self.tweets_per_account < 1:
             raise ValueError("corpus sizes must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.separation <= 1.0:
             raise ValueError("separation must lie in [0, 1]")
 
@@ -488,7 +490,7 @@ def generate_synthetic(
                 return class_words[integers(0, len(class_words))]
             return SHARED_WORDS[integers(0, len(SHARED_WORDS))]
 
-        for a in range(spec.n_accounts_per_class):
+        for a in range(spec.accounts):
             account_id = f"{prefix}{a:05d}"
             features = counts(account_params) + [int(random() < p) for p in flag_probs]
             accounts.append(AccountRecord(account_id, tuple(features), label))

@@ -43,6 +43,8 @@ class ResampleConfig(NamedTuple):
     def _check(self):
         if self.smote_k < 1 or self.enn_k < 1:
             raise ValueError("neighbor counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.target_ratio <= 0.0:
             raise ValueError("target_ratio must be positive")
 

@@ -124,11 +124,46 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(RUN_DIR.sub(b"run-*", data)).hexdigest()
 
 
+def run(commands, work: str, env: dict, tree: str = ROOT) -> list[str]:
+    """Run each (name, working directory under `work`, argv) command in its
+    own subprocess; per command one ``exit <code> <name>`` line and a digest
+    line for its stdout and its stderr."""
+    lines = []
+    for name, cwd, argv in commands:
+        if argv[0] != "-c":
+            argv = ["-m", "botdetect.cli", *argv]
+        proc = subprocess.run([sys.executable, *(a.replace("{tree}", tree) for a in argv)],
+                              cwd=os.path.join(work, cwd), env=env, capture_output=True,
+                              timeout=600)
+        lines.append(f"exit {proc.returncode} {name}")
+        for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+            lines.append(f"{_digest(data.replace(work.encode(), b'<work>'))} {name}/{stream}")
+    return lines
+
+
+def file_digests(work: str) -> list[str]:
+    """One ``sha256 path`` line per file and symlink under `work`, in path
+    order; a symlink's digest is that of its target's name."""
+    lines = []
+    for folder, dirs, names in os.walk(work):
+        dirs.sort()
+        links = [d for d in dirs if os.path.islink(os.path.join(folder, d))]
+        for file in sorted(names + links):
+            path = os.path.join(folder, file)
+            if os.path.islink(path):
+                data = os.readlink(path).encode()
+            else:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            shown = RUN_DIR.sub(b"run-*", os.path.relpath(path, work).encode()).decode()
+            lines.append(f"{_digest(data)} {shown}")
+    return lines
+
+
 def manifest(tree: str, threads: int) -> list[str]:
     """The manifest lines of every command in `COMMANDS` run against `tree`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                OPENBLAS_NUM_THREADS=str(threads))
-    lines = []
     with tempfile.TemporaryDirectory(prefix="artifacts-") as work:
         for cwd in {cwd for _, cwd, _ in COMMANDS}:
             os.makedirs(os.path.join(work, cwd))
@@ -136,28 +171,7 @@ def manifest(tree: str, threads: int) -> list[str]:
                         os.path.join(work, "table", "experiments"))
         with open(os.path.join(work, "cli", "matrix.csv"), "w", encoding="utf-8") as fh:
             fh.write(_matrix_csv())
-        for name, cwd, argv in COMMANDS:
-            if argv[0] != "-c":
-                argv = ["-m", "botdetect.cli", *argv]
-            proc = subprocess.run([sys.executable, *(a.replace("{tree}", tree) for a in argv)],
-                                  cwd=os.path.join(work, cwd), env=env, capture_output=True,
-                                  timeout=600)
-            lines.append(f"exit {proc.returncode} {name}")
-            for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
-                lines.append(f"{_digest(data.replace(work.encode(), b'<work>'))} {name}/{stream}")
-        for folder, dirs, files in os.walk(work):
-            dirs.sort()
-            links = [d for d in dirs if os.path.islink(os.path.join(folder, d))]
-            for file in sorted(files + links):
-                path = os.path.join(folder, file)
-                if os.path.islink(path):
-                    data = os.readlink(path).encode()
-                else:
-                    with open(path, "rb") as fh:
-                        data = fh.read()
-                shown = RUN_DIR.sub(b"run-*", os.path.relpath(path, work).encode()).decode()
-                lines.append(f"{_digest(data)} {shown}")
-    return lines
+        return run(COMMANDS, work, env, tree) + file_digests(work)
 
 
 def _keyed(lines: list[str]) -> dict[str, str]:

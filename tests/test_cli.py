@@ -31,10 +31,11 @@ from botdetect.data import (
 )
 from botdetect.embedding import TweetPipeline, load_glove
 from botdetect.errors import ConfigError, DataError
-from botdetect.ingest import load_corpus, parse_manifest
+from botdetect.ingest import SyntheticCorpusSpec, load_corpus, parse_manifest
 from botdetect.nnet import lstm
 from botdetect.nnet.model import ContextualLstmModel, NetConfig
 from botdetect.persist import load_model, save_model
+from botdetect.resample import ResampleConfig
 
 
 @pytest.fixture(scope="module")
@@ -420,6 +421,25 @@ def test_bench_row_with_bad_value_is_recorded(corpus, tmp_path, capsys):
     assert len(lines) == 5 and ",error," in lines[4]
 
 
+def test_bench_row_with_a_negative_seed_records_exit_2(corpus, tmp_path, capsys):
+    bench = tmp_path / "seed.kv"
+    bench.write_text(
+        "default.task = account\n"
+        f"default.manifest = {corpus / 'manifest.txt'}\n"
+        "default.n_trees = 4\n"
+        "row.negative.model = forest\n"
+        "row.negative.seed = -1\n"
+        "row.later.model = forest\n",
+        encoding="utf-8",
+    )
+    assert main(["bench", "--config", str(bench), "--out", str(tmp_path / "b")]) == 2
+    assert "2 rows, 1 failed" in capsys.readouterr().out
+    lines = (tmp_path / "b" / "bench.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("negative,") and lines[1].endswith(
+        ",error,seed must be >= 0; got -1")
+    assert lines[2].startswith("later,") and lines[2].endswith(",ok,")
+
+
 def test_bench_exit_status(corpus, tmp_path, capsys):
     common = ("default.task = account\n"
               f"default.manifest = {corpus / 'manifest.txt'}\n"
@@ -562,11 +582,33 @@ MALFORMED = {
                                       "meta max_len = 30\nmeta max_len = 2\n")),
     # Extra argv after a checkpoint edit is appended to the command.
     "eval_threshold_7": (2, "eval", ("forest", "", "", "--threshold", "7")),
+    # Usage errors: a flag argparse types, an unknown flag, no command.
+    "eval_threshold_x": (2, "eval", ("forest", "", "", "--threshold", "x")),
+    "inspect_tweet_index_x": (2, "inspect", ("net", "", "", "--tweet-index", "x")),
+    "train_unknown_flag": (2, "train_flags", ["--bogus"]),
+    "no_command": (2, "cli", []),
+    "train_seed_negative": (2, "train_flags", ["--seed", "-1"]),
     # Any other argv runs as given; {tmp} is the test's directory, which
     # holds a valid feature-matrix CSV at {tmp}/m.csv, and {corpus} is the
     # synthetic corpus.
     "synth_separation_2": (2, "cli", ["synth", "--out", "{tmp}/c", "--separation", "2"]),
     "synth_accounts_0": (2, "cli", ["synth", "--out", "{tmp}/c", "--accounts", "0"]),
+    "synth_accounts_x": (2, "cli", ["synth", "--out", "{tmp}/c", "--accounts", "x"]),
+    "synth_seed_negative": (2, "cli", ["synth", "--out", "{tmp}/c", "--seed", "-1"]),
+    "synth_embedding_seed_negative": (2, "cli", ["synth", "--out", "{tmp}/c", "--embedding-dim",
+                                                 "25", "--embedding-seed", "-1"]),
+    "net_train_seed_negative": (2, "cli", ["train", "--task", "tweet", "--model", "lstm",
+                                           "--manifest", "{corpus}/manifest.txt", "--embedding",
+                                           "{corpus}/glove_25d.txt", "--out", "{tmp}/r",
+                                           "--seed", "-1"]),
+    "resample_smote_k_x": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
+                                      "{tmp}/o.csv", "--strategy", "smote", "--smote-k", "x"]),
+    "resample_strategy_bogus": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
+                                           "{tmp}/o.csv", "--strategy", "bogus"]),
+    "resample_seed_negative": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
+                                          "{tmp}/o.csv", "--strategy", "smote", "--seed", "-1"]),
+    "resample_no_output": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--strategy",
+                                      "smote"]),
     "resample_smote_k_0": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
                                       "{tmp}/o.csv", "--strategy", "smote", "--smote-k", "0"]),
     "resample_target_ratio_0": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
@@ -603,6 +645,19 @@ MALFORMED = {
     # A line appended to a one-row bench config.
     "bench_row_key_without_field": (2, "bench_config", "row.x = 1\n"),
     "bench_config_repeated_key": (3, "bench_config", "row.forest.model = forest\n"),
+}
+# The whole stderr of some cases.
+MALFORMED_MESSAGES = {
+    "resample_strategy_bogus":
+        "config error: strategy = 'bogus': expected one of none/smote/smotenn/smotomek",
+    "resample_smote_k_x": "config error: smote_k = 'x': expected int",
+    "synth_accounts_x": "config error: accounts = 'x': expected int",
+    "synth_seed_negative": "config error: invalid SyntheticCorpusSpec: seed must be >= 0, got -1",
+    "synth_embedding_seed_negative": "config error: embedding_seed must be >= 0, got -1",
+    "resample_seed_negative": "config error: invalid ResampleConfig: seed must be >= 0, got -1",
+    "train_seed_negative": "config error: seed must be >= 0, got -1",
+    "net_train_seed_negative": "config error: seed must be >= 0, got -1",
+    "train_unknown_flag": "config error: unrecognized arguments: --bogus",
 }
 
 
@@ -665,6 +720,9 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         assert proc.stderr.startswith(f"data error: {tmp_path / 'ff.txt'}: 'utf-8' codec")
     if case.endswith("_repeated_key"):
         assert ": repeated key " in proc.stderr
+    if case in MALFORMED_MESSAGES:
+        assert proc.stderr == MALFORMED_MESSAGES[case] + "\n"
+    assert not (tmp_path / "c").exists() and not (tmp_path / "o.csv").exists()
 
 
 def _tokenize_stdin(data, env, *output):
@@ -971,3 +1029,18 @@ def test_train_flags_keep_their_spellings():
         "--repeat-tag", "--epochs", "--batch-size", "--learning-rate", "--val-fraction",
         "--mlp-layers", "--n-trees", "--n-stumps", "--logreg-epochs",
     }
+
+
+@pytest.mark.parametrize("command, record", [("resample", ResampleConfig),
+                                             ("synth", SyntheticCorpusSpec)])
+def test_record_flags_are_named_typed_and_defaulted_by_their_record(command, record):
+    """Each field has a flag of its own name, which argparse neither types
+    nor defaults: `from_strings` types it, and the record holds the only
+    default."""
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    actions = {action.dest: action for action in sub._actions}
+    for name in record._fields:
+        action = actions[name]
+        assert action.option_strings == ["--" + name.replace("_", "-")]
+        assert (action.type, action.default, action.choices) == (None, None, None)
