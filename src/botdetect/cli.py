@@ -471,10 +471,21 @@ def _cmd_resample(args) -> int:
     with text_file(args.input) as fh:
         matrix = matrix_from_csv_lines(fh)
     result, diag = apply_strategy(matrix, config)
-    _write_lines(args.output, matrix_to_csv_lines(result))
     diag_lines = diag.to_kv_lines()
+    files = [(args.output, matrix_to_csv_lines(result))]
     if args.diagnostics:
-        _write_lines(args.diagnostics, diag_lines)
+        files.append((args.diagnostics, diag_lines))
+    opened = []
+    try:  # if a file cannot be written, remove those this command opened
+        for path, lines in files:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                opened.append(path)
+                fh.write("\n".join(lines) + "\n")
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     for line in diag_lines:
         print(line)
     return 0

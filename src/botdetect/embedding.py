@@ -106,7 +106,7 @@ def load_glove(
             if not parts:
                 continue
             if len(parts) != expected_dimension + 1:
-                raise DataError(f"line {lineno}: expected {expected_dimension + 1} fields, "
+                raise DataError(f"{path}:{lineno}: expected {expected_dimension + 1} fields, "
                                 f"got {len(parts)}")
             token = parts[0]
             if token in seen:
@@ -114,9 +114,9 @@ def load_glove(
             try:
                 vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
             except ValueError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
             if not np.all(np.isfinite(vec)):
-                raise DataError(f"line {lineno}: non-finite component")
+                raise DataError(f"{path}:{lineno}: non-finite component")
             seen.add(token)
             if keep is not None and token not in keep:
                 continue

@@ -11,12 +11,15 @@ Real corpora arrive as per-group directories of ``users.csv`` and
 Any other key, a key set twice, or a count that is not a whole number, is a
 data error.
 
-Both files go through one row reader, `_load_rows`. It checks that the
-header names the file's mandatory columns, gives a row without an id the id
-`<group>:<row index>`, and hands each row to the file's row parser. A row
-whose count or flag cell does not parse is skipped and counted; past
-BAD_ROW_FRACTION of a file, loading fails. Records hold their counts (and
-flags, as 0/1) as a tuple in the column order `data` declares.
+Both files go through one row reader, `_load_rows`, the one place that
+keeps a file's accounting. It checks that the header names the file's
+mandatory columns, gives a row without an id the id `<group>:<row index>`,
+and parses each cell with `_parse_count` or `_parse_flag`, which read the
+cell text only. A row with a cell that does not parse is skipped and counted;
+past BAD_ROW_FRACTION of a file, loading fails. An empty cell of a loaded row
+loads as 0 and is counted under `filled.<column>`; a skipped row's cells are
+not. Records hold their counts (and flags, as 0/1) as a tuple in the column
+order `data` declares.
 
 The synthetic generator emits the same CSV schema, so every downstream path
 is exercised identically for real and synthetic data.
@@ -52,8 +55,12 @@ BAD_ROW_MIN_ROWS = 20
 # The attributes a manifest group may set.
 GROUP_ATTRS = ("path", "label", "accounts", "tweets")
 
-_TRUE_VALUES = {"1", "true", "t", "yes", "y"}
-_FALSE_VALUES = {"0", "false", "f", "no", "n", "", "nan", "null", "none"}
+# What `_parse_count` and `_parse_flag` return for an empty cell: it loads as
+# 0, and `_load_rows` counts it when its row loads.
+_EMPTY = object()
+_FLAG_VALUES = {**dict.fromkeys(("1", "true", "t", "yes", "y"), 1),
+                **dict.fromkeys(("0", "false", "f", "no", "n", "nan", "null", "none"), 0),
+                "": _EMPTY}
 
 
 class ManifestGroup(NamedTuple):
@@ -166,64 +173,35 @@ class LoadDiagnostics(NamedTuple):
         return lines
 
 
-def _parse_count(cell: str, column: str, filled: dict[str, int]) -> int | None:
-    """None means the row must be skipped; `filled` counts empty cells."""
+def _parse_count(cell: str) -> int | None:
+    """A count cell's value; `_EMPTY` for an empty, `nan`, `null` or `none`
+    cell; None for any other cell that is not a finite number >= 0."""
     text = cell.strip()
-    if text == "" or text.lower() in ("nan", "null", "none"):
-        filled[column] = filled.get(column, 0) + 1
-        return 0
     try:
         value = float(text)
     except ValueError:
-        return None
-    if not math.isfinite(value) or value < 0:
-        return None
-    return int(value)
+        return _EMPTY if text.lower() in ("", "null", "none") else None
+    if value != value:
+        return _EMPTY if text.lower() == "nan" else None
+    return int(value) if 0 <= value < math.inf else None
 
 
-def _parse_flag(cell: str, column: str, filled: dict[str, int]) -> int | None:
-    text = cell.strip().lower()
-    if text in _TRUE_VALUES:
-        return 1
-    if text in _FALSE_VALUES:
-        if text == "":
-            filled[column] = filled.get(column, 0) + 1
-        return 0
-    return None
+def _parse_flag(cell: str) -> int | None:
+    """A flag cell's 0/1; `_EMPTY` for an empty cell; None for any other cell
+    that is not a yes or a no."""
+    return _FLAG_VALUES.get(cell.strip().lower())
 
 
-def _check_bad_rows(path, skipped: int, total: int) -> None:
-    if total >= BAD_ROW_MIN_ROWS and skipped > BAD_ROW_FRACTION * total:
-        raise DataError(f"{path}: {skipped} of {total} rows unparseable "
-                        f"(> {BAD_ROW_FRACTION:.0%} threshold)")
+def _load_rows(path, group: ManifestGroup, mandatory, id_column,
+               layout) -> tuple[list, int, dict[str, int]]:
+    """(records, skipped rows, filled cells by column) of one group file.
 
-
-def _cell(row: list[str], index: int | None) -> str:
-    if index is None or index >= len(row):
-        return ""
-    return row[index]
-
-
-def _parse_cells(row, cells, filled) -> tuple[int, ...] | None:
-    """The parsed `(column, index, parser)` cells of a row, in order; None
-    at the first cell that fails."""
-    values = []
-    for column, index, parse in cells:
-        value = parse(_cell(row, index), column, filled)
-        if value is None:
-            return None
-        values.append(value)
-    return tuple(values)
-
-
-def _load_rows(path, group: ManifestGroup, mandatory, id_column, row_parser) -> tuple[list, int]:
-    """(records, skipped rows) of one group file.
-
-    The header must name every mandatory column. `row_parser(columns)` gets
-    the column name -> index map and returns the parse of one row:
-    `(account id, row) -> record`, or None to skip and count the row. A
-    non-empty row whose id cell is absent or empty gets the id
-    `<group>:<row index>`.
+    The header must name every mandatory column. `layout(columns)` gets the
+    column name -> index map and returns the row's `(column, index, parser)`
+    cells and `make(id, row, values) -> record`. A row whose id cell is
+    absent or empty gets the id `<group>:<row index>`; a short row reads ""
+    for its missing cells. A row with a cell that does not parse is skipped;
+    a loaded row's empty cells load as 0 and are counted by column.
     """
     with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
@@ -234,34 +212,42 @@ def _load_rows(path, group: ManifestGroup, mandatory, id_column, row_parser) -> 
         missing = [c for c in mandatory if c not in columns]
         if missing:
             raise DataError(f"{path}: missing mandatory columns {missing}")
-        parse = row_parser(columns)
+        cells, make = layout(columns)
         id_index = columns.get(id_column)
-        records = []
+        width = len(header)
+        records, filled = [], {}
         total = skipped = 0
         for row_idx, row in enumerate(reader):
             if not row:
                 continue
             total += 1
-            record = parse(_cell(row, id_index).strip() or f"{group.name}:{row_idx}", row)
-            if record is None:
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            values = [parse(row[index]) for _, index, parse in cells]
+            if None in values:
                 skipped += 1
-            else:
-                records.append(record)
-        _check_bad_rows(path, skipped, total)
-    return records, skipped
+                continue
+            if _EMPTY in values:
+                for (column, _, _), value in zip(cells, values):
+                    if value is _EMPTY:
+                        filled[column] = filled.get(column, 0) + 1
+                values = [0 if value is _EMPTY else value for value in values]
+            account_id = row[id_index].strip() if id_index is not None else ""
+            records.append(make(account_id or f"{group.name}:{row_idx}", row, values))
+    if total >= BAD_ROW_MIN_ROWS and skipped > BAD_ROW_FRACTION * total:
+        raise DataError(f"{path}: {skipped} of {total} rows unparseable "
+                        f"(> {BAD_ROW_FRACTION:.0%} threshold)")
+    return records, skipped, filled
 
 
-def _load_users(path, group: ManifestGroup, filled) -> tuple[list[AccountRecord], int]:
-    def row_parser(columns):
+def _load_users(path, group: ManifestGroup) -> tuple[list[AccountRecord], int, dict[str, int]]:
+    def layout(columns):
         cells = [(col, columns[col], _parse_count) for col in ACCOUNT_COUNT_COLUMNS]
         cells += [(col, columns[col], _parse_flag) for col in ACCOUNT_BOOL_COLUMNS]
+        return cells, lambda account_id, _, values: AccountRecord(account_id, tuple(values),
+                                                                  group.label)
 
-        def parse(account_id, row):
-            features = _parse_cells(row, cells, filled)
-            return None if features is None else AccountRecord(account_id, features, group.label)
-        return parse
-
-    return _load_rows(path, group, ACCOUNT_FEATURE_COLUMNS, "id", row_parser)
+    return _load_rows(path, group, ACCOUNT_FEATURE_COLUMNS, "id", layout)
 
 
 _ENTITY_COLUMNS = ("num_hashtags", "num_urls", "num_mentions")
@@ -280,35 +266,34 @@ def _fallback_entity_counts(text: str) -> tuple[int, int, int]:
     return hashtags, urls, mentions
 
 
-def _load_tweets(path, group: ManifestGroup, filled, fallback_columns,
-                 notes) -> tuple[list[TweetRecord], int]:
-    def row_parser(columns):
-        # Entity columns absent from this dump are recovered from the text,
-        # and the substitution is flagged.
+def _load_tweets(path, group: ManifestGroup):
+    """(records, skipped rows, filled cells, fallback columns, notes) of a
+    `tweets.csv`. Entity columns absent from its header are recovered from
+    the text (the fallback columns); any other absent count column loads as
+    0, with a note."""
+    fallback, notes = [], []
+
+    def layout(columns):
+        nonlocal fallback, notes
         fallback = [c for c in _ENTITY_COLUMNS if c not in columns]
-        fallback_columns.extend(fallback)
-        for col in TWEET_METADATA_COLUMNS:
-            if col not in columns and col not in fallback:
-                notes.append(f"column {col} absent; filled with 0")
+        notes = [f"column {col} absent; filled with 0" for col in TWEET_METADATA_COLUMNS
+                 if col not in columns and col not in fallback]
         present = [col for col in TWEET_METADATA_COLUMNS if col in columns]
-        cells = [(col, columns[col], _parse_count) for col in present]
         text_index = columns["text"]
 
-        def parse(account_id, row):
-            counts = _parse_cells(row, cells, filled)
-            if counts is None:
-                return None
-            text = _cell(row, text_index)
+        def make(account_id, row, counts):
+            text = row[text_index]
             if len(present) < len(TWEET_METADATA_COLUMNS):
                 values = {}
                 if fallback:
                     values.update(zip(_ENTITY_COLUMNS, _fallback_entity_counts(text)))
                 values.update(zip(present, counts))
-                counts = tuple(values.get(col, 0) for col in TWEET_METADATA_COLUMNS)
-            return TweetRecord(text, counts, group.label, account_id)
-        return parse
+                counts = [values.get(col, 0) for col in TWEET_METADATA_COLUMNS]
+            return TweetRecord(text, tuple(counts), group.label, account_id)
+        return [(col, columns[col], _parse_count) for col in present], make
 
-    return _load_rows(path, group, ("text",), "user_id", row_parser)
+    records, skipped, filled = _load_rows(path, group, ("text",), "user_id", layout)
+    return records, skipped, filled, fallback, notes  # the last two as `layout` set them
 
 
 def load_corpus(
@@ -331,18 +316,13 @@ def load_corpus(
             raise FileNotFoundError(
                 f"group {group.name!r}: neither {users_path} nor {tweets_path} exists"
             )
-        filled, fallback, notes = {}, [], []
-        group_accounts, accounts_skipped = [], 0
-        if has_users:
-            group_accounts, accounts_skipped = _load_users(users_path, group, filled)
-        else:
-            notes.append("users.csv absent")
-        group_tweets, tweets_skipped = [], 0
-        if has_tweets:
-            group_tweets, tweets_skipped = _load_tweets(tweets_path, group, filled, fallback,
-                                                        notes)
-        else:
-            notes.append("tweets.csv absent")
+        group_accounts, accounts_skipped, filled = (
+            _load_users(users_path, group) if has_users else ([], 0, {}))
+        group_tweets, tweets_skipped, tweets_filled, fallback, notes = (
+            _load_tweets(tweets_path, group) if has_tweets
+            else ([], 0, {}, [], ["tweets.csv absent"]))
+        if not has_users:
+            notes = ["users.csv absent", *notes]
         for kind, expected, loaded in (("accounts", group.expected_accounts, group_accounts),
                                        ("tweets", group.expected_tweets, group_tweets)):
             if expected is not None and len(loaded) != expected:
@@ -351,7 +331,8 @@ def load_corpus(
         accounts += group_accounts
         tweets += group_tweets
         groups.append(GroupDiagnostics(group.name, len(group_accounts), len(group_tweets),
-                                       accounts_skipped, tweets_skipped, filled, fallback, notes))
+                                       accounts_skipped, tweets_skipped,
+                                       {**filled, **tweets_filled}, fallback, notes))
     return accounts, tweets, LoadDiagnostics(groups, warnings)
 
 

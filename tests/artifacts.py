@@ -23,7 +23,9 @@ The command list covers the three benchmark workloads' set-up and job
 and on one small synthetic corpus `synth`, `ingest --kv`, `tokenize`,
 `resample` with each strategy, the five baselines at account level plain and
 with SMOTENN, and `train`, `eval` and `inspect --cell-state` of both nets,
-the contextual one also at batch size 20 with head truncation to 8 tokens.
+the contextual one also at batch size 20 with head truncation to 8 tokens;
+and `ingest --kv` on a small fixed corpus of empty, `nan`, short and
+skipped rows.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ def _commands() -> list[tuple[str, str, list[str]]]:
                           "--tweets-per-account", "6", "--separation", "0.25",
                           "--embedding-dim", "25"]),
         ("ingest", "cli", ["ingest", *CORPUS, "--kv", "ingest.kv"]),
+        ("ingest_messy", "cli", ["ingest", "--manifest", "messy/manifest.txt",
+                                 "--kv", "messy.kv"]),
         ("tokenize", "cli", ["tokenize", "--input", "corpus/bot/tweets.csv",
                              "--output", "tokens.txt", "--repeat-tag"]),
     ]
@@ -118,6 +122,29 @@ def _matrix_csv() -> str:
         cells = [repr(round(rng.gauss(shift, 1.0), 6)) for _ in range(3)]
         lines.append(",".join(cells + ["bot" if shift else "human"]))
     return "\n".join(lines) + "\n"
+
+
+def _messy_corpus() -> dict[str, str]:
+    """A fixed corpus of awkward rows for `ingest`, by path under the command
+    directory: empty and `nan` counts, an empty flag, rows skipped after an
+    empty cell, short rows, and a `tweets.csv` without `num_urls` (counted
+    from the text) or `reply_count` (loaded as 0, with a note)."""
+    users = ("id,statuses_count,followers_count,friends_count,favourites_count,listed_count,"
+             "default_profile,geo_enabled,profile_use_background_image,verified,protected\n")
+    tweets = "user_id,text,retweet_count,favorite_count,num_hashtags,num_mentions\n"
+    return {
+        "messy/manifest.txt": "group.h.path = h\ngroup.h.label = human\ngroup.h.accounts = 3\n"
+                              "group.b.path = b\ngroup.b.label = bot\ngroup.b.tweets = 4\n",
+        "messy/h/users.csv": users + "a1,5,,3,nan,0,1,,0,1,0\n"  # empty and nan counts, empty flag
+                             "a2,4,,2,1,0,1,maybe,0,1,0\n"  # skipped after an empty count
+                             "a3,7,2,1\n"  # short: empty counts and flags
+                             ",1,1,1,1,1,1,1,1,1,1\n",  # no id
+        "messy/b/users.csv": users + "b1,1, NULL ,1,1,1,1,1,1,1,1\n",
+        "messy/b/tweets.csv": tweets + 'u1,"see #a https://t.co/x @bob",1,,0,1\n'
+                              "u2,skipped after an empty count,,x,0,0\n"
+                              "u3,short,2\n"
+                              "u4,nan counts,nan,none,0,0\n",
+    }
 
 
 def _digest(data: bytes) -> str:
@@ -171,6 +198,11 @@ def manifest(tree: str, threads: int) -> list[str]:
                         os.path.join(work, "table", "experiments"))
         with open(os.path.join(work, "cli", "matrix.csv"), "w", encoding="utf-8") as fh:
             fh.write(_matrix_csv())
+        for rel, text in _messy_corpus().items():
+            path = os.path.join(work, "cli", rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         return run(COMMANDS, work, env, tree) + file_digests(work)
 
 

@@ -609,6 +609,14 @@ MALFORMED = {
                                           "{tmp}/o.csv", "--strategy", "smote", "--seed", "-1"]),
     "resample_no_output": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--strategy",
                                       "smote"]),
+    # A command that cannot write its output or its diagnostics leaves neither.
+    "resample_output_unwritable": (3, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
+                                              "{tmp}/missing/o.csv", "--strategy", "smote",
+                                              "--diagnostics", "{tmp}/d.kv"]),
+    "resample_diagnostics_unwritable": (3, "cli", ["resample", "--input", "{tmp}/m.csv",
+                                                   "--output", "{tmp}/o.csv", "--strategy",
+                                                   "smote", "--diagnostics",
+                                                   "{tmp}/missing/d.kv"]),
     "resample_smote_k_0": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
                                       "{tmp}/o.csv", "--strategy", "smote", "--smote-k", "0"]),
     "resample_target_ratio_0": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
@@ -630,6 +638,11 @@ MALFORMED = {
     "resample_not_utf8": (3, "cli", ["resample", "--input", "{tmp}/ff.txt", "--output",
                                      "{tmp}/o.csv", "--strategy", "smote"]),
     "ingest_not_utf8": (3, "cli", ["ingest", "--manifest", "{tmp}/ff.txt"]),
+    # {tmp}/w2v.txt is the corpus's GloVe file under a word2vec-style count line.
+    "glove_header_line": (3, "cli", ["train", "--task", "tweet", "--model", "lstm",
+                                     "--manifest", "{corpus}/manifest.txt", "--embedding",
+                                     "{tmp}/w2v.txt", "--embedding-dim", "25", "--out",
+                                     "{tmp}/r"]),
     "eval_not_utf8": (3, "cli", ["eval", "--checkpoint", "{tmp}/ff.txt",
                                  "--manifest", "{corpus}/manifest.txt"]),
     "train_config_not_utf8": (3, "cli", ["train", "--config", "{tmp}/ff.txt"]),
@@ -646,8 +659,11 @@ MALFORMED = {
     "bench_row_key_without_field": (2, "bench_config", "row.x = 1\n"),
     "bench_config_repeated_key": (3, "bench_config", "row.forest.model = forest\n"),
 }
-# The whole stderr of some cases.
+# The whole stderr of some cases, {tmp} standing for the test's directory.
 MALFORMED_MESSAGES = {
+    "resample_diagnostics_unwritable":
+        "data error: [Errno 2] No such file or directory: '{tmp}/missing/d.kv'",
+    "glove_header_line": "data error: {tmp}/w2v.txt:1: expected 26 fields, got 2",
     "resample_strategy_bogus":
         "config error: strategy = 'bogus': expected one of none/smote/smotenn/smotomek",
     "resample_smote_k_x": "config error: smote_k = 'x': expected int",
@@ -694,6 +710,8 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
             bad = [lines[0], cell + lines[1][lines[1].index(","):], *lines[2:]]
             (tmp_path / f"m_{cell}.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
         (tmp_path / "ff.txt").write_bytes(b"\xffa = b\n")
+        (tmp_path / "w2v.txt").write_text(
+            "2 25\n" + (corpus / "glove_25d.txt").read_text(encoding="utf-8"), encoding="utf-8")
         argv = [arg.replace("{tmp}", str(tmp_path)).replace("{corpus}", str(corpus))
                 for arg in spec]
     else:
@@ -721,8 +739,9 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     if case.endswith("_repeated_key"):
         assert ": repeated key " in proc.stderr
     if case in MALFORMED_MESSAGES:
-        assert proc.stderr == MALFORMED_MESSAGES[case] + "\n"
+        assert proc.stderr == MALFORMED_MESSAGES[case].replace("{tmp}", str(tmp_path)) + "\n"
     assert not (tmp_path / "c").exists() and not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "d.kv").exists()
 
 
 def _tokenize_stdin(data, env, *output):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,7 +44,7 @@ def test_unknown_vector_is_mean(table):
 def test_dimension_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("alpha 1.0 0.0\nbeta 0.5 0.5 0.5\n", encoding="utf-8")
-    with pytest.raises(DataError, match="line 2: expected 3 fields, got 4"):
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: expected 3 fields, got 4")):
         load_glove(path, 2)
 
 
@@ -60,7 +61,8 @@ def test_file_without_vectors_is_a_data_error(tmp_path):
 def test_parse_error_with_line_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("alpha 1.0 0.0\nbeta 0.5 oops\n", encoding="utf-8")
-    with pytest.raises(DataError, match="line 2: could not convert string to float: 'oops'"):
+    with pytest.raises(DataError,
+                       match=re.escape(f"{path}:2: could not convert string to float: 'oops'")):
         load_glove(path, 2)
 
 

@@ -1,8 +1,12 @@
 import hashlib
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botdetect import baselines
 from botdetect.baselines import BaselineConfig, BaselineKind
@@ -182,6 +186,66 @@ def test_cell_value_loads_fills_or_skips_the_row(tmp_path, column, cell, loaded,
         assert accounts[0].features == want
         assert all(type(v) is int for v in accounts[0].features)
     assert diag.groups[0].filled_cells.get(column, 0) == filled
+
+
+def test_skipped_users_row_counts_no_filled_cell(tmp_path):
+    # An empty count, then a flag that does not parse: the row is skipped,
+    # and its empty cell is not reported as filled.
+    rows = [USERS_HEADER, "a1,5,,3,0,0,1,maybe,0,1,0", "a2,5,,3,0,0,1,0,0,1,0"]
+    group = _group(tmp_path, "humans", rows, None)
+    accounts, _, diag = load_corpus(CorpusManifest(groups=(group,)))
+    assert [a.account_id for a in accounts] == ["a2"]
+    assert diag.groups[0].accounts_skipped == 1
+    assert diag.groups[0].filled_cells == {"followers_count": 1}
+
+
+def test_skipped_tweets_row_counts_no_filled_cell(tmp_path):
+    # An empty retweet_count, then a favorite_count that does not parse.
+    rows = [TWEETS_HEADER, "u1,hello,,0,1,0,0,0", "u2,bad,,0,x,0,0,0"]
+    group = _group(tmp_path, "humans", None, rows)
+    _, tweets, diag = load_corpus(CorpusManifest(groups=(group,)))
+    assert [t.account_id for t in tweets] == ["u1"]
+    assert diag.groups[0].tweets_skipped == 1
+    assert diag.groups[0].filled_cells == {"retweet_count": 1}
+    assert "group.humans.filled.retweet_count = 1" in diag.to_kv_lines()
+
+
+# A count cell -> what it loads as: an int, "empty" (0, counted as filled) or
+# None (the row is skipped).
+COUNT_CELLS = {"0": 0, "3": 3, "17": 17, "1.5": 1, "": "empty", "nan": "empty",
+               " NULL ": "empty", "none": "empty", "-1": None, "inf": None, "1e400": None,
+               "x": None}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(sorted(COUNT_CELLS)), min_size=6,
+                                   max_size=6),
+                          st.integers(2, 8)),
+                max_size=BAD_ROW_MIN_ROWS - 1))
+def test_filled_and_skipped_count_only_loaded_rows(rows):
+    # Each row is its id, its text and six count cells, cut to the given
+    # number of cells; a short row reads "" for the cells it lacks.
+    header = TWEETS_HEADER.split(",")
+    lines = [TWEETS_HEADER]
+    filled, skipped, loaded = {}, 0, []
+    for i, (counts, width) in enumerate(rows):
+        lines.append(",".join([f"u{i}", "text", *counts][:width]))
+        cells = dict(zip(header[2:], counts[:width - 2]))
+        values = {col: COUNT_CELLS[cells.get(col, "")] for col in header[2:]}
+        if None in values.values():
+            skipped += 1
+            continue
+        for col, value in values.items():
+            if value == "empty":
+                filled[col] = filled.get(col, 0) + 1
+        loaded.append(tuple(0 if values[col] == "empty" else values[col]
+                            for col in TWEET_METADATA_COLUMNS))
+    with tempfile.TemporaryDirectory() as tmp:
+        group = _group(Path(tmp), "humans", None, lines)
+        _, tweets, diag = load_corpus(CorpusManifest(groups=(group,)))
+    assert diag.groups[0].tweets_skipped == skipped
+    assert diag.groups[0].filled_cells == filled
+    assert [t.metadata for t in tweets] == loaded
 
 
 def test_count_mismatch_reported_as_warning(tmp_path):
