@@ -4,12 +4,14 @@ inspect, bench, and synth.
 Every experiment is fully described by a RunConfig; config files, bench
 rows and each flag that fills a record field are all typed by
 `config.from_strings`. Artifacts land in a timestamped run directory and each
-artifact file carries the config hash; a failed run removes its directory,
-and the `latest` link moves only once a run has written its last artifact.
-Artifact contents contain no wall-clock data, so a rerun with an identical
-config and seed reproduces them byte for byte. `eval` and `inspect` parse a
-checkpoint once and rebuild training's `TweetPipeline` from it, warning when
-the embedding or tokenizer settings differ.
+artifact file carries the config hash. Every command but `synth` (which
+checks all its flags before its first write) works out all its files first
+and writes them through `_write_files`, so a failed command leaves no file or
+directory it created; the `latest` link moves only once a run has written its
+last artifact. Artifact contents contain no wall-clock data, so a rerun with
+an identical config and seed reproduces them byte for byte. `eval` and
+`inspect` parse a checkpoint once and rebuild training's `TweetPipeline` from
+it, warning when the embedding or tokenizer settings differ.
 
 Each command imports the layer modules its own path needs inside its
 handler, so scoring a net loads no baseline or resampler and an account run
@@ -31,7 +33,6 @@ import functools
 import hashlib
 import math
 import os
-import shutil
 import sys
 import time
 from typing import NamedTuple
@@ -164,19 +165,44 @@ class ExperimentResult(NamedTuple):
     run_dir: str
 
 
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_files(files, out_dir="") -> None:
+    """Write each `(path, lines)` pair, path joined to `out_dir`, which is
+    made first; a checkpoint comes as `(path, write)`, and `write(path)`
+    streams its rows. If anything fails, the files this call created or
+    truncated and the directories it made are removed, deepest first, and
+    the error is raised: a failed command leaves nothing it wrote."""
+    made, written = [], []
+    try:
+        missing, head = [], os.path.normpath(out_dir)
+        while head and not os.path.isdir(head):
+            missing.append(head)
+            head = os.path.dirname(head)
+        for path in reversed(missing):
+            os.mkdir(path)
+            made.append(path)
+        for path, content in files:
+            path = os.path.join(out_dir, path)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                written.append(path)
+                fh.write("" if callable(content) else "\n".join(content) + "\n")
+            if callable(content):
+                content(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
-def _write_report(out_dir, report: EvalReport, head: list[str], text_tail: str) -> None:
+def _report_files(report: EvalReport, head: list[str], tail: list[str]) -> list:
     """`report.kv`, `report.txt` and `roc.csv`. The head lines open the kv
-    file and, as comments, the csv; the tail closes the text."""
-    _write_lines(os.path.join(out_dir, "report.kv"), head + report.to_kv_lines())
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text() + text_tail)
-    _write_lines(os.path.join(out_dir, "roc.csv"),
-                 [f"# {line}" for line in head] + report.roc_csv_lines())
+    file and, as comments, the csv; the tail lines close the text."""
+    return [("report.kv", head + report.to_kv_lines()),
+            ("report.txt", report.to_text().splitlines() + tail),
+            ("roc.csv", [f"# {line}" for line in head] + report.roc_csv_lines())]
 
 
 def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
@@ -200,19 +226,17 @@ def _part(cls, config: RunConfig, **given):
     return cls(**{**shared, **given})
 
 
-def _make_run_dir(config: RunConfig) -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    short = config.config_hash()[:8]
-    run_dir = os.path.join(config.out_dir, f"run-{stamp}-{short}")
-    suffix = 0
+def _run_dir(config: RunConfig) -> str:
+    """A new run directory's name, stamped now; it is not created here."""
+    name = f"run-{time.strftime('%Y%m%d-%H%M%S')}-{config.config_hash()[:8]}"
+    run_dir, suffix = os.path.join(config.out_dir, name), 0
     while os.path.exists(run_dir):
         suffix += 1
-        run_dir = os.path.join(config.out_dir, f"run-{stamp}-{short}-{suffix}")
-    os.makedirs(run_dir)
+        run_dir = os.path.join(config.out_dir, f"{name}-{suffix}")
     return run_dir
 
 
-def _run_baseline_experiment(config, accounts, tweets, run_dir, con_hash):
+def _run_baseline_experiment(config, accounts, tweets, con_hash):
     from . import baselines
     from .resample import ResampleConfig, apply_strategy
 
@@ -226,20 +250,19 @@ def _run_baseline_experiment(config, accounts, tweets, run_dir, con_hash):
 
     resample_cfg = _part(ResampleConfig, config, strategy=Strategy(config.resample))
     train_matrix, diag = apply_strategy(train_matrix, resample_cfg)
-    _write_lines(
-        os.path.join(run_dir, "resample.kv"),
-        [f"config_hash = {con_hash}"] + diag.to_kv_lines(),
-    )
 
     model = baselines.fit(BaselineKind(config.model), train_matrix,
                           _part(baselines.BaselineConfig, config))
     scores = baselines.predict_proba(model, test_matrix)
     report = evaluate(scores, test_matrix.labels, config.threshold, config.echo())
-    baselines.save_baseline(model, os.path.join(run_dir, "model.txt"), {"config_hash": con_hash})
-    return report
+    return report, [
+        ("resample.kv", [f"config_hash = {con_hash}"] + diag.to_kv_lines()),
+        ("model.txt", lambda path: baselines.save_baseline(model, path,
+                                                           {"config_hash": con_hash})),
+    ]
 
 
-def _run_net_experiment(config, tweets, run_dir, con_hash):
+def _run_net_experiment(config, accounts, tweets, con_hash):
     from .embedding import TweetPipeline, load_glove, most_frequent_tokens
     from .nnet.model import NetConfig, train as train_net
     from .tokenizer import tokenize
@@ -279,16 +302,12 @@ def _run_net_experiment(config, tweets, run_dir, con_hash):
                                  metadata[test_idx])
     report = evaluate(scores, labels[test_idx], config.threshold, config.echo())
 
-    _write_lines(
-        os.path.join(run_dir, "trace.csv"),
-        [f"# config_hash = {con_hash}"] + trace.to_csv_lines(),
-    )
     meta = {"config_hash": con_hash, **pipeline.meta()}
     if restrict is not None:
         # The kept tokens, in table order, so that scoring loads this table.
         meta["vocabulary"] = " ".join(table.vocabulary)
-    model.save(os.path.join(run_dir, "model.txt"), meta)
-    return report
+    return report, [("trace.csv", [f"# config_hash = {con_hash}"] + trace.to_csv_lines()),
+                    ("model.txt", lambda path: model.save(path, meta))]
 
 
 def _read_corpus(manifest_path):
@@ -304,23 +323,15 @@ def run_experiment(config: RunConfig, read_corpus=_read_corpus) -> ExperimentRes
     config.validate()
     con_hash = config.config_hash()
     accounts, tweets, load_diag = read_corpus(config.manifest)
-    run_dir = _make_run_dir(config)
-    try:
-        if config.model in NET_CONFIGS:
-            report = _run_net_experiment(config, tweets, run_dir, con_hash)
-        else:
-            report = _run_baseline_experiment(config, accounts, tweets, run_dir, con_hash)
-
-        _write_report(run_dir, report, [f"config_hash = {con_hash}"],
-                      f"  config hash {con_hash}\n")
-        run_lines = [f"config_hash = {con_hash}"]
-        run_lines += [f"config.{line}" for line in config.to_kv_lines()]
-        run_lines += load_diag.to_kv_lines()
-        run_lines.append("rule.lstm_resampling = forbidden (metadata never oversampled)")
-        _write_lines(os.path.join(run_dir, "run.kv"), run_lines)
-    except BaseException:
-        shutil.rmtree(run_dir, ignore_errors=True)
-        raise
+    run = _run_net_experiment if config.model in NET_CONFIGS else _run_baseline_experiment
+    report, files = run(config, accounts, tweets, con_hash)
+    head = [f"config_hash = {con_hash}"]
+    run_lines = head + [f"config.{line}" for line in config.to_kv_lines()]
+    run_lines += load_diag.to_kv_lines()
+    run_lines.append("rule.lstm_resampling = forbidden (metadata never oversampled)")
+    run_dir = _run_dir(config)
+    _write_files(files + _report_files(report, head, [f"  config hash {con_hash}"])
+                 + [("run.kv", run_lines)], run_dir)
     latest = os.path.join(config.out_dir, "latest")
     with contextlib.suppress(OSError):
         if os.path.islink(latest):
@@ -360,7 +371,6 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
     if not row_values:
         raise ConfigError("bench config defines no rows")
 
-    os.makedirs(out_dir, exist_ok=True)
     # Rows that share a manifest share one parse of it; a failed parse is
     # not kept, so every row that names the manifest records its error.
     read_corpus = functools.lru_cache(maxsize=None)(_read_corpus)
@@ -396,13 +406,12 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
     csv_lines = [",".join(columns)]
     for row in results:
         csv_lines.append(",".join(row.get(c, "") for c in columns))
-    _write_lines(os.path.join(out_dir, "bench.csv"), csv_lines)
 
     widths = {c: max(len(c), *(len(row.get(c, "")) for row in results)) for c in columns}
     text_lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
     for row in results:
         text_lines.append("  ".join(row.get(c, "").ljust(widths[c]) for c in columns))
-    _write_lines(os.path.join(out_dir, "bench.txt"), text_lines)
+    _write_files([("bench.csv", csv_lines), ("bench.txt", text_lines)], out_dir)
     return results
 
 
@@ -420,7 +429,7 @@ def _cmd_tokenize(args) -> int:
         for line in rendered:
             print(line)
     else:
-        _write_lines(args.output, rendered if rendered else [""])
+        _write_files([(args.output, rendered or [""])])
     return 0
 
 
@@ -458,7 +467,7 @@ def _cmd_ingest(args) -> int:
         f"tweets_total = {len(tweets)}",
     ] + diagnostics.to_kv_lines()
     if args.kv:
-        _write_lines(args.kv, lines)
+        _write_files([(args.kv, lines)])
     for line in lines:
         print(line)
     return 0
@@ -469,23 +478,13 @@ def _cmd_resample(args) -> int:
 
     config = from_strings(ResampleConfig, _given(args, ResampleConfig))
     with text_file(args.input) as fh:
-        matrix = matrix_from_csv_lines(fh)
+        matrix = matrix_from_csv_lines(fh, args.input)
     result, diag = apply_strategy(matrix, config)
     diag_lines = diag.to_kv_lines()
     files = [(args.output, matrix_to_csv_lines(result))]
     if args.diagnostics:
         files.append((args.diagnostics, diag_lines))
-    opened = []
-    try:  # if a file cannot be written, remove those this command opened
-        for path, lines in files:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                opened.append(path)
-                fh.write("\n".join(lines) + "\n")
-    except BaseException:
-        for path in opened:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
+    _write_files(files)
     for line in diag_lines:
         print(line)
     return 0
@@ -545,10 +544,9 @@ def _cmd_eval(args) -> int:
     else:
         raise DataError(f"{args.checkpoint}: unknown model kind {kind!r}")
     report = evaluate(scores, labels, args.threshold)
-    sys.stdout.write(report.to_text())
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_report(args.out, report, [], "")
+        _write_files(_report_files(report, [], []), args.out)
+    sys.stdout.write(report.to_text())
     return 0
 
 
@@ -561,23 +559,20 @@ def _cmd_inspect(args) -> int:
     _, tweets, _ = _read_corpus(args.manifest)
     if not tweets:
         raise DataError("corpus contains no tweets")
-    os.makedirs(args.out, exist_ok=True)
-
     index = args.tweet_index
     if not 0 <= index < len(tweets):
         raise ConfigError(f"tweet index {index} outside corpus of {len(tweets)}")
+
     trace = introspect.trace_tweet(model, pipeline, tweets[index])
-    _write_lines(os.path.join(args.out, f"trace_{index}.csv"), introspect.trace_csv_lines(trace))
+    files = [(f"trace_{index}.csv", introspect.trace_csv_lines(trace))]
+    if args.cell_state:
+        files.append((f"cell_trace_{index}.csv", introspect.cell_trace_csv_lines(trace)))
+    report = introspect.unit_distributions(model, pipeline, tweets)
+    files += [("distributions.csv", introspect.distribution_csv_lines(report)),
+              ("ks.csv", introspect.ks_csv_lines(report))]
+    _write_files(files, args.out)
     if trace.empty:
         print(f"note: tweet {index} tokenizes to nothing; trace is empty")
-    if args.cell_state:
-        _write_lines(os.path.join(args.out, f"cell_trace_{index}.csv"),
-                     introspect.cell_trace_csv_lines(trace))
-
-    report = introspect.unit_distributions(model, pipeline, tweets)
-    _write_lines(os.path.join(args.out, "distributions.csv"),
-                 introspect.distribution_csv_lines(report))
-    _write_lines(os.path.join(args.out, "ks.csv"), introspect.ks_csv_lines(report))
     best = report.ranking[0]
     print(f"most class-separating unit: {best} "
           f"(ks={report.ks_by_unit[best]:.3f}); outputs in {args.out}")

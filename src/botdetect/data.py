@@ -168,28 +168,30 @@ def matrix_to_csv_lines(matrix: FeatureMatrix) -> list[str]:
     return lines
 
 
-def matrix_from_csv_lines(lines) -> FeatureMatrix:
-    rows = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
+def matrix_from_csv_lines(lines, path) -> FeatureMatrix:
+    """The matrix in the lines of the CSV file `path`, which errors name."""
+    rows = [(lineno, ln.strip()) for lineno, ln in enumerate(lines, start=1)
+            if ln.strip() and not ln.startswith("#")]
     if not rows:
-        raise DataError("matrix CSV has no content")
-    header = rows[0].split(",")
+        raise DataError(f"{path}: matrix CSV has no content")
+    header = rows[0][1].split(",")
     if len(header) < 2 or header[-1] != "label":
-        raise DataError("matrix CSV must end with a `label` column")
+        raise DataError(f"{path}: matrix CSV must end with a `label` column")
     schema = tuple(h.strip() for h in header[:-1])
     feats, labels = [], []
-    for lineno, line in enumerate(rows[1:], start=2):
+    for lineno, line in rows[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
-            raise DataError(f"line {lineno}: expected {len(header)} cells")
+            raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
         name = cells[-1].strip().lower()
         if name not in ("human", "bot"):
-            raise DataError(f"line {lineno}: unknown label {cells[-1]!r}")
+            raise DataError(f"{path}:{lineno}: unknown label {cells[-1]!r}")
         try:
             feats.append([float(c) for c in cells[:-1]])
         except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
         if not np.all(np.isfinite(feats[-1])):
-            raise DataError(f"line {lineno}: a feature cell is NaN or infinite")
+            raise DataError(f"{path}:{lineno}: a feature cell is NaN or infinite")
         labels.append(Label.BOT if name == "bot" else Label.HUMAN)
     return FeatureMatrix(np.array(feats, dtype=np.float64), schema, labels)
 

@@ -45,8 +45,8 @@ class ResampleConfig(NamedTuple):
             raise ValueError("neighbor counts must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.target_ratio <= 0.0:
-            raise ValueError("target_ratio must be positive")
+        if not 0.0 < self.target_ratio < np.inf:
+            raise ValueError(f"target_ratio must be positive and finite, got {self.target_ratio}")
 
 
 class StageRecord(NamedTuple):

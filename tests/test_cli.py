@@ -104,7 +104,7 @@ def test_resample_subcommand_round_trip(tmp_path):
     src.write_text("\n".join(matrix_to_csv_lines(matrix)) + "\n", encoding="utf-8")
     assert main(["resample", "--input", str(src), "--output", str(dst),
                  "--strategy", "smote", "--seed", "4"]) == 0
-    result = matrix_from_csv_lines(dst.read_text(encoding="utf-8").splitlines())
+    result = matrix_from_csv_lines(dst.read_text(encoding="utf-8").splitlines(), dst)
     human, bot = result.class_counts()
     assert human == bot == 30
     assert np.array_equal(result.features[:39], matrix.features)
@@ -507,6 +507,11 @@ def _absolute_manifest(corpus):
     return text
 
 
+def _listing(root):
+    """Every path under root, relative to it, sorted."""
+    return sorted(path.relative_to(root) for path in root.rglob("*"))
+
+
 # id -> (expected exit code, what to run). Config files and checkpoints are
 # written from the given text; "net"/"forest" are edited checkpoint texts.
 MALFORMED = {
@@ -625,6 +630,15 @@ MALFORMED = {
     "resample_target_ratio_1e308": (2, "cli", ["resample", "--input", "{tmp}/m.csv",
                                                "--output", "{tmp}/o.csv", "--strategy", "smote",
                                                "--target-ratio", "1e308"]),
+    "resample_target_ratio_inf": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
+                                             "{tmp}/o.csv", "--strategy", "none",
+                                             "--target-ratio", "inf"]),
+    "resample_target_ratio_nan": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
+                                             "{tmp}/o.csv", "--strategy", "none",
+                                             "--target-ratio", "nan"]),
+    # m_short.csv is m.csv with the label cell of its third line dropped.
+    "resample_short_row": (3, "cli", ["resample", "--input", "{tmp}/m_short.csv", "--output",
+                                      "{tmp}/o.csv", "--strategy", "smote"]),
     # m_nan.csv, m_inf.csv and m_1e300.csv are m.csv with its first cell replaced.
     "resample_nan_cell": (3, "cli", ["resample", "--input", "{tmp}/m_nan.csv", "--output",
                                      "{tmp}/o.csv", "--strategy", "smote"]),
@@ -664,6 +678,11 @@ MALFORMED_MESSAGES = {
     "resample_diagnostics_unwritable":
         "data error: [Errno 2] No such file or directory: '{tmp}/missing/d.kv'",
     "glove_header_line": "data error: {tmp}/w2v.txt:1: expected 26 fields, got 2",
+    "resample_short_row": "data error: {tmp}/m_short.csv:3: expected 4 cells",
+    "resample_target_ratio_inf": "config error: invalid ResampleConfig: "
+                                 "target_ratio must be positive and finite, got inf",
+    "resample_target_ratio_nan": "config error: invalid ResampleConfig: "
+                                 "target_ratio must be positive and finite, got nan",
     "resample_strategy_bogus":
         "config error: strategy = 'bogus': expected one of none/smote/smotenn/smotomek",
     "resample_smote_k_x": "config error: smote_k = 'x': expected int",
@@ -709,6 +728,8 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         for cell in ("nan", "inf", "1e300"):
             bad = [lines[0], cell + lines[1][lines[1].index(","):], *lines[2:]]
             (tmp_path / f"m_{cell}.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
+        short = [*lines[:2], lines[2][:lines[2].rindex(",")], *lines[3:]]
+        (tmp_path / "m_short.csv").write_text("\n".join(short) + "\n", encoding="utf-8")
         (tmp_path / "ff.txt").write_bytes(b"\xffa = b\n")
         (tmp_path / "w2v.txt").write_text(
             "2 25\n" + (corpus / "glove_25d.txt").read_text(encoding="utf-8"), encoding="utf-8")
@@ -729,6 +750,7 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
                 "--embedding", embedding, "--out", str(tmp_path / "o"), *extra]
     src = os.path.dirname(os.path.dirname(botdetect.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    before = _listing(tmp_path)
     proc = subprocess.run([sys.executable, "-m", "botdetect.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == expected
@@ -742,6 +764,8 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         assert proc.stderr == MALFORMED_MESSAGES[case].replace("{tmp}", str(tmp_path)) + "\n"
     assert not (tmp_path / "c").exists() and not (tmp_path / "o.csv").exists()
     assert not (tmp_path / "d.kv").exists()
+    # A failed command leaves no file or directory behind.
+    assert _listing(tmp_path) == before
 
 
 def _tokenize_stdin(data, env, *output):
@@ -868,6 +892,95 @@ def test_failed_runs_leave_no_run_directory(corpus, tmp_path, capsys):
     assert os.readlink(out / "latest") == finished
     assert (out / "latest" / "report.kv").read_bytes() == report
     assert len(capsys.readouterr().err.splitlines()) == 2
+
+
+def _one_class_corpus(corpus, tmp_path):
+    """A manifest of the corpus's human group alone."""
+    lines = _absolute_manifest(corpus).splitlines(keepends=True)
+    (tmp_path / "human.txt").write_text(
+        "".join(line for line in lines if not line.startswith("group.bot.")), encoding="utf-8")
+    return str(tmp_path / "human.txt")
+
+
+# id -> (exit code, argv), {tmp} being the test's directory, {corpus} the
+# corpus, {one} a manifest of its human group and {net} a net checkpoint.
+# Each fails after its checks of the command line, and must leave no --out.
+FAILED_WITH_OUT = {
+    "train_one_class": (3, ["train", "--task", "tweet", "--model", "lstm", "--manifest", "{one}",
+                            "--embedding", "{corpus}/glove_25d.txt", "--out", "{tmp}/a/b/c"]),
+    "inspect_tweet_index_999": (2, ["inspect", "--checkpoint", "{net}", "--manifest",
+                                    "{corpus}/manifest.txt", "--embedding",
+                                    "{corpus}/glove_25d.txt", "--tweet-index", "999",
+                                    "--out", "{tmp}/a"]),
+    "inspect_one_class": (3, ["inspect", "--checkpoint", "{net}", "--manifest", "{one}",
+                              "--embedding", "{corpus}/glove_25d.txt", "--cell-state",
+                              "--out", "{tmp}/a"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_WITH_OUT))
+def test_failed_command_leaves_no_out_directory(corpus, tmp_path, capsys, case):
+    expected, spec = FAILED_WITH_OUT[case]
+    (tmp_path / "net.txt").write_text(_checkpoint_texts(corpus, tmp_path)["net"],
+                                      encoding="utf-8")
+    names = {"tmp": tmp_path, "corpus": corpus, "net": tmp_path / "net.txt",
+             "one": _one_class_corpus(corpus, tmp_path)}
+    argv = [arg.format(**names) for arg in spec]
+    assert main(argv) == expected
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "a").exists()
+
+
+def _failing_save_model(path, meta, arrays):
+    """A checkpoint writer whose disk fills after the first line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("botdetect-model v1\n")
+    raise OSError(28, "No space left on device")
+
+
+def test_write_that_fails_midway_leaves_nothing(corpus, tmp_path, capsys, monkeypatch):
+    argv = ["train", "--task", "account", "--model", "forest", "--n-trees", "4",
+            "--manifest", str(corpus / "manifest.txt")]
+    out = tmp_path / "runs"
+    assert main([*argv, "--out", str(out)]) == 0
+    (finished,) = [p.name for p in out.glob("run-*")]
+    monkeypatch.setattr(baselines, "save_model", _failing_save_model)
+    assert main([*argv, "--out", str(out)]) == 3
+    assert main([*argv, "--out", str(tmp_path / "a" / "b" / "c")]) == 3
+    assert sorted(os.listdir(out)) == sorted([finished, "latest"])
+    assert os.readlink(out / "latest") == finished
+    assert not (tmp_path / "a").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: [Errno 28] No space left on device"] * 2
+
+
+def test_resample_output_that_is_a_directory_is_left_as_it_was(tmp_path, capsys):
+    rng = np.random.Generator(np.random.PCG64(0))
+    matrix = FeatureMatrix(rng.standard_normal((20, 3)), ("a", "b", "c"), [0] * 14 + [1] * 6)
+    (tmp_path / "m.csv").write_text("\n".join(matrix_to_csv_lines(matrix)) + "\n",
+                                    encoding="utf-8")
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "keep.txt").write_text("kept\n", encoding="utf-8")
+    assert main(["resample", "--input", str(tmp_path / "m.csv"), "--output",
+                 str(tmp_path / "o"), "--strategy", "smote"]) == 3
+    assert os.listdir(tmp_path / "o") == ["keep.txt"]
+    assert (tmp_path / "o" / "keep.txt").read_text(encoding="utf-8") == "kept\n"
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_inspect_out_holding_a_file_is_left_as_it_was(corpus, tmp_path, capsys):
+    (tmp_path / "net.txt").write_text(_checkpoint_texts(corpus, tmp_path)["net"],
+                                      encoding="utf-8")
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n", encoding="utf-8")
+    assert main(["inspect", "--checkpoint", str(tmp_path / "net.txt"),
+                 "--manifest", _one_class_corpus(corpus, tmp_path),
+                 "--embedding", str(corpus / "glove_25d.txt"), "--cell-state",
+                 "--out", str(out)]) == 3
+    assert os.listdir(out) == ["notes.txt"]
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "mine\n"
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_bench_row_that_diverges_records_exit_4(corpus, tmp_path):

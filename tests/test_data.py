@@ -113,7 +113,7 @@ def test_standardizer_load_refuses_what_fit_never_writes(tensor, value):
 def test_matrix_csv_round_trip():
     rng = np.random.Generator(np.random.PCG64(4))
     m = _random_matrix(rng, 12)
-    back = matrix_from_csv_lines(matrix_to_csv_lines(m))
+    back = matrix_from_csv_lines(matrix_to_csv_lines(m), "m.csv")
     assert back.schema == m.schema
     assert np.array_equal(back.features, m.features)
     assert np.array_equal(back.labels, m.labels)
