@@ -72,7 +72,15 @@ def bce_grad_wrt_logit(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Adam optimizer over a dict of named parameter arrays (updated in place)."""
+    """Adam optimizer over a dict of named parameter arrays, updated in place.
+
+    The constructor rebinds each ``params[k]`` to a view, of the same shape
+    and bytes, into one flat float64 vector, so a step is one copy of the
+    gradients and 14 in-place whole-vector operations rather than about a
+    dozen per tensor. They run in the per-tensor update's order, so every
+    parameter gets the same bits; a write through ``params[k]`` is a write
+    into the vector the next step updates.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], lr=1e-3, beta1=0.9,
                  beta2=0.999, eps=1e-8):
@@ -82,19 +90,29 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {k: np.zeros_like(v) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._flat = np.concatenate(list(params.values()), axis=None, dtype=np.float64)
+        start = 0
+        for key, value in params.items():
+            params[key] = self._flat[start:start + value.size].reshape(value.shape)
+            start += value.size
+        # The moments, the gradients and two scratch vectors.
+        self._m, self._v, self._g, self._s, self._r = np.zeros((5, len(self._flat)))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        for key in self.params:
-            g = grads[key]
-            m = self._m[key]
-            v = self._v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, s, r, m, v = self._g, self._s, self._r, self._m, self._v
+        np.concatenate([grads[key] for key in self.params], axis=None, out=g)
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        np.divide(m, 1.0 - self.beta1**self.t, out=s)
+        s *= self.lr
+        np.divide(v, 1.0 - self.beta2**self.t, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        s /= r
+        self._flat -= s

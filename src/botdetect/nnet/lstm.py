@@ -9,16 +9,19 @@ projection leaves the recurrence (Appleyard, Kočiský & Blunsom 2016) and, as
 the embeddings are frozen, runs once per distinct token of the batch, into a
 token-major (U, 4, h) table whose rows each step gathers; each step adds
 them, runs one h·Uᵀ matmul for all gates, one in-place sigmoid over the i, f,
-o blocks and one tanh over the candidate block. Scoring sorts the rows
-longest first, as packed sequences do, and runs the gate and cell math on the
-rows still running only. Training runs every step on the whole padded batch
-with no mask, writing into preallocated blocks: a padded step's state never
-reaches a final state, and the backward meets it with zero dh and dc, so it
-adds only signed zeros to the weight gradients. Both loops read the one
-table and run every h·Uᵀ at the full batch, so their bits agree. State never
-carries across inputs. Backward mirrors the forward: one (4, B, h) block dA
-per step, dh from one dA·U, and dW, dU, db each from one matmul or sum over
-the stacked blocks after the loop.
+o blocks and one tanh over the candidate block. The i, f, o blocks of the
+table and of the fused U are halved once per call, so each step's sum holds
+half pre-activations there, as the sigmoid's tanh form takes them; halving
+is exact away from subnormals, so the bits are those of halving every sum.
+Scoring sorts the rows longest first, as packed sequences do, and runs the
+gate and cell math on the rows still running only. Training runs every step
+on the whole padded batch with no mask, writing into preallocated blocks: a
+padded step's state never reaches a final state, and the backward meets it
+with zero dh and dc, so it adds only signed zeros to the weight gradients.
+Both loops read the one table and run every h·Uᵀ at the full batch, so their
+bits agree. State never carries across inputs. Backward mirrors the forward:
+one (4, B, h) block dA per step, dh from one dA·U, and dW, dU, db each from
+one matmul or sum over the stacked blocks after the loop.
 """
 
 from __future__ import annotations
@@ -52,11 +55,11 @@ def _joined(params: dict[str, np.ndarray], kind: str) -> np.ndarray:
 
 
 def _activate(a: np.ndarray) -> None:
-    """Gate nonlinearities in place on a (4, n, h) pre-activation block: the
-    sigmoid on i, f, o by the operations of `layers.sigmoid` (so the bits
+    """Gate nonlinearities in place on a (4, n, h) pre-activation block whose
+    i, f, o blocks hold half pre-activations: the sigmoid on i, f, o by the
+    operations of `layers.sigmoid` after its first halving (so the bits
     match) and tanh on the candidate."""
     ifo = a[:3]
-    ifo *= 0.5
     np.tanh(ifo, out=ifo)
     ifo += 1.0
     ifo *= 0.5
@@ -81,7 +84,10 @@ def lstm_forward(params: dict[str, np.ndarray], ids: np.ndarray, lengths: np.nda
     ``ids[:, :S]`` is projected once (``@ Wᵀ``, then ``+= b``) into a
     token-major (U, 4, h) table, with the bits a projection of every padded
     position gives where OpenBLAS runs both gemms past its small-matrix
-    sizes; a step gathers its whole rows.
+    sizes; a step gathers its whole rows. The table's i, f, o blocks and
+    those of the fused U are then halved, once, so each step's i, f, o
+    pre-activations arrive halved, as `_activate` takes them: halving is
+    exact away from subnormals, so h·(½U)ᵀ + ½x has the bits of ½(h·Uᵀ + x).
 
     Without ``keep_cache`` (scoring) the rows are sorted longest first, once,
     so the rows still running at step t are a prefix; step t's gate and cell
@@ -109,6 +115,8 @@ def lstm_forward(params: dict[str, np.ndarray], ids: np.ndarray, lengths: np.nda
     table = np.empty((len(tokens), 4, hidden_dim))
     np.matmul(matrix[tokens], w.transpose(0, 2, 1), out=table.transpose(1, 0, 2))
     table += b
+    table[:, :3] *= 0.5
+    u[:3] *= 0.5
     rows, u_t = rows.reshape(batch, steps), u.transpose(0, 2, 1)
     if not keep_cache:
         return _live_prefix_loop(table, rows, u_t, lengths), None
@@ -184,7 +192,8 @@ def lstm_backward(params: dict[str, np.ndarray], cache, d_final_h: np.ndarray):
         np.multiply(dh, ct, out=da[2])
         np.subtract(1.0, ifo, out=dsig)
         dsig *= ifo
-        da[:3] *= dsig
+        for k in range(3):  # one contiguous (B, h) block at a time, not strided
+            da[k] *= dsig[k]
         np.multiply(dc, ifo[0], out=prod)
         np.multiply(cand, cand, out=dtanh_g)
         np.subtract(1.0, dtanh_g, out=dtanh_g)

@@ -42,9 +42,12 @@ TAG_SET = frozenset(
 
 TokenSequence = list[str]
 
-_URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)", re.IGNORECASE)
-# Each pattern opens with its literal character, so `re` searches for it
-# first; the lookbehind after it then checks the character before it.
+# Each pattern opens with its literal character or a character class, so `re`
+# searches for it first. In the URL pattern a lookbehind then picks the branch
+# its first character opened, matched case-insensitively from there as the
+# whole pattern once was; no other code point folds to h or w. In the mention
+# and hashtag patterns it checks the character before the literal.
+_URL_RE = re.compile(r"[hHwW](?:(?<=[hH])(?i:ttps?://)|(?<=[wW])(?i:ww\.))\S+")
 _USER_RE = re.compile(r"@(?<!\w@)\w+")
 _HASHTAG_RE = re.compile(r"#(?<!\S#)(\w+)")
 # Repeated sentence punctuation; only applied when the <repeat> tag is enabled.

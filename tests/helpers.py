@@ -1,7 +1,8 @@
 """Test-side helpers that no library path calls: a FeatureMatrix split, the
 non-tag words of a token sequence, the MLP baseline's loss, the exact
 metadata means of a synthetic class, float sequences as row ids, the traced
-memory peak of one scoring batch, and the time of one LSTM training pass."""
+memory peak of one scoring batch, seeded Adam gradients, and the times of
+one LSTM training pass and of a run of Adam steps."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 from botdetect.baselines.mlp import mlp_forward
 from botdetect.data import FeatureMatrix, Label, SplitSpec, split_indices
 from botdetect.ingest import _TWEET_COUNT_SPECS, SyntheticCorpusSpec, _count_params
-from botdetect.nnet.layers import bce
+from botdetect.nnet.layers import Adam, bce
 from botdetect.nnet.lstm import init_lstm_params, lstm_backward, lstm_forward
 from botdetect.nnet.model import ContextualLstmModel, NetConfig
 from botdetect.tokenizer import TAG_SET
@@ -106,5 +107,41 @@ def lstm_training_ms(batch: int = 64, max_len: int = 30, vocab: int = 2000, dim:
         start = time.perf_counter()
         _, cache = lstm_forward(params, ids, lengths, matrix, keep_cache=True)
         lstm_backward(params, cache, d_final_h)
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)) * 1e3
+
+
+def adam_gradients(params: dict, steps: int, seed: int) -> list[dict]:
+    """``steps`` seeded gradient dicts for ``params``: standard normals at a
+    scale drawn per step and tensor from 1e-6 to 10, with about one entry in
+    ten exactly zero, as a clamped or dead unit gives."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    grads = []
+    for _ in range(steps):
+        step = {}
+        for name, value in params.items():
+            g = rng.standard_normal(value.shape) * 10.0 ** rng.uniform(-6, 1)
+            g[rng.random(value.shape) < 0.1] = 0.0
+            step[name] = g
+        grads.append(step)
+    return grads
+
+
+def contextual_params(seed: int = 63) -> dict:
+    """The 20 freshly initialized tensors of a contextual net at d 50, h 32."""
+    return ContextualLstmModel.initialize(NetConfig(embedding_dim=50, seed=seed)).params
+
+
+def adam_steps_ms(steps: int = 90, repeats: int = 11) -> float:
+    """Median milliseconds of ``steps`` `Adam.step` calls on the contextual
+    net's 20 tensors (d 50, h 32) with seeded gradients, each repeat on a
+    fresh optimizer over fresh parameters."""
+    grads = adam_gradients(contextual_params(), steps, seed=64)
+    times = []
+    for _ in range(repeats):
+        optimizer = Adam(contextual_params())
+        start = time.perf_counter()
+        for g in grads:
+            optimizer.step(g)
         times.append(time.perf_counter() - start)
     return float(np.median(times)) * 1e3

@@ -251,6 +251,40 @@ def padded_lstm_forward(params: dict[str, np.ndarray], x: np.ndarray,
     return h, cache
 
 
+# -- reference Adam --------------------------------------------------------
+# The per-tensor update that `layers.Adam` replaced with whole-vector
+# operations on one flat buffer, kept as it was. `Adam` must give the same
+# bytes.
+
+class PerTensorAdam:
+    """Adam over a dict of named parameter arrays, one tensor at a time."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr=1e-3, beta1=0.9,
+                 beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m = {k: np.zeros_like(v) for k, v in params.items()}
+        self._v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        for key in self.params:
+            g = grads[key]
+            m = self._m[key]
+            v = self._v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / (1.0 - self.beta1**self.t)
+            v_hat = v / (1.0 - self.beta2**self.t)
+            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 # -- reference forest ------------------------------------------------------
 # The per-node CART grower that `baselines.forest` replaced with lockstep
 # rounds, kept as it was: one tree at a time, one split search per node.
@@ -418,16 +452,19 @@ def per_tweet_tensors(pipeline, tweets):
 
 # -- tokenizer ---------------------------------------------------------------
 
-# The mention and hashtag patterns as the tokenizer first wrote them, each
-# opening with its lookbehind, so that `re` tries a match at every position.
+# The URL, mention and hashtag patterns as the tokenizer first wrote them:
+# a case-insensitive alternation with no first character, and patterns that
+# open with their lookbehind, so that `re` tries a match at every position.
+ALTERNATION_URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)", re.IGNORECASE)
 LOOKBEHIND_USER_RE = re.compile(r"(?<!\w)@\w+")
 LOOKBEHIND_HASHTAG_RE = re.compile(r"(?<!\S)#(\w+)")
 
 
 def lookbehind_tokenize(text: str, repeat_tag: bool = False) -> list[str]:
-    """`tokenize`, with the lookbehind-first mention and hashtag patterns in
-    place of the library's literal-first ones."""
-    s = tokenizer._URL_RE.sub(f" {tokenizer.URL} ", text)
+    """`tokenize`, with the first-written URL, mention and hashtag patterns
+    in place of the library's, which open with a character class or their
+    literal."""
+    s = ALTERNATION_URL_RE.sub(f" {tokenizer.URL} ", text)
     s = LOOKBEHIND_USER_RE.sub(f" {tokenizer.USER} ", s)
     s = LOOKBEHIND_HASHTAG_RE.sub(lambda m: f" {tokenizer.HASHTAG} {m.group(1)} ", s)
     if repeat_tag:

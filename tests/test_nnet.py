@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botdetect.baselines.mlp import init_mlp_params
 from botdetect.cli import NET_CONFIGS
 from botdetect.data import Label, Standardizer, TweetRecord
 from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import DataError, TrainingError
-from botdetect.nnet.layers import bce, sigmoid
+from botdetect.nnet.layers import Adam, bce, sigmoid
 from botdetect.nnet.lstm import init_lstm_params, lstm_backward, lstm_forward
 from botdetect.nnet.model import ContextualLstmModel, NetConfig, blended_loss, train
 from botdetect.persist import load_model
 
 from gradcheck import check_gradients
-from helpers import embedded, scoring_peak
-from oracles import padded_lstm_forward, scalar_bce, scalar_contextual_forward, scalar_lstm_final
+from helpers import adam_gradients, contextual_params, embedded, scoring_peak
+from oracles import PerTensorAdam, padded_lstm_forward, scalar_bce, scalar_contextual_forward, \
+    scalar_lstm_final
 
 
 def _sequence(rng, length, dim, max_len=None):
@@ -500,6 +502,37 @@ def test_gradients_match_finite_differences_with_empty_rows():
     errors = check_gradients(loss_fn, model.params, grads, seed=1, coords_per_group=48)
     assert set(errors) == set(model.params)
     assert max(errors.values()) < 1e-4
+
+
+def _mlp_params():
+    return init_mlp_params(np.random.Generator(np.random.PCG64(65)), 9, (12, 7, 1))
+
+
+@pytest.mark.parametrize("make_params,hyper", [
+    (contextual_params, {}),
+    (_mlp_params, dict(lr=3e-2, beta1=0.8, beta2=0.99, eps=1e-6)),
+], ids=["contextual", "mlp"])
+def test_flat_adam_equals_per_tensor_adam_bitwise(make_params, hyper):
+    params, reference = make_params(), make_params()
+    shapes = {name: value.shape for name, value in params.items()}
+    optimizer, oracle = Adam(params, **hyper), PerTensorAdam(reference, **hyper)
+    # Every tensor keeps its name, shape and bytes, as a view of one vector.
+    assert list(params) == list(reference)
+    assert {name: value.shape for name, value in params.items()} == shapes
+    assert all(params[name].tobytes() == reference[name].tobytes() for name in params)
+    flat = next(iter(params.values())).base
+    assert flat is not None and flat.ndim == 1
+    assert all(value.base is flat for value in params.values())
+    for step, grads in enumerate(adam_gradients(params, 90, seed=66)):
+        if step == 45:
+            # A write through params[k], as the gradient check makes, is
+            # what the next step updates.
+            for tensors in (params, reference):
+                tensors["b_f" if "b_f" in tensors else "b0"].reshape(-1)[1] = 0.25
+        optimizer.step(grads)
+        oracle.step(grads)
+    for name in params:
+        assert params[name].tobytes() == reference[name].tobytes(), name
 
 
 def test_train_requires_both_classes():

@@ -1,4 +1,6 @@
 import functools
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -57,11 +59,13 @@ def test_idempotent_on_plain_words(text):
     assert tokenize(" ".join(words)) == words
 
 
-# Pieces of text around which the mention and hashtag lookbehinds decide:
-# word and non-word characters, whitespace, letters that are unusual in
-# case or class (ß, the long s ſ, the Arabic-Indic digit ١), a combining
-# mark, an emoji, and the URL openings that the pass before them removes.
-_EDGE_PIECES = list("@#_09aZ.:/ \t\né١ßſ\u0301\U0001f602") + ["http://", "www."]
+# Pieces of text around which the mention and hashtag lookbehinds and the
+# URL pattern's branches decide: word and non-word characters, whitespace,
+# letters that are unusual in case or class (ß, the long s ſ, which folds to
+# s, the Arabic-Indic digit ١), a combining mark, an emoji, and URL openings
+# in mixed case, whole and in parts.
+_EDGE_PIECES = list("@#_09aZ.:/ \t\né١ßſ\u0301\U0001f602") + [
+    "http://", "www.", "https://", "HTTP://", "httpſ://", "WwW.", "ttp", "ww.", "h", "w", "://"]
 
 
 def test_literal_first_patterns_match_the_oracle_on_golden_texts():
@@ -77,6 +81,15 @@ def test_literal_first_patterns_match_the_oracle_on_golden_texts():
 @settings(max_examples=500, deadline=None)
 def test_literal_first_patterns_match_the_lookbehind_oracle(text, repeat_tag):
     assert tokenize(text, repeat_tag=repeat_tag) == lookbehind_tokenize(text, repeat_tag)
+
+
+def test_no_code_point_but_h_and_w_folds_to_the_url_patterns_first_character():
+    # The URL pattern opens case-sensitively with [hHwW] where the whole
+    # pattern was once case-insensitive: that loses no match only if no
+    # other code point matches h or w under IGNORECASE.
+    folded = re.compile("(?i)[hw]")
+    assert [chr(c) for c in range(sys.maxunicode + 1) if folded.fullmatch(chr(c))] == \
+        sorted("hHwW")
 
 
 def test_word_order_preserved():
