@@ -15,9 +15,8 @@ import numpy as np
 
 from ..config import from_strings, to_strings
 from ..data import FeatureMatrix, Standardizer
-from ..errors import DataError
 from ..persist import save_model
-from .boost import fit_adaboost, predict_adaboost, stumps_fit
+from .boost import fit_adaboost, predict_adaboost, stumps_params
 from .common import (
     BaselineConfig,
     BaselineKind,
@@ -25,9 +24,9 @@ from .common import (
     rows_for_prediction,
     validate_training_matrix,
 )
-from .forest import fit_forest, predict_forest, tree_names, trees_fit
-from .linear import fit_logreg, fit_sgd, linear_fits, predict_logreg, predict_sgd
-from .mlp import fit_mlp, mlp_fits, mlp_forward
+from .forest import fit_forest, forest_params, predict_forest
+from .linear import fit_logreg, fit_sgd, linear_params, predict_logreg, predict_sgd
+from .mlp import fit_mlp, mlp_forward, mlp_params
 
 __all__ = [
     "REGISTRY",
@@ -44,48 +43,43 @@ class Entry(NamedTuple):
     fit: Callable  # (x, y, config, rng) -> params
     predict: Callable  # (params, x) -> bot probabilities
     fields: tuple[str, ...]  # config fields echoed into checkpoints
-    tensors: Callable  # config -> names of the params' tensors
-    fits: Callable  # (params, config, width) -> whether the params score width-wide rows
+    params: Callable  # (arrays, config, width) -> params; a DataError names a bad tensor
 
 
-# Every entry calls through this module's globals, so rebinding a name here
-# (as a tracer does) changes what runs.
+# Each entry holds fit, predict, fields and params. Its functions call
+# through this module's globals, so rebinding a name here (as a tracer does)
+# changes what runs.
 REGISTRY = {
     BaselineKind.LOGREG: Entry(
         lambda x, y, config, rng: fit_logreg(x, y, config),
         lambda params, x: predict_logreg(params, x),
         ("logreg_epochs", "logreg_lr"),
-        lambda config: ("w", "b"),
-        lambda params, config, width: linear_fits(params, width),
+        lambda arrays, config, width: linear_params(arrays, width, ("w", "b")),
     ),
     BaselineKind.SGD: Entry(
         lambda x, y, config, rng: fit_sgd(x, y, config, rng),
         lambda params, x: predict_sgd(params, x),
         ("sgd_epochs", "sgd_lr", "sgd_l2"),
-        lambda config: ("w", "b", "platt"),
-        lambda params, config, width: linear_fits(params, width),
+        lambda arrays, config, width: linear_params(arrays, width, ("w", "b", "platt")),
     ),
     BaselineKind.FOREST: Entry(
         lambda x, y, config, rng: fit_forest(x, y, config),
         lambda params, x: predict_forest(params, x),
         ("n_trees", "max_depth", "min_leaf"),
-        lambda config: tree_names(config.n_trees),
-        lambda params, config, width: trees_fit(params, width),
+        lambda arrays, config, width: forest_params(arrays, config.n_trees, width),
     ),
     BaselineKind.ADABOOST: Entry(
         lambda x, y, config, rng: fit_adaboost(x, y, config),
         lambda params, x: predict_adaboost(params, x),
         ("n_stumps",),
-        lambda config: ("stumps",),
-        lambda params, config, width: stumps_fit(params, width),
+        lambda arrays, config, width: stumps_params(arrays, width),
     ),
     BaselineKind.MLP: Entry(
         lambda x, y, config, rng: fit_mlp(x, y, config, rng),
         lambda params, x: mlp_forward(params, x),
         ("mlp_layers", "mlp_lr", "mlp_beta1", "mlp_beta2", "mlp_eps", "mlp_batch",
          "mlp_epochs"),
-        lambda config: tuple(f"{p}{i}" for i in range(len(config.mlp_layers)) for p in "Wb"),
-        lambda params, config, width: mlp_fits(params, config.mlp_layers, width),
+        lambda arrays, config, width: mlp_params(arrays, config.mlp_layers, width),
     ),
 }
 
@@ -129,8 +123,8 @@ def save_baseline(model: BaselineModel, path, extra_meta: dict | None = None) ->
 
 def load_baseline(meta, arrays) -> BaselineModel:
     """Rebuild a baseline from a parsed checkpoint (`persist.load_model`); a
-    missing or unexpected tensor is a DataError naming it, and so are tensors
-    that cannot score rows of the schema's width and a standardizer
+    missing or unexpected tensor is a DataError naming it, and so are a
+    tensor that cannot score rows of the schema's width and a standardizer
     `Standardizer.load` refuses."""
     prefix = "config."
     config = from_strings(BaselineConfig, {
@@ -139,9 +133,6 @@ def load_baseline(meta, arrays) -> BaselineModel:
     kind = BaselineKind(meta["kind"])
     schema = tuple(meta["schema"].split(","))
     standardizer = Standardizer.load(arrays, "standardizer", len(schema))
-    params = {name: arrays[name] for name in REGISTRY[kind].tensors(config)}
+    params = REGISTRY[kind].params(arrays, config, len(schema))
     arrays.only({*params, "standardizer.mean", "standardizer.std"})
-    if not REGISTRY[kind].fits(params, config, len(schema)):
-        raise DataError(f"{arrays.path}: the {kind.value} tensors cannot score "
-                        f"{len(schema)}-wide rows")
     return BaselineModel(kind, schema, standardizer, config, params)

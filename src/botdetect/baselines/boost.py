@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .common import BaselineConfig
+from ..errors import DataError
 from ..nnet.layers import sigmoid
 
 _ERR_CLAMP = 1e-10
@@ -95,13 +96,17 @@ def fit_adaboost(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
     return {"stumps": np.array(stumps, dtype=np.float64)}
 
 
-def stumps_fit(params: dict, width: int) -> bool:
-    """Whether every (feature, threshold, polarity, alpha) row splits on a
-    feature in [0, width) with a finite alpha. A threshold may be +-inf, as
-    `_stump_candidates` writes below the minimum and above the maximum."""
-    stumps = params["stumps"]
-    return stumps.ndim == 2 and stumps.shape[1] == 4 and bool(
-        np.all((0 <= stumps[:, 0]) & (stumps[:, 0] < width) & np.isfinite(stumps[:, 3])))
+def stumps_params(arrays, width: int) -> dict:
+    """The stumps of a checkpoint (`persist.load_model`), a DataError unless
+    there is one at least and each (feature, threshold, polarity, alpha) row
+    has a whole feature in [0, width), a polarity of +-1 and a finite alpha;
+    a threshold may be +-inf, which `_stump_candidates` writes at the ends."""
+    stumps = arrays["stumps"]
+    if not (stumps.ndim == 2 and stumps.shape[0] and stumps.shape[1] == 4 and np.all(
+            (0 <= stumps[:, 0]) & (stumps[:, 0] < width) & (stumps[:, 0] == np.floor(stumps[:, 0]))
+            & (np.abs(stumps[:, 2]) == 1) & np.isfinite(stumps[:, 3]))):
+        raise DataError(f"{arrays.path}: tensor 'stumps' cannot score {width}-wide rows")
+    return {"stumps": stumps}
 
 
 def adaboost_margin(params: dict, x: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from collections import deque
 
 import numpy as np
 
+from ..errors import DataError
 from .common import BaselineConfig
 
 _LEAF = -1.0
@@ -58,8 +59,9 @@ _CHILDREN = array("d", [_LEAF, 0.0, -1.0, -1.0, 0.0] * 2)
 _SUBSET_CHUNK = 16
 
 
-def tree_names(n_trees: int) -> list[str]:
-    return [f"tree_{t:03d}" for t in range(n_trees)]
+def tree_names(n_trees: int) -> map:
+    # Lazy: a checkpoint's reader stops at the first name it lacks.
+    return map("tree_{:03d}".format, range(n_trees))
 
 
 def _set_vote(table: array, node_id: int, total: int, size: int) -> None:
@@ -286,26 +288,27 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
             for name, table in zip(tree_names(config.n_trees), tables)}
 
 
-def trees_fit(params: dict, width: int) -> bool:
-    """Whether the trees can score width-wide rows: there is one at least,
-    every threshold is finite and every vote 0 or 1, and each inner node
-    splits on a feature in [0, width) and points at two later rows of its
+def forest_params(arrays, n_trees: int, width: int) -> dict:
+    """The n_trees trees of a checkpoint (`persist.load_model`). No tree, or
+    a tree that cannot score width-wide rows, is a DataError naming it: each
+    row must hold a finite threshold and a vote of 0 or 1, and each inner
+    node split on a feature in [0, width) and point at two later rows of its
     table, as `fit_forest` appends them, so every walk ends at a leaf."""
+    params = {name: arrays[name] for name in tree_names(n_trees)}
     if not params:
-        return False
-    for nodes in params.values():
-        if nodes.ndim != 2 or nodes.shape[1] != 5 or not nodes.shape[0]:
-            return False
-        votes = nodes[:, 4]
-        if not (np.all(np.isfinite(nodes[:, 1])) and np.all((votes == 0) | (votes == 1))):
-            return False
-        at = np.flatnonzero(nodes[:, 0] != _LEAF)
-        inner = nodes[at][:, [0, 2, 3]]
-        feature, left, right = inner.T
-        if not (np.all(inner == np.floor(inner)) and np.all((0 <= feature) & (feature < width))
-                and np.all((at < left) & (at < right) & (np.maximum(left, right) < len(nodes)))):
-            return False
-    return True
+        raise DataError(f"{arrays.path}: config.n_trees = {n_trees} names no tree")
+    for name, nodes in params.items():
+        if nodes.ndim == 2 and nodes.shape[1] == 5 and nodes.shape[0]:
+            at = np.flatnonzero(nodes[:, 0] != _LEAF)
+            inner = nodes[at][:, [0, 2, 3]]
+            feature, left, right = inner.T
+            if np.all(np.isfinite(nodes[:, 1]) & ((nodes[:, 4] == 0) | (nodes[:, 4] == 1))) \
+                    and np.all(inner == np.floor(inner)) and np.all(
+                        (0 <= feature) & (feature < width) & (at < left) & (at < right)
+                        & (np.maximum(left, right) < len(nodes))):
+                continue
+        raise DataError(f"{arrays.path}: tensor {name!r} cannot score {width}-wide rows")
+    return params
 
 
 def predict_forest(params: dict, x: np.ndarray) -> np.ndarray:

@@ -13,12 +13,12 @@ _PLATT_ITERS = 1000
 _PLATT_LR = 0.5
 
 
-def linear_fits(params: dict, width: int) -> bool:
-    """Whether w, b and (for SGD) the four Platt numbers fit width-wide rows
-    and are finite."""
+def linear_params(arrays, width: int, names: tuple[str, ...]) -> dict:
+    """The tensors `names` of a checkpoint (`persist.load_model`), read
+    through `Entries.shaped` for width-wide rows: w, b and, for SGD, the four
+    Platt numbers."""
     shapes = {"w": (width,), "b": (1,), "platt": (4,)}
-    return all(params[name].shape == shapes[name] and np.all(np.isfinite(params[name]))
-               for name in params)
+    return {name: arrays.shaped(name, shapes[name]) for name in names}
 
 
 def fit_logreg(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:

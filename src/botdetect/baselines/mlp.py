@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DataError
 from ..nnet.layers import (
     Adam,
     bce_grad_wrt_logit,
@@ -42,17 +43,18 @@ def mlp_forward(params: dict, x: np.ndarray) -> np.ndarray:
     return sigmoid(dense_forward(params, _layers(params), x)[0])[:, 0]
 
 
-def mlp_fits(params: dict, layers: tuple[int, ...], width: int) -> bool:
-    """Whether W{i} and b{i} have the shapes that layers of the given sizes
-    take from width inputs, end in one output, and hold finite weights."""
-    fan_in = width
-    for i, size in enumerate(layers):
-        w, b = params[f"W{i}"], params[f"b{i}"]
-        if w.shape != (size, fan_in) or b.shape != (size,) \
-                or not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            return False
-        fan_in = size
-    return fan_in == 1
+def mlp_params(arrays, layers: tuple[int, ...], width: int) -> dict:
+    """W{i} and b{i} of a checkpoint (`persist.load_model`), read through
+    `Entries.shaped` with the shapes that layers of the given sizes take from
+    width inputs; layers that do not end in one output are a DataError."""
+    if layers[-1] != 1:
+        raise DataError(f"{arrays.path}: config.mlp_layers = "
+                        f"{','.join(map(str, layers))} does not end in 1")
+    params = {}
+    for i, (fan_in, size) in enumerate(zip((width, *layers), layers)):
+        params[f"W{i}"] = arrays.shaped(f"W{i}", (size, fan_in))
+        params[f"b{i}"] = arrays.shaped(f"b{i}", (size,))
+    return params
 
 
 def fit_mlp(x: np.ndarray, y: np.ndarray, config: BaselineConfig,

@@ -215,15 +215,12 @@ class Standardizer(NamedTuple):
     @classmethod
     def load(cls, arrays, prefix: str, width: int) -> Standardizer:
         """The width-wide standardizer a checkpoint's tensors
-        (`persist.load_model`) hold as `<prefix>.mean` and `<prefix>.std`. A
-        tensor of another shape, a mean that is not finite, or a std that is
-        not positive and finite, is a DataError: `fit` writes none of them,
-        and scoring would divide by such a std."""
+        (`persist.load_model`) hold as `<prefix>.mean` and `<prefix>.std`,
+        read through `Entries.shaped`. A std that is not positive is a
+        DataError too: `fit` writes none, and scoring would divide by it."""
         mean, std = (arrays.shaped(f"{prefix}.{name}", (width,)) for name in ("mean", "std"))
-        if not np.all(np.isfinite(mean)):
-            raise DataError(f"{arrays.path}: tensor '{prefix}.mean' is not finite")
-        if not np.all(np.isfinite(std) & (std > 0.0)):
-            raise DataError(f"{arrays.path}: tensor '{prefix}.std' is not positive and finite")
+        if not np.all(std > 0.0):
+            raise DataError(f"{arrays.path}: tensor '{prefix}.std' is not positive")
         return cls(mean=mean, std=std)
 
     def transform(self, x: np.ndarray) -> np.ndarray:

@@ -183,25 +183,22 @@ class ContextualLstmModel:
     def load(cls, meta, arrays) -> ContextualLstmModel:
         """Rebuild a model from a parsed checkpoint (`persist.load_model`); a
         missing or unexpected tensor is a DataError naming it, and so are a
-        tensor of another shape or with an infinite weight, a standardizer
-        `Standardizer.load` refuses, and a kind that `use_metadata` does not
-        give."""
+        tensor `Entries.shaped` refuses, a standardizer `Standardizer.load`
+        refuses, and a kind that `use_metadata` does not give."""
         values = {name: meta[name] for name in NetConfig._fields if name != "loss_weights"}
         values["loss_weights"] = f"{meta['loss_weight_main']},{meta['loss_weight_aux']}"
         config = from_strings(NetConfig, values)
         # Shapes come from the meta, and are checked before any is used.
-        shapes = config.param_shapes()
-        for name, shape in shapes.items():
-            if not np.all(np.isfinite(arrays.shaped(name, shape))):
-                raise DataError(f"{arrays.path}: tensor {name!r} is not finite")
+        params = {name: arrays.shaped(name, shape)
+                  for name, shape in config.param_shapes().items()}
         standardizer = Standardizer.load(arrays, "meta_standardizer", METADATA_DIM) \
             if config.use_metadata else None
-        arrays.only({*shapes, *(("meta_standardizer.mean", "meta_standardizer.std")
+        arrays.only({*params, *(("meta_standardizer.mean", "meta_standardizer.std")
                                 if config.use_metadata else ())})
         if (meta["kind"] == CHECKPOINT_KINDS[0]) != config.use_metadata:
             raise DataError(f"{arrays.path}: kind {meta['kind']!r} disagrees with "
                             f"use_metadata = {meta['use_metadata']}")
-        return cls(config, {name: arrays[name] for name in shapes}, standardizer)
+        return cls(config, params, standardizer)
 
 
 def blended_loss(main_score, aux_score, label,

@@ -35,10 +35,13 @@ class Entries(dict):
         raise DataError(f"{self.path}: missing {self.sort} {key!r}")
 
     def shaped(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The tensor `name`; another shape is a DataError naming both."""
+        """The tensor `name`; another shape, or a value that is not finite, is
+        a DataError naming it."""
         if self[name].shape != shape:
             raise DataError(f"{self.path}: tensor {name!r} has shape {self[name].shape}, "
                             f"expected {shape}")
+        if not np.all(np.isfinite(self[name])):
+            raise DataError(f"{self.path}: tensor {name!r} is not finite")
         return self[name]
 
     def only(self, names) -> None:

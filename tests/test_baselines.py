@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -270,6 +271,9 @@ UNUSABLE = [
     pytest.param("forest", "tree_000", _with_cell(np.inf, (0, 1)), id="forest-root-threshold-inf"),
     pytest.param("forest", "tree_000", _with_cell(0.5, (-1, 4)), id="forest-leaf-vote-half"),
     pytest.param("adaboost", "stumps", _with_cell(np.inf, (0, 3)), id="adaboost-alpha-inf"),
+    pytest.param("adaboost", "stumps", _with_cell(0.5, (0, 0)), id="adaboost-feature-half"),
+    pytest.param("adaboost", "stumps", _with_cell(0.5, (0, 2)), id="adaboost-polarity-half"),
+    pytest.param("adaboost", "stumps", lambda a: a[:0], id="adaboost-no-stumps"),
     # A meta entry, edited in place of a tensor: layers the tensors do not have.
     pytest.param("mlp", "config.mlp_layers", lambda text: "9,1", id="mlp-layers-9-1"),
 ]
@@ -284,7 +288,40 @@ def test_load_refuses_tensors_that_cannot_score(tmp_path, kind, name, change):
     load_baseline(meta, arrays)
     entries = meta if name in meta else arrays
     entries[name] = change(entries[name])
-    with pytest.raises(DataError, match=f"{kind} tensors cannot score 2-wide rows"):
+    # Layers of 9,1 are refused through W0, the first tensor they do not fit.
+    refused = {"config.mlp_layers": "W0"}.get(name, name)
+    with pytest.raises(DataError, match=re.escape(f"{path}: tensor '{refused}'")):
+        load_baseline(meta, arrays)
+
+
+def test_load_stops_at_the_first_missing_tree(tmp_path):
+    # Names for the 10**9 trees a checkpoint's meta may claim would take about 65 GB.
+    path = tmp_path / "model.txt"
+    save_baseline(baselines.fit("forest", _xor(seed=16, per_cluster=20),
+                                BaselineConfig(seed=3, n_trees=2)), path)
+    meta, arrays = load_model(path)
+    meta["config.n_trees"] = str(10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="missing tensor 'tree_002'"):
+            load_baseline(meta, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("kind,key,text,message", [
+    ("forest", "config.n_trees", "0", "config.n_trees = 0 names no tree"),
+    ("mlp", "config.mlp_layers", "6,2", "config.mlp_layers = 6,2 does not end in 1"),
+], ids=["forest-no-trees", "mlp-layers-6-2"])
+def test_load_refuses_config_the_tensors_cannot_follow(tmp_path, kind, key, text, message):
+    cfg = BaselineConfig(seed=3, n_trees=2, mlp_layers=(6, 1), mlp_epochs=2)
+    path = tmp_path / "model.txt"
+    save_baseline(baselines.fit(kind, _xor(seed=16, per_cluster=20), cfg), path)
+    meta, arrays = load_model(path)
+    meta[key] = text
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
         load_baseline(meta, arrays)
 
 

@@ -855,7 +855,7 @@ def test_cyclic_tree_is_refused_on_load(corpus, tmp_path):
     assert nodes[0, 0] != -1.0  # the root splits
     nodes[0, 2:4] = 0.0
     arrays["tree_000"] = nodes
-    with pytest.raises(DataError, match="the forest tensors cannot score 10-wide rows"):
+    with pytest.raises(DataError, match="tensor 'tree_000' cannot score 10-wide rows"):
         baselines.load_baseline(meta, arrays)
 
 

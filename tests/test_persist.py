@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from botdetect.data import FeatureMatrix
 from botdetect.embedding import TweetPipeline, fixture_table
 from botdetect.errors import DataError
 from botdetect.nnet.model import ContextualLstmModel, NetConfig
-from botdetect.persist import load_model, save_model
+from botdetect.persist import Entries, load_model, save_model
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -174,6 +176,21 @@ def test_nan_in_a_tensor_is_a_parse_error(tmp_path, body):
         load_model(path)
     path.write_text("botdetect-model v1\ntensor w 1 2\n-inf inf\nend\n", encoding="utf-8")
     assert np.array_equal(load_model(path)[1]["w"], [-np.inf, np.inf])
+
+
+@pytest.mark.parametrize("value,message", [
+    (np.array([1.0, np.nan]), "tensor 'w' is not finite"),
+    (np.array([np.inf, 1.0]), "tensor 'w' is not finite"),
+    (np.array([1.0, -np.inf]), "tensor 'w' is not finite"),
+    (np.zeros(3), "tensor 'w' has shape (3,), expected (2,)"),
+], ids=["nan", "inf", "minus-inf", "shape"])
+def test_shaped_refuses_what_no_fit_writes(value, message):
+    arrays = Entries("model.txt", "tensor")
+    arrays["w"] = np.array([1.0, 2.0])
+    assert arrays.shaped("w", (2,)) is arrays["w"]
+    arrays["w"] = value
+    with pytest.raises(DataError, match=re.escape(f"model.txt: {message}")):
+        arrays.shaped("w", (2,))
 
 
 def test_missing_meta_key_is_a_parse_error(tmp_path):
