@@ -64,6 +64,8 @@ def from_strings(cls, values: dict[str, str], **typed):
 
 
 def to_strings(obj) -> dict[str, str]:
-    """Field name -> string, in field order; tuples become comma lists."""
-    return {name: ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    """Field name -> string, in field order; an enum becomes its value and a
+    tuple a comma list."""
+    return {name: ",".join(map(str, value)) if isinstance(value, tuple)
+            else value.value if isinstance(value, enum.Enum) else str(value)
             for name, value in zip(obj._fields, obj)}

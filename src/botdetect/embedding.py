@@ -180,9 +180,8 @@ def write_glove_file(table: EmbeddingTable, path) -> None:
     """Write a table back out in GloVe text format (round-trips exactly)."""
     by_index = sorted(table.vocabulary.items(), key=lambda kv: kv[1])
     with open(path, "w", encoding="utf-8") as fh:
-        for token, idx in by_index:
-            comps = " ".join(repr(float(v)) for v in table.matrix[idx])
-            fh.write(f"{token} {comps}\n")
+        for token, idx in by_index:  # one row's floats at a time, not the table's
+            fh.write(f"{token} {' '.join(map(repr, table.matrix[idx].tolist()))}\n")
 
 
 @checked

@@ -392,43 +392,6 @@ def _count_params(base: float, cap: int, separation: float, label: Label):
     return base * (1.0 + separation), cap, offset
 
 
-def raw_integers(bit_generator):
-    """An `integers(low, high, size=None)` that returns what
-    `Generator(bit_generator).integers` would, as Python ints (a list for
-    `size`), for ranges of 1 to 2**32 - 1 values, computed from the raw words
-    with Lemire's draw (see `forest.feature_subsets`).
-
-    It takes over the generator's 32-bit stream: the half a word left
-    pending is held here, so from then on draw every bounded integer through
-    it. Draws that read whole words, as `random` and `poisson` do, may come
-    in between."""
-    raw = bit_generator.random_raw
-    state = bit_generator.state
-    pending = state["uinteger"] if state["has_uint32"] else None
-
-    def integers(low, high, size=None):
-        nonlocal pending
-        if size is not None:
-            return [integers(low, high) for _ in range(size)]
-        n = high - low
-        if n == 1:
-            return low
-        if not 1 < n < 1 << 32:
-            raise ValueError(f"integers({low}, {high}) needs 1 to 2**32 - 1 values")
-        threshold = (1 << 32) % n
-        while True:
-            if pending is None:
-                word = raw()
-                value, pending = word & 0xFFFFFFFF, word >> 32
-            else:
-                value, pending = pending, None
-            product = value * n
-            if product & 0xFFFFFFFF >= threshold:
-                return low + (product >> 32)
-
-    return integers
-
-
 def generate_synthetic(
     spec: SyntheticCorpusSpec,
 ) -> tuple[list[AccountRecord], list[TweetRecord]]:
@@ -438,19 +401,19 @@ def generate_synthetic(
     separation 1 plain-word vocabularies are disjoint and every metadata
     column's range is disjoint between classes.
 
-    The sequence of RNG calls is part of the corpus format: drawing the same
+    The sequence of draws is part of the corpus format: drawing the same
     numbers in another order, or through a call that consumes the stream
-    differently, changes every corpus and so every benchmark input. Three
-    substitutions are bit-identical and are used for speed: `rng.random()`
-    for `rng.uniform()` (which returns `0.0 + 1.0 * random()`),
-    `rng.integers(0, 20, size=6)` indexing `_URL_CHARS` for
-    `rng.choice(list(_URL_CHARS), size=6)` (which draws through that call),
-    and `raw_integers` for `rng.integers` (the same draw from the raw words,
-    as `forest.feature_subsets` makes it, without numpy's per-call cost).
+    differently, changes every corpus and so every benchmark input. They
+    come from `wordstream.draws` over `PCG64(spec.seed)`, which gives what
+    `Generator.random`, `integers` and `poisson` would, from the raw words
+    with numpy's algorithms copied: so a corpus depends only on PCG64's raw
+    words and libm's `exp` and `log`, not on numpy's distribution code. A
+    URL's six characters are six `integers(0, 20)` draws indexing
+    `_URL_CHARS`, the draws `Generator.choice(list(_URL_CHARS), size=6)` makes.
     """
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    random, poisson = rng.random, rng.poisson
-    integers = raw_integers(rng.bit_generator)
+    from .wordstream import draws
+
+    random, integers, poisson = draws(np.random.PCG64(spec.seed))
     separation = spec.separation
     accounts: list[AccountRecord] = []
     tweets: list[TweetRecord] = []
@@ -464,7 +427,7 @@ def generate_synthetic(
                       for drift in (0.35 * separation * d for d in _ACCOUNT_BOOL_DIRECTIONS)]
 
         def counts(params) -> list[int]:
-            return [offset + int(min(poisson(lam), cap)) for lam, cap, offset in params]
+            return [offset + min(poisson(lam), cap) for lam, cap, offset in params]
 
         def word() -> str:
             if random() < separation:
@@ -478,16 +441,15 @@ def generate_synthetic(
             for _ in range(spec.tweets_per_account):
                 metadata = tuple(counts(tweet_params))
                 hashtags, urls, mentions = metadata[3:]  # the entity columns
-                words = [word() for _ in range(min(4 + int(poisson(4.0)), 16))]
+                words = [word() for _ in range(min(4 + poisson(4.0), 16))]
                 if random() < 0.10:
                     words[0] = words[0].upper()
                 if random() < 0.10:
                     words[-1] = words[-1] + words[-1][-1] * 3
                 extras = ["#" + word() for _ in range(hashtags)]
                 for _ in range(urls):
-                    extras.append("https://t.co/"
-                                  + "".join(_URL_CHARS[i]
-                                            for i in integers(0, len(_URL_CHARS), size=6)))
+                    extras.append("https://t.co/" + "".join(
+                        _URL_CHARS[integers(0, len(_URL_CHARS))] for _ in range(6)))
                 extras += ["@user" + str(integers(1000, 9999)) for _ in range(mentions)]
                 if random() < 0.25:
                     extras.append(str(integers(0, 10000)))

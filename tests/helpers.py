@@ -2,7 +2,8 @@
 non-tag words of a token sequence, the MLP baseline's loss, the exact
 metadata means of a synthetic class, float sequences as row ids, the traced
 memory peak of one scoring batch, seeded Adam gradients, and the times of
-one LSTM training pass and of a run of Adam steps."""
+one LSTM training pass, of a run of Adam steps and of the synthetic
+generator."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import numpy as np
 
 from botdetect.baselines.mlp import mlp_forward
 from botdetect.data import FeatureMatrix, Label, SplitSpec, split_indices
-from botdetect.ingest import _TWEET_COUNT_SPECS, SyntheticCorpusSpec, _count_params
+from botdetect.ingest import (_TWEET_COUNT_SPECS, SyntheticCorpusSpec, _count_params,
+                              generate_synthetic)
 from botdetect.nnet.layers import Adam, bce
 from botdetect.nnet.lstm import init_lstm_params, lstm_backward, lstm_forward
 from botdetect.nnet.model import ContextualLstmModel, NetConfig
@@ -145,3 +147,23 @@ def adam_steps_ms(steps: int = 90, repeats: int = 11) -> float:
             optimizer.step(g)
         times.append(time.perf_counter() - start)
     return float(np.median(times)) * 1e3
+
+
+# The corpus scales CI times `botdetect synth` at: account-table's (2000
+# accounts a class, one tweet each) and tweet-train's (200 accounts a class,
+# ten tweets each), at the command's default seed.
+SYNTH_SPECS = (SyntheticCorpusSpec(2000, 1, 0, 0.02), SyntheticCorpusSpec(200, 10, 0, 0.15))
+
+
+def synth_ms(repeats: int = 5) -> tuple[float, ...]:
+    """Median milliseconds of one in-process `generate_synthetic` call at each
+    of SYNTH_SPECS, without the interpreter start-up of a CLI run."""
+    medians = []
+    for spec in SYNTH_SPECS:
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            generate_synthetic(spec)
+            times.append(time.perf_counter() - start)
+        medians.append(float(np.median(times)) * 1e3)
+    return tuple(medians)

@@ -7,13 +7,14 @@ conventions (z-scored distances, lower-index tie breaks).
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 
-from botdetect import tokenizer
+from botdetect import ingest, tokenizer
 from botdetect.baselines import BaselineConfig
-from botdetect.data import FeatureMatrix, Standardizer
+from botdetect.data import AccountRecord, FeatureMatrix, Label, Standardizer, TweetRecord
 from botdetect.tokenizer import tokenize
 
 
@@ -470,3 +471,99 @@ def lookbehind_tokenize(text: str, repeat_tag: bool = False) -> list[str]:
     if repeat_tag:
         s = tokenizer._PUNCT_REPEAT_RE.sub(lambda m: f" {m.group(1)} {tokenizer.REPEAT} ", s)
     return [token for raw in s.split() for token in tokenizer._expand_token(raw)]
+
+
+# -- synthetic corpora -------------------------------------------------------
+
+
+def generator_synthetic(spec):
+    """`ingest.generate_synthetic` drawn through `numpy.random.Generator`'s
+    own `random`, `poisson` and `integers`, in the same order, in place of
+    the library's raw-word stream."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    random, poisson, integers = rng.random, rng.poisson, rng.integers
+    separation = spec.separation
+    accounts, tweets = [], []
+    for label, prefix in ((Label.HUMAN, "h"), (Label.BOT, "b")):
+        class_words = ingest.BOT_WORDS if label == Label.BOT else ingest.HUMAN_WORDS
+        account_params = [ingest._count_params(base, cap, separation, label)
+                          for _, base, cap in ingest._ACCOUNT_COUNT_SPECS]
+        tweet_params = [ingest._count_params(base, cap, separation, label)
+                        for _, base, cap in ingest._TWEET_COUNT_SPECS]
+        flag_probs = [0.5 + (drift if label == Label.BOT else -drift)
+                      for drift in (0.35 * separation * d
+                                    for d in ingest._ACCOUNT_BOOL_DIRECTIONS)]
+
+        def counts(params):
+            return [offset + int(min(poisson(lam), cap)) for lam, cap, offset in params]
+
+        def word():
+            if random() < separation:
+                return class_words[integers(0, len(class_words))]
+            return ingest.SHARED_WORDS[integers(0, len(ingest.SHARED_WORDS))]
+
+        for a in range(spec.accounts):
+            account_id = f"{prefix}{a:05d}"
+            features = counts(account_params) + [int(random() < p) for p in flag_probs]
+            accounts.append(AccountRecord(account_id, tuple(features), label))
+            for _ in range(spec.tweets_per_account):
+                metadata = tuple(counts(tweet_params))
+                hashtags, urls, mentions = metadata[3:]
+                words = [word() for _ in range(min(4 + int(poisson(4.0)), 16))]
+                if random() < 0.10:
+                    words[0] = words[0].upper()
+                if random() < 0.10:
+                    words[-1] = words[-1] + words[-1][-1] * 3
+                extras = ["#" + word() for _ in range(hashtags)]
+                for _ in range(urls):
+                    extras.append("https://t.co/" + "".join(
+                        ingest._URL_CHARS[i]
+                        for i in integers(0, len(ingest._URL_CHARS), size=6)))
+                extras += ["@user" + str(integers(1000, 9999)) for _ in range(mentions)]
+                if random() < 0.25:
+                    extras.append(str(integers(0, 10000)))
+                if random() < 0.20:
+                    extras.append(ingest._EMOTICONS[integers(0, len(ingest._EMOTICONS))])
+                for extra in extras:
+                    words.insert(integers(0, len(words) + 1), extra)
+                tweets.append(TweetRecord(" ".join(words), metadata, label, account_id))
+    return accounts, tweets
+
+
+# -- GloVe files -------------------------------------------------------------
+
+
+def per_element_glove_file(table, path) -> None:
+    """`embedding.write_glove_file`, converting one numpy element at a time."""
+    by_index = sorted(table.vocabulary.items(), key=lambda kv: kv[1])
+    with open(path, "w", encoding="utf-8") as fh:
+        for token, idx in by_index:
+            comps = " ".join(repr(float(v)) for v in table.matrix[idx])
+            fh.write(f"{token} {comps}\n")
+
+
+# -- Poisson draws -------------------------------------------------------------
+
+# numpy's `random_loggam` coefficients a[0] ... a[9], as its C source lists them.
+LOGGAM_COEFFS = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+                 -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+                 6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+                 -1.39243221690590e+00)
+
+
+def loop_loggam(x: float) -> float:
+    """numpy's `random_loggam` as its C source reads, Horner loop included."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = LOGGAM_COEFFS[9]
+    for k in range(8, -1, -1):
+        gl0 *= x2
+        gl0 += LOGGAM_COEFFS[k]
+    gl = gl0 / x0 + 0.5 * 1.8378770664093453e+00 + (x0 - 0.5) * math.log(x0) - x0
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl

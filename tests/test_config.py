@@ -1,6 +1,6 @@
 import importlib
 import pkgutil
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import pytest
 
@@ -8,7 +8,7 @@ import botdetect
 from botdetect.baselines import BaselineConfig
 from botdetect.cli import NET_CONFIGS, RunConfig, _part
 from botdetect.config import BOOL_WORDS, from_strings, to_strings
-from botdetect.data import SplitSpec
+from botdetect.data import BaselineKind, SplitSpec, Strategy
 from botdetect.embedding import TweetPipeline
 from botdetect.errors import ConfigError
 from botdetect.nnet.model import NetConfig
@@ -130,6 +130,21 @@ def test_typed_values_win():
 ])
 def test_round_trip(config):
     assert from_strings(type(config), to_strings(config)) == config
+
+
+class EnumFields(NamedTuple):
+    resample: Strategy = Strategy.NONE
+    kind: BaselineKind = BaselineKind.LOGREG
+
+
+@pytest.mark.parametrize("record", [EnumFields(), EnumFields(Strategy.SMOTE, BaselineKind.FOREST),
+                                    EnumFields(Strategy.SMOTOMEK, BaselineKind.MLP)])
+def test_enum_fields_round_trip(record):
+    # str() of a str-mixin enum is its qualified name ('Strategy.SMOTE'),
+    # which from_strings refuses; to_strings writes the value.
+    strings = to_strings(record)
+    assert strings == {"resample": record.resample.value, "kind": record.kind.value}
+    assert from_strings(type(record), strings) == record
 
 
 def test_config_hash_is_pinned():

@@ -18,7 +18,7 @@ from botdetect.embedding import (
 )
 from botdetect.errors import DataError
 
-from oracles import per_tweet_tensors
+from oracles import per_element_glove_file, per_tweet_tensors
 
 FIXTURE = "alpha 1.0 0.0\nbeta 0.0 1.0\ngamma 2.0 3.0\n"
 
@@ -225,3 +225,13 @@ def test_fixture_table_round_trips_through_file(tmp_path):
     assert np.array_equal(loaded.matrix, table.matrix)
     assert TweetPipeline(loaded, 30).fingerprint() == TweetPipeline(table, 30).fingerprint()
     assert TweetPipeline(loaded, 20).fingerprint() != TweetPipeline(table, 30).fingerprint()
+
+
+def test_glove_file_bytes_equal_the_per_element_writer(tmp_path):
+    table = fixture_table([f"tok{i}" for i in range(40)] + ["<hashtag>"], 25, seed=9)
+    matrix = table.matrix.copy()
+    matrix[0, :7] = (-0.0, 5e-324, -2.5e-310, 1e300, 0.1, 123456789.0, 1 / 3)
+    table = table._replace(matrix=matrix)
+    write_glove_file(table, tmp_path / "rows.txt")
+    per_element_glove_file(table, tmp_path / "elements.txt")
+    assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "elements.txt").read_bytes()

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -26,13 +27,15 @@ from botdetect.ingest import (
     generate_synthetic,
     load_corpus,
     parse_manifest,
-    raw_integers,
     write_corpus,
 )
 from botdetect.metrics import auc
 from botdetect.tokenizer import tokenize
+from botdetect import wordstream
+from botdetect.wordstream import CHUNK_WORDS, draws
 
 from helpers import class_metadata_means, plain_words, split
+from oracles import generator_synthetic, loop_loggam
 
 USERS_HEADER = (
     "id,statuses_count,followers_count,friends_count,favourites_count,"
@@ -348,35 +351,202 @@ def test_benchmark_scale_corpus_bytes_are_pinned(tmp_path, spec):
     assert digest.hexdigest() == BENCHMARK_CORPUS_SHA256[spec]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.builds(SyntheticCorpusSpec, st.integers(1, 12), st.integers(1, 6),
+                 st.integers(0, 2**64 - 1), st.floats(0.0, 1.0)))
+def test_synthetic_corpus_equals_the_generator_reference(spec):
+    assert generate_synthetic(spec) == generator_synthetic(spec)
+
+
 RAW_RANGES = (1, 6, 20, 60, 120, 8999, 10000, 2**31 + 1, 3 * 2**30, 2**32 - 1)
 
 
 @pytest.mark.parametrize("seeds", [range(0, 150), range(150, 300)])
 def test_raw_integers_equal_generator_integers(seeds):
-    # Two generators from one seed: `Generator.integers` on one, the raw-word
-    # draw on the other. Whole-word draws come in between and scalar draws
-    # flip which half is next, so the pending half carries across every
-    # kind of call; at odd seeds numpy leaves a half pending before the
-    # raw-word draw takes over. 2**31 + 1 and 3 * 2**30 reject about half
-    # and a quarter of their values.
+    # A mirror `Generator` against the stream over a second PCG64 from the
+    # same seed. Whole-word draws come in between and scalar draws flip
+    # which half is next, so the pending half carries across every kind of
+    # call; at odd seeds numpy leaves a half pending before the stream takes
+    # over. 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their
+    # values.
     for seed in seeds:
         mirror, rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
         if seed % 2:
             assert mirror.integers(0, 6) == rng.integers(0, 6)
-        integers = raw_integers(rng.bit_generator)
+        random, integers, poisson = draws(rng.bit_generator)
         for low, n in enumerate(RAW_RANGES * 2, start=-3):
             assert integers(low, low + n) == mirror.integers(low, low + n)
-            assert rng.random() == mirror.random()
-            assert integers(low, low + n, size=6) == mirror.integers(low, low + n, size=6).tolist()
-            assert rng.poisson(4.0) == mirror.poisson(4.0)
+            assert random() == mirror.random()
+            assert [integers(low, low + n) for _ in range(6)] == mirror.integers(
+                low, low + n, size=6).tolist()
+            assert poisson(4.0) == mirror.poisson(4.0)
             assert integers(low, low + n) == mirror.integers(low, low + n)
-        assert rng.bit_generator.random_raw() == mirror.bit_generator.random_raw()
+        # The next whole word, and the next 32-bit value (a pending half or
+        # a new word's low half), are the mirror's.
+        assert random() == mirror.random()
+        assert integers(0, 2**32 - 1) == mirror.integers(0, 2**32 - 1)
 
 
 @pytest.mark.parametrize("low,high", [(0, 0), (5, 4), (0, 2**32), (-1, 2**32)])
 def test_raw_integers_refuse_ranges_outside_one_to_two_to_the_32(low, high):
+    _, integers, _ = draws(np.random.PCG64(0))
     with pytest.raises(ValueError, match="needs 1 to 2\\*\\*32 - 1 values"):
-        raw_integers(np.random.PCG64(0))(low, high)
+        integers(low, high)
+
+
+POISSON_LAMS = (0.0, 1e-3, 9.999, 10.0, 10.5, 90.0, 345.0, 1234.5)
+
+
+@pytest.mark.parametrize("lam", POISSON_LAMS)
+def test_stream_equals_generator_draws(lam):
+    # Interleaved draws of all three kinds; at odd seeds a half is pending
+    # before the stream takes over.
+    for seed in range(60):
+        mirror, rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        if seed % 2:
+            assert mirror.integers(0, 6) == rng.integers(0, 6)
+        random, integers, poisson = draws(rng.bit_generator)
+        for _ in range(40):
+            assert poisson(lam) == mirror.poisson(lam)
+            assert integers(0, 120) == mirror.integers(0, 120)
+            assert random() == mirror.random()
+            assert poisson(lam) == mirror.poisson(lam)
+            assert poisson(3.0) == mirror.poisson(3.0)
+            assert integers(7, 10007) == mirror.integers(7, 10007)
+
+
+def test_stream_reads_across_chunks():
+    mirror = np.random.Generator(np.random.PCG64(11))
+    random, _, _ = draws(np.random.PCG64(11))
+    count = 3 * CHUNK_WORDS + 5
+    assert [random() for _ in range(count)] == mirror.random(count).tolist()
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan")])
+def test_poisson_refuses_a_negative_or_nan_lam(lam):
+    with pytest.raises(ValueError, match="needs lam >= 0"):
+        draws(np.random.PCG64(0))[2](lam)
+
+
+class ChosenWords:
+    """A bit generator whose raw words are the given ones, then zeros."""
+
+    state = {"has_uint32": 0, "uinteger": 0}
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, n):
+        out, self.words = self.words[:n], self.words[n:]
+        return np.array(out + [0] * (n - len(out)), dtype=np.uint64)
+
+
+def _word(double: float) -> int:
+    """The raw word whose `random()` is `double`, a multiple of 2**-53."""
+    return int(double * 2**53) << 11
+
+
+def test_ptrs_accepts_at_v_zero_where_c_takes_log_0_as_minus_inf():
+    # u = 0.4375, so us = 0.0625 < 0.07 and the squeeze cannot accept; V = 0,
+    # where C's log is -inf and the log test accepts k = 16 (math.log(0.0)
+    # raises instead).
+    random, _, poisson = draws(ChosenWords([_word(0.9375), 0, _word(0.25)]))
+    assert poisson(10.0) == 16
+    assert random() == 0.25
+
+
+def test_ptrs_redraws_at_us_zero_where_c_divides_by_zero():
+    # A zero word gives u = -0.5 and us = 0: C's 2a / us is inf, so k < 0 and
+    # it draws again (Python's division raises instead). The next pair has
+    # u = 0 and V = 0.25 <= v_r, so the squeeze accepts floor(lam + 0.43).
+    random, _, poisson = draws(ChosenWords([0, _word(0.75), _word(0.5), _word(0.25),
+                                            _word(0.125)]))
+    assert poisson(10.0) == 10
+    assert random() == 0.125
+
+
+# PCG64 steps its 128-bit state s to s * PCG64_MULTIPLIER + inc, then
+# outputs the xor of the new state's halves rotated right by its top 6 bits.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+MASK_64, MASK_128 = 2**64 - 1, 2**128 - 1
+
+
+def _pcg64_output(s: int) -> int:
+    x, r = ((s >> 64) ^ s) & MASK_64, s >> 122
+    return ((x >> r) | (x << (64 - r))) & MASK_64
+
+
+def _pcg64_unstep(s: int, inc: int) -> int:
+    return ((s - inc) * pow(PCG64_MULTIPLIER, -1, 2**128)) & MASK_128
+
+
+def _pcg64_emitting(word: int, hi: int, inc: int) -> int:
+    """A state whose next output is `word`; the state it steps to has `hi` as
+    its top 64 bits."""
+    r = hi >> 58
+    return _pcg64_unstep(hi << 64 | (hi ^ (((word << r) | (word >> (64 - r))) & MASK_64)), inc)
+
+
+def _pcg64_at(state: int, inc: int) -> np.random.PCG64:
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {**bit_generator.state, "state": {"state": state, "inc": inc}}
+    return bit_generator
+
+
+@pytest.mark.parametrize("lam", [10.0, 90.0, 1234.5])
+def test_ptrs_edge_cases_equal_numpy_on_crafted_pcg64_states(lam):
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    # The model above predicts numpy's next word...
+    next_state = (5 * PCG64_MULTIPLIER + inc) & MASK_128
+    assert _pcg64_at(5, inc).random_raw() == _pcg64_output(next_state)
+    # ...so it can build a state whose next word w has its top 53 bits zero:
+    # drawn as u, w gives us = 0; drawn as V after a u with us < 0.07 and
+    # k >= 0, it gives V = 0. numpy's own `poisson` then shows the branch C
+    # takes in each case, three times over.
+    rng = np.random.Generator(np.random.PCG64(12))
+    cases = {"us = 0": 0, "V = 0": 0}
+    while min(cases.values()) < 3:
+        hi, w = (int(v) for v in rng.integers(0, [2**64, 2**11], dtype=np.uint64))
+        before = _pcg64_emitting(w, hi, inc)  # its own output is the word drawn before w
+        u = (_pcg64_output(before) >> 11) * 2.0**-53 - 0.5
+        if 0.0 < u and 0.5 - u < 0.07:
+            case, start = "V = 0", _pcg64_unstep(before, inc)
+        else:
+            case, start = "us = 0", before
+        cases[case] += 1
+        mirror = np.random.Generator(_pcg64_at(start, inc))
+        random, _, poisson = draws(_pcg64_at(start, inc))
+        assert poisson(lam) == mirror.poisson(lam)
+        assert random() == mirror.random()
+
+
+def test_loggam_equals_numpys_loop_and_lgamma():
+    # PTRS calls it at k + 1 for k >= 0; the written-out Horner expression
+    # must give the bits of the C loop, and both must be log Γ.
+    for x in [float(k) for k in range(1, 5001)] + [1.5, 2.5, 6.999, 7.5, 1e6, 1e15]:
+        assert wordstream._loggam(x) == loop_loggam(x)
+        assert abs(loop_loggam(x) - math.lgamma(x)) <= 1e-14 * max(1.0, math.lgamma(x))
+
+
+# The 53-bit numerators j of u + 0.5 = j * 2**-53 at which PTRS's k at lam
+# 1234.5, floor((2a / us + b) * u + lam + 0.43), depends on the order of its
+# last two additions; found by bisecting for the u where k steps up, then
+# scanning the doubles around it.
+ORDER_SENSITIVE = (5832486392568005, 6080879971569932, 6321630364540234, 6477260955108458)
+
+
+@pytest.mark.parametrize("j", ORDER_SENSITIVE)
+def test_ptrs_adds_as_c_does_on_crafted_pcg64_states(j):
+    a2, b = wordstream._ptrs_constants(1234.5)[:2]
+    u = j * 2.0**-53 - 0.5
+    x = (a2 / (0.5 - abs(u)) + b) * u
+    assert math.floor(x + 1234.5 + 0.43) != math.floor(x + (1234.5 + 0.43))
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    start = _pcg64_emitting(j << 11, 2**63 + j, inc)
+    mirror = np.random.Generator(_pcg64_at(start, inc))
+    random, _, poisson = draws(_pcg64_at(start, inc))
+    assert poisson(1234.5) == mirror.poisson(1234.5)
+    assert random() == mirror.random()
 
 
 def test_synthetic_round_trips_through_loader(tmp_path):
