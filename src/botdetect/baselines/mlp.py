@@ -24,8 +24,6 @@ from .common import BaselineConfig
 
 def init_mlp_params(rng: np.random.Generator, input_dim: int,
                     layers: tuple[int, ...]) -> dict[str, np.ndarray]:
-    if layers[-1] != 1:
-        raise ValueError(f"final layer size must be 1, got {layers[-1]}")
     params: dict[str, np.ndarray] = {}
     fan_in = input_dim
     for i, size in enumerate(layers):

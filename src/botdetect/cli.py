@@ -3,7 +3,8 @@ inspect, bench, and synth.
 
 Every experiment is fully described by a RunConfig; config files, bench
 rows and each flag that fills a record field are all typed by
-`config.from_strings`. Artifacts land in a timestamped run directory and each
+`config.from_strings`, and RunConfig checks itself when built, before any
+file is read. Artifacts land in a timestamped run directory and each
 artifact file carries the config hash. Every command but `synth` (which
 checks all its flags before its first write) works out all its files first
 and writes them through `_write_files`, so a failed command leaves no file or
@@ -47,8 +48,12 @@ from .data import (
     TWEET_METADATA_COLUMNS,
     BaselineKind,
     FeatureMatrix,
+    ResampleConfig,
     SplitSpec,
     Strategy,
+    Task,
+    Truncation,
+    checked,
     matrix_from_csv_lines,
     matrix_to_csv_lines,
     split_indices,
@@ -68,19 +73,21 @@ from .metrics import EvalReport, evaluate
 # set each apart.
 NET_CONFIGS = {"lstm": {"use_metadata": False, "use_aux": False, "loss_weights": (1.0, 0.0)},
                "contextual": {}}
+MODELS = (*(kind.value for kind in BaselineKind), *NET_CONFIGS)
 # The data error of a float overflow or invalid value (see above).
 FLOAT_ERROR = "float arithmetic failed ({})"
 
 
+@checked
 class RunConfig(NamedTuple):
     """Everything an experiment needs; flags and config files both map here."""
 
-    task: str = "account"  # account | tweet
-    model: str = "forest"  # logreg|sgd|forest|adaboost|mlp|lstm|contextual
+    task: Task = Task.ACCOUNT
+    model: str = "forest"  # one of MODELS
     manifest: str = ""
     out_dir: str = "runs"
     seed: int = 0
-    resample: str = "none"
+    resample: Strategy = Strategy.NONE
     smote_k: int = 5
     enn_k: int = 3
     target_ratio: float = 1.0
@@ -91,7 +98,7 @@ class RunConfig(NamedTuple):
     embedding: str = ""
     embedding_dim: int = 25
     max_len: int = 30
-    truncation: str = "tail"
+    truncation: Truncation = Truncation.TAIL
     vocab_cap: int = 0  # 0 = no vocabulary cap
     repeat_tag: bool = False
     epochs: int = 0  # 0 = model default
@@ -103,48 +110,34 @@ class RunConfig(NamedTuple):
     n_stumps: int = 100
     logreg_epochs: int = 500
 
-    def validate(self) -> None:
-        if self.task not in ("account", "tweet"):
-            raise ConfigError(f"task must be account or tweet, got {self.task!r}")
-        if self.model not in NET_CONFIGS and self.model not in {k.value for k in BaselineKind}:
-            raise ConfigError(f"unknown model {self.model!r}")
+    def _check(self):
+        if self.model not in MODELS:
+            raise ValueError(f"model must be one of {'/'.join(MODELS)}, got {self.model!r}")
         if self.model in NET_CONFIGS:
-            if self.task != "tweet":
-                raise ConfigError(f"model {self.model} is tweet-level only")
-            if self.resample != "none":
-                # Metadata is never resampled for the LSTM systems; this is
-                # a hard rule, not a default.
-                raise ConfigError(
-                    "resampling applies only to baseline pipelines; "
-                    f"set resample=none for model {self.model}"
-                )
+            if self.task != Task.TWEET:
+                raise ValueError(f"model {self.model} is tweet-level only")
+            if self.resample != Strategy.NONE:
+                # Metadata is never resampled for the LSTM systems: a hard rule.
+                raise ValueError("resampling applies only to baseline pipelines; "
+                                 f"set resample=none for model {self.model}")
             if not self.embedding:
-                raise ConfigError(f"model {self.model} requires --embedding")
-        if self.resample not in tuple(s.value for s in Strategy):
-            raise ConfigError(f"unknown resample strategy {self.resample!r}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie in (0, 1)")
+                raise ValueError(f"model {self.model} requires --embedding")
         if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must lie in [0, 1)")
+            raise ValueError("val_fraction must lie in [0, 1)")
         if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
-        if self.truncation not in ("tail", "head"):
-            raise ConfigError("truncation must be tail or head")
+            raise ValueError("threshold must lie in (0, 1)")
         for name, least in (("max_len", 1), ("batch_size", 1), ("n_trees", 1), ("n_stumps", 1),
-                            ("embedding_dim", 1), ("logreg_epochs", 1), ("smote_k", 1),
-                            ("enn_k", 1), ("epochs", 0), ("vocab_cap", 0), ("seed", 0)):
+                            ("embedding_dim", 1), ("logreg_epochs", 1), ("epochs", 0),
+                            ("vocab_cap", 0)):
             if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not 0.0 < self.target_ratio < math.inf:
-            raise ConfigError(f"target_ratio must be positive and finite, got {self.target_ratio}")
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}")
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not self.mlp_layers or min(self.mlp_layers) < 1 or self.mlp_layers[-1] != 1:
-            raise ConfigError("mlp_layers widths must be >= 1 and end in 1, "
-                              f"got {','.join(map(str, self.mlp_layers))}")
-        if not self.manifest:
-            raise ConfigError("a corpus manifest is required")
+            raise ValueError("mlp_layers widths must be >= 1 and end in 1, "
+                             f"got {','.join(map(str, self.mlp_layers))}")
+        _part(SplitSpec, self)
+        _part(ResampleConfig, self, strategy=self.resample)
 
     def to_kv_lines(self) -> list[str]:
         return [f"{name} = {text}" for name, text in sorted(to_strings(self).items())]
@@ -238,9 +231,9 @@ def _run_dir(config: RunConfig) -> str:
 
 def _run_baseline_experiment(config, accounts, tweets, con_hash):
     from . import baselines
-    from .resample import ResampleConfig, apply_strategy
+    from .resample import apply_strategy
 
-    on_accounts = config.task == "account"
+    on_accounts = config.task == Task.ACCOUNT
     matrix = _baseline_matrix(on_accounts, accounts, tweets)
     records = accounts if on_accounts else tweets
     groups = [r.account_id for r in records] if config.group_by_account else None
@@ -248,7 +241,7 @@ def _run_baseline_experiment(config, accounts, tweets, con_hash):
     train_matrix = matrix.select(train_idx)
     test_matrix = matrix.select(test_idx)
 
-    resample_cfg = _part(ResampleConfig, config, strategy=Strategy(config.resample))
+    resample_cfg = _part(ResampleConfig, config, strategy=config.resample)
     train_matrix, diag = apply_strategy(train_matrix, resample_cfg)
 
     model = baselines.fit(BaselineKind(config.model), train_matrix,
@@ -320,7 +313,8 @@ def run_experiment(config: RunConfig, read_corpus=_read_corpus) -> ExperimentRes
 
     `read_corpus(manifest_path)` gives (accounts, tweets, diagnostics); the
     run reads them and changes none of them."""
-    config.validate()
+    if not config.manifest:
+        raise ConfigError("a corpus manifest is required")
     con_hash = config.config_hash()
     accounts, tweets, load_diag = read_corpus(config.manifest)
     run = _run_net_experiment if config.model in NET_CONFIGS else _run_baseline_experiment
@@ -374,18 +368,17 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
     # Rows that share a manifest share one parse of it; a failed parse is
     # not kept, so every row that names the manifest records its error.
     read_corpus = functools.lru_cache(maxsize=None)(_read_corpus)
+    # Each row's config columns show its own values, or else the defaults.
+    shown = ("task", "model", "resample", "embedding_dim")
+    fallback = to_strings(RunConfig())
     results = []
     for name, overrides in row_values.items():
         merged = dict(defaults)
         merged.update(overrides)
         row_out = os.path.join(out_dir, "rows", name)
-        row = {"name": name}
+        row = {"name": name, **{key: merged.get(key, fallback[key]) for key in shown}}
         try:
             config = from_strings(RunConfig, merged, out_dir=row_out)
-            row.update(
-                task=config.task, model=config.model, resample=config.resample,
-                embedding_dim=str(config.embedding_dim),
-            )
             with float_errors(DataError, FLOAT_ERROR):
                 result = run_experiment(config, read_corpus)
             rep = result.report
@@ -395,8 +388,6 @@ def benchmark_suite(bench_path, out_dir) -> list[dict]:
                 auc=f"{rep.auc:.4f}", status="ok", error="",
             )
         except FAILURES as exc:
-            for key in ("task", "model", "resample", "embedding_dim"):
-                row.setdefault(key, merged.get(key, ""))
             message = str(exc).replace(",", ";").replace("\n", " ")
             row.update(status="error", error=message, exit_code=_exit_code(exc))
         results.append(row)
@@ -474,7 +465,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    from .resample import ResampleConfig, apply_strategy
+    from .resample import apply_strategy
 
     config = from_strings(ResampleConfig, _given(args, ResampleConfig))
     with text_file(args.input) as fh:
@@ -525,10 +516,10 @@ def _cmd_eval(args) -> int:
 
     meta, arrays = load_model(args.checkpoint)
     kind = meta["kind"]
+    if kind in CHECKPOINT_KINDS and not args.embedding:
+        raise ConfigError("net checkpoints need --embedding for evaluation")
     accounts, tweets, _ = _read_corpus(args.manifest)
     if kind in CHECKPOINT_KINDS:
-        if not args.embedding:
-            raise ConfigError("net checkpoints need --embedding for evaluation")
         if not tweets:
             raise DataError("corpus contains no tweets")
         model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
@@ -624,11 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resample", help="resample a feature-matrix CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    # ResampleConfig's fields, named here so that the parser imports no resampler.
     p.add_argument("--strategy", required=True,
                    help="one of " + "/".join(s.value for s in Strategy))
-    for flag in ("--smote-k", "--enn-k", "--target-ratio", "--seed"):
-        p.add_argument(flag)
+    for name in ResampleConfig._fields[1:]:  # the fields after strategy
+        p.add_argument("--" + name.replace("_", "-"))
     p.add_argument("--diagnostics", default="")
     p.set_defaults(func=_cmd_resample)
 

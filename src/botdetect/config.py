@@ -3,8 +3,9 @@
 Config files, bench rows, CLI flags and checkpoint meta lines all carry
 strings. `from_strings` types each value by its record field: int, float,
 str, bool, an enum's value, or a tuple written as a comma list. A bool is
-exactly one of 1/0, true/false, yes/no or on/off, in any case. Every other value, and every
-ValueError the record itself raises, is a ConfigError naming the key.
+exactly one of 1/0, true/false, yes/no or on/off, in any case. Any other value
+is a ConfigError naming the key (`task = 'x': expected one of account/tweet`),
+and the record's own ValueError becomes one reading `invalid <record>: ...`.
 `to_strings` writes the fields back in forms `from_strings` reads.
 """
 
@@ -64,8 +65,8 @@ def from_strings(cls, values: dict[str, str], **typed):
 
 
 def to_strings(obj) -> dict[str, str]:
-    """Field name -> string, in field order; an enum becomes its value and a
-    tuple a comma list."""
+    """Field name -> string, in field order; an enum becomes its value (its
+    str() differs between Python versions) and a tuple a comma list."""
     return {name: ",".join(map(str, value)) if isinstance(value, tuple)
             else value.value if isinstance(value, enum.Enum) else str(value)
             for name, value in zip(obj._fields, obj)}

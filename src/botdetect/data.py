@@ -9,6 +9,7 @@ bit-reproducible given it.
 from __future__ import annotations
 
 import enum
+import typing
 from typing import NamedTuple
 
 import numpy as np
@@ -76,15 +77,32 @@ class Strategy(str, enum.Enum):
     SMOTOMEK = "smotomek"
 
 
+class Task(str, enum.Enum):
+    """What a run classifies: accounts, or single tweets."""
+
+    ACCOUNT = "account"
+    TWEET = "tweet"
+
+
+class Truncation(str, enum.Enum):
+    """The end `embedding.truncate` drops from a tweet past max_len tokens."""
+
+    TAIL = "tail"
+    HEAD = "head"
+
+
 def checked(cls):
-    """Make the NamedTuple `cls` run its `_check` method, which raises on
-    values the record refuses, on every instance its constructor builds (a
-    NamedTuple body cannot define `__new__`). `_make` and `_replace` skip
-    the check; the package calls neither."""
-    new = cls.__new__
+    """Make the NamedTuple `cls` check every instance its constructor builds
+    (a NamedTuple body cannot define `__new__`): an enum field's value
+    ("smote") becomes its member, then `_check` raises on values the record
+    refuses. `_make` and `_replace` skip both; the package calls neither."""
+    new, hints = cls.__new__, typing.get_type_hints(cls)
+    kinds = {i: hints[name] for i, name in enumerate(cls._fields)
+             if isinstance(hints[name], enum.EnumMeta)}
 
     def __new__(cls, *args, **kwargs):
         self = new(cls, *args, **kwargs)
+        self = new(cls, *(kinds[i](v) if i in kinds else v for i, v in enumerate(self)))
         self._check()
         return self
 
@@ -236,6 +254,23 @@ class SplitSpec(NamedTuple):
     def _check(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
+
+
+@checked
+class ResampleConfig(NamedTuple):  # `resample.apply_strategy`'s settings
+    strategy: Strategy = Strategy.NONE
+    smote_k: int = 5
+    enn_k: int = 3
+    target_ratio: float = 1.0
+    seed: int = 0
+
+    def _check(self):
+        if self.smote_k < 1 or self.enn_k < 1:
+            raise ValueError(f"smote_k and enn_k must be >= 1, got {self.smote_k} and {self.enn_k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.target_ratio < np.inf:
+            raise ValueError(f"target_ratio must be positive and finite, got {self.target_ratio}")
 
 
 def split_indices(

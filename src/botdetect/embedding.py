@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .config import from_strings
-from .data import TweetRecord, checked
+from .data import Truncation, TweetRecord, checked
 from .errors import DataError
 from .tokenizer import tokenize
 
@@ -127,14 +127,10 @@ def load_glove(
     return _build_table(tokens, rows, expected_dimension)
 
 
-def truncate(tokens, max_len: int, truncation: str = "tail"):
-    """The tokens kept at max_len: "tail" drops the tail of a long sequence,
-    "head" drops its head."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    if truncation not in ("tail", "head"):
-        raise ValueError("truncation must be 'tail' or 'head'")
-    return tokens[:max_len] if truncation == "tail" else tokens[-max_len:]
+def truncate(tokens, max_len: int, truncation: Truncation = Truncation.TAIL):
+    """The tokens kept at max_len (>= 1, as `TweetPipeline` checks): TAIL
+    drops the tail of a long sequence, HEAD drops its head."""
+    return tokens[:max_len] if truncation == Truncation.TAIL else tokens[-max_len:]
 
 
 def embed(
@@ -195,11 +191,12 @@ class TweetPipeline(NamedTuple):
 
     table: EmbeddingTable
     max_len: int = DEFAULT_MAX_LEN
-    truncation: str = "tail"
+    truncation: Truncation = Truncation.TAIL
     repeat_tag: bool = False
 
     def _check(self):
-        truncate((), self.max_len, self.truncation)  # rejects bad settings
+        if self.max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 
     def _kept(self, tweet: TweetRecord) -> list[str]:
         return truncate(tokenize(tweet.text, repeat_tag=self.repeat_tag),
@@ -223,14 +220,14 @@ class TweetPipeline(NamedTuple):
         """Hash of the embedding table and the tokenizer/embedding settings."""
         h = hashlib.sha256()
         h.update(self.table.content_hash().encode())
-        h.update(f"|max_len={self.max_len}|trunc={self.truncation}"
+        h.update(f"|max_len={self.max_len}|trunc={self.truncation.value}"
                  f"|repeat={self.repeat_tag}".encode())
         return h.hexdigest()
 
     def meta(self) -> dict[str, str]:
         """The checkpoint meta entries that record this pipeline."""
         return {"pipeline_hash": self.fingerprint(), "max_len": str(self.max_len),
-                "truncation": self.truncation, "repeat_tag": str(int(self.repeat_tag))}
+                "truncation": self.truncation.value, "repeat_tag": str(int(self.repeat_tag))}
 
     @classmethod
     def from_meta(cls, meta, table: EmbeddingTable) -> TweetPipeline:

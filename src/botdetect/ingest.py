@@ -44,7 +44,7 @@ from .data import (
     TweetRecord,
     checked,
 )
-from .errors import ConfigError, DataError, text_file
+from .errors import DataError, text_file
 
 # Skip-and-count tolerates stray corruption up to this fraction of a file;
 # beyond it the file is considered schema-drifted and loading fails. Tiny
@@ -71,16 +71,8 @@ class ManifestGroup(NamedTuple):
     expected_tweets: int | None = None
 
 
-@checked
 class CorpusManifest(NamedTuple):
-    groups: tuple[ManifestGroup, ...]
-
-    def _check(self):
-        names = [g.name for g in self.groups]
-        if len(set(names)) != len(names):
-            raise ConfigError("manifest group names must be unique")
-        if not self.groups:
-            raise ConfigError("manifest defines no groups")
+    groups: tuple[ManifestGroup, ...]  # one per name, as `parse_manifest` keys them
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -113,6 +105,8 @@ def parse_manifest(path) -> CorpusManifest:
             raise DataError(f"unrecognized manifest key {key!r}")
         _, name, attr = parts
         groups.setdefault(name, {})[attr] = value
+    if not groups:
+        raise DataError(f"{path}: manifest defines no groups")
     built = []
     for name, attrs in groups.items():
         if "path" not in attrs or "label" not in attrs:

@@ -24,29 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import FeatureMatrix, Label, Standardizer, Strategy, checked
+from .data import FeatureMatrix, Label, ResampleConfig, Standardizer, Strategy
 from .errors import ConfigError, DataError
 
 # Size of one (block rows, n) float64 temporary in `neighbor_table`.
 _BLOCK_BYTES = 1 << 20
 _UNIT_ROUNDOFF = 2.0 ** -53
-
-
-@checked
-class ResampleConfig(NamedTuple):
-    strategy: Strategy = Strategy.NONE
-    smote_k: int = 5
-    enn_k: int = 3
-    target_ratio: float = 1.0
-    seed: int = 0
-
-    def _check(self):
-        if self.smote_k < 1 or self.enn_k < 1:
-            raise ValueError("neighbor counts must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.target_ratio < np.inf:
-            raise ValueError(f"target_ratio must be positive and finite, got {self.target_ratio}")
 
 
 class StageRecord(NamedTuple):

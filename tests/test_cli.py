@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 
+import artifacts
 import numpy as np
 import pytest
 
@@ -92,6 +93,50 @@ def test_ingest_subcommand(corpus, capsys):
     out = capsys.readouterr().out
     assert "accounts_total = 60" in out
     assert "tweets_total = 360" in out
+
+
+# `ingest --kv` on tests/artifacts.py's messy corpus: filled cells, a skipped
+# row of each kind, a column counted from the text, notes and a warning.
+MESSY_INGEST = """\
+accounts_total = 4
+tweets_total = 3
+group.h.accounts_loaded = 3
+group.h.tweets_loaded = 0
+group.h.accounts_skipped = 1
+group.h.tweets_skipped = 0
+group.h.filled.default_profile = 1
+group.h.filled.favourites_count = 2
+group.h.filled.followers_count = 1
+group.h.filled.geo_enabled = 2
+group.h.filled.listed_count = 1
+group.h.filled.profile_use_background_image = 1
+group.h.filled.protected = 1
+group.h.filled.verified = 1
+group.h.note.0 = tweets.csv absent
+group.b.accounts_loaded = 1
+group.b.tweets_loaded = 3
+group.b.accounts_skipped = 0
+group.b.tweets_skipped = 1
+group.b.filled.favorite_count = 3
+group.b.filled.followers_count = 1
+group.b.filled.num_hashtags = 1
+group.b.filled.num_mentions = 1
+group.b.filled.retweet_count = 1
+group.b.fallback_counted.num_urls = true
+group.b.note.0 = column reply_count absent; filled with 0
+warning.0 = group b: expected 4 tweets, loaded 3
+"""
+
+
+def test_ingest_kv_on_the_messy_corpus(tmp_path, capsys):
+    for rel, text in artifacts._messy_corpus().items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    kv = tmp_path / "diagnostics.kv"
+    assert main(["ingest", "--manifest", str(tmp_path / "messy" / "manifest.txt"),
+                 "--kv", str(kv)]) == 0
+    assert capsys.readouterr().out == MESSY_INGEST
+    assert kv.read_text(encoding="utf-8") == MESSY_INGEST
 
 
 def test_resample_subcommand_round_trip(tmp_path):
@@ -229,14 +274,13 @@ def test_embedding_file_without_vectors_is_a_data_error(corpus, tmp_path, capsys
 
 
 def test_lstm_config_rules():
-    with pytest.raises(ConfigError):
-        RunConfig(task="account", model="contextual", manifest="m").validate()
-    with pytest.raises(ConfigError):
-        RunConfig(task="tweet", model="lstm", manifest="m", resample="smote",
-                  embedding="e").validate()
-    with pytest.raises(ConfigError):
-        RunConfig(task="tweet", model="lstm", manifest="m").validate()
-    RunConfig(task="tweet", model="lstm", manifest="m", embedding="e").validate()
+    with pytest.raises(ValueError, match="tweet-level only"):
+        RunConfig(task="account", model="contextual", manifest="m")
+    with pytest.raises(ValueError, match="resample=none"):
+        RunConfig(task="tweet", model="lstm", manifest="m", resample="smote", embedding="e")
+    with pytest.raises(ValueError, match="requires --embedding"):
+        RunConfig(task="tweet", model="lstm", manifest="m")
+    RunConfig(task="tweet", model="lstm", manifest="m", embedding="e")
 
 
 @pytest.mark.parametrize("name,value", [
@@ -245,9 +289,9 @@ def test_lstm_config_rules():
     ("target_ratio", 0.0), ("target_ratio", float("nan")),
 ])
 def test_out_of_range_values_are_config_errors(name, value):
-    RunConfig(manifest="m", max_len=1, n_trees=1, epochs=0, vocab_cap=0).validate()
+    RunConfig(manifest="m", max_len=1, n_trees=1, epochs=0, vocab_cap=0)
     with pytest.raises(ConfigError, match=name):
-        RunConfig(manifest="m", **{name: value}).validate()
+        from_strings(RunConfig, {"manifest": "m", name: str(value)})
 
 
 def test_config_from_strings_types():
@@ -421,6 +465,30 @@ def test_bench_row_with_bad_value_is_recorded(corpus, tmp_path, capsys):
     assert len(lines) == 5 and ",error," in lines[4]
 
 
+def test_failed_bench_rows_have_one_shape(corpus, tmp_path):
+    # A value that does not parse and values that RunConfig refuses fill a
+    # row's config columns alike: from the row's values, or else from
+    # RunConfig's defaults.
+    bench = tmp_path / "failed.kv"
+    bench.write_text(
+        f"default.manifest = {corpus / 'manifest.txt'}\n"
+        "row.b.model = forest\n"
+        "row.b.seed = x\n"
+        "row.a.train_fraction = 1\n"
+        "row.net.task = tweet\n"
+        "row.net.model = lstm\n"
+        "row.net.embedding_dim = 50\n",
+        encoding="utf-8",
+    )
+    benchmark_suite(str(bench), str(tmp_path / "out"))
+    lines = (tmp_path / "out" / "bench.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [
+        "b,account,forest,none,25,,,,,,error,seed = 'x': expected int",
+        "a,account,forest,none,25,,,,,,error,invalid RunConfig: train_fraction must lie in (0; 1)",
+        "net,tweet,lstm,none,50,,,,,,error,invalid RunConfig: model lstm requires --embedding",
+    ]
+
+
 def test_bench_row_with_a_negative_seed_records_exit_2(corpus, tmp_path, capsys):
     bench = tmp_path / "seed.kv"
     bench.write_text(
@@ -436,7 +504,7 @@ def test_bench_row_with_a_negative_seed_records_exit_2(corpus, tmp_path, capsys)
     assert "2 rows, 1 failed" in capsys.readouterr().out
     lines = (tmp_path / "b" / "bench.csv").read_text(encoding="utf-8").splitlines()
     assert lines[1].startswith("negative,") and lines[1].endswith(
-        ",error,seed must be >= 0; got -1")
+        ",error,invalid RunConfig: seed must be >= 0; got -1")
     assert lines[2].startswith("later,") and lines[2].endswith(",ok,")
 
 
@@ -583,6 +651,7 @@ MALFORMED = {
     "net_repeated_tensor": (3, "eval", ("net", "tensor meta_standardizer.mean 1 6\n",
                                         "tensor meta_standardizer.mean 1 6\n0.5 0.5 0.5 0.5 0.5 0.5"
                                         "\ntensor meta_standardizer.mean 1 6\n")),
+    "net_max_len_0": (2, "eval", ("net", "meta max_len = 30", "meta max_len = 0")),
     "net_repeated_meta": (3, "eval", ("net", "meta max_len = 30\n",
                                       "meta max_len = 30\nmeta max_len = 2\n")),
     # Extra argv after a checkpoint edit is appended to the command.
@@ -593,6 +662,21 @@ MALFORMED = {
     "train_unknown_flag": (2, "train_flags", ["--bogus"]),
     "no_command": (2, "cli", []),
     "train_seed_negative": (2, "train_flags", ["--seed", "-1"]),
+    # Run values that RunConfig refuses: each exits before the corpus or
+    # the embedding file (which does not exist) is read.
+    "flag_task_bogus": (2, "train_flags", ["--task", "bogus"]),
+    "flag_model_bogus": (2, "train_flags", ["--model", "bogus"]),
+    "flag_resample_bogus": (2, "train_flags", ["--resample", "bogus"]),
+    "flag_truncation_middle": (2, "train_flags", ["--truncation", "middle"]),
+    "flag_train_fraction_1": (2, "train_flags", ["--train-fraction", "1"]),
+    "flag_val_fraction_1": (2, "train_flags", ["--val-fraction", "1"]),
+    "flag_threshold_0": (2, "train_flags", ["--threshold", "0"]),
+    "flag_net_on_accounts": (2, "train_flags", ["--model", "lstm", "--embedding", "absent.txt"]),
+    "flag_net_resample_smote": (2, "train_flags", ["--task", "tweet", "--model", "lstm",
+                                                   "--embedding", "absent.txt",
+                                                   "--resample", "smote"]),
+    "flag_net_no_embedding": (2, "train_flags", ["--task", "tweet", "--model", "contextual"]),
+    "eval_net_no_embedding": (2, "eval", ("net", "", "", "--embedding", "")),
     # Any other argv runs as given; {tmp} is the test's directory, which
     # holds a valid feature-matrix CSV at {tmp}/m.csv, and {corpus} is the
     # synthetic corpus.
@@ -614,6 +698,9 @@ MALFORMED = {
                                           "{tmp}/o.csv", "--strategy", "smote", "--seed", "-1"]),
     "resample_no_output": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--strategy",
                                       "smote"]),
+    "train_no_manifest": (2, "cli", ["train", "--task", "account", "--out", "{tmp}/r"]),
+    # {tmp}/empty.txt is empty.
+    "manifest_empty": (3, "cli", ["ingest", "--manifest", "{tmp}/empty.txt"]),
     # A command that cannot write its output or its diagnostics leaves neither.
     "resample_output_unwritable": (3, "cli", ["resample", "--input", "{tmp}/m.csv", "--output",
                                               "{tmp}/missing/o.csv", "--strategy", "smote",
@@ -690,9 +777,27 @@ MALFORMED_MESSAGES = {
     "synth_seed_negative": "config error: invalid SyntheticCorpusSpec: seed must be >= 0, got -1",
     "synth_embedding_seed_negative": "config error: embedding_seed must be >= 0, got -1",
     "resample_seed_negative": "config error: invalid ResampleConfig: seed must be >= 0, got -1",
-    "train_seed_negative": "config error: seed must be >= 0, got -1",
-    "net_train_seed_negative": "config error: seed must be >= 0, got -1",
+    "train_seed_negative": "config error: invalid RunConfig: seed must be >= 0, got -1",
+    "net_train_seed_negative": "config error: invalid RunConfig: seed must be >= 0, got -1",
     "train_unknown_flag": "config error: unrecognized arguments: --bogus",
+    "flag_task_bogus": "config error: task = 'bogus': expected one of account/tweet",
+    "flag_model_bogus": "config error: invalid RunConfig: model must be one of "
+                        "logreg/sgd/forest/adaboost/mlp/lstm/contextual, got 'bogus'",
+    "flag_resample_bogus":
+        "config error: resample = 'bogus': expected one of none/smote/smotenn/smotomek",
+    "flag_truncation_middle": "config error: truncation = 'middle': expected one of tail/head",
+    "flag_train_fraction_1": "config error: invalid RunConfig: train_fraction must lie in (0, 1)",
+    "flag_val_fraction_1": "config error: invalid RunConfig: val_fraction must lie in [0, 1)",
+    "flag_threshold_0": "config error: invalid RunConfig: threshold must lie in (0, 1)",
+    "flag_net_on_accounts": "config error: invalid RunConfig: model lstm is tweet-level only",
+    "flag_net_resample_smote": "config error: invalid RunConfig: resampling applies only to "
+                               "baseline pipelines; set resample=none for model lstm",
+    "flag_net_no_embedding":
+        "config error: invalid RunConfig: model contextual requires --embedding",
+    "eval_net_no_embedding": "config error: net checkpoints need --embedding for evaluation",
+    "train_no_manifest": "config error: a corpus manifest is required",
+    "manifest_empty": "data error: {tmp}/empty.txt: manifest defines no groups",
+    "net_max_len_0": "config error: invalid TweetPipeline: max_len must be >= 1, got 0",
 }
 
 
@@ -731,6 +836,7 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         short = [*lines[:2], lines[2][:lines[2].rindex(",")], *lines[3:]]
         (tmp_path / "m_short.csv").write_text("\n".join(short) + "\n", encoding="utf-8")
         (tmp_path / "ff.txt").write_bytes(b"\xffa = b\n")
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
         (tmp_path / "w2v.txt").write_text(
             "2 25\n" + (corpus / "glove_25d.txt").read_text(encoding="utf-8"), encoding="utf-8")
         argv = [arg.replace("{tmp}", str(tmp_path)).replace("{corpus}", str(corpus))

@@ -8,7 +8,7 @@ import botdetect
 from botdetect.baselines import BaselineConfig
 from botdetect.cli import NET_CONFIGS, RunConfig, _part
 from botdetect.config import BOOL_WORDS, from_strings, to_strings
-from botdetect.data import BaselineKind, SplitSpec, Strategy
+from botdetect.data import BaselineKind, SplitSpec, Strategy, Task, Truncation
 from botdetect.embedding import TweetPipeline
 from botdetect.errors import ConfigError
 from botdetect.nnet.model import NetConfig
@@ -145,6 +145,17 @@ def test_enum_fields_round_trip(record):
     strings = to_strings(record)
     assert strings == {"resample": record.resample.value, "kind": record.kind.value}
     assert from_strings(type(record), strings) == record
+
+
+def test_checked_records_hold_enum_members():
+    # A checked record turns an enum field's value into its member, so that
+    # `.value` renders it on every Python version; any other value is refused.
+    config = RunConfig(task="tweet", model="lstm", embedding="e", truncation="head")
+    assert config.task is Task.TWEET and config.truncation is Truncation.HEAD
+    assert config.resample is Strategy.NONE
+    assert ResampleConfig(strategy="smotenn").strategy is Strategy.SMOTENN
+    with pytest.raises(ValueError, match="'middle' is not a valid Truncation"):
+        RunConfig(truncation="middle")
 
 
 def test_config_hash_is_pinned():

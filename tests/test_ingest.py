@@ -288,12 +288,6 @@ def test_missing_group_directory_raises(tmp_path):
         load_corpus(CorpusManifest(groups=(group,)))
 
 
-def test_duplicate_group_names_rejected(tmp_path):
-    g = ManifestGroup(name="g", path=str(tmp_path), label=Label.BOT)
-    with pytest.raises(Exception):
-        CorpusManifest(groups=(g, g))
-
-
 # -- synthetic corpora -------------------------------------------------------
 
 def test_synthetic_deterministic_byte_identical(tmp_path):
