@@ -82,10 +82,9 @@ def fit_adaboost(x: np.ndarray, y: np.ndarray, config: BaselineConfig) -> dict:
         err = min(max(err, _ERR_CLAMP), 1.0 - _ERR_CLAMP)
         if err >= 0.5 and stumps:
             break
-        alpha = float(np.log((1.0 - err) / err))
-        if alpha <= 0.0 and stumps:
-            break
-        alpha = max(alpha, _ERR_CLAMP)
+        # err < 0.5 once a stump exists, so alpha > 0; only a first stump at
+        # err = 0.5 has alpha 0, which the clamp lifts.
+        alpha = max(float(np.log((1.0 - err) / err)), _ERR_CLAMP)
         stumps.append((float(feature), threshold, polarity, alpha))
         predicted = _stump_predict(x, feature, threshold, polarity)
         miss = predicted != y

@@ -50,14 +50,15 @@ def validate_training_matrix(matrix: FeatureMatrix) -> None:
 
 
 def rows_for_prediction(model: BaselineModel, rows) -> np.ndarray:
-    """Standardized feature rows, checked against the training schema."""
+    """Standardized feature rows, checked against the training schema: a
+    FeatureMatrix, or a 2-d (n, width) array. Any other shape is a DataError."""
     if isinstance(rows, FeatureMatrix):
         if rows.schema != model.schema:
             raise DataError(f"schema {rows.schema} does not match training schema {model.schema}")
         rows = rows.features
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
+    if rows.ndim != 2:
+        raise DataError(f"rows must be 2-d, got ndim={rows.ndim}")
     if rows.shape[1] != len(model.schema):
         raise DataError(f"row width {rows.shape[1]} != training width {len(model.schema)}")
     return model.standardizer.transform(rows)

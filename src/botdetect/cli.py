@@ -198,6 +198,12 @@ def _report_files(report: EvalReport, head: list[str], tail: list[str]) -> list:
             ("roc.csv", [f"# {line}" for line in head] + report.roc_csv_lines())]
 
 
+def _refuse_empty(records, what: str) -> None:
+    """Every command's refusal of a corpus without the `what` it scores."""
+    if not records:
+        raise DataError(f"corpus contains no {what}")
+
+
 def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
     """A baseline's input: the account features, or the tweet metadata."""
     if on_accounts:
@@ -206,8 +212,7 @@ def _baseline_matrix(on_accounts: bool, accounts, tweets) -> FeatureMatrix:
     else:
         records, schema = tweets, TWEET_METADATA_COLUMNS
         rows = [r.metadata for r in records]
-    if not records:
-        raise DataError(f"corpus contains no {'accounts' if on_accounts else 'tweets'}")
+    _refuse_empty(records, "accounts" if on_accounts else "tweets")
     labels = np.array([r.label for r in records], dtype=np.int8)
     return FeatureMatrix(np.array(rows, dtype=np.float64), schema, labels)
 
@@ -260,8 +265,7 @@ def _run_net_experiment(config, accounts, tweets, con_hash):
     from .nnet.model import NetConfig, train as train_net
     from .tokenizer import tokenize
 
-    if not tweets:
-        raise DataError("corpus contains no tweets")
+    _refuse_empty(tweets, "tweets")
     labels = np.array([t.label for t in tweets], dtype=np.int8)
     groups = [t.account_id for t in tweets] if config.group_by_account else None
     train_idx, test_idx = split_indices(labels, _part(SplitSpec, config), groups=groups)
@@ -497,8 +501,6 @@ def _load_net(path, meta, arrays, embedding):
     from .embedding import TweetPipeline, load_glove
     from .nnet.model import ContextualLstmModel
 
-    if meta["kind"] not in CHECKPOINT_KINDS:
-        raise DataError(f"{path}: kind {meta['kind']!r} is not a tweet-level net")
     model = ContextualLstmModel.load(meta, arrays)
     vocabulary = meta["vocabulary"].split() if "vocabulary" in meta else None
     table = load_glove(embedding, model.config.embedding_dim, restrict_to=vocabulary)
@@ -510,8 +512,7 @@ def _load_net(path, meta, arrays, embedding):
 
 
 def _cmd_eval(args) -> int:
-    if not 0.0 < args.threshold < 1.0:
-        raise ConfigError("threshold must lie in (0, 1)")
+    threshold = from_strings(RunConfig, {"threshold": args.threshold}).threshold
     from .persist import load_model
 
     meta, arrays = load_model(args.checkpoint)
@@ -520,8 +521,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError("net checkpoints need --embedding for evaluation")
     accounts, tweets, _ = _read_corpus(args.manifest)
     if kind in CHECKPOINT_KINDS:
-        if not tweets:
-            raise DataError("corpus contains no tweets")
+        _refuse_empty(tweets, "tweets")
         model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
         scores = model.predict_proba(pipeline.table.matrix, *pipeline.tensors(tweets))
         labels = np.array([t.label for t in tweets], dtype=np.int8)
@@ -534,7 +534,7 @@ def _cmd_eval(args) -> int:
         labels = matrix.labels
     else:
         raise DataError(f"{args.checkpoint}: unknown model kind {kind!r}")
-    report = evaluate(scores, labels, args.threshold)
+    report = evaluate(scores, labels, threshold)
     if args.out:
         _write_files(_report_files(report, [], []), args.out)
     sys.stdout.write(report.to_text())
@@ -546,10 +546,11 @@ def _cmd_inspect(args) -> int:
     from .persist import load_model
 
     meta, arrays = load_model(args.checkpoint)
-    model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
+    if meta["kind"] not in CHECKPOINT_KINDS:
+        raise DataError(f"{args.checkpoint}: kind {meta['kind']!r} is not a tweet-level net")
     _, tweets, _ = _read_corpus(args.manifest)
-    if not tweets:
-        raise DataError("corpus contains no tweets")
+    _refuse_empty(tweets, "tweets")
+    model, pipeline = _load_net(args.checkpoint, meta, arrays, args.embedding)
     index = args.tweet_index
     if not 0 <= index < len(tweets):
         raise ConfigError(f"tweet index {index} outside corpus of {len(tweets)}")
@@ -638,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--embedding", default="")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", default="0.5")
     p.add_argument("--out", default="")
     p.set_defaults(func=_cmd_eval)
 

@@ -190,8 +190,8 @@ def matrix_from_csv_lines(lines, path) -> FeatureMatrix:
     """The matrix in the lines of the CSV file `path`, which errors name."""
     rows = [(lineno, ln.strip()) for lineno, ln in enumerate(lines, start=1)
             if ln.strip() and not ln.startswith("#")]
-    if not rows:
-        raise DataError(f"{path}: matrix CSV has no content")
+    if len(rows) < 2:
+        raise DataError(f"{path}: matrix CSV has no data rows")
     header = rows[0][1].split(",")
     if len(header) < 2 or header[-1] != "label":
         raise DataError(f"{path}: matrix CSV must end with a `label` column")

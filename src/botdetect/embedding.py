@@ -36,20 +36,16 @@ DEFAULT_MAX_LEN = 30
 class EmbeddingTable(NamedTuple):
     """Frozen word vectors as one (V + 2, d) matrix: the V vocabulary rows,
     then the unknown-token row (their mean), then the all-zero pad row. A
-    tweet travels as row ids into it."""
+    tweet travels as row ids into it. `_build_table`, the one constructor,
+    lays out that shape; the check refuses a non-finite entry, such as a mean
+    that overflowed where float errors are not raised."""
 
     vocabulary: dict[str, int]
     matrix: np.ndarray
 
     def _check(self):
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.pad_id + 1:
-            raise ValueError("matrix shape does not match vocabulary")
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("vectors contain non-finite entries")
-        if np.any(self.matrix[self.pad_id] != 0.0):
-            raise ValueError("pad vector must be exactly zero")
         self.matrix.setflags(write=False)
 
     @property

@@ -120,8 +120,6 @@ class EvalReport(NamedTuple):
         ]
         if not self.precision_defined:
             rows.append("  note: no predicted positives; precision reported as 0")
-        if not self.recall_defined:
-            rows.append("  note: no actual positives; recall reported as 0")
         return "\n".join(rows) + "\n"
 
     def roc_csv_lines(self) -> list[str]:

@@ -186,12 +186,11 @@ def smote(matrix: FeatureMatrix, config: ResampleConfig) -> FeatureMatrix:
 
 
 def tomek_links(matrix: FeatureMatrix) -> set[tuple[int, int]]:
-    """All cross-class mutual nearest-neighbor pairs, as (low, high) tuples."""
-    n = matrix.n_rows
-    if n < 2:
-        return set()
+    """All cross-class mutual nearest-neighbor pairs, as (low, high) tuples.
+    The matrix needs at least 2 rows (`neighbor_table` refuses fewer);
+    `apply_strategy` passes smote's output, which has at least 4."""
     nn = neighbor_table(_standardized(matrix), 1)[:, 0]
-    rows = np.arange(n)
+    rows = np.arange(matrix.n_rows)
     linked = (nn[nn] == rows) & (matrix.labels != matrix.labels[nn]) & (rows < nn)
     return set(zip(rows[linked].tolist(), nn[linked].tolist()))
 

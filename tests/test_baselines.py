@@ -16,6 +16,7 @@ from botdetect.baselines import (
     save_baseline,
 )
 from botdetect.baselines.boost import adaboost_margin, fit_adaboost
+from botdetect.baselines.linear import fit_sgd
 from botdetect.baselines import forest
 from botdetect.baselines.forest import fit_forest, predict_forest
 from botdetect.baselines.mlp import init_mlp_params
@@ -189,6 +190,23 @@ def test_adaboost_perfect_stump_short_circuits():
     assert _accuracy(model, m) == 1.0
 
 
+def test_adaboost_stops_once_no_stump_beats_chance():
+    # Constant features: every stump errs on half the weight. The first is
+    # kept at the smallest alpha, the reweighted second just beats 0.5, and
+    # the third does not.
+    params = fit_adaboost(np.zeros((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]),
+                          BaselineConfig(n_stumps=10))
+    assert params["stumps"].shape == (2, 4)
+    assert np.all(params["stumps"][:, 3] > 0.0)
+
+
+def test_platt_on_zero_spread_margins_keeps_unit_scale():
+    # Constant features give every row the same margin; its spread is taken as 1.
+    params = fit_sgd(np.zeros((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]), BaselineConfig(),
+                     np.random.Generator(np.random.PCG64(0)))
+    assert params["platt"].tolist() == [1.0, 0.0, 0.0, 1.0]
+
+
 def test_mlp_gradients_match_finite_differences():
     rng = np.random.Generator(np.random.PCG64(11))
     params = init_mlp_params(rng, 4, (8, 5, 1))
@@ -210,6 +228,13 @@ def test_predict_rejects_schema_mismatch():
     other = FeatureMatrix(np.zeros((2, 2)), ("x", "y"), [0, 1])
     with pytest.raises(DataError, match=r"schema \('x', 'y'\) does not match training schema"):
         baselines.predict_proba(model, other)
+
+
+def test_predict_refuses_rows_that_are_not_2d():
+    model = baselines.fit(BaselineKind.LOGREG, _separable(seed=14, n=20), BaselineConfig(seed=0))
+    for rows in (np.zeros(2), np.zeros((1, 2, 1))):
+        with pytest.raises(DataError, match=f"rows must be 2-d, got ndim={rows.ndim}"):
+            baselines.predict_proba(model, rows)
 
 
 def test_fits_deterministic_under_seed():

@@ -580,12 +580,44 @@ def _listing(root):
     return sorted(path.relative_to(root) for path in root.rglob("*"))
 
 
+def _write_inputs(tmp_path, corpus):
+    """The input files in the test's directory that the cases below name."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    matrix = FeatureMatrix(rng.standard_normal((20, 3)), ("a", "b", "c"), [0] * 14 + [1] * 6)
+    lines = matrix_to_csv_lines(matrix)
+    variants = {"m": lines, "m_header": lines[:1],
+                "m_short": [*lines[:2], lines[2][:lines[2].rindex(",")], *lines[3:]],
+                "m_robot": [lines[0], lines[1][:lines[1].rindex(",")] + ",robot", *lines[2:]],
+                "m_no_label": [lines[0].replace(",label", ",kind"), *lines[1:]]}
+    for cell in ("nan", "inf", "1e300", "abc"):
+        variants[f"m_{cell}"] = [lines[0], cell + lines[1][lines[1].index(","):], *lines[2:]]
+    for name, text in variants.items():
+        (tmp_path / f"{name}.csv").write_text("\n".join(text) + "\n", encoding="utf-8")
+    (tmp_path / "ff.txt").write_bytes(b"\xffa = b\n")
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    (tmp_path / "comments.kv").write_text("# no rows\n", encoding="utf-8")
+    glove = (corpus / "glove_25d.txt").read_text(encoding="utf-8")
+    (tmp_path / "w2v.txt").write_text("2 25\n" + glove, encoding="utf-8")
+    token, _, rest = glove.split(" ", 2)
+    (tmp_path / "glove_inf.txt").write_text(f"{token} inf {rest}", encoding="utf-8")
+    for name, csv_name, text in (
+            ("no_tweets", "users.csv", (corpus / "human" / "users.csv").read_text(encoding="utf-8")),
+            ("no_accounts", "tweets.csv",
+             (corpus / "human" / "tweets.csv").read_text(encoding="utf-8")),
+            ("empty_users", "users.csv", "")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / csv_name).write_text(text, encoding="utf-8")
+        (tmp_path / f"{name}.txt").write_text(
+            f"group.human.path = {name}\ngroup.human.label = human\n", encoding="utf-8")
+
+
 # id -> (expected exit code, what to run). Config files and checkpoints are
 # written from the given text; "net"/"forest" are edited checkpoint texts.
 MALFORMED = {
     "config_seed_abc": (2, "train_config", "seed = abc\n"),
     "config_repeated_key": (3, "train_config", "seed = 1\nseed = 2\n"),
     "config_stratified_maybe": (2, "train_config", "stratified = maybe\n"),
+    "config_line_without_equals": (3, "train_config", "seed 1\n"),
     "flag_mlp_layers": (2, "train_flags", ["--mlp-layers", "5,x"]),
     "net_hidden_dim_x": (2, "eval", ("net", "meta hidden_dim = 32", "meta hidden_dim = x")),
     "baseline_n_trees_x": (2, "eval", ("forest", "meta config.n_trees = 2",
@@ -654,10 +686,28 @@ MALFORMED = {
     "net_max_len_0": (2, "eval", ("net", "meta max_len = 30", "meta max_len = 0")),
     "net_repeated_meta": (3, "eval", ("net", "meta max_len = 30\n",
                                       "meta max_len = 30\nmeta max_len = 2\n")),
-    # Extra argv after a checkpoint edit is appended to the command.
+    "net_meta_without_equals": (3, "eval", ("net", "meta hidden_dim = 32", "meta hidden_dim 32")),
+    "forest_line_neither_meta_nor_tensor": (3, "eval", ("forest", "meta kind = forest\n",
+                                                        "meta kind = forest\nbogus\n")),
+    "net_embedding_dim_0": (2, "eval", ("net", "meta embedding_dim = 25",
+                                        "meta embedding_dim = 0")),
+    "net_use_aux_0_aux_weight": (2, "eval", ("net", "meta use_aux = 1", "meta use_aux = 0")),
+    # A corpus without the records the command scores; the "cli" cases
+    # below train on such corpora.
+    "eval_net_no_tweets": (3, "eval", ("net", "", "", "--manifest", "{tmp}/no_tweets.txt")),
+    "eval_forest_no_accounts": (3, "eval", ("forest", "", "", "--manifest",
+                                            "{tmp}/no_accounts.txt")),
+    "inspect_no_tweets": (3, "inspect", ("net", "", "", "--manifest", "{tmp}/no_tweets.txt")),
+    # The corpus is read before the GloVe file, which does not exist.
+    "inspect_no_tweets_before_embedding": (3, "inspect", ("net", "", "", "--manifest",
+                                                          "{tmp}/no_tweets.txt", "--embedding",
+                                                          "{tmp}/absent.txt")),
+    # Extra argv after a checkpoint edit is appended to the command, {tmp}
+    # standing for the test's directory (see "cli" below).
     "eval_threshold_7": (2, "eval", ("forest", "", "", "--threshold", "7")),
-    # Usage errors: a flag argparse types, an unknown flag, no command.
+    "eval_threshold_0": (2, "eval", ("forest", "", "", "--threshold", "0")),
     "eval_threshold_x": (2, "eval", ("forest", "", "", "--threshold", "x")),
+    # Usage errors: a flag argparse types, an unknown flag, no command.
     "inspect_tweet_index_x": (2, "inspect", ("net", "", "", "--tweet-index", "x")),
     "train_unknown_flag": (2, "train_flags", ["--bogus"]),
     "no_command": (2, "cli", []),
@@ -699,6 +749,20 @@ MALFORMED = {
     "resample_no_output": (2, "cli", ["resample", "--input", "{tmp}/m.csv", "--strategy",
                                       "smote"]),
     "train_no_manifest": (2, "cli", ["train", "--task", "account", "--out", "{tmp}/r"]),
+    # {tmp}/no_tweets.txt names one group that holds only a users.csv,
+    # {tmp}/no_accounts.txt one that holds only a tweets.csv, and
+    # {tmp}/empty_users.txt one whose users.csv is empty.
+    "train_net_no_tweets": (3, "cli", ["train", "--task", "tweet", "--model", "lstm",
+                                       "--manifest", "{tmp}/no_tweets.txt", "--embedding",
+                                       "{corpus}/glove_25d.txt", "--out", "{tmp}/r"]),
+    "train_forest_no_tweets": (3, "cli", ["train", "--task", "tweet", "--model", "forest",
+                                          "--manifest", "{tmp}/no_tweets.txt", "--out", "{tmp}/r"]),
+    "train_forest_no_accounts": (3, "cli", ["train", "--task", "account", "--model", "forest",
+                                            "--manifest", "{tmp}/no_accounts.txt", "--out",
+                                            "{tmp}/r"]),
+    "ingest_empty_users_csv": (3, "cli", ["ingest", "--manifest", "{tmp}/empty_users.txt"]),
+    # {tmp}/comments.kv holds comments only.
+    "bench_no_rows": (2, "cli", ["bench", "--config", "{tmp}/comments.kv", "--out", "{tmp}/b"]),
     # {tmp}/empty.txt is empty.
     "manifest_empty": (3, "cli", ["ingest", "--manifest", "{tmp}/empty.txt"]),
     # A command that cannot write its output or its diagnostics leaves neither.
@@ -726,14 +790,27 @@ MALFORMED = {
     # m_short.csv is m.csv with the label cell of its third line dropped.
     "resample_short_row": (3, "cli", ["resample", "--input", "{tmp}/m_short.csv", "--output",
                                       "{tmp}/o.csv", "--strategy", "smote"]),
-    # m_nan.csv, m_inf.csv and m_1e300.csv are m.csv with its first cell replaced.
+    # m_nan.csv, m_inf.csv, m_1e300.csv and m_abc.csv are m.csv with its first
+    # cell replaced.
     "resample_nan_cell": (3, "cli", ["resample", "--input", "{tmp}/m_nan.csv", "--output",
+                                     "{tmp}/o.csv", "--strategy", "smote"]),
+    "resample_abc_cell": (3, "cli", ["resample", "--input", "{tmp}/m_abc.csv", "--output",
                                      "{tmp}/o.csv", "--strategy", "smote"]),
     "resample_inf_cell": (3, "cli", ["resample", "--input", "{tmp}/m_inf.csv", "--output",
                                      "{tmp}/o.csv", "--strategy", "smote"]),
     # A finite cell whose square overflows while the columns are z-scored.
     "resample_1e300_cell": (3, "cli", ["resample", "--input", "{tmp}/m_1e300.csv", "--output",
                                        "{tmp}/o.csv", "--strategy", "smotenn"]),
+    # m_robot.csv is m.csv with the label of its second line replaced,
+    # m_no_label.csv with its label column renamed, m_header.csv its header alone.
+    "resample_unknown_label": (3, "cli", ["resample", "--input", "{tmp}/m_robot.csv",
+                                          "--output", "{tmp}/o.csv", "--strategy", "smote"]),
+    "resample_no_label_column": (3, "cli", ["resample", "--input", "{tmp}/m_no_label.csv",
+                                            "--output", "{tmp}/o.csv", "--strategy", "smote"]),
+    "resample_header_only": (3, "cli", ["resample", "--input", "{tmp}/m_header.csv",
+                                        "--output", "{tmp}/o.csv", "--strategy", "none"]),
+    "resample_empty_file": (3, "cli", ["resample", "--input", "{tmp}/empty.txt",
+                                       "--output", "{tmp}/o.csv", "--strategy", "none"]),
     # {tmp}/ff.txt is not UTF-8: its first byte is 0xff.
     "tokenize_not_utf8": (3, "cli", ["tokenize", "--input", "{tmp}/ff.txt"]),
     "resample_not_utf8": (3, "cli", ["resample", "--input", "{tmp}/ff.txt", "--output",
@@ -744,6 +821,11 @@ MALFORMED = {
                                      "--manifest", "{corpus}/manifest.txt", "--embedding",
                                      "{tmp}/w2v.txt", "--embedding-dim", "25", "--out",
                                      "{tmp}/r"]),
+    # {tmp}/glove_inf.txt is the corpus's GloVe file with an inf first component.
+    "glove_inf_component": (3, "cli", ["train", "--task", "tweet", "--model", "lstm",
+                                       "--manifest", "{corpus}/manifest.txt", "--embedding",
+                                       "{tmp}/glove_inf.txt", "--embedding-dim", "25", "--out",
+                                       "{tmp}/r"]),
     "eval_not_utf8": (3, "cli", ["eval", "--checkpoint", "{tmp}/ff.txt",
                                  "--manifest", "{corpus}/manifest.txt"]),
     "train_config_not_utf8": (3, "cli", ["train", "--config", "{tmp}/ff.txt"]),
@@ -756,6 +838,7 @@ MALFORMED = {
     "manifest_misspelt_attribute": (3, "manifest", "group.human.acounts = 5\n"),
     "manifest_repeated_key": (3, "manifest",
                               "group.human.label = human\ngroup.human.label = human\n"),
+    "manifest_group_without_label": (3, "manifest", "group.extra.path = human\n"),
     # A line appended to a one-row bench config.
     "bench_row_key_without_field": (2, "bench_config", "row.x = 1\n"),
     "bench_config_repeated_key": (3, "bench_config", "row.forest.model = forest\n"),
@@ -789,6 +872,9 @@ MALFORMED_MESSAGES = {
     "flag_train_fraction_1": "config error: invalid RunConfig: train_fraction must lie in (0, 1)",
     "flag_val_fraction_1": "config error: invalid RunConfig: val_fraction must lie in [0, 1)",
     "flag_threshold_0": "config error: invalid RunConfig: threshold must lie in (0, 1)",
+    "eval_threshold_0": "config error: invalid RunConfig: threshold must lie in (0, 1)",
+    "eval_threshold_7": "config error: invalid RunConfig: threshold must lie in (0, 1)",
+    "eval_threshold_x": "config error: threshold = 'x': expected float",
     "flag_net_on_accounts": "config error: invalid RunConfig: model lstm is tweet-level only",
     "flag_net_resample_smote": "config error: invalid RunConfig: resampling applies only to "
                                "baseline pipelines; set resample=none for model lstm",
@@ -798,12 +884,35 @@ MALFORMED_MESSAGES = {
     "train_no_manifest": "config error: a corpus manifest is required",
     "manifest_empty": "data error: {tmp}/empty.txt: manifest defines no groups",
     "net_max_len_0": "config error: invalid TweetPipeline: max_len must be >= 1, got 0",
+    "net_embedding_dim_0": "config error: invalid NetConfig: embedding_dim must be positive",
+    "net_use_aux_0_aux_weight":
+        "config error: invalid NetConfig: aux loss weight must be 0 when the aux head is off",
+    "net_meta_without_equals": "data error: {tmp}/bad.txt:4: malformed meta line",
+    "forest_line_neither_meta_nor_tensor": "data error: {tmp}/bad.txt:3: unexpected line 'bogus'",
+    "config_line_without_equals":
+        "data error: {tmp}/run.kv:4: expected `key = value`, got 'seed 1\\n'",
+    "manifest_group_without_label": "data error: group 'extra' needs both path and label",
+    "ingest_empty_users_csv": "data error: {tmp}/empty_users/users.csv: file has no header row",
+    "bench_no_rows": "config error: bench config defines no rows",
+    "glove_inf_component": "data error: {tmp}/glove_inf.txt:1: non-finite component",
+    "resample_abc_cell": "data error: {tmp}/m_abc.csv:2: could not convert string to float: 'abc'",
+    "resample_unknown_label": "data error: {tmp}/m_robot.csv:2: unknown label 'robot'",
+    "resample_no_label_column":
+        "data error: {tmp}/m_no_label.csv: matrix CSV must end with a `label` column",
+    "resample_header_only": "data error: {tmp}/m_header.csv: matrix CSV has no data rows",
+    "resample_empty_file": "data error: {tmp}/empty.txt: matrix CSV has no data rows",
+    **{case: "data error: corpus contains no tweets"
+       for case in ("train_net_no_tweets", "train_forest_no_tweets", "eval_net_no_tweets",
+                    "inspect_no_tweets", "inspect_no_tweets_before_embedding")},
+    **{case: "data error: corpus contains no accounts"
+       for case in ("train_forest_no_accounts", "eval_forest_no_accounts")},
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
     expected, command, spec = MALFORMED[case]
+    _write_inputs(tmp_path, corpus)
     manifest = str(corpus / "manifest.txt")
     embedding = str(corpus / "glove_25d.txt")
     if command == "train_config":
@@ -826,19 +935,6 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
         )
         argv = ["bench", "--config", str(tmp_path / "bench.kv"), "--out", str(tmp_path / "b")]
     elif command == "cli":
-        rng = np.random.Generator(np.random.PCG64(0))
-        matrix = FeatureMatrix(rng.standard_normal((20, 3)), ("a", "b", "c"), [0] * 14 + [1] * 6)
-        lines = matrix_to_csv_lines(matrix)
-        (tmp_path / "m.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for cell in ("nan", "inf", "1e300"):
-            bad = [lines[0], cell + lines[1][lines[1].index(","):], *lines[2:]]
-            (tmp_path / f"m_{cell}.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
-        short = [*lines[:2], lines[2][:lines[2].rindex(",")], *lines[3:]]
-        (tmp_path / "m_short.csv").write_text("\n".join(short) + "\n", encoding="utf-8")
-        (tmp_path / "ff.txt").write_bytes(b"\xffa = b\n")
-        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
-        (tmp_path / "w2v.txt").write_text(
-            "2 25\n" + (corpus / "glove_25d.txt").read_text(encoding="utf-8"), encoding="utf-8")
         argv = [arg.replace("{tmp}", str(tmp_path)).replace("{corpus}", str(corpus))
                 for arg in spec]
     else:
@@ -853,7 +949,8 @@ def test_malformed_input_ends_in_one_line(corpus, tmp_path, case):
             text = _without_tensors(text, old) if new is None else _edit(text, old, new)
             (tmp_path / "bad.txt").write_text(text, encoding="utf-8")
         argv = [command, "--checkpoint", str(tmp_path / "bad.txt"), "--manifest", manifest,
-                "--embedding", embedding, "--out", str(tmp_path / "o"), *extra]
+                "--embedding", embedding, "--out", str(tmp_path / "o"),
+                *(arg.replace("{tmp}", str(tmp_path)) for arg in extra)]
     src = os.path.dirname(os.path.dirname(botdetect.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     before = _listing(tmp_path)
@@ -1087,6 +1184,26 @@ def test_inspect_out_holding_a_file_is_left_as_it_was(corpus, tmp_path, capsys):
     assert os.listdir(out) == ["notes.txt"]
     assert (out / "notes.txt").read_text(encoding="utf-8") == "mine\n"
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_inspect_of_a_tweet_that_tokenizes_to_nothing_notes_it(corpus, tmp_path, capsys):
+    (tmp_path / "net.txt").write_text(_checkpoint_texts(corpus, tmp_path)["net"],
+                                      encoding="utf-8")
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus, copy)
+    path = copy / "human" / "tweets.csv"
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    user_id, _, counts = first.split(",", 2)
+    path.write_text("\n".join([header, f"{user_id},,{counts}", *rest]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", "--checkpoint", str(tmp_path / "net.txt"),
+                 "--manifest", str(copy / "manifest.txt"),
+                 "--embedding", str(corpus / "glove_25d.txt"), "--out", str(tmp_path / "o")]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "note: tweet 0 tokenizes to nothing; trace is empty"
+    assert err == ""
+    # The trace's header rows name no token and no unit.
+    assert (tmp_path / "o" / "trace_0.csv").read_text(encoding="utf-8") == "unit,\ntoken,\n"
 
 
 def test_bench_row_that_diverges_records_exit_4(corpus, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,13 @@ def test_matrix_rejects_nan_and_width_mismatch():
         FeatureMatrix(np.ones((2, 3)), ("a", "b"), [Label.BOT, Label.HUMAN])
     with pytest.raises(ValueError):
         FeatureMatrix(np.ones((2, 2)), ("a", "b"), [Label.BOT])
+
+
+def test_matrix_rejects_features_that_are_not_2d_and_labels_not_0_or_1():
+    with pytest.raises(ValueError, match="features must be 2-d, got ndim=1"):
+        FeatureMatrix(np.ones(2), ("a", "b"), [0])
+    with pytest.raises(ValueError, match=re.escape("labels must be 0 (human) or 1 (bot)")):
+        FeatureMatrix(np.ones((2, 2)), ("a", "b"), [0, 2])
 
 
 def test_matrix_is_immutable():

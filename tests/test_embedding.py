@@ -66,6 +66,15 @@ def test_parse_error_with_line_number(tmp_path):
         load_glove(path, 2)
 
 
+def test_unknown_vector_that_overflows_is_refused(tmp_path):
+    # Every vector is finite; their mean is not. Outside the command line's
+    # float_errors the overflow passes silently and the table's check refuses it.
+    path = tmp_path / "vectors.txt"
+    path.write_text("alpha 1e308 0.0\nbeta 1e308 1.0\n", encoding="utf-8")
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+        load_glove(path, 2)
+
+
 def test_duplicates_keep_first(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("tok 1.0 1.0\ntok 9.0 9.0\n", encoding="utf-8")

@@ -191,6 +191,15 @@ def test_cell_value_loads_fills_or_skips_the_row(tmp_path, column, cell, loaded,
     assert diag.groups[0].filled_cells.get(column, 0) == filled
 
 
+def test_blank_users_row_is_neither_loaded_nor_skipped(tmp_path):
+    rows = [USERS_HEADER, "a1,5,1,3,0,0,1,0,0,1,0", "", "a2,5,1,3,0,0,1,0,0,1,0"]
+    group = _group(tmp_path, "humans", rows, None)
+    accounts, _, diag = load_corpus(CorpusManifest(groups=(group,)))
+    assert [a.account_id for a in accounts] == ["a1", "a2"]
+    assert diag.groups[0].accounts_skipped == 0
+    assert diag.groups[0].filled_cells == {}
+
+
 def test_skipped_users_row_counts_no_filled_cell(tmp_path):
     # An empty count, then a flag that does not parse: the row is skipped,
     # and its empty cell is not reported as filled.

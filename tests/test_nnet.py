@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -367,6 +368,14 @@ def test_zero_model_outputs_half():
     main, aux, trace, cells = _forward(model, _sequence(rng, 4, 3), np.arange(6.0))
     assert main == 0.5 and aux == 0.5
     assert trace.shape == cells.shape == (4, 4)
+
+
+def test_contextual_forward_batch_refuses_absent_metadata():
+    model = ContextualLstmModel.initialize(NetConfig(embedding_dim=3, hidden_dim=4,
+                                                     dense_sizes=(6, 5)))
+    x, length = _sequence(np.random.Generator(np.random.PCG64(5)), 4, 3)
+    with pytest.raises(DataError, match=re.escape("metadata must be a (B, 6) array")):
+        model.forward_batch(x, np.arange(4)[None, :], np.array([length]), None)
 
 
 def test_metadata_ignored_when_first_layer_weights_zeroed():

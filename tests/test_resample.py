@@ -222,6 +222,11 @@ def test_tomek_matches_brute_force():
         assert tomek_links(m) == brute_tomek(m)
 
 
+def test_tomek_needs_two_rows():
+    with pytest.raises(DataError, match="need 1 neighbors but only 0 eligible rows"):
+        tomek_links(_matrix([[0.0]], [0]))
+
+
 def test_tomek_links_are_cross_class():
     m = _random_matrix(200, n=30, d=2)
     for a, b in tomek_links(m):
